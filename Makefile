@@ -4,12 +4,12 @@ GO ?= go
 # e.g. `make bench BENCHTIME=1s`.
 BENCHTIME ?= 100ms
 
-.PHONY: check vet fmt lint build test chaos chaos-cluster bench bench-compare bench-pushdown bench-stream bench-hedge bench-semijoin bench-firstinstance bench-batch bin clean
+.PHONY: check vet fmt lint build test chaos chaos-cluster benchmark-smoke bench bench-compare bench-pushdown bench-stream bench-hedge bench-semijoin bench-firstinstance bench-batch bin clean
 
 # check is the full gate: go vet, formatting, the repo's own static
-# analysis suite, build, the test suite under the race detector, and the
-# seeded chaos suite.
-check: vet fmt lint build test chaos
+# analysis suite, build, the test suite under the race detector, the
+# seeded chaos suite, and the repository benchmark's smoke run.
+check: vet fmt lint build test chaos benchmark-smoke
 
 vet:
 	$(GO) vet ./...
@@ -48,6 +48,16 @@ chaos:
 # docs/CLUSTER.md) under the race detector.
 chaos-cluster:
 	$(GO) test -race -run ChaosCluster ./internal/integration
+
+# benchmark-smoke builds the repository benchmark (benchmark/, a nested
+# module that root `go build ./...` and `go test ./...` do not descend
+# into) and runs every workload for one second, untraced and traced,
+# failing on any failed operation. benchmark/layers.go pins internal/*
+# symbols, and its traced pass checks that the staged pipeline's bytes
+# equal the wire bytes, so this is what keeps a refactor from silently
+# breaking the benchmark.
+benchmark-smoke:
+	bash benchmark/run.sh -smoke
 
 # bench runs the root benchmark families (bench_test.go, E1–E22) with
 # allocation stats and persists a machine-readable baseline for the perf

@@ -477,21 +477,29 @@ func BenchmarkE17SelectiveQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkE18LargeSource — streaming pipeline: one full-scan query
-// over growing sources, streaming against materializing, serialized to
-// a discarded writer so the measurement isolates pipeline cost. Run
-// with -benchmem: the claim under test is the allocation profile —
-// the streaming path's peak buffered memory stays flat as rows grow
-// 10x (TestStreamingBoundedMemory asserts it; docs/PERFORMANCE.md
-// records the measured sweep). BENCH_stream.json records the pair for
+// BenchmarkE18LargeSource — chunked against whole-document
+// serialization: one full-scan query over growing sources through the
+// two entry points, QueryToStream ("streaming": on this relation-bearing
+// world it materializes, then serializes in bounded chunks) and QueryTo
+// ("materializing": one whole-document write), both to a discarded
+// writer so the measurement isolates pipeline cost. Run with -benchmem:
+// the claim under test is the allocation profile — the chunked path's
+// peak buffered memory stays flat as rows grow 10x
+// (TestStreamingBoundedMemory asserts it; docs/PERFORMANCE.md records
+// the measured sweep). BENCH_stream.json records the pair for
 // `make bench-stream -compare` gating.
 func BenchmarkE18LargeSource(b *testing.B) {
 	modes := []struct {
-		name string
-		opts extract.Options
+		name  string
+		query func(ctx context.Context, mw *core.Middleware) (*instance.Result, error)
 	}{
-		{"streaming", extract.Options{Streaming: true}},
-		{"materializing", extract.Options{}},
+		{"streaming", func(ctx context.Context, mw *core.Middleware) (*instance.Result, error) {
+			res, _, err := mw.QueryToStream(ctx, io.Discard, "SELECT product", instance.FormatJSON)
+			return res, err
+		}},
+		{"materializing", func(ctx context.Context, mw *core.Middleware) (*instance.Result, error) {
+			return mw.QueryTo(ctx, io.Discard, "SELECT product", instance.FormatJSON)
+		}},
 	}
 	for _, records := range []int{100, 1000} {
 		for _, mode := range modes {
@@ -499,14 +507,14 @@ func BenchmarkE18LargeSource(b *testing.B) {
 				mw, _ := buildMW(b, workload.Spec{
 					DBSources: 1, XMLSources: 1, TextSources: 1,
 					RecordsPerSource: records, Seed: 18,
-				}, mode.opts)
+				}, extract.Options{})
 				ctx := context.Background()
 				if _, err := mw.Query(ctx, "SELECT product"); err != nil { // warm compiled rules
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := mw.QueryTo(ctx, io.Discard, "SELECT product", instance.FormatJSON)
+					res, err := mode.query(ctx, mw)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -712,9 +720,10 @@ func (f *firstWriteTimer) Write(p []byte) (int, error) {
 
 // BenchmarkE21FirstInstance — barrier-free streaming: a merge-free
 // four-source query where one source (xml_000, canonically last)
-// answers 20ms slow. The eager path emits the three fast sources'
-// instances as their extraction windows close, so the first instance
-// reaches the writer in fast-source time; the barrier path serializes
+// answers 20ms slow. The eager path (QueryToStream) emits the three
+// fast sources' instances as their extraction windows close, so the
+// first instance reaches the writer in fast-source time; the
+// materialized path ("barrier": QueryTo on the same world) serializes
 // nothing until the slow source finishes, so its first byte waits out
 // the full 20ms. Total query time is the same either way — the custom
 // first_instance_ns metric is the measurement, recorded in
@@ -729,11 +738,16 @@ func BenchmarkE21FirstInstance(b *testing.B) {
 	}
 	const q = "SELECT product"
 	modes := []struct {
-		name string
-		opts extract.Options
+		name  string
+		query func(ctx context.Context, mw *core.Middleware, w io.Writer) (*instance.Result, error)
 	}{
-		{"eager", extract.Options{}},
-		{"barrier", extract.Options{DisableEagerStream: true}},
+		{"eager", func(ctx context.Context, mw *core.Middleware, w io.Writer) (*instance.Result, error) {
+			res, _, err := mw.QueryToStream(ctx, w, q, instance.FormatJSON)
+			return res, err
+		}},
+		{"barrier", func(ctx context.Context, mw *core.Middleware, w io.Writer) (*instance.Result, error) {
+			return mw.QueryTo(ctx, w, q, instance.FormatJSON)
+		}},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -746,9 +760,7 @@ func BenchmarkE21FirstInstance(b *testing.B) {
 				}
 			}
 			backends = faultinject.New(21, plan).WrapBackends(backends)
-			mw, err := core.New(core.Config{
-				Ontology: world.Ontology, Backends: backends, Extract: mode.opts,
-			})
+			mw, err := core.New(core.Config{Ontology: world.Ontology, Backends: backends})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -759,14 +771,14 @@ func BenchmarkE21FirstInstance(b *testing.B) {
 			if _, mergeFree, err := mw.PlanMergeFree(ctx, q); err != nil || !mergeFree {
 				b.Fatalf("query must prove merge-free (err=%v)", err)
 			}
-			if _, _, err := mw.QueryToStream(ctx, io.Discard, q, instance.FormatJSON); err != nil {
+			if _, err := mode.query(ctx, mw, io.Discard); err != nil {
 				b.Fatal(err) // warm compiled rules
 			}
 			var firstTotal time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fw := &firstWriteTimer{start: time.Now()}
-				res, _, err := mw.QueryToStream(ctx, fw, q, instance.FormatJSON)
+				res, err := mode.query(ctx, mw, fw)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -786,7 +798,7 @@ func BenchmarkE21FirstInstance(b *testing.B) {
 // with a 5ms fetch latency (remote partner catalogues — the paper's
 // B2B setting). Eight sequential Query calls each stand up their own
 // run document layer, so every query re-fetches and re-parses both
-// pages; one QueryBatch shares a single document layer and extraction
+// pages; one QueryBatchTo shares a single document layer and extraction
 // scatter across the batch, fetching each page once (the rule-result
 // cache is off — CacheTTL 0, the default — so nothing else amortizes
 // the repeats). One benchmark op answers all eight queries in both
@@ -826,7 +838,7 @@ func BenchmarkE22Batch(b *testing.B) {
 		mw := newMW(b)
 		ctx := context.Background()
 		run := func() {
-			results, errs := mw.QueryBatch(ctx, queries)
+			results, errs := mw.QueryBatchTo(ctx, queries, nil)
 			for i := range queries {
 				if errs[i] != nil {
 					b.Fatal(errs[i])

@@ -12,11 +12,12 @@
 // result. In endpoint mode the tree comes back from the server, so a
 // federated query shows its remote per-source spans under one trace.
 //
-// With -stream, the answer flows through the streaming pipeline
-// (docs/STREAMING.md): in endpoint mode the body arrives via the
-// chunked /query/stream route and is written to stdout as it lands; in
-// local mode the middleware runs with the Streaming option. Output
-// bytes are identical either way.
+// With -stream, the answer leaves in chunks (docs/STREAMING.md): in
+// endpoint mode the body arrives via the chunked /query/stream route
+// and is written to stdout as it lands; in local mode the query runs
+// through the same entry point that route uses (QueryToStream), which
+// streams eagerly when the query is merge-free and the format allows
+// it. Output bytes are identical either way.
 package main
 
 import (
@@ -49,7 +50,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 30*time.Second, "query timeout")
 		budget   = flag.Duration("budget", 0, "per-query extraction deadline budget for the local world (0 disables)")
 		trace    = flag.Bool("trace", false, "print the query's span tree to stderr")
-		stream   = flag.Bool("stream", false, "stream the answer (chunked /query/stream in endpoint mode, streaming pipeline locally)")
+		stream   = flag.Bool("stream", false, "stream the answer in chunks (/query/stream in endpoint mode, QueryToStream locally)")
 	)
 	flag.Parse()
 
@@ -121,7 +122,7 @@ func run(ctx context.Context, endpoint, query, sparqlQuery, format string, recor
 		return err
 	}
 	mw, err := core.NewWithCatalog(world.Ontology, world.Catalog,
-		extract.Options{QueryBudget: budget, Streaming: stream})
+		extract.Options{QueryBudget: budget})
 	if err != nil {
 		return err
 	}
@@ -160,7 +161,12 @@ func run(ctx context.Context, endpoint, query, sparqlQuery, format string, recor
 		return nil
 	}
 
-	res, err := mw.QueryTo(ctx, os.Stdout, query, f)
+	var res *instance.Result
+	if stream {
+		res, _, err = mw.QueryToStream(ctx, os.Stdout, query, f)
+	} else {
+		res, err = mw.QueryTo(ctx, os.Stdout, query, f)
+	}
 	if err != nil {
 		return err
 	}

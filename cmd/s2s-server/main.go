@@ -6,15 +6,15 @@
 // Usage:
 //
 //	s2s-server [-addr :8080] [-db 2] [-xml 2] [-web 2] [-text 2] [-records 100] [-seed 1] [-pprof]
-//	           [-max-queries 0] [-budget 0] [-stream] [-stats-file path]
+//	           [-max-queries 0] [-budget 0] [-stats-file path]
 //	           [-cluster node-id] [-join http://coordinator]
 //
 // -max-queries caps concurrent /query work; excess requests are shed
 // with 503 + Retry-After (docs/ROBUSTNESS.md). -budget bounds each
-// query's total extraction time across all sources. -stream runs the
-// middleware's /query path through the streaming pipeline
-// (docs/STREAMING.md); the chunked /query/stream route streams
-// regardless of the flag.
+// query's total extraction time across all sources. How a query is
+// answered is not configurable: /query materializes, and /query/stream
+// streams eagerly whenever the planner proves the query merge-free and
+// the format is instance-incremental (docs/STREAMING.md).
 //
 // -stats-file persists the extractor's per-source cost statistics
 // (internal/stats) across restarts: the file is loaded on start when it
@@ -72,7 +72,6 @@ func main() {
 		dumpConfig = flag.String("dump-config", "", "write the generated middleware configuration to this file and continue")
 		maxQueries = flag.Int("max-queries", 0, "concurrent /query cap; beyond it requests are shed with 503 + Retry-After (0 disables)")
 		budget     = flag.Duration("budget", 0, "per-query deadline budget across all sources (0 disables)")
-		stream     = flag.Bool("stream", false, "run /query through the streaming pipeline (see docs/STREAMING.md)")
 		statsFile  = flag.String("stats-file", "", "persist per-source cost statistics here across restarts (loaded on start, saved on graceful shutdown)")
 		clusterID  = flag.String("cluster", "", "cluster node ID; enables the /cluster/* routes (see docs/CLUSTER.md)")
 		join       = flag.String("join", "", "coordinator base URL to join as a member (requires -cluster); empty makes this node the coordinator")
@@ -83,13 +82,13 @@ func main() {
 	if err := run(*addr, workload.Spec{
 		DBSources: *db, XMLSources: *xml, WebSources: *web, TextSources: *text,
 		RecordsPerSource: *records, Seed: *seed,
-	}, *dumpConfig, *pprofOn, *maxQueries, *budget, *stream, *statsFile, *clusterID, *join, *advertise); err != nil {
+	}, *dumpConfig, *pprofOn, *maxQueries, *budget, *statsFile, *clusterID, *join, *advertise); err != nil {
 		fmt.Fprintln(os.Stderr, "s2s-server:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, spec workload.Spec, dumpConfig string, pprofOn bool, maxQueries int, budget time.Duration, stream bool, statsFile, clusterID, join, advertise string) error {
+func run(addr string, spec workload.Spec, dumpConfig string, pprofOn bool, maxQueries int, budget time.Duration, statsFile, clusterID, join, advertise string) error {
 	if join != "" && clusterID == "" {
 		return fmt.Errorf("-join requires -cluster <node-id>")
 	}
@@ -98,7 +97,7 @@ func run(addr string, spec workload.Spec, dumpConfig string, pprofOn bool, maxQu
 		return err
 	}
 	mw, err := core.NewWithCatalog(world.Ontology, world.Catalog,
-		extract.Options{QueryBudget: budget, Streaming: stream})
+		extract.Options{QueryBudget: budget})
 	if err != nil {
 		return err
 	}

@@ -288,8 +288,16 @@ func (l *Loader) Load() ([]*Unit, error) {
 		if !d.IsDir() {
 			return nil
 		}
-		if path != l.ModuleRoot && skipDir(d.Name()) {
-			return filepath.SkipDir
+		if path != l.ModuleRoot {
+			if skipDir(d.Name()) {
+				return filepath.SkipDir
+			}
+			// A nested go.mod starts another module (benchmark/), which
+			// the go tool's ./... does not descend into either; its own
+			// gate is `make benchmark-smoke`.
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		dirs = append(dirs, path)
 		return nil

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/instance"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -493,34 +492,24 @@ func (n *Node) handleClusterExtract(w http.ResponseWriter, r *http.Request) {
 	// scatter-gather query reads as one federated tree: the member's
 	// cluster_extract root (and the per-source spans under it) share the
 	// coordinator's trace ID.
-	ctx := obs.ContextWithMetrics(r.Context(), n.mw.Metrics())
-	if tid := r.Header.Get(transport.TraceIDHeader); tid != "" {
-		ctx = obs.ContextWithRemote(ctx, obs.Remote{TraceID: tid, ParentID: r.Header.Get(transport.SpanIDHeader)})
-	}
-	ctx, root := n.mw.Tracer().StartTrace(ctx, "cluster_extract")
-	w.Header().Set(transport.TraceIDHeader, root.TraceID)
+	ctx, root := transport.BeginRequest(n.mw, w, r, "cluster_extract")
 	if err := n.ensureCatalog(ctx, req.CatalogVersion); err != nil {
-		root.SetAttr("outcome", "error")
-		root.End()
+		transport.EndRequest(root, err)
 		clusterError(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	plan, err := n.mw.Plan(ctx, req.Query)
 	if err != nil {
-		root.SetAttr("outcome", "error")
-		root.End()
+		transport.EndRequest(root, err)
 		clusterError(w, http.StatusBadRequest, err)
 		return
 	}
 	rs, err := n.mw.ExtractPlanSources(ctx, plan, req.Sources)
+	transport.EndRequest(root, err)
 	if err != nil {
-		root.SetAttr("outcome", "error")
-		root.End()
 		clusterError(w, http.StatusInternalServerError, err)
 		return
 	}
-	root.SetAttr("outcome", "ok")
-	root.End()
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, toWire(rs))
 }
@@ -530,73 +519,21 @@ func (n *Node) handleClusterExtract(w http.ResponseWriter, r *http.Request) {
 // answered by scatter-gather across the owning nodes and merged
 // through the single-node pipeline, with the dispatch summary attached.
 func (n *Node) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
-	var req transport.QueryRequest
-	switch r.Method {
-	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: decoding request: %w", err))
-			return
-		}
-	case http.MethodGet:
-		req.Query = r.URL.Query().Get("q")
-		req.Format = r.URL.Query().Get("format")
-	default:
-		clusterError(w, http.StatusMethodNotAllowed, fmt.Errorf("cluster: %s not allowed", r.Method))
+	req, format, ok := transport.DecodeQueryRequest(w, r)
+	if !ok {
 		return
 	}
-	if strings.TrimSpace(req.Query) == "" {
-		clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: empty query"))
-		return
-	}
-	format := instance.FormatOWL
-	if req.Format != "" {
-		f, err := instance.ParseFormat(req.Format)
-		if err != nil {
-			clusterError(w, http.StatusBadRequest, err)
-			return
-		}
-		format = f
-	}
-
-	ctx := obs.ContextWithMetrics(r.Context(), n.mw.Metrics())
-	if tid := r.Header.Get(transport.TraceIDHeader); tid != "" {
-		ctx = obs.ContextWithRemote(ctx, obs.Remote{TraceID: tid, ParentID: r.Header.Get(transport.SpanIDHeader)})
-	}
-	ctx, root := n.mw.Tracer().StartTrace(ctx, "http_query")
-	w.Header().Set(transport.TraceIDHeader, root.TraceID)
-
+	ctx, root := transport.BeginRequest(n.mw, w, r, "http_query")
 	res, info, err := n.QueryCluster(ctx, req.Query)
 	if err != nil {
-		root.SetAttr("outcome", "error")
-		root.End()
+		transport.EndRequest(root, err)
 		clusterError(w, http.StatusBadRequest, err)
 		return
 	}
-	var buf bytes.Buffer
-	err = n.mw.Generator().SerializeContext(ctx, &buf, res, format)
-	root.SetAttr("outcome", "ok")
-	root.End()
-	if err != nil {
-		clusterError(w, http.StatusInternalServerError, err)
+	resp, ok := transport.FinishQuery(ctx, w, root, n.mw.Generator(), res, format)
+	if !ok {
 		return
 	}
-	resp := QueryResponse{
-		QueryResponse: transport.QueryResponse{
-			Query:   res.Plan.Query.String(),
-			Format:  format.String(),
-			Matched: len(res.Matched),
-			Related: len(res.Related),
-			Missing: res.Missing,
-			Body:    buf.String(),
-		},
-		Cluster: *info,
-	}
-	for _, e := range res.Errors {
-		resp.Errors = append(resp.Errors, e.Error())
-	}
-	for _, d := range res.Degraded {
-		resp.Degraded = append(resp.Degraded, d.String())
-	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, resp)
+	writeJSON(w, QueryResponse{QueryResponse: resp, Cluster: *info})
 }

@@ -12,33 +12,24 @@ package core
 import (
 	"context"
 	"strconv"
-	"time"
 
+	"repro/internal/extract"
 	"repro/internal/instance"
 	"repro/internal/obs"
 	"repro/internal/s2sql"
 )
 
-// QueryBatch answers N S2SQL queries as one batch. The returned results
-// and errors are both aligned with queries; a failing query occupies
-// its error slot without affecting its siblings, exactly as N separate
-// Query calls would behave. All queries share one extraction scatter;
-// each nonetheless runs its own planning (through the shared plan
-// cache), instance generation, and per-query trace and metrics, nested
-// under one "batch" trace root.
-func (m *Middleware) QueryBatch(ctx context.Context, queries []string) ([]*instance.Result, []error) {
-	return m.queryBatch(ctx, queries, nil)
-}
-
-// QueryBatchTo is QueryBatch with each successful result serialized
-// through sink(i, res) as soon as it is generated — the transport hands
-// a sink that frames the bytes onto the batch response. A sink error
-// becomes that query's error.
+// QueryBatchTo answers N S2SQL queries as one batch. The returned
+// results and errors are both aligned with queries; a failing query
+// occupies its error slot without affecting its siblings, exactly as N
+// separate Query calls would behave. All queries share one extraction
+// scatter; each nonetheless runs its own planning (through the shared
+// plan cache), instance generation, and per-query trace and metrics,
+// nested under one "batch" trace root. Each successful result is handed
+// to sink(i, res), when sink is non-nil, as soon as it is generated —
+// the transport hands a sink that frames the serialized bytes onto the
+// batch response. A sink error becomes that query's error.
 func (m *Middleware) QueryBatchTo(ctx context.Context, queries []string, sink func(int, *instance.Result) error) ([]*instance.Result, []error) {
-	return m.queryBatch(ctx, queries, sink)
-}
-
-func (m *Middleware) queryBatch(ctx context.Context, queries []string, sink func(int, *instance.Result) error) ([]*instance.Result, []error) {
 	n := len(queries)
 	results := make([]*instance.Result, n)
 	errs := make([]error, n)
@@ -74,16 +65,10 @@ func (m *Middleware) queryBatch(ctx context.Context, queries []string, sink func
 			finishes[i](nil, errs[i])
 			continue
 		}
-		if xerrs[i] != nil {
-			errs[i] = xerrs[i]
-			finishes[i](nil, errs[i])
-			continue
-		}
-		rs := sets[i]
-		m.stats.extractNS.Add(int64(rs.Stats.SchemaDuration + rs.Stats.ExtractDuration))
-		genStart := time.Now()
-		res, err := m.gen.GenerateContextOpts(qctxs[i], plans[i], rs, instance.GenOptions{MergeFree: mergeFree[i]})
-		m.stats.generateNS.Add(int64(time.Since(genStart)))
+		// The shared scatter already ran this query's extraction stage.
+		res, err := m.materialize(qctxs[i], plans[i], mergeFree[i], func(context.Context, *s2sql.Plan) (*extract.ResultSet, error) {
+			return sets[i], xerrs[i]
+		})
 		if err == nil && sink != nil {
 			err = sink(i, res)
 		}

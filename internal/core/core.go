@@ -52,16 +52,6 @@ type Middleware struct {
 	gen     *instance.Generator
 	plans   *planCache
 
-	// streaming mirrors Config.Extract.Streaming: when set, Query and
-	// QueryTo run the streaming pipeline (batched extraction, windowed
-	// assembly, chunked serialization) instead of materializing. Answers
-	// are byte-identical either way; see docs/STREAMING.md.
-	streaming bool
-	// eagerDisabled mirrors Config.Extract.DisableEagerStream: when set,
-	// QueryToStream keeps the ordering barrier even for queries the
-	// planner proved merge-free. Bytes are identical either way.
-	eagerDisabled bool
-
 	tracer  *obs.Tracer
 	metrics *obs.Registry
 	stats   statsCounters
@@ -105,16 +95,14 @@ func New(cfg Config) (*Middleware, error) {
 	sources := datasource.NewRegistry()
 	repo := mapping.NewRepository(cfg.Ontology, sources)
 	return &Middleware{
-		ont:           cfg.Ontology,
-		sources:       sources,
-		repo:          repo,
-		manager:       extract.NewManager(repo, cfg.Backends, cfg.Extract),
-		gen:           instance.NewGenerator(cfg.Ontology, repo),
-		plans:         newPlanCache(cfg.PlanCacheSize),
-		streaming:     cfg.Extract.Streaming,
-		eagerDisabled: cfg.Extract.DisableEagerStream,
-		tracer:        obs.NewTracer(cfg.TraceCapacity),
-		metrics:       obs.NewRegistry(),
+		ont:     cfg.Ontology,
+		sources: sources,
+		repo:    repo,
+		manager: extract.NewManager(repo, cfg.Backends, cfg.Extract),
+		gen:     instance.NewGenerator(cfg.Ontology, repo),
+		plans:   newPlanCache(cfg.PlanCacheSize),
+		tracer:  obs.NewTracer(cfg.TraceCapacity),
+		metrics: obs.NewRegistry(),
 	}, nil
 }
 
@@ -254,60 +242,37 @@ func (m *Middleware) proveMergeFree(plan *s2sql.Plan) bool {
 	return verdict.OK
 }
 
-// answer runs the traced pipeline body: parse and plan (query handler),
-// extract (extractor manager), generate (instance generator). With the
-// Streaming option set the extract and generate stages run as a
-// producer/consumer pair over fragment batches instead.
-func (m *Middleware) answer(ctx context.Context, query string) (*instance.Result, error) {
+// run is the one query pipeline every entry point goes through: open the
+// trace root, parse and plan (query handler), run body — one of the two
+// execution strategies, materialized or eager, plus any serialization —
+// and stamp the outcome, metrics and stats on the way out.
+func (m *Middleware) run(ctx context.Context, query string, body func(ctx context.Context, plan *s2sql.Plan, mergeFree bool) (*instance.Result, error)) (*instance.Result, error) {
+	ctx, finish := m.beginQuery(ctx, query)
+	var res *instance.Result
 	plan, mergeFree, err := m.planQuery(ctx, query)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		res, err = body(ctx, plan, mergeFree)
 	}
-	if m.streaming {
-		return m.generateStreaming(ctx, plan, mergeFree)
-	}
+	finish(res, err)
+	return res, err
+}
 
-	// ExtractQuery hands the full plan to the extractor so the query
-	// planner (internal/planner) can push the WHERE conditions toward the
-	// sources; the instance generator re-applies them regardless.
-	rs, err := m.manager.ExtractQuery(ctx, plan)
+// materialize is the materialized strategy: extract everything
+// (extractor manager), then generate (instance generator). Extraction
+// does not go through extract.Stream here: a source's fragments are
+// complete before they could be windowed, and the generator needs every
+// instance before it can merge, link and order, so a channel hand-off
+// would release nothing early.
+func (m *Middleware) materialize(ctx context.Context, plan *s2sql.Plan, mergeFree bool, extractFn func(context.Context, *s2sql.Plan) (*extract.ResultSet, error)) (*instance.Result, error) {
+	rs, err := extractFn(ctx, plan)
 	if err != nil {
 		return nil, err
 	}
 	m.stats.extractNS.Add(int64(rs.Stats.SchemaDuration + rs.Stats.ExtractDuration))
-
 	genStart := time.Now()
 	res, err := m.gen.GenerateContextOpts(ctx, plan, rs, instance.GenOptions{MergeFree: mergeFree})
 	m.stats.generateNS.Add(int64(time.Since(genStart)))
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// generateStreaming runs the streaming extract+generate pair for a
-// planned query. Extraction overlaps generation, so the generate time
-// recorded here includes waiting on batches; the extract time comes
-// from the stream's tail stats.
-func (m *Middleware) generateStreaming(ctx context.Context, plan *s2sql.Plan, mergeFree bool) (*instance.Result, error) {
-	st, err := m.manager.ExtractQueryStream(ctx, plan)
-	if err != nil {
-		return nil, err
-	}
-	genStart := time.Now()
-	res, err := m.gen.GenerateStreamContextOpts(ctx, plan, st, instance.GenOptions{MergeFree: mergeFree})
-	m.stats.generateNS.Add(int64(time.Since(genStart)))
-	if err != nil {
-		// Drain so the producer can finish and release its budget.
-		go func() {
-			for range st.Batches {
-			}
-		}()
-		return nil, err
-	}
-	tail := st.Tail()
-	m.stats.extractNS.Add(int64(tail.Stats.SchemaDuration + tail.Stats.ExtractDuration))
-	return res, nil
+	return res, err
 }
 
 // Plan parses and plans a query through the plan cache without running
@@ -331,13 +296,14 @@ func (m *Middleware) PlanMergeFree(ctx context.Context, query string) (*s2sql.Pl
 
 // EagerStream reports whether QueryToStream will emit barrier-free for
 // a query with the given merge-free verdict in the given format: the
-// proof must hold, the format's serialization must be
-// instance-incremental (instance.EagerFormat), and the
-// DisableEagerStream rollback knob must be off. The transport calls it
-// with PlanMergeFree's verdict to choose the stream-mode header before
-// the response commits.
+// proof must hold and the format's serialization must be
+// instance-incremental (instance.EagerFormat). It is the only thing
+// that selects between the two execution strategies, and both inputs
+// are observed, not configured. The transport calls it with
+// PlanMergeFree's verdict to choose the stream-mode header before the
+// response commits.
 func (m *Middleware) EagerStream(mergeFree bool, format instance.Format) bool {
-	return mergeFree && !m.eagerDisabled && instance.EagerFormat(format)
+	return mergeFree && instance.EagerFormat(format)
 }
 
 // ExtractPlanSources runs the extraction stage for an already-planned
@@ -368,130 +334,79 @@ func (m *Middleware) OrderExtractSources(plan *s2sql.Plan, sourceIDs []string) [
 // tracing, and metrics are exactly the single-node pipeline — which is
 // what keeps clustered answers byte-identical.
 func (m *Middleware) QueryWithExtractor(ctx context.Context, query string, extractFn func(context.Context, *s2sql.Plan) (*extract.ResultSet, error)) (*instance.Result, error) {
-	ctx, finish := m.beginQuery(ctx, query)
-	res, err := func() (*instance.Result, error) {
-		plan, mergeFree, err := m.planQuery(ctx, query)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := extractFn(ctx, plan)
-		if err != nil {
-			return nil, err
-		}
-		m.stats.extractNS.Add(int64(rs.Stats.SchemaDuration + rs.Stats.ExtractDuration))
-		genStart := time.Now()
-		res, err := m.gen.GenerateContextOpts(ctx, plan, rs, instance.GenOptions{MergeFree: mergeFree})
-		m.stats.generateNS.Add(int64(time.Since(genStart)))
-		return res, err
-	}()
-	finish(res, err)
-	return res, err
+	return m.run(ctx, query, func(ctx context.Context, plan *s2sql.Plan, mergeFree bool) (*instance.Result, error) {
+		return m.materialize(ctx, plan, mergeFree, extractFn)
+	})
 }
 
 // Query answers one S2SQL query: parse and plan (query handler), extract
 // (extractor manager), generate (instance generator). The full pipeline
-// is traced; the completed span tree is retained by Tracer.
+// is traced; the completed span tree is retained by Tracer. ExtractQuery
+// hands the full plan to the extractor so the query planner
+// (internal/planner) can push the WHERE conditions toward the sources;
+// the instance generator re-applies them regardless.
 func (m *Middleware) Query(ctx context.Context, query string) (*instance.Result, error) {
-	ctx, finish := m.beginQuery(ctx, query)
-	res, err := m.answer(ctx, query)
-	finish(res, err)
-	return res, err
+	return m.QueryWithExtractor(ctx, query, m.manager.ExtractQuery)
 }
 
 // QueryTo answers a query and serializes the result to w in the given
-// format; serialization is part of the query's trace. With the
-// Streaming option set, serialization is chunked: w receives bounded
-// incremental writes instead of one whole-document write (the bytes
-// are identical).
+// format as one whole-document write; serialization is part of the
+// query's trace.
 func (m *Middleware) QueryTo(ctx context.Context, w io.Writer, query string, format instance.Format) (*instance.Result, error) {
-	ctx, finish := m.beginQuery(ctx, query)
-	res, err := m.answer(ctx, query)
-	if err == nil {
-		if m.streaming {
-			_, err = m.gen.SerializeChunkedContext(ctx, w, res, format, 0)
-		} else {
-			err = m.gen.SerializeContext(ctx, w, res, format)
+	res, err := m.run(ctx, query, func(ctx context.Context, plan *s2sql.Plan, mergeFree bool) (*instance.Result, error) {
+		res, err := m.materialize(ctx, plan, mergeFree, m.manager.ExtractQuery)
+		if err != nil {
+			return nil, err
 		}
-	}
-	finish(res, err)
+		return res, m.gen.SerializeContext(ctx, w, res, format)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// QueryToStream answers a query through the streaming pipeline
-// regardless of the Streaming option and serializes the result to w in
+// QueryToStream answers a query and serializes the result to w in
 // bounded chunks — the transport's /query/stream endpoint hands it an
 // http.Flusher-backed writer so every chunk reaches the wire as a
 // chunked-transfer frame. When the planner proved the query merge-free
-// and the format supports it (and DisableEagerStream is off), the body
-// is emitted barrier-free: instances stream out as extraction windows
-// close, so the first instance reaches w while slower sources are still
-// extracting; otherwise the ordering barrier runs. The bytes are
-// identical either way. The result and chunk statistics are returned
+// and the format supports it (EagerStream), the body is emitted
+// barrier-free: instances stream out as extraction windows close, so
+// the first instance reaches w while slower sources are still
+// extracting; otherwise the query is materialized and the document
+// leaves in chunks afterwards. The bytes are identical either way, and
+// identical to QueryTo's. The result and chunk statistics are returned
 // alongside any error; a serialization error may surface after part of
 // the body was already written, which is why the transport signals
 // completion in trailers.
 func (m *Middleware) QueryToStream(ctx context.Context, w io.Writer, query string, format instance.Format) (*instance.Result, instance.ChunkStats, error) {
-	ctx, finish := m.beginQuery(ctx, query)
 	var stats instance.ChunkStats
-	res, err := func() (*instance.Result, error) {
-		plan, mergeFree, err := m.planQuery(ctx, query)
-		if err != nil {
-			return nil, err
-		}
-		if mergeFree && !m.eagerDisabled && instance.EagerFormat(format) {
-			st, err := m.manager.ExtractQueryStream(ctx, plan)
+	res, err := m.run(ctx, query, func(ctx context.Context, plan *s2sql.Plan, mergeFree bool) (*instance.Result, error) {
+		if !m.EagerStream(mergeFree, format) {
+			res, err := m.materialize(ctx, plan, mergeFree, m.manager.ExtractQuery)
 			if err != nil {
 				return nil, err
 			}
-			var res *instance.Result
-			res, stats, err = m.gen.GenerateStreamEagerContext(ctx, plan, st, w, format, 0)
-			if err == nil {
-				tail := st.Tail()
-				m.stats.extractNS.Add(int64(tail.Stats.SchemaDuration + tail.Stats.ExtractDuration))
-			}
+			stats, err = m.gen.SerializeChunked(ctx, w, res, format)
 			return res, err
 		}
-		res, err := m.generateStreaming(ctx, plan, mergeFree)
+		st, err := m.manager.ExtractQueryStream(ctx, plan)
 		if err != nil {
 			return nil, err
 		}
-		stats, err = m.gen.SerializeChunkedContext(ctx, w, res, format, 0)
+		// Extraction overlaps generation on this path, so the generate
+		// time includes waiting on windows; the extract time comes from
+		// the stream's tail, which GenerateEager leaves complete.
+		genStart := time.Now()
+		var res *instance.Result
+		res, stats, err = m.gen.GenerateEager(ctx, plan, st, w, format)
+		m.stats.generateNS.Add(int64(time.Since(genStart)))
+		tail := st.Tail()
+		m.stats.extractNS.Add(int64(tail.Stats.SchemaDuration + tail.Stats.ExtractDuration))
 		return res, err
-	}()
-	finish(res, err)
-	if err != nil {
-		return res, stats, err
-	}
-	return res, stats, nil
+	})
+	return res, stats, err
 }
-
-// QueryStreamed answers a query through the streaming extract+generate
-// pipeline regardless of the Streaming option, without serializing.
-// The transport's /query/stream endpoint uses it so it can emit
-// response headers (matched/related counts) between generation and the
-// first body byte, then serialize in chunks straight to the wire.
-func (m *Middleware) QueryStreamed(ctx context.Context, query string) (*instance.Result, error) {
-	ctx, finish := m.beginQuery(ctx, query)
-	res, err := func() (*instance.Result, error) {
-		plan, mergeFree, err := m.planQuery(ctx, query)
-		if err != nil {
-			return nil, err
-		}
-		return m.generateStreaming(ctx, plan, mergeFree)
-	}()
-	finish(res, err)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// StreamingEnabled reports whether the middleware was configured with
-// the streaming pipeline (extract.Options.Streaming).
-func (m *Middleware) StreamingEnabled() bool { return m.streaming }
 
 // QueryString answers a query and returns the serialized result.
 func (m *Middleware) QueryString(ctx context.Context, query string, format instance.Format) (string, error) {

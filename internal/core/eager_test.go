@@ -1,17 +1,21 @@
 package core_test
 
-// eager_test.go pins the barrier-free streaming contract: on a world
-// whose queries the planner proves merge-free (the flat paper ontology —
-// no relations, no class keys), the eager emission path, the barrier
-// streaming path, and the materializing path produce byte-identical
-// output for every query and format; and the multi-query batch pipeline
-// answers exactly like N sequential single queries.
+// eager_test.go pins the eager path's contract: on a world whose
+// queries the planner proves merge-free (the flat paper ontology — no
+// relations, no class keys), QueryToStream — eager for JSON and XML,
+// materialized for the rest — produces byte-identical output to QueryTo
+// for every query and format; an eager run whose writer fails leaves no
+// goroutine behind; and the multi-query batch pipeline answers exactly
+// like N sequential single queries.
 
 import (
-	"bytes"
 	"context"
+	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/extract"
@@ -45,7 +49,7 @@ func buildFlatWorld(t *testing.T, opts extract.Options) *core.Middleware {
 
 // TestFlatWorldProvesMergeFree guards the fixture itself: every
 // equivalence query must prove merge-free on the flat world, otherwise
-// the eager tests below would silently exercise the barrier fallback.
+// the eager tests below would silently exercise the materialized path.
 func TestFlatWorldProvesMergeFree(t *testing.T) {
 	ctx := context.Background()
 	mw := buildFlatWorld(t, extract.Options{})
@@ -63,68 +67,64 @@ func TestFlatWorldProvesMergeFree(t *testing.T) {
 	}
 }
 
-// TestEagerStreamingEquivalence is the barrier-free byte-equivalence
-// suite: for every query and every format, QueryToStream with eager
-// emission enabled (merge-free proof holds, 4-record windows force
-// multi-window interleaving) matches both the barrier streaming path
-// (DisableEagerStream) and the materializing path byte for byte.
+// TestEagerStreamingEquivalence is the byte-equivalence suite on the
+// flat world: JSON and XML answers stream eagerly (small windows force
+// multi-window interleaving across sources), the other formats
+// materialize, and all must match QueryTo byte for byte.
 func TestEagerStreamingEquivalence(t *testing.T) {
-	ctx := context.Background()
-	base := buildFlatWorld(t, extract.Options{})
-	eager := buildFlatWorld(t, extract.Options{Streaming: true, StreamBatchRecords: 4})
-	barrier := buildFlatWorld(t, extract.Options{Streaming: true, StreamBatchRecords: 4, DisableEagerStream: true})
-	formats := []instance.Format{
-		instance.FormatOWL, instance.FormatTurtle, instance.FormatNTriples,
-		instance.FormatXML, instance.FormatJSON, instance.FormatText,
-	}
-	for _, q := range equivalenceQueries {
-		for _, f := range formats {
-			want, err := base.QueryString(ctx, q, f)
-			if err != nil {
-				t.Fatalf("materializing %q %v: %v", q, f, err)
-			}
-			var eagerOut, barrierOut bytes.Buffer
-			if _, _, err := eager.QueryToStream(ctx, &eagerOut, q, f); err != nil {
-				t.Fatalf("eager %q %v: %v", q, f, err)
-			}
-			if _, _, err := barrier.QueryToStream(ctx, &barrierOut, q, f); err != nil {
-				t.Fatalf("barrier %q %v: %v", q, f, err)
-			}
-			if eagerOut.String() != want {
-				t.Errorf("eager %q %v: output diverges from materializing path\nwant:\n%s\ngot:\n%s",
-					q, f, clip(want), clip(eagerOut.String()))
-			}
-			if barrierOut.String() != want {
-				t.Errorf("barrier %q %v: output diverges from materializing path\nwant:\n%s\ngot:\n%s",
-					q, f, clip(want), clip(barrierOut.String()))
-			}
-		}
-	}
+	checkStreamBytesMatchQueryTo(t, buildFlatWorld)
 }
 
 // TestEagerResultMatchesBarrier compares the structured result — counts
-// and error lists — returned alongside the eager bytes.
+// and error lists — returned alongside the eager bytes with the
+// materialized one.
 func TestEagerResultMatchesBarrier(t *testing.T) {
+	checkStreamResultMatchesQueryTo(t, buildFlatWorld)
+}
+
+// failAfterFirstWrite accepts one chunk, then fails every write.
+type failAfterFirstWrite struct{ writes int }
+
+var errWriterGone = errors.New("writer gone")
+
+func (w *failAfterFirstWrite) Write(p []byte) (int, error) {
+	w.writes++
+	if w.writes > 1 {
+		return 0, errWriterGone
+	}
+	return len(p), nil
+}
+
+// TestEagerWriterFailureLeavesNoGoroutines fails the writer of an eager
+// query after its first chunk: QueryToStream must return that error, and
+// the extraction producer must be gone — Stream.Drain released it, so
+// its deadline-budget cancel ran — which shows as the goroutine count
+// settling back to where it started.
+func TestEagerWriterFailureLeavesNoGoroutines(t *testing.T) {
+	mw := buildFlatWorld(t, extract.Options{StreamBatchRecords: 1, QueryBudget: time.Minute})
 	ctx := context.Background()
-	eager := buildFlatWorld(t, extract.Options{Streaming: true, StreamBatchRecords: 4})
-	barrier := buildFlatWorld(t, extract.Options{Streaming: true, StreamBatchRecords: 4, DisableEagerStream: true})
-	for _, q := range equivalenceQueries {
-		var eb, bb bytes.Buffer
-		got, gotStats, err := eager.QueryToStream(ctx, &eb, q, instance.FormatJSON)
-		if err != nil {
-			t.Fatalf("eager %q: %v", q, err)
+	// Warm the caches (and any lazily started runtime goroutines) first.
+	if _, _, err := mw.QueryToStream(ctx, io.Discard, "SELECT product", instance.FormatJSON); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+
+	w := &failAfterFirstWrite{}
+	_, _, err := mw.QueryToStream(ctx, w, "SELECT product", instance.FormatJSON)
+	if !errors.Is(err, errWriterGone) {
+		t.Fatalf("QueryToStream error = %v, want the writer's error", err)
+	}
+	if w.writes < 2 {
+		t.Fatalf("writer saw %d writes; the failure never triggered", w.writes)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines: %d before, %d after the failed eager query\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
-		want, _, err := barrier.QueryToStream(ctx, &bb, q, instance.FormatJSON)
-		if err != nil {
-			t.Fatalf("barrier %q: %v", q, err)
-		}
-		if len(got.Matched) != len(want.Matched) || len(got.Errors) != len(want.Errors) {
-			t.Errorf("%q: matched/errors = %d/%d, want %d/%d",
-				q, len(got.Matched), len(got.Errors), len(want.Matched), len(want.Errors))
-		}
-		if gotStats.Bytes != int64(eb.Len()) {
-			t.Errorf("%q: eager stats.Bytes = %d, want %d", q, gotStats.Bytes, eb.Len())
-		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 	seq := buildEquivalenceWorld(t, extract.Options{})
 	batch := buildEquivalenceWorld(t, extract.Options{})
 
-	results, errs := batch.QueryBatch(ctx, equivalenceQueries)
+	results, errs := batch.QueryBatchTo(ctx, equivalenceQueries, nil)
 	for i, q := range equivalenceQueries {
 		if errs[i] != nil {
 			t.Fatalf("batch %q: %v", q, errs[i])
@@ -156,7 +156,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 	}
 
 	queries := []string{"SELECT product", "SELECT nonsense FROM", "SELECT provider"}
-	results, errs = batch.QueryBatch(ctx, queries)
+	results, errs = batch.QueryBatchTo(ctx, queries, nil)
 	if errs[0] != nil || errs[2] != nil {
 		t.Fatalf("good queries failed: %v / %v", errs[0], errs[2])
 	}

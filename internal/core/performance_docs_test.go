@@ -55,7 +55,7 @@ func TestPerformanceDocKnobsExist(t *testing.T) {
 		"`extract.Options.RuleParallelism`",
 		"`extract.Options.SimulatedLatency`",
 		"`extract.Options.DisablePushdown`",
-		"`extract.Options.DisableEagerStream`",
+		"`extract.Options.StreamBatchRecords`",
 	} {
 		if !strings.Contains(doc, knob) {
 			t.Errorf("tuning knob %s missing from %s", knob, perfDocPath)

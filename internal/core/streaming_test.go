@@ -1,16 +1,21 @@
 package core_test
 
-// streaming_test.go proves the streaming pipeline's central contract:
-// for every query and every format, the streaming path (batched
-// extraction, windowed assembly, chunked serialization) produces
-// byte-identical output to the materializing path. The batch window is
-// forced small so every source spans several windows — the regime where
-// windowed assembly could diverge if its ordering argument were wrong.
+// streaming_test.go proves the query paths' central contract: for every
+// query and every format, the chunked entry point (QueryToStream — eager
+// where the planner proves the query merge-free and the format allows
+// it, materialized plus chunked serialization otherwise) produces
+// byte-identical output to the whole-document entry point (QueryTo).
+// The batch window is forced small so every source spans several
+// windows — the regime where windowed assembly could diverge if its
+// ordering argument were wrong. This file runs the suite on the paper
+// world (relations: never merge-free, so QueryToStream materializes);
+// eager_test.go runs it on the flat world, where every query is eager.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -61,56 +66,63 @@ func buildEquivalenceWorld(t *testing.T, opts extract.Options) *core.Middleware 
 	return mw
 }
 
-// TestStreamingEquivalence runs the full equivalence suite in every
-// serialization format against three middlewares: materializing,
-// streaming with the default window, and streaming with a 4-record
-// window (each 12-record source then emits 3 batches). All outputs
-// must be byte-identical to the materializing answer.
-func TestStreamingEquivalence(t *testing.T) {
+// streamWindows are the extract.Options.StreamBatchRecords settings the
+// equivalence suites run QueryToStream under: the default window, a
+// 4-record window (each 12-record source then emits 3 batches), and a
+// 1-record window (every record its own batch).
+var streamWindows = []int{0, 4, 1}
+
+var allFormats = []instance.Format{
+	instance.FormatOWL, instance.FormatTurtle, instance.FormatNTriples,
+	instance.FormatXML, instance.FormatJSON, instance.FormatText,
+}
+
+// checkStreamBytesMatchQueryTo runs the 9-query × 6-format suite: on a
+// world built per window setting, QueryToStream's bytes must equal
+// QueryTo's (the reference) for every query and format.
+func checkStreamBytesMatchQueryTo(t *testing.T, build func(*testing.T, extract.Options) *core.Middleware) {
+	t.Helper()
 	ctx := context.Background()
-	base := buildEquivalenceWorld(t, extract.Options{})
-	variants := map[string]*core.Middleware{
-		"stream-default": buildEquivalenceWorld(t, extract.Options{Streaming: true}),
-		"stream-window4": buildEquivalenceWorld(t, extract.Options{Streaming: true, StreamBatchRecords: 4}),
-	}
-	formats := []instance.Format{
-		instance.FormatOWL, instance.FormatTurtle, instance.FormatNTriples,
-		instance.FormatXML, instance.FormatJSON, instance.FormatText,
-	}
-	for _, q := range equivalenceQueries {
-		for _, f := range formats {
-			want, err := base.QueryString(ctx, q, f)
-			if err != nil {
-				t.Fatalf("materializing %q %v: %v", q, f, err)
-			}
-			for name, mw := range variants {
-				got, err := mw.QueryString(ctx, q, f)
+	ref := build(t, extract.Options{})
+	for _, window := range streamWindows {
+		mw := build(t, extract.Options{StreamBatchRecords: window})
+		for _, q := range equivalenceQueries {
+			for _, f := range allFormats {
+				want, err := ref.QueryString(ctx, q, f)
 				if err != nil {
-					t.Fatalf("%s %q %v: %v", name, q, f, err)
+					t.Fatalf("QueryTo %q %v: %v", q, f, err)
 				}
-				if got != want {
-					t.Errorf("%s %q %v: output diverges from materializing path\nmaterializing:\n%s\nstreaming:\n%s",
-						name, q, f, clip(want), clip(got))
+				var got bytes.Buffer
+				if _, _, err := mw.QueryToStream(ctx, &got, q, f); err != nil {
+					t.Fatalf("QueryToStream window=%d %q %v: %v", window, q, f, err)
+				}
+				if got.String() != want {
+					t.Errorf("window=%d %q %v: QueryToStream diverges from QueryTo\nQueryTo:\n%s\nQueryToStream:\n%s",
+						window, q, f, clip(want), clip(got.String()))
 				}
 			}
 		}
 	}
 }
 
-// TestStreamingErrorListEquivalence compares the structured result —
-// matched/related counts and the error list — between the two paths.
-func TestStreamingErrorListEquivalence(t *testing.T) {
+// checkStreamResultMatchesQueryTo compares the structured result —
+// matched/related counts and the error list — the two entry points
+// return alongside the bytes, and that the chunk statistics account for
+// every byte.
+func checkStreamResultMatchesQueryTo(t *testing.T, build func(*testing.T, extract.Options) *core.Middleware) {
+	t.Helper()
 	ctx := context.Background()
-	base := buildEquivalenceWorld(t, extract.Options{})
-	stream := buildEquivalenceWorld(t, extract.Options{Streaming: true, StreamBatchRecords: 4})
+	ref := build(t, extract.Options{})
+	mw := build(t, extract.Options{StreamBatchRecords: 4})
 	for _, q := range equivalenceQueries {
-		want, err := base.Query(ctx, q)
+		want, err := ref.QueryTo(ctx, io.Discard, q, instance.FormatJSON)
 		if err != nil {
-			t.Fatalf("materializing %q: %v", q, err)
+			t.Fatalf("QueryTo %q: %v", q, err)
 		}
-		got, err := stream.Query(ctx, q)
+		var body bytes.Buffer
+		got, stats, err := mw.QueryToStream(ctx, &body, q, instance.FormatJSON)
 		if err != nil {
-			t.Fatalf("streaming %q: %v", q, err)
+			t.Fatalf("QueryToStream %q: %v", q, err)
 		}
 		if len(got.Matched) != len(want.Matched) || len(got.Related) != len(want.Related) {
 			t.Errorf("%q: matched/related = %d/%d, want %d/%d",
@@ -119,7 +131,22 @@ func TestStreamingErrorListEquivalence(t *testing.T) {
 		if gs, ws := fmt.Sprint(got.Errors), fmt.Sprint(want.Errors); gs != ws {
 			t.Errorf("%q: errors = %s, want %s", q, gs, ws)
 		}
+		if stats.Bytes != int64(body.Len()) {
+			t.Errorf("%q: stats.Bytes = %d, want %d", q, stats.Bytes, body.Len())
+		}
 	}
+}
+
+// TestStreamingEquivalence is the byte-equivalence suite on the paper
+// world, where QueryToStream takes the materialized strategy.
+func TestStreamingEquivalence(t *testing.T) {
+	checkStreamBytesMatchQueryTo(t, buildEquivalenceWorld)
+}
+
+// TestStreamingErrorListEquivalence is the structured-result suite on
+// the paper world.
+func TestStreamingErrorListEquivalence(t *testing.T) {
+	checkStreamResultMatchesQueryTo(t, buildEquivalenceWorld)
 }
 
 // TestQueryToStreamMatchesQueryTo checks the explicit streaming entry
@@ -157,118 +184,68 @@ func clip(s string) string {
 	return s
 }
 
-// TestStreamingCrossBatchKeyMerge sets a class key so instances from
-// different sources (and different batch windows — the 1-record window
-// puts every record in its own batch) merge on equal key values. The
-// generated worlds draw brands from one fixed pool, so cross-source
-// duplicates exist; the merge must produce identical output and
-// genuinely collapse instances.
-func TestStreamingCrossBatchKeyMerge(t *testing.T) {
-	ctx := context.Background()
-	build := func(opts extract.Options) *core.Middleware {
-		t.Helper()
-		mw := buildEquivalenceWorld(t, opts)
-		// The generated instances are watch-classed; key them on brand so
-		// same-brand records across sources and windows collapse.
-		if err := mw.SetClassKey("watch", "thing.product.brand"); err != nil {
-			t.Fatal(err)
-		}
-		return mw
-	}
-	base := build(extract.Options{})
-	stream := build(extract.Options{Streaming: true, StreamBatchRecords: 1})
-
-	res, err := base.Query(ctx, "SELECT product")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 8 sources × 12 records with a small shared brand pool: if nothing
-	// merged, the key did not take and the test proves nothing.
-	if len(res.Matched) >= 8*12 {
-		t.Fatalf("matched = %d; class key merged nothing", len(res.Matched))
-	}
-	for _, f := range []instance.Format{instance.FormatJSON, instance.FormatText} {
-		want, err := base.QueryString(ctx, "SELECT product", f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := stream.QueryString(ctx, "SELECT product", f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("format %v: merged streaming output diverges from materializing path", f)
-		}
-	}
-}
-
 // TestStreamingEmptySource registers a source whose document yields
-// zero records: the streaming path must still observe the source (one
-// empty Last batch, counted in s2s_stream_batches_total) and the output
-// must stay byte-identical.
+// zero records on the flat world, so the query runs eagerly: the eager
+// path must still observe the source (one empty Last batch, counted in
+// s2s_stream_batches_total) and the output must stay byte-identical.
 func TestStreamingEmptySource(t *testing.T) {
 	ctx := context.Background()
-	build := func(opts extract.Options) *core.Middleware {
-		t.Helper()
-		spec := workload.Spec{XMLSources: 1, RecordsPerSource: 5, Seed: 21}
-		world := workload.MustGenerate(spec)
-		world.Catalog.XML.MustAdd("empty.xml", "<catalog></catalog>")
-		mw, err := core.New(core.Config{
-			Ontology: world.Ontology,
-			Backends: extract.FromCatalog(world.Catalog),
-			Extract:  opts,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := world.Apply(mw); err != nil {
-			t.Fatal(err)
-		}
-		if err := mw.RegisterSource(datasource.Definition{ID: "empty_xml", Kind: datasource.KindXML, Path: "empty.xml"}); err != nil {
-			t.Fatal(err)
-		}
-		if err := mw.RegisterMapping(mapping.Entry{
-			AttributeID: "thing.product.brand", SourceID: "empty_xml",
-			Rule: mapping.Rule{Code: "/catalog/watch/brand"},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return mw
+	spec := workload.Spec{XMLSources: 1, RecordsPerSource: 5, Seed: 21, FlatOntology: true}
+	world := workload.MustGenerate(spec)
+	world.Catalog.XML.MustAdd("empty.xml", "<catalog></catalog>")
+	mw, err := core.New(core.Config{
+		Ontology: world.Ontology,
+		Backends: extract.FromCatalog(world.Catalog),
+		Extract:  extract.Options{StreamBatchRecords: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := build(extract.Options{})
-	stream := build(extract.Options{Streaming: true, StreamBatchRecords: 2})
+	if err := world.Apply(mw); err != nil {
+		t.Fatal(err)
+	}
+	if err := mw.RegisterSource(datasource.Definition{ID: "empty_xml", Kind: datasource.KindXML, Path: "empty.xml"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mw.RegisterMapping(mapping.Entry{
+		AttributeID: "thing.product.brand", SourceID: "empty_xml",
+		Rule: mapping.Rule{Code: "/catalog/watch/brand"},
+	}); err != nil {
+		t.Fatal(err)
+	}
 
-	want, err := base.QueryString(ctx, "SELECT product", instance.FormatJSON)
+	want, err := mw.QueryString(ctx, "SELECT product", instance.FormatJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := stream.QueryString(ctx, "SELECT product", instance.FormatJSON)
-	if err != nil {
+	var got bytes.Buffer
+	if _, _, err := mw.QueryToStream(ctx, &got, "SELECT product", instance.FormatJSON); err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Errorf("empty source: streaming output diverges from materializing path\nwant:\n%s\ngot:\n%s", want, got)
+	if got.String() != want {
+		t.Errorf("empty source: QueryToStream diverges from QueryTo\nwant:\n%s\ngot:\n%s", want, got.String())
 	}
-	if n := stream.Metrics().Counter(obs.MetricStreamBatches, obs.Labels{"source": "empty_xml"}).Value(); n != 1 {
+	if n := mw.Metrics().Counter(obs.MetricStreamBatches, obs.Labels{"source": "empty_xml"}).Value(); n != 1 {
 		t.Errorf("empty source emitted %d batches, want exactly 1 (empty Last batch)", n)
 	}
-	if n := stream.Metrics().Counter(obs.MetricStreamBatches, obs.Labels{"source": "xml_000"}).Value(); n != 3 {
+	if n := mw.Metrics().Counter(obs.MetricStreamBatches, obs.Labels{"source": "xml_000"}).Value(); n != 3 {
 		t.Errorf("5-record source with window 2 emitted %d batches, want 3", n)
 	}
 }
 
-// TestStreamingQueriesRaceInvalidation is the streaming counterpart of
-// TestConcurrentQueriesWithInvalidation: streaming queries race catalog
-// mutations (which flush the plan, rule, and result caches) under
-// -race. Every query must succeed and the final answer must reflect the
-// last mutation.
+// TestStreamingQueriesRaceInvalidation is the eager counterpart of
+// TestConcurrentQueriesWithInvalidation: eager queries on the flat world
+// race catalog mutations (which flush the plan, rule, and result caches
+// — and with the plan cache the merge-free verdict) under -race. Every
+// query must succeed and the final answer must reflect the last
+// mutation.
 func TestStreamingQueriesRaceInvalidation(t *testing.T) {
-	spec := workload.Spec{XMLSources: 1, RecordsPerSource: 4, Seed: 24}
+	spec := workload.Spec{XMLSources: 1, RecordsPerSource: 4, Seed: 24, FlatOntology: true}
 	world := workload.MustGenerate(spec)
 	mw, err := core.New(core.Config{
 		Ontology: world.Ontology,
 		Backends: extract.FromCatalog(world.Catalog),
-		Extract:  extract.Options{Streaming: true, StreamBatchRecords: 2},
+		Extract:  extract.Options{StreamBatchRecords: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +260,7 @@ func TestStreamingQueriesRaceInvalidation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, err := mw.Query(context.Background(), "SELECT product"); err != nil {
+				if _, _, err := mw.QueryToStream(context.Background(), io.Discard, "SELECT product", instance.FormatJSON); err != nil {
 					t.Error(err)
 					return
 				}
@@ -304,11 +281,14 @@ func TestStreamingQueriesRaceInvalidation(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	res, err := mw.Query(context.Background(), "SELECT product")
+	res, _, err := mw.QueryToStream(context.Background(), io.Discard, "SELECT product", instance.FormatJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Matched) != 8 {
 		t.Errorf("final matched = %d, want 8 (4 seeded + 4 late)", len(res.Matched))
+	}
+	if n := mw.Metrics().Counter(obs.MetricStreamBatches, obs.Labels{"source": "xml_000"}).Value(); n == 0 {
+		t.Error("no stream batches counted: the queries did not take the eager path")
 	}
 }

@@ -230,25 +230,11 @@ type Options struct {
 	// this knob trades only latency, never answers (benchmarks compare
 	// both paths; see docs/PERFORMANCE.md).
 	DisablePushdown bool
-	// Streaming switches the middleware query path to the streaming
-	// pipeline: extraction yields record-scoped fragment batches
-	// (ExtractQueryStream), the instance generator consumes them as they
-	// arrive, and serialization flushes incrementally through a bounded
-	// chunk buffer. Answers are byte-identical to the materializing path;
-	// the knob trades only peak memory. See docs/STREAMING.md.
-	Streaming bool
-	// StreamBatchRecords is the record-window size of a streaming
-	// fragment batch; 0 means DefaultStreamBatchRecords. Smaller batches
-	// lower peak memory and raise per-batch overhead.
+	// StreamBatchRecords is the record-window size of an
+	// ExtractQueryStream fragment batch; 0 means
+	// DefaultStreamBatchRecords. Smaller batches reach the consumer sooner
+	// and raise per-batch overhead.
 	StreamBatchRecords int
-	// DisableEagerStream turns off barrier-free emission on the
-	// streaming path: even when the planner proves a query merge-free,
-	// the middleware keeps the ordering barrier. Off by default (eager
-	// emission is used whenever proved and the format supports it);
-	// bytes are identical either way — the knob exists for A/B
-	// measurement (BenchmarkE21FirstInstance) and incident rollback,
-	// like DisablePushdown and DisableSemiJoin.
-	DisableEagerStream bool
 	// DisableSemiJoin turns off cross-source semi-join narrowing
 	// (planner v3). By default, source plans the planner marked
 	// narrowable are deferred to a second extraction wave and restricted
@@ -523,49 +509,102 @@ func (m *Manager) ExtractQuerySources(ctx context.Context, qplan *s2sql.Plan, so
 	return m.extract(ctx, qplan.AttributeIDs(), qplan, sourceIDs, nil)
 }
 
-// extract runs the four-step process. A non-nil restrict list limits
-// execution to the named sources in the given order (after schema
-// planning and the planner rewrite) and suppresses failover marking,
-// which needs the global fragment view. A non-nil shared run replaces
-// the per-run document layer, parallelism semaphore, and deadline
-// budget with ones a batch of concurrent runs holds in common (see
-// ExtractQueryBatch); everything else — schema, planner rewrite, wave
-// split, canonical sort — stays per run, so a shared-run result set is
-// identical to a standalone one.
+// extract is the materialized run: every source's fragments are appended
+// to the ResultSet as the source completes — synchronously, no channel —
+// and the set is returned once all sources finished.
 func (m *Manager) extract(ctx context.Context, attributeIDs []string, qplan *s2sql.Plan, restrict []string, shared *sharedRun) (*ResultSet, error) {
+	ctx, r, err := m.planRun(ctx, attributeIDs, qplan, restrict, shared)
+	if err != nil {
+		return nil, err
+	}
+	defer r.end()
+
+	// Pre-size the fragment slice to the plan's rule count: the common
+	// all-sources-healthy run appends exactly one fragment per entry.
+	totalEntries := 0
+	for _, p := range r.plans {
+		totalEntries += len(p.Entries)
+	}
+	rs := r.rs
+	rs.Fragments = make([]Fragment, 0, totalEntries)
+	var mu sync.Mutex
+	r.execute(ctx, func(_ string, frags []Fragment) {
+		mu.Lock()
+		rs.Fragments = append(rs.Fragments, frags...)
+		mu.Unlock()
+	})
+	return rs, nil
+}
+
+// plannedRun is one extraction between schema planning and fan-out:
+// the state the materialized path (extract) and the windowed path
+// (ExtractQueryStream) share. They differ only in the deliver callback
+// handed to execute.
+type plannedRun struct {
+	m       *Manager
+	espan   *obs.Span
+	metrics *obs.Registry
+	// end closes the extract span and releases the deadline budget.
+	end func()
+	// plans are the sources to contact, in execution order; shape is the
+	// query's stats-registry signature.
+	plans []mapping.SourcePlan
+	shape string
+	// restricted marks a cluster sub-request: no semi-join split and no
+	// failover marking, both of which need the global source view.
+	restricted bool
+	docs       *runDocs
+	sem        chan struct{}
+	// rs collects everything but the fragments, which go to deliver.
+	rs *ResultSet
+}
+
+// planRun runs steps 2-3 and everything else that precedes fan-out:
+// the deadline budget, the extraction schema and planner rewrite, and
+// source ordering. A non-nil restrict list limits execution to the
+// named sources in the given order (after schema planning and the
+// planner rewrite). A non-nil shared run replaces the per-run document
+// layer, parallelism semaphore, and deadline budget with ones a batch
+// of concurrent runs holds in common (see ExtractQueryBatch); everything
+// else — schema, planner rewrite, wave split, canonical sort — stays per
+// run, so a shared-run result set is identical to a standalone one. On
+// success the caller owns r.end.
+func (m *Manager) planRun(ctx context.Context, attributeIDs []string, qplan *s2sql.Plan, restrict []string, shared *sharedRun) (context.Context, *plannedRun, error) {
 	ctx, espan, edone := obs.StartStage(ctx, "extract")
-	defer edone()
 	metrics := obs.MetricsFromContext(ctx)
-	rs := &ResultSet{}
 
 	// The deadline budget bounds the whole run; per-source timeouts nest
 	// under it, so one slow source cannot consume the query's time. A
 	// shared run's budget is applied once by the batch entry point.
+	cancel := context.CancelFunc(func() {})
 	if m.opts.QueryBudget > 0 && shared == nil {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, m.opts.QueryBudget)
-		defer cancel()
+	}
+	r := &plannedRun{m: m, espan: espan, metrics: metrics, restricted: restrict != nil, rs: &ResultSet{}}
+	r.end = func() {
+		cancel()
+		edone()
 	}
 
 	// Steps 2-3: extraction schema + data source definitions.
 	start := time.Now()
 	plans, missing, err := m.planSchema(ctx, espan, metrics, attributeIDs, qplan)
 	if err != nil {
-		return nil, err
+		r.end()
+		return ctx, nil, err
 	}
-	rs.Missing = missing
-	rs.Stats.SchemaDuration = time.Since(start)
+	r.rs.Missing = missing
+	r.rs.Stats.SchemaDuration = time.Since(start)
 
 	// Cost-based ordering (planner v3): the sources of an unrestricted
 	// run execute cheapest-most-selective first per the stats registry.
 	// Restricted runs instead preserve the caller's order — the cluster
 	// coordinator already ordered each node's scatter list.
-	shape := ""
 	if qplan != nil {
-		shape = querySig(qplan)
+		r.shape = querySig(qplan)
 	}
 	if restrict == nil {
-		plans = m.orderPlans(plans, shape)
+		plans = m.orderPlans(plans, r.shape)
 	} else {
 		byID := make(map[string]int, len(plans))
 		for i := range plans {
@@ -585,47 +624,52 @@ func (m *Manager) extract(ctx context.Context, attributeIDs []string, qplan *s2s
 		plans = kept
 		espan.SetAttr("sources_restricted", strconv.Itoa(len(plans)))
 	}
-
-	// Pre-size the fragment slice to the plan's rule count: the common
-	// all-sources-healthy run appends exactly one fragment per entry.
-	totalEntries := 0
-	for _, p := range plans {
-		totalEntries += len(p.Entries)
-	}
-	rs.Fragments = make([]Fragment, 0, totalEntries)
+	r.plans = plans
 
 	// Per-run shared state: the document layer (each source document is
-	// fetched/parsed once per run, shared across rules) and memoized
-	// cache-lookup counters (resolved once, not per rule). A batch run
-	// widens the document layer's scope to the whole batch.
-	docs := m.newRunDocs()
+	// fetched/parsed once per run, shared across rules) and the
+	// parallelism semaphore. A batch run widens both to the whole batch.
 	if shared != nil {
-		docs = shared.docs
+		r.docs, r.sem = shared.docs, shared.sem
+	} else {
+		r.docs, r.sem = m.newRunDocs(), make(chan struct{}, m.opts.Parallelism)
 	}
+	return ctx, r, nil
+}
+
+// execute runs step 4: a specific extractor is delegated per source,
+// concurrently under the parallelism semaphore, in up to two semi-join
+// waves. Each source's fragments go to deliver as the source completes —
+// outside the run's lock, because deliver may block on a consumer — and
+// everything else (errors, degradations, stats, failover marks, the
+// canonical sort) lands in r.rs, complete when execute returns.
+func (r *plannedRun) execute(ctx context.Context, deliver func(sourceID string, frags []Fragment)) {
+	m, rs, espan, metrics := r.m, r.rs, r.espan, r.metrics
+	// Memoized cache-lookup counters: resolved once, not per rule.
 	rm := newRunMetrics(metrics)
 
 	// Semi-join split (planner v3): narrowable plans defer to a second
 	// wave restricted to the key values the first wave produced.
-	wave1, wave2, keyAttrs := m.splitWaves(plans, restrict != nil, metrics)
+	wave1, wave2, keyAttrs := m.splitWaves(r.plans, r.restricted, metrics)
 
-	// Step 4: delegate a specific extractor per source, concurrently.
 	extractStart := time.Now()
 	var (
-		mu  sync.Mutex
-		sem = make(chan struct{}, m.opts.Parallelism)
+		mu      sync.Mutex
+		covered = make(map[string]bool) // attributes some fragment served
+		seed    map[string]map[string]bool
 	)
-	if shared != nil {
-		sem = shared.sem
+	if len(wave2) > 0 {
+		seed = make(map[string]map[string]bool, len(keyAttrs))
 	}
-	runWave := func(wavePlans []mapping.SourcePlan) {
+	runWave := func(wavePlans []mapping.SourcePlan, collectSeed bool) {
 		var wg sync.WaitGroup
 		for _, plan := range wavePlans {
 			wg.Add(1)
 			go func(plan mapping.SourcePlan) {
 				defer wg.Done()
 				select {
-				case sem <- struct{}{}:
-					defer func() { <-sem }()
+				case r.sem <- struct{}{}:
+					defer func() { <-r.sem }()
 				case <-ctx.Done():
 					metrics.Counter(obs.MetricSourceExtractTotal,
 						obs.Labels{"source": plan.Source.ID, "outcome": "canceled"}).Inc()
@@ -636,46 +680,52 @@ func (m *Manager) extract(ctx context.Context, attributeIDs []string, qplan *s2s
 				}
 				sctx := obs.ContextWithSpan(ctx, espan.StartChild("source:"+plan.Source.ID))
 				srcStart := time.Now()
-				frags, errs, run := m.extractSource(sctx, plan, docs, rm)
-				m.observeSource(plan, errs, run, time.Since(srcStart), shape)
+				frags, errs, run := m.extractSource(sctx, plan, r.docs, rm)
+				m.observeSource(plan, errs, run, time.Since(srcStart), r.shape)
 				mu.Lock()
-				rs.Fragments = append(rs.Fragments, frags...)
 				rs.Errors = append(rs.Errors, errs...)
 				rs.Degraded = append(rs.Degraded, run.degraded...)
 				rs.Stats.Retries += run.retries
 				rs.Stats.CacheHits += run.cacheHits
 				rs.Stats.StaleServes += len(run.degraded)
+				for _, f := range frags {
+					covered[f.AttributeID] = true
+					rs.Stats.ValuesExtracted += len(f.Values)
+				}
+				if collectSeed {
+					addSeed(seed, keyAttrs, frags)
+				}
 				mu.Unlock()
+				deliver(plan.Source.ID, frags)
 			}(plan)
 		}
 		wg.Wait()
 	}
-	runWave(wave1)
+	runWave(wave1, len(wave2) > 0)
 	if len(wave2) > 0 {
 		// The barrier above makes the seed complete: every key value any
-		// non-narrowed source produced is in rs.Fragments by now.
-		seed := make(map[string]map[string]bool, len(keyAttrs))
-		addSeed(seed, keyAttrs, rs.Fragments)
+		// non-narrowed source produced is in it by now.
 		narrowed := make([]mapping.SourcePlan, len(wave2))
 		for i := range wave2 {
 			narrowed[i] = m.narrowPlan(wave2[i], seed, metrics)
 		}
 		espan.SetAttr("semijoin_wave2", strconv.Itoa(len(narrowed)))
-		runWave(narrowed)
+		runWave(narrowed, false)
 	}
 
 	rs.Stats.ExtractDuration = time.Since(extractStart)
-	rs.Stats.SourcesContacted = len(plans)
-	for _, f := range rs.Fragments {
-		rs.Stats.ValuesExtracted += len(f.Values)
-	}
-	if restrict == nil {
-		m.markFailovers(rs, plans, metrics, espan)
-	} else if len(rs.Degraded) > 0 {
+	rs.Stats.SourcesContacted = len(r.plans)
+	if len(rs.Degraded) > 0 {
 		espan.SetAttr("degraded", strconv.Itoa(len(rs.Degraded)))
 	}
+	// Failover marking needs the global fragment view, which a restricted
+	// run lacks; the cluster coordinator marks the merged set instead.
+	if !r.restricted {
+		if failovers := markFailovers(rs.Errors, covered, r.plans, metrics); failovers > 0 {
+			espan.SetAttr("failover", strconv.Itoa(failovers))
+		}
+	}
 	rs.SortCanonical()
-	return rs, nil
 }
 
 // SortCanonical puts the result set in the pipeline's deterministic
@@ -706,8 +756,7 @@ func (rs *ResultSet) SortCanonical() {
 
 // planSchema runs steps 2-3 of the extraction process — extraction
 // schema plus data source definitions — and, for constrained queries
-// with pushdown enabled, the query planner's schema rewrite. Both the
-// materializing and streaming paths go through it.
+// with pushdown enabled, the query planner's schema rewrite.
 func (m *Manager) planSchema(ctx context.Context, espan *obs.Span, metrics *obs.Registry, attributeIDs []string, qplan *s2sql.Plan) ([]mapping.SourcePlan, []string, error) {
 	_, sspan, sdone := obs.StartStage(ctx, "extraction_schema")
 	plans, missing, err := m.repo.Schema(attributeIDs)
@@ -732,17 +781,6 @@ func (m *Manager) planSchema(ctx context.Context, espan *obs.Span, metrics *obs.
 	return plans, missing, nil
 }
 
-// markFailovers runs MarkFailovers and annotates the extract span with
-// the degradation and failover counts.
-func (m *Manager) markFailovers(rs *ResultSet, plans []mapping.SourcePlan, metrics *obs.Registry, espan *obs.Span) {
-	if len(rs.Degraded) > 0 {
-		espan.SetAttr("degraded", strconv.Itoa(len(rs.Degraded)))
-	}
-	if failovers := MarkFailovers(rs, plans, metrics); failovers > 0 {
-		espan.SetAttr("failover", strconv.Itoa(failovers))
-	}
-}
-
 // MarkFailovers flags failures whose attributes were still served by an
 // alternate source: the mapping repository holds more than one source per
 // attribute, so a partner outage costs redundancy, not answers. Flagged
@@ -759,6 +797,15 @@ func MarkFailovers(rs *ResultSet, plans []mapping.SourcePlan, metrics *obs.Regis
 	for _, f := range rs.Fragments {
 		covered[f.AttributeID] = true
 	}
+	return markFailovers(rs.Errors, covered, plans, metrics)
+}
+
+// markFailovers is MarkFailovers over an attribute-coverage set, which
+// is all the marking needs of the fragments.
+func markFailovers(errs []SourceError, covered map[string]bool, plans []mapping.SourcePlan, metrics *obs.Registry) int {
+	if len(errs) == 0 {
+		return 0
+	}
 	attrsOf := make(map[string][]string, len(plans))
 	for _, p := range plans {
 		for _, e := range p.Entries {
@@ -766,8 +813,8 @@ func MarkFailovers(rs *ResultSet, plans []mapping.SourcePlan, metrics *obs.Regis
 		}
 	}
 	failovers := 0
-	for i := range rs.Errors {
-		e := &rs.Errors[i]
+	for i := range errs {
+		e := &errs[i]
 		if e.Failover {
 			continue
 		}

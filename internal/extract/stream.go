@@ -1,23 +1,22 @@
 package extract
 
-// stream.go is the streaming variant of the four-step extraction
-// process: instead of materializing one ResultSet, sources yield
-// record-scoped fragment batches through a channel as they complete, so
-// downstream stages (instance assembly, serialization) can start before
-// the slowest source finishes and release fragment windows as they are
-// consumed. The materializing Extract/ExtractQuery path is unchanged;
-// answers are byte-identical between the two (see docs/STREAMING.md for
-// the ordering argument and the knobs).
+// stream.go is the windowed form of the extraction run: the same engine
+// as ExtractQuery (planRun + execute), with each completed source's
+// fragments cut into record-scoped batches and sent down a channel
+// instead of appended to a ResultSet. Only the eager query path consumes
+// it — a merge-free query in an instance-incremental format — because
+// only there can a window be assembled, serialized, and put on the wire
+// before the slowest source finishes. A source's fragments are complete
+// before they are windowed, so for every other query the channel
+// hand-off would release nothing early and the materialized path is
+// used (see docs/STREAMING.md).
 
 import (
 	"context"
 	"errors"
 	"sort"
 	"strconv"
-	"sync"
-	"time"
 
-	"repro/internal/mapping"
 	"repro/internal/obs"
 	"repro/internal/s2sql"
 )
@@ -50,207 +49,83 @@ type Batch struct {
 	Last bool
 }
 
-// StreamTail carries everything that is only known once every source
-// has finished.
-type StreamTail struct {
-	// Errors lists per-source failures, ordered by source then attribute.
-	Errors []SourceError
-	// Degraded lists serve-stale events, ordered by attribute then source.
-	Degraded []Degradation
-	// Missing lists requested attributes that have no mapping.
-	Missing []string
-	// Stats summarizes the run.
-	Stats Stats
-}
-
-// Stream is a streaming extraction run in progress.
+// Stream is a windowed extraction run in progress.
 type Stream struct {
 	// Batches delivers fragment batches as sources complete. The channel
 	// is unbuffered: a slow consumer exerts backpressure on extraction
 	// instead of letting fragments pile up. Batches of one source arrive
 	// in Seq order; batches of different sources interleave in
-	// completion order (consumers needing determinism key their
-	// accumulation by SourceID and order at the end — the instance
-	// generator does).
+	// completion order.
 	Batches <-chan Batch
 
 	// Sources lists the IDs of every planned source in sorted order —
-	// the canonical emission order. The barrier-free consumer
-	// (instance.GenerateStreamEager) emits the lowest unemitted source's
-	// windows directly and buffers later sources against this list; the
-	// barrier consumer ignores it.
+	// the canonical emission order. The eager consumer
+	// (instance.GenerateEager) emits the lowest unemitted source's
+	// windows directly and buffers later sources against this list.
 	Sources []string
 
 	done chan struct{}
-	tail StreamTail
+	tail *ResultSet
 }
 
-// Tail returns the run's errors, degradations, missing attributes, and
-// stats. It blocks until the producer finishes, which requires Batches
-// to have been drained (the channel is unbuffered) — call it only after
-// the Batches channel closed.
-func (s *Stream) Tail() *StreamTail {
+// Tail returns everything that is only known once every source has
+// finished — errors, degradations, missing attributes, and stats — as a
+// ResultSet whose Fragments are empty (they went out as batches). It
+// blocks until the producer finishes, which requires Batches to have
+// been drained (the channel is unbuffered) — call it only after the
+// Batches channel closed.
+func (s *Stream) Tail() *ResultSet {
 	<-s.done
-	return &s.tail
+	return s.tail
 }
 
-// ExtractQueryStream is ExtractQuery in streaming form: the same
+// Drain discards whatever the run has yet to deliver and returns once
+// the producer goroutine has exited (its span ended, its deadline budget
+// released). A consumer that stops reading Batches early must call it:
+// the channel is unbuffered, so an abandoned producer would block on its
+// next send forever.
+func (s *Stream) Drain() {
+	for range s.Batches {
+	}
+	<-s.done
+}
+
+// ExtractQueryStream is ExtractQuery in windowed form: the same
 // schema/planner phases run up front (errors there fail fast), then the
 // per-source fan-out emits record-scoped fragment batches on the
 // returned Stream instead of materializing a ResultSet. The extract
 // span records one "stream_batch" event per emitted batch and the
-// s2s_stream_batches_total counter counts them per source.
+// s2s_stream_batches_total counter counts them per source. The caller
+// must consume Batches to the end or call Drain.
 func (m *Manager) ExtractQueryStream(ctx context.Context, qplan *s2sql.Plan) (*Stream, error) {
 	if qplan == nil {
 		return nil, errors.New("extract: nil query plan")
 	}
-	return m.extractStream(ctx, qplan.AttributeIDs(), qplan)
-}
-
-// ExtractStream is Extract in streaming form (no query plan, so no
-// planner rewrite).
-func (m *Manager) ExtractStream(ctx context.Context, attributeIDs []string) (*Stream, error) {
-	return m.extractStream(ctx, attributeIDs, nil)
-}
-
-func (m *Manager) extractStream(ctx context.Context, attributeIDs []string, qplan *s2sql.Plan) (*Stream, error) {
-	ctx, espan, edone := obs.StartStage(ctx, "extract")
-	metrics := obs.MetricsFromContext(ctx)
-
-	// The deadline budget bounds the whole run, exactly as in extract();
-	// it is released when the producer goroutine finishes.
-	cancel := context.CancelFunc(func() {})
-	if m.opts.QueryBudget > 0 {
-		ctx, cancel = context.WithTimeout(ctx, m.opts.QueryBudget)
-	}
-
-	start := time.Now()
-	plans, missing, err := m.planSchema(ctx, espan, metrics, attributeIDs, qplan)
+	ctx, r, err := m.planRun(ctx, qplan.AttributeIDs(), qplan, nil, nil)
 	if err != nil {
-		cancel()
-		edone()
 		return nil, err
 	}
-
-	st := &Stream{done: make(chan struct{})}
-	ch := make(chan Batch)
-	st.Batches = ch
-	st.tail.Missing = missing
-	st.tail.Stats.SchemaDuration = time.Since(start)
-	st.Sources = make([]string, len(plans))
-	for i := range plans {
-		st.Sources[i] = plans[i].Source.ID
-	}
-	sort.Strings(st.Sources)
-
 	batchRecords := m.opts.StreamBatchRecords
 	if batchRecords <= 0 {
 		batchRecords = DefaultStreamBatchRecords
 	}
-	docs := m.newRunDocs()
-	rm := newRunMetrics(metrics)
-
-	// Cost-based ordering and the semi-join wave split (planner v3)
-	// apply to the streaming path identically; see semijoin.go. Batches
-	// of wave-two sources simply arrive after wave one completes, which
-	// the consumer's by-source accumulation already tolerates.
-	shape := ""
-	if qplan != nil {
-		shape = querySig(qplan)
+	ch := make(chan Batch)
+	st := &Stream{Batches: ch, done: make(chan struct{}), tail: r.rs}
+	st.Sources = make([]string, len(r.plans))
+	for i := range r.plans {
+		st.Sources[i] = r.plans[i].Source.ID
 	}
-	plans = m.orderPlans(plans, shape)
-	wave1, wave2, keyAttrs := m.splitWaves(plans, false, metrics)
+	sort.Strings(st.Sources)
 
+	// Batches of semi-join wave-two sources simply arrive after wave one
+	// completes, which the consumer's by-source buffering tolerates.
 	go func() {
 		defer close(st.done)
-		defer edone()
-		defer cancel()
-
-		extractStart := time.Now()
-		var (
-			mu      sync.Mutex
-			sem     = make(chan struct{}, m.opts.Parallelism)
-			covered = make(map[string]bool)
-			values  int
-			seed    = make(map[string]map[string]bool, len(keyAttrs))
-		)
-		runWave := func(wavePlans []mapping.SourcePlan, collectSeed bool) {
-			var wg sync.WaitGroup
-			for _, plan := range wavePlans {
-				wg.Add(1)
-				go func(plan mapping.SourcePlan) {
-					defer wg.Done()
-					select {
-					case sem <- struct{}{}:
-						defer func() { <-sem }()
-					case <-ctx.Done():
-						metrics.Counter(obs.MetricSourceExtractTotal,
-							obs.Labels{"source": plan.Source.ID, "outcome": "canceled"}).Inc()
-						mu.Lock()
-						st.tail.Errors = append(st.tail.Errors, SourceError{SourceID: plan.Source.ID, Err: ctx.Err()})
-						mu.Unlock()
-						return
-					}
-					sctx := obs.ContextWithSpan(ctx, espan.StartChild("source:"+plan.Source.ID))
-					srcStart := time.Now()
-					frags, errs, run := m.extractSource(sctx, plan, docs, rm)
-					m.observeSource(plan, errs, run, time.Since(srcStart), shape)
-					mu.Lock()
-					st.tail.Errors = append(st.tail.Errors, errs...)
-					st.tail.Degraded = append(st.tail.Degraded, run.degraded...)
-					st.tail.Stats.Retries += run.retries
-					st.tail.Stats.CacheHits += run.cacheHits
-					st.tail.Stats.StaleServes += len(run.degraded)
-					for _, f := range frags {
-						covered[f.AttributeID] = true
-						values += len(f.Values)
-					}
-					if collectSeed {
-						addSeed(seed, keyAttrs, frags)
-					}
-					mu.Unlock()
-					m.sendBatches(ctx, ch, espan, metrics, plan.Source.ID, frags, batchRecords)
-				}(plan)
-			}
-			wg.Wait()
-		}
-		runWave(wave1, len(wave2) > 0)
-		if len(wave2) > 0 {
-			narrowed := make([]mapping.SourcePlan, len(wave2))
-			for i := range wave2 {
-				narrowed[i] = m.narrowPlan(wave2[i], seed, metrics)
-			}
-			espan.SetAttr("semijoin_wave2", strconv.Itoa(len(narrowed)))
-			runWave(narrowed, false)
-		}
+		defer r.end()
+		r.execute(ctx, func(sourceID string, frags []Fragment) {
+			m.sendBatches(ctx, ch, r.espan, r.metrics, sourceID, frags, batchRecords)
+		})
 		close(ch)
-
-		st.tail.Stats.ExtractDuration = time.Since(extractStart)
-		st.tail.Stats.SourcesContacted = len(plans)
-		st.tail.Stats.ValuesExtracted = values
-
-		// Failover marking needs only attribute coverage, not the
-		// fragments themselves; give it a coverage-only view.
-		view := &ResultSet{Errors: st.tail.Errors}
-		view.Fragments = make([]Fragment, 0, len(covered))
-		for a := range covered {
-			view.Fragments = append(view.Fragments, Fragment{AttributeID: a})
-		}
-		m.markFailovers(view, plans, metrics, espan)
-		st.tail.Errors = view.Errors
-
-		sort.Slice(st.tail.Errors, func(i, j int) bool {
-			if st.tail.Errors[i].SourceID != st.tail.Errors[j].SourceID {
-				return st.tail.Errors[i].SourceID < st.tail.Errors[j].SourceID
-			}
-			return st.tail.Errors[i].AttributeID < st.tail.Errors[j].AttributeID
-		})
-		sort.Slice(st.tail.Degraded, func(i, j int) bool {
-			if st.tail.Degraded[i].AttributeID != st.tail.Degraded[j].AttributeID {
-				return st.tail.Degraded[i].AttributeID < st.tail.Degraded[j].AttributeID
-			}
-			return st.tail.Degraded[i].SourceID < st.tail.Degraded[j].SourceID
-		})
 	}()
 	return st, nil
 }

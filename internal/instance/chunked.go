@@ -1,25 +1,22 @@
 package instance
 
-// chunked.go is the streaming pipeline's serialization tail: a bounded
-// chunk buffer between the serializers and the transport, plus the
-// incremental serialization entry points. The materializing
-// Serialize path stages whole documents; SerializeChunked flushes the
-// document in threshold-sized chunks as it forms, so peak serialization
-// memory stays flat no matter how large the result is (E18 in
-// bench_test.go asserts exactly that). Output bytes are identical
-// between the two paths for every format.
+// chunked.go is the incremental serialization tail: a bounded chunk
+// buffer between the serializer and the transport, and the JSON
+// document pieces. Serialize stages whole documents; SerializeChunked
+// flushes the document in threshold-sized chunks as it forms, so peak
+// serialization memory stays flat no matter how large the result is
+// (E18 in bench_test.go asserts exactly that). Output bytes are
+// identical between the two for every format — they share serializeTo.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 
 	"repro/internal/obs"
-	"repro/internal/owl"
-	"repro/internal/rdf"
+	"repro/internal/s2sql"
 )
 
 // DefaultChunkSize is the flush threshold of a ChunkedWriter built with
@@ -123,106 +120,56 @@ func (c *ChunkedWriter) Flush() error {
 // Stats reports the writer's chunk statistics so far.
 func (c *ChunkedWriter) Stats() ChunkStats { return c.stats }
 
-// SerializeChunkedContext is SerializeChunked under a "serialize" span
-// (annotated with the chunk count) and the context's stage-latency
-// metrics — the streaming counterpart of SerializeContext.
-func (g *Generator) SerializeChunkedContext(ctx context.Context, w io.Writer, res *Result, format Format, chunkSize int) (ChunkStats, error) {
-	_, span, done := obs.StartStage(ctx, "serialize")
-	span.SetAttr("format", format.String())
-	stats, err := g.SerializeChunked(w, res, format, chunkSize)
-	span.SetAttr("chunks", strconv.Itoa(stats.Chunks))
-	done()
-	return stats, err
-}
-
 // SerializeChunked writes the result in the requested format through a
-// bounded chunk buffer: w receives threshold-sized writes as the
+// bounded chunk buffer: w receives DefaultChunkSize-sized writes as the
 // document forms instead of one whole-document write. Output bytes are
-// identical to Serialize. chunkSize <= 0 means DefaultChunkSize.
-func (g *Generator) SerializeChunked(w io.Writer, res *Result, format Format, chunkSize int) (ChunkStats, error) {
-	cw := NewChunkedWriter(w, chunkSize)
-	var err error
-	switch format {
-	case FormatOWL:
-		var graph *rdf.Graph
-		if graph, err = g.ToGraph(res); err == nil {
-			if err = owl.WriteRDFXML(cw, graph, g.prefixes()); err == nil {
-				err = writeErrorEpilog(cw, res)
-			}
-		}
-	case FormatTurtle:
-		var graph *rdf.Graph
-		if graph, err = g.ToGraph(res); err == nil {
-			err = rdf.WriteTurtle(cw, graph, g.prefixes())
-		}
-	case FormatNTriples:
-		var graph *rdf.Graph
-		if graph, err = g.ToGraph(res); err == nil {
-			err = rdf.WriteNTriples(cw, graph)
-		}
-	case FormatXML:
-		err = g.writeXMLTo(cw, res)
-	case FormatJSON:
-		err = g.writeJSONChunked(cw, res)
-	case FormatText:
-		err = g.writeTextTo(cw, res)
-	default:
-		err = fmt.Errorf("instance: unknown format %d", int(format))
+// identical to Serialize. It runs under a "serialize" span (annotated
+// with the chunk count) and the context's stage-latency metrics, like
+// SerializeContext.
+func (g *Generator) SerializeChunked(ctx context.Context, w io.Writer, res *Result, format Format) (ChunkStats, error) {
+	_, span, done := obs.StartStage(ctx, "serialize")
+	defer done()
+	span.SetAttr("format", format.String())
+	cw := NewChunkedWriter(w, 0)
+	err := g.serializeTo(cw, res, format)
+	if err == nil {
+		err = cw.Flush()
 	}
-	if err != nil {
-		return cw.Stats(), err
-	}
-	err = cw.Flush()
+	span.SetAttr("chunks", strconv.Itoa(cw.Stats().Chunks))
 	return cw.Stats(), err
 }
 
-// writeJSONChunked emits the JSON payload incrementally, one instance
-// per marshal, splicing the pieces into the envelope so the bytes match
-// writeJSON's json.Encoder(SetIndent("", "  ")) output exactly —
-// including HTML escaping, sorted map keys, field order, and the
-// trailing newline. The head/instance/tail pieces are shared with the
-// barrier-free eager path (eager.go), which interleaves them with
-// extraction instead of writing them in one pass.
-func (g *Generator) writeJSONChunked(w *ChunkedWriter, res *Result) error {
-	if err := writeJSONHead(w, res); err != nil {
+// The JSON document pieces below reproduce, byte for byte, what
+// json.Encoder with SetIndent("", "  ") writes for the envelope
+// {query, matched, related?, errors?, degraded?, missing?} — HTML
+// escaping, sorted map keys, field order, and the trailing newline
+// included (the goldens and the equivalence suites pin it) — one
+// instance per marshal, so no piece needs the whole result in memory.
+
+// writeJSONHead opens the envelope through the "matched" field
+// separator; only the query string is needed, so an eager emitter can
+// write it before extraction delivers anything.
+func (g *Generator) writeJSONHead(w stringWriter, plan *s2sql.Plan) error {
+	q, err := json.Marshal(plan.Query.String())
+	if err != nil {
 		return err
 	}
-	for i, in := range res.Matched {
-		if err := writeJSONInstance(w, in, i == 0); err != nil {
-			return err
-		}
-	}
-	return writeJSONTail(w, res, len(res.Matched))
-}
-
-// writeJSONField writes the envelope's ",\n  \"name\": " separator.
-func writeJSONField(w *ChunkedWriter, name string) {
-	w.WriteString(",\n  \"")
-	w.WriteString(name)
-	w.WriteString("\": ")
-}
-
-// writeJSONInstances writes one full instance array ("[]" when empty).
-func writeJSONInstances(w *ChunkedWriter, ins []*Instance) error {
-	for i, in := range ins {
-		if err := writeJSONInstance(w, in, i == 0); err != nil {
-			return err
-		}
-	}
-	return closeJSONInstances(w, len(ins))
+	_, err = w.WriteString("{\n  \"query\": " + string(q) + ",\n  \"matched\": ")
+	return err
 }
 
 // writeJSONInstance writes one element of an instance array. The
 // array's opening bracket rides on the first element (closeJSONInstances
 // writes "[]" if no element was ever written), so an eager emitter needs
 // no lookahead.
-func writeJSONInstance(w *ChunkedWriter, in *Instance, first bool) error {
+func (g *Generator) writeJSONInstance(w stringWriter, in *Instance, first bool) error {
+	sep := ",\n    "
 	if first {
-		w.WriteString("[\n")
-	} else {
-		w.WriteString(",\n")
+		sep = "[\n    "
 	}
-	w.WriteString("    ")
+	if _, err := w.WriteString(sep); err != nil {
+		return err
+	}
 	data, err := json.MarshalIndent(jsonInstanceOf(in), "    ", "  ")
 	if err != nil {
 		return err
@@ -232,88 +179,75 @@ func writeJSONInstance(w *ChunkedWriter, in *Instance, first bool) error {
 }
 
 // closeJSONInstances terminates an instance array of n written elements.
-func closeJSONInstances(w *ChunkedWriter, n int) error {
+func closeJSONInstances(w stringWriter, n int) error {
+	end := "\n  ]"
 	if n == 0 {
-		_, err := w.WriteString("[]")
-		return err
+		end = "[]"
 	}
-	_, err := w.WriteString("\n  ]")
+	_, err := w.WriteString(end)
 	return err
 }
 
-// writeJSONStrings writes a string array in encoder-identical form.
-func writeJSONStrings(w *ChunkedWriter, ss []string) error {
-	w.WriteString("[\n")
-	for i, s := range ss {
-		if i > 0 {
-			w.WriteString(",\n")
-		}
-		w.WriteString("    ")
+// writeJSONStrings writes the envelope field name as a string array;
+// like the encoder's omitempty, it writes nothing for an empty one.
+func writeJSONStrings(w stringWriter, name string, ss []string) error {
+	if len(ss) == 0 {
+		return nil
+	}
+	sep := ",\n  \"" + name + "\": [\n    "
+	for _, s := range ss {
 		data, err := json.Marshal(s)
 		if err != nil {
+			return err
+		}
+		if _, err := w.WriteString(sep); err != nil {
 			return err
 		}
 		if _, err := w.Write(data); err != nil {
 			return err
 		}
+		sep = ",\n    "
 	}
 	_, err := w.WriteString("\n  ]")
 	return err
 }
 
-// writeJSONHead opens the envelope through the "matched" field
-// separator; only the query string is needed, so an eager emitter can
-// write it before extraction delivers anything.
-func writeJSONHead(w *ChunkedWriter, res *Result) error {
-	w.WriteString("{\n  \"query\": ")
-	q, err := json.Marshal(res.Plan.Query.String())
-	if err != nil {
-		return err
-	}
-	w.Write(q)
-	writeJSONField(w, "matched")
-	return nil
-}
-
-// writeJSONTail closes the matched array (matched elements already
-// written) and emits every remaining envelope field; it needs the
-// complete result, so the eager path writes it after the stream's tail
-// arrives.
-func writeJSONTail(w *ChunkedWriter, res *Result, matched int) error {
-	if err := closeJSONInstances(w, matched); err != nil {
+// writeJSONTail closes the matched array (its elements already written)
+// and emits every remaining envelope field; it needs the complete
+// result, so the eager path writes it after the stream's tail arrives.
+func (g *Generator) writeJSONTail(w stringWriter, res *Result) error {
+	if err := closeJSONInstances(w, len(res.Matched)); err != nil {
 		return err
 	}
 	if len(res.Related) > 0 {
-		writeJSONField(w, "related")
-		if err := writeJSONInstances(w, res.Related); err != nil {
+		if _, err := w.WriteString(",\n  \"related\": "); err != nil {
+			return err
+		}
+		for i, in := range res.Related {
+			if err := g.writeJSONInstance(w, in, i == 0); err != nil {
+				return err
+			}
+		}
+		if err := closeJSONInstances(w, len(res.Related)); err != nil {
 			return err
 		}
 	}
-	if len(res.Errors) > 0 {
-		ss := make([]string, len(res.Errors))
-		for i, e := range res.Errors {
-			ss[i] = e.Error()
-		}
-		writeJSONField(w, "errors")
-		if err := writeJSONStrings(w, ss); err != nil {
-			return err
-		}
+	errs := make([]string, len(res.Errors))
+	for i, e := range res.Errors {
+		errs[i] = e.Error()
 	}
-	if len(res.Degraded) > 0 {
-		ss := make([]string, len(res.Degraded))
-		for i, d := range res.Degraded {
-			ss[i] = d.String()
-		}
-		writeJSONField(w, "degraded")
-		if err := writeJSONStrings(w, ss); err != nil {
-			return err
-		}
+	degraded := make([]string, len(res.Degraded))
+	for i, d := range res.Degraded {
+		degraded[i] = d.String()
 	}
-	if len(res.Missing) > 0 {
-		writeJSONField(w, "missing")
-		if err := writeJSONStrings(w, res.Missing); err != nil {
-			return err
-		}
+	if err := writeJSONStrings(w, "errors", errs); err != nil {
+		return err
+	}
+	if err := writeJSONStrings(w, "degraded", degraded); err != nil {
+		return err
+	}
+	if err := writeJSONStrings(w, "missing", res.Missing); err != nil {
+		return err
 	}
 	_, err := w.WriteString("\n}\n")
 	return err

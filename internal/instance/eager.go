@@ -1,10 +1,10 @@
 package instance
 
-// eager.go is the barrier-free streaming path (docs/STREAMING.md,
+// eager.go is the barrier-free query path (docs/STREAMING.md,
 // "Barrier-free emission"): when the planner proved a query merge-free
 // (planner.ProveMergeFree), no instance can merge across fragments, no
 // relation can link, and assembly order is the canonical order — so
-// there is nothing the ordering barrier waits for. GenerateStreamEager
+// there is nothing an ordering barrier would wait for. GenerateEager
 // fuses generation and serialization: it consumes extraction windows as
 // they arrive, filters and numbers each window's instances in canonical
 // order, and hands their serialized bytes to the ChunkedWriter as each
@@ -16,25 +16,20 @@ package instance
 // so the consumer emits the lowest unemitted source directly and
 // buffers windows of later sources until every earlier source finished;
 // one slow source therefore only delays instances that canonically
-// follow its own. Output bytes are identical to the barrier and
-// materializing paths (under the same merge-free flag) because all
-// three produce the same instances in the same order — the equivalence
-// suite in internal/core pins this.
+// follow its own. Output bytes are identical to the materialized path
+// (under the same merge-free flag) because both produce the same
+// instances in the same order through the same assembler and document
+// pieces — the equivalence suite in internal/core pins this.
 //
-// Only the formats whose serialization is instance-incremental stream
-// eagerly: JSON (instances precede every tail field of the envelope)
-// and XML (no tail fields at all). Text leads with result counts and
-// the RDF formats serialize a whole graph, so they keep the barrier —
-// the middleware falls back for them, byte-identically.
+// Only the formats with a docWriter stream eagerly (JSON and XML); the
+// middleware takes the materialized path for the rest.
 
 import (
 	"context"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/extract"
 	"repro/internal/obs"
@@ -45,72 +40,58 @@ import (
 // its serialization writes instances incrementally with nothing ahead
 // of them that depends on the complete result.
 func EagerFormat(format Format) bool {
-	return format == FormatJSON || format == FormatXML
+	_, ok := docWriters[format]
+	return ok
 }
 
-// GenerateStreamEagerContext is GenerateStreamEager under a "generate"
-// span (annotated eager=true) and the context's stage-latency metrics.
-// Generation and serialization are fused on this path, so no separate
-// serialize stage is recorded.
-func (g *Generator) GenerateStreamEagerContext(ctx context.Context, plan *s2sql.Plan, st *extract.Stream, w io.Writer, format Format, chunkSize int) (*Result, ChunkStats, error) {
-	_, span, done := obs.StartStage(ctx, "generate")
-	span.SetAttr("eager", "true")
-	res, stats, err := g.GenerateStreamEager(plan, st, w, format, chunkSize)
-	if err == nil {
-		span.SetAttr("matched", strconv.Itoa(len(res.Matched)))
-		span.SetAttr("chunks", strconv.Itoa(stats.Chunks))
-	}
-	done()
-	return res, stats, err
-}
-
-// GenerateStreamEager consumes st and serializes the result to w in
-// bounded chunks as extraction windows close, without the ordering
-// barrier. It must only be called for plans the planner proved
-// merge-free and for formats EagerFormat accepts; it must be the
-// stream's only consumer. The returned Result carries the matched
-// instances, errors, and tail diagnostics exactly as the barrier path
-// would (the bytes already written to w serialize that same result).
-// On error, part of the body may already be on the wire — the caller
-// signals completion out of band, as the transport's trailers do.
-func (g *Generator) GenerateStreamEager(plan *s2sql.Plan, st *extract.Stream, w io.Writer, format Format, chunkSize int) (*Result, ChunkStats, error) {
+// GenerateEager consumes st and serializes the result to w in bounded
+// chunks as extraction windows close, without an ordering barrier. It
+// must only be called for plans the planner proved merge-free and for
+// formats EagerFormat accepts; it is the stream's only consumer and
+// leaves it fully drained, on errors too. The returned Result carries
+// the matched instances, errors, and tail diagnostics exactly as the
+// materialized path would (the bytes written to w serialize that same
+// result). On error, part of the body may already be on the wire — the
+// caller signals completion out of band, as the transport's trailers
+// do. It runs under a "generate" span (annotated eager=true);
+// generation and serialization are fused here, so no separate serialize
+// stage is recorded.
+func (g *Generator) GenerateEager(ctx context.Context, plan *s2sql.Plan, st *extract.Stream, w io.Writer, format Format) (*Result, ChunkStats, error) {
 	if plan == nil {
 		return nil, ChunkStats{}, fmt.Errorf("instance: nil plan")
 	}
 	if st == nil {
 		return nil, ChunkStats{}, fmt.Errorf("instance: nil stream")
 	}
-	if !EagerFormat(format) {
-		// Unblock the producer before failing; nothing was consumed.
-		go func() {
-			for range st.Batches {
-			}
-		}()
+	dw, ok := docWriters[format]
+	if !ok {
+		st.Drain()
 		return nil, ChunkStats{}, fmt.Errorf("instance: format %s cannot stream barrier-free", format)
 	}
+	_, span, done := obs.StartStage(ctx, "generate")
+	defer done()
+	span.SetAttr("eager", "true")
 
-	cw := NewChunkedWriter(w, chunkSize)
-	res, err := g.consumeEager(plan, st, cw, format)
+	cw := NewChunkedWriter(w, 0)
+	res, err := g.consumeEager(plan, st, cw, dw)
 	if err != nil {
-		// Unblock the producer (the batches channel is unbuffered) so it
-		// can finish and release its budget, exactly like the barrier
-		// path's error drain in core.
-		go func() {
-			for range st.Batches {
-			}
-		}()
+		// The write side failed mid-stream: release the producer, which
+		// would otherwise block on its next (unbuffered) send.
+		st.Drain()
 		return res, cw.Stats(), err
 	}
 	if err := cw.Flush(); err != nil {
 		return res, cw.Stats(), err
 	}
+	span.SetAttr("matched", strconv.Itoa(len(res.Matched)))
+	span.SetAttr("chunks", strconv.Itoa(cw.Stats().Chunks))
 	return res, cw.Stats(), nil
 }
 
 // consumeEager is the eager consumer loop; on return with err == nil the
 // batches channel is fully drained and the document (including its
 // tail) is written, possibly with bytes still buffered in cw.
-func (g *Generator) consumeEager(plan *s2sql.Plan, st *extract.Stream, cw *ChunkedWriter, format Format) (*Result, error) {
+func (g *Generator) consumeEager(plan *s2sql.Plan, st *extract.Stream, cw *ChunkedWriter, dw docWriter) (*Result, error) {
 	res := &Result{Plan: plan}
 	condKeys := conditionKeys(plan.Conditions)
 	counters := map[string]int{}
@@ -120,7 +101,7 @@ func (g *Generator) consumeEager(plan *s2sql.Plan, st *extract.Stream, cw *Chunk
 	// canonical order, then flushes the window to the wire. Condition
 	// evaluation happens here — at emission, never at buffering — so
 	// evaluation errors accrue in canonical order too, matching the
-	// barrier path's error list byte for byte.
+	// materialized path's error list byte for byte.
 	emit := func(ins []*Instance) error {
 		for _, in := range ins {
 			if !in.Class.IsA(plan.Class) {
@@ -128,11 +109,7 @@ func (g *Generator) consumeEager(plan *s2sql.Plan, st *extract.Stream, cw *Chunk
 			}
 			ok, err := satisfiesAll(in, plan.Conditions, condKeys)
 			if err != nil {
-				condErrs = append(condErrs, extract.SourceError{
-					SourceID:    strings.Join(in.Sources, ","),
-					AttributeID: in.ID,
-					Err:         err,
-				})
+				condErrs = append(condErrs, conditionError(in, err))
 				continue
 			}
 			if !ok {
@@ -140,33 +117,16 @@ func (g *Generator) consumeEager(plan *s2sql.Plan, st *extract.Stream, cw *Chunk
 			}
 			counters[in.Class.Name]++
 			in.ID = in.Class.Name + "_" + strconv.Itoa(counters[in.Class.Name])
-			var werr error
-			switch format {
-			case FormatJSON:
-				werr = writeJSONInstance(cw, in, len(res.Matched) == 0)
-			case FormatXML:
-				werr = g.writeInstanceXML(cw, in)
-			}
-			if werr != nil {
-				return werr
+			if err := dw.instance(g, cw, in, len(res.Matched) == 0); err != nil {
+				return err
 			}
 			res.Matched = append(res.Matched, in)
 		}
 		return cw.Flush()
 	}
 
-	switch format {
-	case FormatJSON:
-		if err := writeJSONHead(cw, res); err != nil {
-			return res, err
-		}
-	case FormatXML:
-		if _, err := cw.WriteString(xml.Header); err != nil {
-			return res, err
-		}
-		if _, err := cw.WriteString("<s2s-result>\n"); err != nil {
-			return res, err
-		}
+	if err := dw.head(g, cw, plan); err != nil {
+		return res, err
 	}
 
 	// The lowest unemitted source (sources[next]) emits directly; later
@@ -174,7 +134,7 @@ func (g *Generator) consumeEager(plan *s2sql.Plan, st *extract.Stream, cw *Chunk
 	// finished. A source's Last batch advances next past it and drains
 	// whatever the following sources buffered meanwhile. The merge-free
 	// proof guarantees a single lineage group per source, so windows
-	// concatenated in sequence order reproduce the barrier path's
+	// concatenated in sequence order reproduce the materialized path's
 	// group-major assembly order exactly.
 	sources := st.Sources
 	next := 0
@@ -183,13 +143,11 @@ func (g *Generator) consumeEager(plan *s2sql.Plan, st *extract.Stream, cw *Chunk
 	perSrcErrs := map[string][]extract.SourceError{}
 
 	for b := range st.Batches {
-		groups, errs := g.partition(b.SourceID, b.Fragments)
+		// Unmapped-attribute diagnostics would repeat identically in
+		// every window, so only window 0's are kept.
+		ins, errs := g.assembleSource(nil, b.SourceID, b.Fragments)
 		if b.Seq == 0 {
 			perSrcErrs[b.SourceID] = errs
-		}
-		var ins []*Instance
-		for _, grp := range groups {
-			ins = append(ins, grp.instances(b.SourceID)...)
 		}
 		if b.Last {
 			finished[b.SourceID] = true
@@ -227,7 +185,7 @@ func (g *Generator) consumeEager(plan *s2sql.Plan, st *extract.Stream, cw *Chunk
 		delete(pending, sources[next])
 	}
 
-	// Assemble the error list in the barrier path's order: the tail's
+	// Assemble the error list in the materialized path's order: the tail's
 	// sorted per-source errors, then window-0 partition diagnostics in
 	// sorted source order, then condition-evaluation errors in canonical
 	// instance order.
@@ -245,19 +203,7 @@ func (g *Generator) consumeEager(plan *s2sql.Plan, st *extract.Stream, cw *Chunk
 	res.Degraded = append(res.Degraded, tail.Degraded...)
 	res.Missing = append(res.Missing, tail.Missing...)
 
-	switch format {
-	case FormatJSON:
-		return res, writeJSONTail(cw, res, len(res.Matched))
-	case FormatXML:
-		// Merge-free plans cannot link, so Related is empty; the loop
-		// keeps the tail structurally identical to writeXMLTo anyway.
-		for _, in := range res.Related {
-			if err := g.writeInstanceXML(cw, in); err != nil {
-				return res, err
-			}
-		}
-		_, err := cw.WriteString("</s2s-result>\n")
-		return res, err
-	}
-	return res, nil
+	// Merge-free plans cannot link, so Related is empty and the tail only
+	// closes the document.
+	return res, dw.tail(g, cw, res)
 }

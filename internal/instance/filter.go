@@ -3,6 +3,7 @@ package instance
 import (
 	"strings"
 
+	"repro/internal/extract"
 	"repro/internal/s2sql"
 )
 
@@ -36,6 +37,12 @@ func satisfiesAll(in *Instance, conds []s2sql.PlannedCondition, keys []string) (
 		}
 	}
 	return true, nil
+}
+
+// conditionError reports a condition that could not be evaluated on an
+// instance (e.g. a numeric comparison against a non-numeric value).
+func conditionError(in *Instance, err error) extract.SourceError {
+	return extract.SourceError{SourceID: strings.Join(in.Sources, ","), AttributeID: in.ID, Err: err}
 }
 
 func satisfies(in *Instance, c s2sql.PlannedCondition, key string) (bool, error) {

@@ -117,10 +117,10 @@ type GenOptions struct {
 	// keeps its deterministic assembly order — sources in sorted ID
 	// order, records in extraction order — as the canonical order
 	// instead of running the fingerprint sort, which is what lets the
-	// streaming path emit instances before extraction finishes
-	// (GenerateStreamEager). Every path answering the same catalog state
-	// must agree on this flag, or their outputs diverge; the middleware
-	// caches the verdict next to the query plan for exactly that reason.
+	// eager path emit instances before extraction finishes
+	// (GenerateEager). Both paths answering the same catalog state must
+	// agree on this flag, or their outputs diverge; the middleware caches
+	// the verdict next to the query plan for exactly that reason.
 	MergeFree bool
 }
 
@@ -141,15 +141,10 @@ func NewGenerator(ont *ontology.Ontology, repo *mapping.Repository) *Generator {
 	return &Generator{ont: ont, repo: repo}
 }
 
-// GenerateContext is Generate with tracing: it runs under a "generate"
-// span when ctx carries one and records the stage latency in the
-// context's metrics registry (see internal/obs). It is the entry point
-// the middleware's query path uses.
-func (g *Generator) GenerateContext(ctx context.Context, plan *s2sql.Plan, rs *extract.ResultSet) (*Result, error) {
-	return g.GenerateContextOpts(ctx, plan, rs, GenOptions{})
-}
-
-// GenerateContextOpts is GenerateContext with generation options.
+// GenerateContextOpts is GenerateOpts with tracing: it runs under a
+// "generate" span when ctx carries one and records the stage latency in
+// the context's metrics registry (see internal/obs). It is the entry
+// point the middleware's query path uses.
 func (g *Generator) GenerateContextOpts(ctx context.Context, plan *s2sql.Plan, rs *extract.ResultSet, opts GenOptions) (*Result, error) {
 	_, span, done := obs.StartStage(ctx, "generate")
 	res, err := g.GenerateOpts(plan, rs, opts)
@@ -187,13 +182,10 @@ func (g *Generator) GenerateOpts(plan *s2sql.Plan, rs *extract.ResultSet, opts G
 
 // finish runs everything after assembly — relation linking, the
 // matched/related partition under the plan's conditions, deterministic
-// ordering, and ID numbering. Both the materializing path (Generate)
-// and the streaming path (GenerateStream) funnel through it, which is
-// what keeps their outputs byte-identical. Under a merge-free proof
+// ordering, and ID numbering. Under a merge-free proof
 // (GenOptions.MergeFree) the fingerprint sort is skipped: assembly
-// order — which every path reproduces — is already canonical, and the
-// eager streaming path (GenerateStreamEager) numbers and emits in that
-// same order.
+// order is already canonical, and the eager path (GenerateEager)
+// numbers and emits in that same order.
 func (g *Generator) finish(res *Result, all []*Instance, opts GenOptions) {
 	plan := res.Plan
 	g.link(all)
@@ -205,11 +197,7 @@ func (g *Generator) finish(res *Result, all []*Instance, opts GenOptions) {
 		if in.Class.IsA(plan.Class) {
 			ok, err := satisfiesAll(in, plan.Conditions, condKeys)
 			if err != nil {
-				res.Errors = append(res.Errors, extract.SourceError{
-					SourceID:    strings.Join(in.Sources, ","),
-					AttributeID: in.ID,
-					Err:         err,
-				})
+				res.Errors = append(res.Errors, conditionError(in, err))
 				continue
 			}
 			if ok {
@@ -283,16 +271,25 @@ func (g *Generator) assemble(rs *extract.ResultSet) ([]*Instance, []extract.Sour
 
 	var all []*Instance
 	for _, sourceID := range sourceOrder {
-		frags := bySource[sourceID]
-		groups, groupErrs := g.partition(sourceID, frags)
-		errs = append(errs, groupErrs...)
-		for _, grp := range groups {
-			all = append(all, grp.instances(sourceID)...)
-		}
+		var srcErrs []extract.SourceError
+		all, srcErrs = g.assembleSource(all, sourceID, bySource[sourceID])
+		errs = append(errs, srcErrs...)
 	}
 
 	// Merge across sources by class key.
 	return g.mergeByKey(all), errs
+}
+
+// assembleSource is the one assembler: it appends to dst the instances
+// of one source built from one window of its fragments — every record
+// for the materialized path, one record window for the eager path — by
+// lineage partition and positional correlation, group-major.
+func (g *Generator) assembleSource(dst []*Instance, sourceID string, frags []extract.Fragment) ([]*Instance, []extract.SourceError) {
+	groups, errs := g.partition(sourceID, frags)
+	for _, grp := range groups {
+		dst = append(dst, grp.instances(sourceID)...)
+	}
+	return dst, errs
 }
 
 // lineageGroup is a set of fragments whose attribute classes lie on one

@@ -3,7 +3,6 @@ package instance
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -15,12 +14,12 @@ import (
 	"repro/internal/ontology"
 	"repro/internal/owl"
 	"repro/internal/rdf"
+	"repro/internal/s2sql"
 )
 
-// bufPool recycles the serializers' staging buffers across queries, so
+// bufPool recycles Serialize's staging buffers across queries, so
 // repeated serialization stops allocating (and growing) a fresh buffer
-// per call. Each writer stages its whole document and hands w a single
-// Write, same as the strings.Builder code it replaces.
+// per call.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxPooledBuf caps the capacity returned to the pool; one huge result
@@ -179,43 +178,77 @@ func (g *Generator) SerializeContext(ctx context.Context, w io.Writer, res *Resu
 // document is staged in a pooled buffer and handed to w as one write;
 // SerializeChunked is the incremental alternative.
 func (g *Generator) Serialize(w io.Writer, res *Result, format Format) error {
-	switch format {
-	case FormatOWL:
-		graph, err := g.ToGraph(res)
-		if err != nil {
-			return err
-		}
-		b := getBuf()
-		defer putBuf(b)
-		if err := owl.WriteRDFXML(b, graph, g.prefixes()); err != nil {
-			return err
-		}
-		if err := writeErrorEpilog(b, res); err != nil {
-			return err
-		}
-		_, err = w.Write(b.Bytes())
+	b := getBuf()
+	defer putBuf(b)
+	if err := g.serializeTo(b, res, format); err != nil {
 		return err
-	case FormatTurtle:
-		graph, err := g.ToGraph(res)
-		if err != nil {
+	}
+	_, err := w.Write(b.Bytes())
+	return err
+}
+
+// stringWriter is the serialization target: bytes.Buffer (Serialize's
+// pooled staging buffer) and ChunkedWriter (SerializeChunked and the
+// eager path) both satisfy it.
+type stringWriter interface {
+	io.Writer
+	io.StringWriter
+}
+
+// serializeTo is the one serializer behind Serialize and
+// SerializeChunked: the same bytes reach w whichever writer it is.
+func (g *Generator) serializeTo(w stringWriter, res *Result, format Format) error {
+	if dw, ok := docWriters[format]; ok {
+		if err := dw.head(g, w, res.Plan); err != nil {
 			return err
 		}
-		return rdf.WriteTurtle(w, graph, g.prefixes())
-	case FormatNTriples:
-		graph, err := g.ToGraph(res)
-		if err != nil {
-			return err
+		for i, in := range res.Matched {
+			if err := dw.instance(g, w, in, i == 0); err != nil {
+				return err
+			}
 		}
-		return rdf.WriteNTriples(w, graph)
-	case FormatXML:
-		return g.writeXML(w, res)
-	case FormatJSON:
-		return g.writeJSON(w, res)
+		return dw.tail(g, w, res)
+	}
+	switch format {
 	case FormatText:
 		return g.writeText(w, res)
+	case FormatOWL, FormatTurtle, FormatNTriples:
+		graph, err := g.ToGraph(res)
+		if err != nil {
+			return err
+		}
+		if format == FormatTurtle {
+			return rdf.WriteTurtle(w, graph, g.prefixes())
+		}
+		if format == FormatNTriples {
+			return rdf.WriteNTriples(w, graph)
+		}
+		if err := owl.WriteRDFXML(w, graph, g.prefixes()); err != nil {
+			return err
+		}
+		return writeErrorEpilog(w, res)
 	default:
 		return fmt.Errorf("instance: unknown format %d", int(format))
 	}
+}
+
+// docWriter writes one format's document piece by piece: a head that
+// needs only the plan, the matched instances one call each, and a tail
+// that needs the complete result. JSON (instances precede every tail
+// field of the envelope) and XML (no tail fields at all) have one; text
+// leads with result counts and the RDF formats serialize a whole graph,
+// so they do not. serializeTo drives the pieces in one pass; the eager
+// path (GenerateEager) interleaves them with extraction — same pieces,
+// same bytes.
+type docWriter struct {
+	head     func(g *Generator, w stringWriter, plan *s2sql.Plan) error
+	instance func(g *Generator, w stringWriter, in *Instance, first bool) error
+	tail     func(g *Generator, w stringWriter, res *Result) error
+}
+
+var docWriters = map[Format]docWriter{
+	FormatJSON: {(*Generator).writeJSONHead, (*Generator).writeJSONInstance, (*Generator).writeJSONTail},
+	FormatXML:  {(*Generator).writeXMLHead, (*Generator).writeXMLInstance, (*Generator).writeXMLTail},
 }
 
 // writeErrorEpilog appends the OWL output's error report: an XML comment
@@ -275,47 +308,31 @@ func (g *Generator) prefixes() rdf.PrefixMap {
 	return p
 }
 
-// stringWriter is the incremental serialization target: bytes.Buffer
-// (the pooled staging path) and ChunkedWriter (the streaming path) both
-// satisfy it.
-type stringWriter interface {
-	io.Writer
-	io.StringWriter
-}
-
-// writeXML emits the plain XML view of §2.6: attribute IDs transform
-// directly into an element hierarchy ("transforming the unique identifiers
-// of the ontology attributes in a XML format is done naturally").
-func (g *Generator) writeXML(w io.Writer, res *Result) error {
-	b := getBuf()
-	defer putBuf(b)
-	if err := g.writeXMLTo(b, res); err != nil {
+// writeXMLHead opens the plain XML view of §2.6: attribute IDs
+// transform directly into an element hierarchy ("transforming the unique
+// identifiers of the ontology attributes in a XML format is done
+// naturally").
+func (g *Generator) writeXMLHead(w stringWriter, _ *s2sql.Plan) error {
+	if _, err := w.WriteString(xml.Header); err != nil {
 		return err
 	}
-	_, err := w.Write(b.Bytes())
+	_, err := w.WriteString("<s2s-result>\n")
 	return err
 }
 
-// writeXMLTo is writeXML's incremental core: one write per document
-// part, one per instance.
-func (g *Generator) writeXMLTo(b stringWriter, res *Result) error {
-	if _, err := b.WriteString(xml.Header); err != nil {
-		return err
-	}
-	if _, err := b.WriteString("<s2s-result>\n"); err != nil {
-		return err
-	}
-	for _, in := range res.Instances() {
-		if err := g.writeInstanceXML(b, in); err != nil {
+// writeXMLTail writes the related instances and closes the document.
+func (g *Generator) writeXMLTail(w stringWriter, res *Result) error {
+	for _, in := range res.Related {
+		if err := g.writeXMLInstance(w, in, false); err != nil {
 			return err
 		}
 	}
-	_, err := b.WriteString("</s2s-result>\n")
+	_, err := w.WriteString("</s2s-result>\n")
 	return err
 }
 
-// writeInstanceXML emits one <instance> element.
-func (g *Generator) writeInstanceXML(b stringWriter, in *Instance) error {
+// writeXMLInstance emits one <instance> element.
+func (g *Generator) writeXMLInstance(b stringWriter, in *Instance, _ bool) error {
 	fmt.Fprintf(b, "  <instance id=%q class=%q>\n", in.ID, in.Class.Path())
 	ids := make([]string, 0, len(in.Values))
 	for id := range in.Values {
@@ -360,8 +377,7 @@ type jsonInstance struct {
 	Sources []string            `json:"sources,omitempty"`
 }
 
-// jsonInstanceOf projects one instance; both the materializing and the
-// chunked JSON writers use it, so their per-instance bytes agree.
+// jsonInstanceOf projects one instance.
 func jsonInstanceOf(in *Instance) jsonInstance {
 	ji := jsonInstance{
 		ID:      in.ID,
@@ -380,52 +396,9 @@ func jsonInstanceOf(in *Instance) jsonInstance {
 	return ji
 }
 
-func (g *Generator) writeJSON(w io.Writer, res *Result) error {
-	type payload struct {
-		Query    string         `json:"query"`
-		Matched  []jsonInstance `json:"matched"`
-		Related  []jsonInstance `json:"related,omitempty"`
-		Errors   []string       `json:"errors,omitempty"`
-		Degraded []string       `json:"degraded,omitempty"`
-		Missing  []string       `json:"missing,omitempty"`
-	}
-	conv := func(ins []*Instance) []jsonInstance {
-		out := make([]jsonInstance, 0, len(ins))
-		for _, in := range ins {
-			out = append(out, jsonInstanceOf(in))
-		}
-		return out
-	}
-	p := payload{
-		Query:   res.Plan.Query.String(),
-		Matched: conv(res.Matched),
-		Related: conv(res.Related),
-		Missing: res.Missing,
-	}
-	for _, e := range res.Errors {
-		p.Errors = append(p.Errors, e.Error())
-	}
-	for _, d := range res.Degraded {
-		p.Degraded = append(p.Degraded, d.String())
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
-}
-
-func (g *Generator) writeText(w io.Writer, res *Result) error {
-	b := getBuf()
-	defer putBuf(b)
-	if err := g.writeTextTo(b, res); err != nil {
-		return err
-	}
-	_, err := w.Write(b.Bytes())
-	return err
-}
-
-// writeTextTo is writeText's incremental core: header, one instance at a
-// time, then the error/degradation/missing epilog lines.
-func (g *Generator) writeTextTo(b stringWriter, res *Result) error {
+// writeText emits the plain-text view: header, one instance at a time,
+// then the error/degradation/missing epilog lines.
+func (g *Generator) writeText(b stringWriter, res *Result) error {
 	fmt.Fprintf(b, "query: %s\n", res.Plan.Query.String())
 	fmt.Fprintf(b, "matched: %d, related: %d, errors: %d\n", len(res.Matched), len(res.Related), len(res.Errors))
 	dump := func(in *Instance) {

@@ -120,7 +120,7 @@ func TestFederatedQuerySingleSpanTree(t *testing.T) {
 // TestEmittedMetricsMatchDeclaredAndDocumented drives a middleware
 // through a scenario that touches every metric family — successful
 // extraction from all four source kinds, cache hits on a repeated query,
-// retries and a breaker trip on a dead source, a streamed query, and a
+// retries and a breaker trip on a dead source, a streamed and an eager query, and a
 // 3-node cluster serving a hedged scatter-gather query with a
 // version-gated catalog sync — and then checks that
 // every family some registry actually holds is declared in internal/obs
@@ -169,8 +169,21 @@ func TestEmittedMetricsMatchDeclaredAndDocumented(t *testing.T) {
 	if _, err := mw.Query(ctx, "SELECT product WHERE brand = 'Seiko'"); err != nil {
 		t.Fatal(err)
 	}
-	// A streamed query exercises the streaming pipeline's batch counter.
+	// A streamed query on this relation-bearing world is materialized and
+	// leaves in chunks; the batch counter needs an eager query, which
+	// needs a merge-free (flat-ontology) world.
 	if _, _, err := mw.QueryToStream(ctx, io.Discard, "SELECT product", instance.FormatJSON); err != nil {
+		t.Fatal(err)
+	}
+	flatWorld := workload.MustGenerate(workload.Spec{XMLSources: 1, RecordsPerSource: 5, Seed: 72, FlatOntology: true})
+	flat, err := core.NewWithCatalog(flatWorld.Ontology, flatWorld.Catalog, extract.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := flatWorld.Apply(flat); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := flat.QueryToStream(ctx, io.Discard, "SELECT product", instance.FormatJSON); err != nil {
 		t.Fatal(err)
 	}
 	// A class key makes records mergeable across sources, which blocks
@@ -245,11 +258,12 @@ func TestEmittedMetricsMatchDeclaredAndDocumented(t *testing.T) {
 	doc := string(docBytes)
 
 	emitted := map[string]bool{}
-	for _, name := range mw.Metrics().Names() {
-		emitted[name] = true
-	}
+	registries := []*obs.Registry{mw.Metrics(), flat.Metrics()}
 	for _, id := range []string{"n1", "n2", "n3"} {
-		for _, name := range rig.mws[id].Metrics().Names() {
+		registries = append(registries, rig.mws[id].Metrics())
+	}
+	for _, reg := range registries {
+		for _, name := range reg.Names() {
 			emitted[name] = true
 		}
 	}

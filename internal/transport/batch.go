@@ -64,8 +64,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.releaseQuerySlot()
 
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("transport: decoding request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -77,34 +76,19 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("transport: batch of %d queries exceeds the limit of %d", len(req.Queries), MaxBatchQueries))
 		return
 	}
-	format := instance.FormatOWL
-	if req.Format != "" {
-		f, err := instance.ParseFormat(req.Format)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		format = f
+	format, ok := parseFormat(w, req.Format)
+	if !ok {
+		return
 	}
 
-	ctx := obs.ContextWithMetrics(r.Context(), s.mw.Metrics())
-	if tid := r.Header.Get(TraceIDHeader); tid != "" {
-		ctx = obs.ContextWithRemote(ctx, obs.Remote{TraceID: tid, ParentID: r.Header.Get(SpanIDHeader)})
-	}
-	ctx, root := s.mw.Tracer().StartTrace(ctx, "http_query_batch")
+	ctx, root := BeginRequest(s.mw, w, r, "http_query_batch")
 	root.SetAttr("queries", strconv.Itoa(len(req.Queries)))
-	w.Header().Set(TraceIDHeader, root.TraceID)
 	w.Header().Set("Content-Type", BatchContentType)
 	w.Header().Set("Trailer", StreamCompleteTrailer)
 
-	fw := &flushWriter{w: w}
-	if f, ok := w.(http.Flusher); ok {
-		fw.f = f
-	}
-	mux := instance.NewMuxWriter(fw)
+	mux := instance.NewMuxWriter(newFlushWriter(w))
 	if err := mux.Header(len(req.Queries)); err != nil {
-		root.SetAttr("outcome", "error")
-		root.End()
+		EndRequest(root, err)
 		return
 	}
 
@@ -112,7 +96,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		if err := mux.Begin(i); err != nil {
 			return err
 		}
-		if _, err := s.mw.Generator().SerializeChunkedContext(ctx, mux.Stream(i), res, format, 0); err != nil {
+		if _, err := s.mw.Generator().SerializeChunked(ctx, mux.Stream(i), res, format); err != nil {
 			return err
 		}
 		return mux.Trailer(i, map[string]string{
@@ -131,8 +115,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		if terr := mux.Trailer(i, map[string]string{batchKeyError: err.Error()}); terr != nil {
 			// The connection itself failed: nothing more can be framed,
 			// and the missing completion trailer tells the client.
-			root.SetAttr("outcome", "error")
-			root.End()
+			EndRequest(root, terr)
 			return
 		}
 	}

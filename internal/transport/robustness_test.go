@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/extract"
+	"repro/internal/instance"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -338,3 +339,58 @@ func TestQueryResponseCarriesDegraded(t *testing.T) {
 type fetcherFunc func(url string) (string, error)
 
 func (f fetcherFunc) Fetch(url string) (string, error) { return f(url) }
+
+// TestFinishQueryTracesSerializationFailure pins the envelope handlers'
+// shared epilogue: when serialization fails the client gets a 500 and
+// the recorded root span says outcome=error, not ok. The result is built
+// by hand with a value for an attribute outside the ontology, which
+// ToGraph refuses.
+func TestFinishQueryTracesSerializationFailure(t *testing.T) {
+	_, mw, _ := testServer(t)
+	plan, err := mw.Plan(context.Background(), "SELECT product")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &instance.Result{Plan: plan, Matched: []*instance.Instance{{
+		ID:     "product_1",
+		Class:  plan.Class,
+		Values: map[string][]string{"thing.product.no_such_attribute": {"x"}},
+	}}}
+
+	rec := httptest.NewRecorder()
+	ctx, root := BeginRequest(mw, rec, httptest.NewRequest(http.MethodGet, "/query?q=x", nil), "http_query")
+	if _, ok := FinishQuery(ctx, rec, root, mw.Generator(), res, instance.FormatOWL); ok {
+		t.Fatal("FinishQuery reported success for an unserializable result")
+	}
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status = %d, want 500", rec.Code)
+	}
+	last := mw.Tracer().Last(1)
+	if len(last) != 1 || last[0].Name != "http_query" {
+		t.Fatalf("recorded traces = %v, want the http_query root", last)
+	}
+	if got := last[0].Attrs["outcome"]; got != "error" {
+		t.Errorf("root span outcome = %q, want %q", got, "error")
+	}
+}
+
+// TestOversizedBodiesRefused: POST bodies are bounded by MaxRequestBody
+// on every decoding route; /query and /query/batch refuse a larger one
+// with a 4xx instead of reading it into memory.
+func TestOversizedBodiesRefused(t *testing.T) {
+	srv, _, _ := testServer(t)
+	huge := strings.Repeat("x", MaxRequestBody+1)
+	for path, body := range map[string]string{
+		"/query":       `{"query":"SELECT product","format":"` + huge + `"}`,
+		"/query/batch": `{"queries":["SELECT product"],"format":"` + huge + `"}`,
+	} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status = %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+}

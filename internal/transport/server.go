@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -209,17 +211,49 @@ func (s *Server) releaseQuerySlot() {
 	}
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if !s.acquireQuerySlot(w) {
-		return
+// MaxRequestBody bounds every POSTed request body; a larger one is
+// refused with 413 instead of being decoded into memory.
+const MaxRequestBody = 1 << 20
+
+// decodeBody decodes a POSTed JSON body of at most MaxRequestBody bytes
+// into v. On failure it answers the 4xx itself and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody)).Decode(v)
+	if err == nil {
+		return true
 	}
-	defer s.releaseQuerySlot()
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, fmt.Errorf("transport: decoding request: %w", err))
+	return false
+}
+
+// parseFormat resolves a request's format name; OWL, the paper's primary
+// output, when unnamed. On failure it answers 400 and reports false.
+func parseFormat(w http.ResponseWriter, name string) (instance.Format, bool) {
+	if name == "" {
+		return instance.FormatOWL, true
+	}
+	f, err := instance.ParseFormat(name)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+	}
+	return f, err == nil
+}
+
+// DecodeQueryRequest reads a query request in either form — a POSTed
+// QueryRequest or GET ?q=&format=&trace= — rejects an empty query, and
+// resolves the format. On a malformed request it answers the 4xx itself
+// and reports false. The cluster's /cluster/query shares it.
+func DecodeQueryRequest(w http.ResponseWriter, r *http.Request) (QueryRequest, instance.Format, bool) {
 	var req QueryRequest
 	switch r.Method {
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("transport: decoding request: %w", err))
-			return
+		if !decodeBody(w, r, &req) {
+			return req, 0, false
 		}
 	case http.MethodGet:
 		req.Query = r.URL.Query().Get("q")
@@ -230,45 +264,54 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	default:
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
-		return
+		return req, 0, false
 	}
 	if strings.TrimSpace(req.Query) == "" {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("transport: empty query"))
-		return
+		return req, 0, false
 	}
-	format := instance.FormatOWL
-	if req.Format != "" {
-		f, err := instance.ParseFormat(req.Format)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		format = f
-	}
+	format, ok := parseFormat(w, req.Format)
+	return req, format, ok
+}
 
-	// Join the caller's trace, if announced, and open the server-side
-	// root span; the middleware's "query" span nests under it.
-	ctx := obs.ContextWithMetrics(r.Context(), s.mw.Metrics())
+// BeginRequest opens a handler's root span: it joins the caller's trace
+// when the request announces one (TraceIDHeader/SpanIDHeader), injects
+// the middleware's metrics registry, and echoes the trace ID on the
+// response. The middleware's own spans nest under the returned root;
+// the handler ends it.
+func BeginRequest(mw *core.Middleware, w http.ResponseWriter, r *http.Request, name string) (context.Context, *obs.Span) {
+	ctx := obs.ContextWithMetrics(r.Context(), mw.Metrics())
 	if tid := r.Header.Get(TraceIDHeader); tid != "" {
 		ctx = obs.ContextWithRemote(ctx, obs.Remote{TraceID: tid, ParentID: r.Header.Get(SpanIDHeader)})
 	}
-	ctx, root := s.mw.Tracer().StartTrace(ctx, "http_query")
+	ctx, root := mw.Tracer().StartTrace(ctx, name)
 	w.Header().Set(TraceIDHeader, root.TraceID)
+	return ctx, root
+}
 
-	res, err := s.mw.Query(ctx, req.Query)
+// EndRequest stamps the root span with how the request ended — "ok", or
+// "error" when err is non-nil — and ends it.
+func EndRequest(root *obs.Span, err error) {
+	outcome := "ok"
 	if err != nil {
-		root.SetAttr("outcome", "error")
-		root.End()
-		httpError(w, http.StatusBadRequest, err)
-		return
+		outcome = "error"
 	}
-	var buf bytes.Buffer
-	err = s.mw.Generator().SerializeContext(ctx, &buf, res, format)
-	root.SetAttr("outcome", "ok")
+	root.SetAttr("outcome", outcome)
 	root.End()
+}
+
+// FinishQuery is the epilogue of the JSON-envelope query handlers: it
+// serializes res, ends the root span with the outcome — only after
+// serialization, so a failed one is traced as an error — and builds the
+// QueryResponse. On a serialization failure it answers 500 itself and
+// reports false.
+func FinishQuery(ctx context.Context, w http.ResponseWriter, root *obs.Span, gen *instance.Generator, res *instance.Result, format instance.Format) (QueryResponse, bool) {
+	var buf bytes.Buffer
+	err := gen.SerializeContext(ctx, &buf, res, format)
+	EndRequest(root, err)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
-		return
+		return QueryResponse{}, false
 	}
 	resp := QueryResponse{
 		Query:   res.Plan.Query.String(),
@@ -278,14 +321,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Missing: res.Missing,
 		Body:    buf.String(),
 	}
-	if req.Trace {
-		resp.Trace = root
-	}
 	for _, e := range res.Errors {
 		resp.Errors = append(resp.Errors, e.Error())
 	}
 	for _, d := range res.Degraded {
 		resp.Degraded = append(resp.Degraded, d.String())
+	}
+	return resp, true
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	if !s.acquireQuerySlot(w) {
+		return
+	}
+	defer s.releaseQuerySlot()
+	req, format, ok := DecodeQueryRequest(w, r)
+	if !ok {
+		return
+	}
+	ctx, root := BeginRequest(s.mw, w, r, "http_query")
+	res, err := s.mw.Query(ctx, req.Query)
+	if err != nil {
+		EndRequest(root, err)
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	resp, ok := FinishQuery(ctx, w, root, s.mw.Generator(), res, format)
+	if !ok {
+		return
+	}
+	if req.Trace {
+		resp.Trace = root
 	}
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, resp)
@@ -350,8 +416,7 @@ func (s *Server) handleSources(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, out)
 	case http.MethodPost:
 		var ws WireSource
-		if err := json.NewDecoder(r.Body).Decode(&ws); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("transport: decoding source: %w", err))
+		if !decodeBody(w, r, &ws) {
 			return
 		}
 		def, err := ws.ToDefinition()
@@ -381,8 +446,7 @@ func (s *Server) handleMappings(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, out)
 	case http.MethodPost:
 		var wm WireMapping
-		if err := json.NewDecoder(r.Body).Decode(&wm); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("transport: decoding mapping: %w", err))
+		if !decodeBody(w, r, &wm) {
 			return
 		}
 		entry, err := wm.ToEntry()
@@ -411,8 +475,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SPARQLRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("transport: decoding request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if strings.TrimSpace(req.SPARQL) == "" {

@@ -25,9 +25,9 @@ import (
 
 // Streaming response headers and trailers of GET /query/stream.
 const (
-	// StreamMatchedHeader carries the matched-instance count; it is sent
-	// before the body (generation completes before serialization starts,
-	// so the counts are known up front).
+	// StreamMatchedHeader carries the matched-instance count; in barrier
+	// mode it is sent before the body (generation completes before
+	// serialization starts, so the counts are known up front).
 	StreamMatchedHeader = "X-S2s-Matched"
 	// StreamRelatedHeader carries the related-instance count.
 	StreamRelatedHeader = "X-S2s-Related"
@@ -96,7 +96,12 @@ func contentTypeFor(f instance.Format) string {
 // wire instead of sitting in the server's response buffer.
 type flushWriter struct {
 	w http.ResponseWriter
-	f http.Flusher
+	f http.Flusher // nil when the response cannot flush
+}
+
+func newFlushWriter(w http.ResponseWriter) *flushWriter {
+	f, _ := w.(http.Flusher)
+	return &flushWriter{w: w, f: f}
 }
 
 func (fw *flushWriter) Write(p []byte) (int, error) {
@@ -122,9 +127,10 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 }
 
 // handleQueryStream answers GET /query/stream?q=...&format=...: the
-// streaming pipeline runs the query, the matched/related counts go out
-// as headers, and the serialized document follows as a chunked body
-// with completion signaled in trailers.
+// serialized document goes out as a chunked body with completion
+// signaled in trailers. A merge-free query in an instance-incremental
+// format streams eagerly (counts in the trailers); every other query is
+// materialized first (counts in the headers) and leaves in chunks.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
@@ -134,51 +140,32 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.releaseQuerySlot()
-
-	query := r.URL.Query().Get("q")
-	if strings.TrimSpace(query) == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("transport: empty query"))
+	req, format, ok := DecodeQueryRequest(w, r)
+	if !ok {
 		return
 	}
-	format := instance.FormatOWL
-	if fs := r.URL.Query().Get("format"); fs != "" {
-		f, err := instance.ParseFormat(fs)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		format = f
-	}
-
-	ctx := obs.ContextWithMetrics(r.Context(), s.mw.Metrics())
-	if tid := r.Header.Get(TraceIDHeader); tid != "" {
-		ctx = obs.ContextWithRemote(ctx, obs.Remote{TraceID: tid, ParentID: r.Header.Get(SpanIDHeader)})
-	}
-	ctx, root := s.mw.Tracer().StartTrace(ctx, "http_query_stream")
-	w.Header().Set(TraceIDHeader, root.TraceID)
+	ctx, root := BeginRequest(s.mw, w, r, "http_query_stream")
 
 	// Plan first (through the plan cache — the query run below replans
 	// for free) to learn the merge-free verdict: it decides, before the
 	// response commits, whether the body can stream barrier-free.
-	_, mergeFree, err := s.mw.PlanMergeFree(ctx, query)
+	_, mergeFree, err := s.mw.PlanMergeFree(ctx, req.Query)
 	if err != nil {
-		root.SetAttr("outcome", "error")
-		root.End()
+		EndRequest(root, err)
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	if s.mw.EagerStream(mergeFree, format) {
-		s.streamEager(ctx, root, w, query, format)
+		s.streamEager(ctx, root, w, req.Query, format)
 		return
 	}
 
-	// Barrier mode: extraction and generation stream internally but
-	// complete before serialization starts, so the instance counts go
-	// out as headers and a failure here is still pre-body.
-	res, err := s.mw.QueryStreamed(ctx, query)
+	// Barrier mode: the query is materialized before serialization
+	// starts, so the instance counts go out as headers and a failure
+	// here is still pre-body.
+	res, err := s.mw.Query(ctx, req.Query)
 	if err != nil {
-		root.SetAttr("outcome", "error")
-		root.End()
+		EndRequest(root, err)
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -191,9 +178,8 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	// set after the body, which is the point: they report how it ended.
 	w.Header().Set("Trailer", StreamCompleteTrailer+", "+StreamErrorsTrailer+", "+StreamErrorTrailer)
 
-	fw := &flushWriter{w: w}
-	if f, ok := w.(http.Flusher); ok {
-		fw.f = f
+	fw := newFlushWriter(w)
+	if fw.f != nil {
 		// Commit the header block and the chunked framing before
 		// serialization. A zero-instance result can serialize to zero
 		// bytes (NTriples has no envelope); an uncommitted zero-byte
@@ -202,29 +188,26 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		// client would then read a completed stream as truncated.
 		fw.f.Flush()
 	}
-	_, err = s.mw.Generator().SerializeChunkedContext(ctx, fw, res, format, 0)
+	_, err = s.mw.Generator().SerializeChunked(ctx, fw, res, format)
+	EndRequest(root, err)
 	if err != nil {
 		// Mid-stream failure: part of the body is on the wire. Terminate
 		// the chunked response with the error in a trailer instead of
 		// leaving a silently truncated document.
 		w.Header().Set(StreamErrorTrailer, err.Error())
-		root.SetAttr("outcome", "error")
-		root.End()
 		return
 	}
 	w.Header().Set(StreamCompleteTrailer, "true")
 	w.Header().Set(StreamErrorsTrailer, strconv.Itoa(len(res.Errors)))
-	root.SetAttr("outcome", "ok")
-	root.End()
 }
 
 // streamEager serves /query/stream barrier-free: the body starts as the
 // first extraction window closes, so the instance counts are not known
 // until the body ends — they ride in the trailers alongside the
 // completion signal. QueryToStream re-checks the verdict internally and
-// falls back to the barrier if the catalog mutated since the header
-// decision; the bytes are identical either way, and the counts are
-// written from the returned result regardless.
+// materializes if the catalog mutated since the header decision; the
+// bytes are identical either way, and the counts are written from the
+// returned result regardless.
 func (s *Server) streamEager(ctx context.Context, root *obs.Span, w http.ResponseWriter, query string, format instance.Format) {
 	w.Header().Set("Content-Type", contentTypeFor(format))
 	w.Header().Set(StreamModeHeader, StreamModeEager)
@@ -233,15 +216,10 @@ func (s *Server) streamEager(ctx context.Context, root *obs.Span, w http.Respons
 		StreamMatchedHeader, StreamRelatedHeader,
 	}, ", "))
 
-	fw := &flushWriter{w: w}
-	if f, ok := w.(http.Flusher); ok {
-		fw.f = f
-	}
-	cw := &countingWriter{w: fw}
+	cw := &countingWriter{w: newFlushWriter(w)}
 	res, _, err := s.mw.QueryToStream(ctx, cw, query, format)
+	EndRequest(root, err)
 	if err != nil {
-		root.SetAttr("outcome", "error")
-		root.End()
 		if cw.n == 0 {
 			// Pre-body failure (extraction refused): the response is
 			// still uncommitted, so undo the streaming headers and fail
@@ -259,8 +237,6 @@ func (s *Server) streamEager(ctx context.Context, root *obs.Span, w http.Respons
 	w.Header().Set(StreamErrorsTrailer, strconv.Itoa(len(res.Errors)))
 	w.Header().Set(StreamMatchedHeader, strconv.Itoa(len(res.Matched)))
 	w.Header().Set(StreamRelatedHeader, strconv.Itoa(len(res.Related)))
-	root.SetAttr("outcome", "ok")
-	root.End()
 }
 
 // QueryStream runs an S2SQL query against the endpoint's streaming

@@ -57,7 +57,7 @@ func TestQueryStreamEndToEnd(t *testing.T) {
 // formats keep the barrier — and every body stays byte-identical to the
 // local serialization.
 func TestQueryStreamEagerMode(t *testing.T) {
-	srv, mw := flatTestServer(t, extract.Options{Streaming: true, StreamBatchRecords: 4})
+	srv, mw := flatTestServer(t, extract.Options{StreamBatchRecords: 4})
 	client := NewClient(srv.URL, nil)
 	ctx := context.Background()
 
@@ -94,22 +94,6 @@ func TestQueryStreamEagerMode(t *testing.T) {
 		if res.Matched != len(wantRes.Matched) {
 			t.Errorf("%s: matched = %d, want %d", tc.format, res.Matched, len(wantRes.Matched))
 		}
-	}
-}
-
-// TestQueryStreamEagerDisabled pins the rollback knob: with
-// DisableEagerStream set, a merge-free JSON stream falls back to the
-// barrier (and says so in the mode header).
-func TestQueryStreamEagerDisabled(t *testing.T) {
-	srv, _ := flatTestServer(t, extract.Options{Streaming: true, DisableEagerStream: true})
-	client := NewClient(srv.URL, nil)
-	var got bytes.Buffer
-	res, err := client.QueryStream(context.Background(), "SELECT product", "json", &got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mode != StreamModeBarrier {
-		t.Errorf("mode = %q, want %q with eager disabled", res.Mode, StreamModeBarrier)
 	}
 }
 

@@ -1,7 +1,7 @@
 package repro
 
 // streaming_docs_test.go holds the two repo-level guarantees of the
-// streaming pipeline: the bounded-memory claim E18 measures (peak
+// chunked query path: the bounded-memory claim E18 measures (peak
 // buffered bytes stay flat while source rows grow 10x), and the
 // doc-drift checks that keep docs/STREAMING.md in lockstep with the
 // knobs, wire protocol, and observability names the code exports —
@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -31,7 +33,7 @@ func buildStreamingMW(t *testing.T, records int) *core.Middleware {
 		DBSources: 1, XMLSources: 1, TextSources: 1,
 		RecordsPerSource: records, Seed: 18,
 	})
-	mw, err := core.NewWithCatalog(world.Ontology, world.Catalog, extract.Options{Streaming: true})
+	mw, err := core.NewWithCatalog(world.Ontology, world.Catalog, extract.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func buildStreamingMW(t *testing.T, records int) *core.Middleware {
 }
 
 // TestStreamingBoundedMemory is the acceptance check behind E18: when
-// source rows grow 10x, the streaming path's peak buffered output
+// source rows grow 10x, QueryToStream's peak buffered output
 // (ChunkStats.HighWater — the most bytes ever held before a flush)
 // must stay flat, within 1.5x. Total bytes must still grow with the
 // rows, proving the flat high-water mark is buffering discipline and
@@ -75,20 +77,30 @@ func TestStreamingBoundedMemory(t *testing.T) {
 }
 
 // TestStreamingDocCoversKnobs keeps docs/STREAMING.md in lockstep with
-// the configuration surface: both extract.Options knobs by name, the
-// default batch window, and the chunk flush threshold.
+// the configuration surface: the one extract.Options knob by name, the
+// default batch window, the chunk flush threshold, and the CLI flag —
+// and every extract.Options field the doc names must exist, so a
+// deleted knob cannot linger in the text.
 func TestStreamingDocCoversKnobs(t *testing.T) {
 	doc := readStreamingDoc(t)
 	for _, want := range []string{
-		"`extract.Options.Streaming`",
 		"`extract.Options.StreamBatchRecords`",
 		fmt.Sprintf("%d records", extract.DefaultStreamBatchRecords),
 		fmt.Sprintf("%d KiB", instance.DefaultChunkSize/1024),
-		"-stream",
+		"`s2s-query -stream`",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("%s does not mention %s", streamingDocPath, want)
 		}
+	}
+	opts := reflect.TypeOf(extract.Options{})
+	for _, m := range regexp.MustCompile("`extract\\.Options\\.(\\w+)`").FindAllStringSubmatch(doc, -1) {
+		if _, ok := opts.FieldByName(m[1]); !ok {
+			t.Errorf("%s names %s, which is not a field of extract.Options", streamingDocPath, m[0])
+		}
+	}
+	if strings.Contains(doc, "s2s-server -stream") {
+		t.Errorf("%s still documents the removed s2s-server -stream flag", streamingDocPath)
 	}
 }
 
@@ -130,16 +142,18 @@ func TestStreamingDocCoversStagesAndSignals(t *testing.T) {
 }
 
 // TestStreamingDocCoversBarrierFree pins the barrier-free section: the
-// mode header and its values, the eager knob, the proof counter, and
-// the batch endpoint's wire names must all be documented — and the
-// documented fallback matrix must match instance.EagerFormat.
+// mode header and its values, the two entry points and the selector
+// between the two ways, the proof counter, and the batch endpoint's
+// wire names must all be documented — and the documented fallback
+// matrix must match instance.EagerFormat.
 func TestStreamingDocCoversBarrierFree(t *testing.T) {
 	doc := readStreamingDoc(t)
 	for _, want := range []string{
 		transport.StreamModeHeader,
 		transport.StreamModeEager,
 		transport.StreamModeBarrier,
-		"`extract.Options.DisableEagerStream`",
+		"`QueryTo`", "`QueryToStream`", "`Middleware.EagerStream`",
+		"`Stream.Drain`",
 		obs.MetricPlannerMergeFree,
 		"/query/batch",
 		transport.BatchContentType,
