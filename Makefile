@@ -1,15 +1,23 @@
 GO ?= go
 
-# Benchmarks: keep runs short by default; override for steadier numbers,
-# e.g. `make bench BENCHTIME=1s`.
-BENCHTIME ?= 100ms
+# Recipes run under pipefail, so a failing `go test` on the left of a
+# pipe fails its target instead of hiding behind the right side's exit.
+SHELL := bash
+.SHELLFLAGS := -o pipefail -ec
 
-.PHONY: check vet fmt lint build test chaos chaos-cluster benchmark-smoke bench bench-compare bench-pushdown bench-stream bench-hedge bench-semijoin bench-firstinstance bench-batch bin clean
+# Benchmarks: keep runs short by default; override for steadier numbers,
+# e.g. `make bench BENCHTIME=1s`. FAMILY=E17 restricts bench-compare to
+# one experiment; the pattern is anchored, so E1 does not select E10–E19.
+BENCHTIME ?= 100ms
+BENCH_RE = $(if $(FAMILY),^BenchmarkE$(patsubst E%,%,$(FAMILY))[A-Z],.)
+
+.PHONY: check vet fmt lint build test chaos chaos-cluster benchmark-smoke bench bench-compare bench-smoke bin clean
 
 # check is the full gate: go vet, formatting, the repo's own static
 # analysis suite, build, the test suite under the race detector, the
-# seeded chaos suite, and the repository benchmark's smoke run.
-check: vet fmt lint build test chaos benchmark-smoke
+# seeded chaos suite, one pass of every benchmark family, and the
+# repository benchmark's smoke run.
+check: vet fmt lint build test chaos bench-smoke benchmark-smoke
 
 vet:
 	$(GO) vet ./...
@@ -59,91 +67,34 @@ chaos-cluster:
 benchmark-smoke:
 	bash benchmark/run.sh -smoke
 
-# bench runs the root benchmark families (bench_test.go, E1–E22) with
-# allocation stats and persists a machine-readable baseline for the perf
-# trajectory. The text output still streams to the terminal via stderr.
+# bench runs every benchmark family (bench_test.go, E1–E22) with
+# allocation stats and rewrites BENCH_baseline.json — the one recorded
+# baseline — from that single run; the text output streams to the
+# terminal via stderr. A failed family fails the target and leaves the
+# committed file untouched. EXPERIMENTS.md's tables are then
+#   go run ./cmd/s2s-benchjson -markdown BENCH_baseline.json
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) . \
 		| tee /dev/stderr \
-		| $(GO) run ./cmd/s2s-benchjson > BENCH_baseline.json
+		| $(GO) run ./cmd/s2s-benchjson > /tmp/s2s-bench-baseline.json
+	mv /tmp/s2s-bench-baseline.json BENCH_baseline.json
 	@echo "wrote BENCH_baseline.json"
 
-# bench-compare re-runs the benchmark families and diffs them against
-# the committed baseline, failing on any >20% ns/op or allocs/op
-# regression. Use a longer BENCHTIME (e.g. 1s) for trustworthy numbers
-# on noisy machines.
+# bench-compare re-runs the benchmark families — all of them, or one
+# with FAMILY=E17 — and diffs them against BENCH_baseline.json, failing
+# on any >20% ns/op, allocs/op or *_ns metric regression. Use a longer
+# BENCHTIME (e.g. 1s) for trustworthy numbers on noisy machines.
 bench-compare:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) . \
+	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -benchtime $(BENCHTIME) . \
 		| $(GO) run ./cmd/s2s-benchjson > /tmp/s2s-bench-current.json
 	$(GO) run ./cmd/s2s-benchjson -compare BENCH_baseline.json /tmp/s2s-bench-current.json
 
-# bench-pushdown records only the query-planner family (E17
-# pushdown/nopushdown pair) into BENCH_pushdown.json — the measurement
-# docs/PERFORMANCE.md cites for the planner's speedup.
-bench-pushdown:
-	$(GO) test -run '^$$' -bench BenchmarkE17 -benchmem -benchtime $(BENCHTIME) . \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/s2s-benchjson > BENCH_pushdown.json
-	@echo "wrote BENCH_pushdown.json"
-
-# bench-stream records only the streaming-pipeline family (E18
-# streaming/materializing pair across the row sweep) into
-# BENCH_stream.json — the measurement docs/STREAMING.md and
-# docs/PERFORMANCE.md cite for the bounded-memory path. Compare a fresh
-# run against it with
-#   go run ./cmd/s2s-benchjson -compare BENCH_stream.json <current.json>
-# which fails on any >20% ns/op or allocs/op regression.
-bench-stream:
-	$(GO) test -run '^$$' -bench BenchmarkE18 -benchmem -benchtime $(BENCHTIME) . \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/s2s-benchjson > BENCH_stream.json
-	@echo "wrote BENCH_stream.json"
-
-# bench-hedge records only the hedged-dispatch family (E19 hedged/
-# unhedged pair against a 3-node cluster with one slow node) into
-# BENCH_hedge.json — the measurement docs/CLUSTER.md cites for the
-# tail-latency win. Compare a fresh run against it with
-#   go run ./cmd/s2s-benchjson -compare BENCH_hedge.json <current.json>
-bench-hedge:
-	$(GO) test -run '^$$' -bench BenchmarkE19 -benchmem -benchtime $(BENCHTIME) . \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/s2s-benchjson > BENCH_hedge.json
-	@echo "wrote BENCH_hedge.json"
-
-# bench-semijoin records only the planner-v3 family (E20 semijoin/
-# nosemijoin pair over a directory-plus-details world) into
-# BENCH_semijoin.json — the measurement docs/PERFORMANCE.md cites for
-# semi-join narrowing. Compare a fresh run against it with
-#   go run ./cmd/s2s-benchjson -compare BENCH_semijoin.json <current.json>
-bench-semijoin:
-	$(GO) test -run '^$$' -bench BenchmarkE20 -benchmem -benchtime $(BENCHTIME) . \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/s2s-benchjson > BENCH_semijoin.json
-	@echo "wrote BENCH_semijoin.json"
-
-# bench-firstinstance records only the barrier-free streaming family
-# (E21 eager/barrier pair, one slow source on a merge-free query) into
-# BENCH_firstinstance.json — the time-to-first-instance measurement
-# docs/STREAMING.md and docs/PERFORMANCE.md cite. The custom
-# first_instance_ns metric is gated by s2s-benchjson -compare alongside
-# ns/op. Compare a fresh run against it with
-#   go run ./cmd/s2s-benchjson -compare BENCH_firstinstance.json <current.json>
-bench-firstinstance:
-	$(GO) test -run '^$$' -bench BenchmarkE21 -benchmem -benchtime $(BENCHTIME) . \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/s2s-benchjson > BENCH_firstinstance.json
-	@echo "wrote BENCH_firstinstance.json"
-
-# bench-batch records only the multi-query batch family (E22 batch8/
-# sequential8 pair against remote web sources) into BENCH_batch.json —
-# the per-query amortization measurement docs/PERFORMANCE.md cites for
-# POST /query/batch. Compare a fresh run against it with
-#   go run ./cmd/s2s-benchjson -compare BENCH_batch.json <current.json>
-bench-batch:
-	$(GO) test -run '^$$' -bench BenchmarkE22 -benchmem -benchtime $(BENCHTIME) . \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/s2s-benchjson > BENCH_batch.json
-	@echo "wrote BENCH_batch.json"
+# bench-smoke runs every family once. `go test ./...` only compiles
+# bench_test.go; this executes the families, and with them the
+# correctness checks they carry (E1 against ground truth, E8 against
+# internal/baseline, E13 and E14 across their arms).
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # bin builds the two executables into ./bin.
 bin:

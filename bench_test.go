@@ -1,9 +1,13 @@
-// Package repro's root benchmarks regenerate the experiment measurements of
-// EXPERIMENTS.md, one benchmark family per experiment of DESIGN.md's index
-// (E13 and E14 live in cmd/s2s-bench only, as they compare mapping
-// configurations rather than time a single path). The cmd/s2s-bench binary
-// prints the same experiments as verified tables; these testing.B forms
-// integrate with `go test -bench` and -benchmem.
+// Package repro's root benchmarks are the one definition of the
+// experiments E1–E22 indexed in DESIGN.md §4: each experiment is exactly
+// one BenchmarkE<n> family here. `make bench` records every family into
+// BENCH_baseline.json, `s2s-benchjson -markdown BENCH_baseline.json`
+// prints the per-family tables EXPERIMENTS.md shows, and
+// `make bench-compare FAMILY=E<n>` gates one family against that file.
+// `make bench-smoke` (part of `make check`) runs every family once, so
+// the correctness checks the families carry as b.Fatalf — E1 against
+// the generator's ground truth, E8 against internal/baseline, E13 and
+// E14 across their arms — fail the gate when broken.
 package repro
 
 import (
@@ -36,25 +40,75 @@ const paperQuery = "SELECT product WHERE brand='Seiko' AND case='stainless-steel
 func buildMW(b *testing.B, spec workload.Spec, opts extract.Options) (*core.Middleware, *workload.World) {
 	b.Helper()
 	world := workload.MustGenerate(spec)
+	return registerMW(b, world, world.Entries, opts), world
+}
+
+// registerMW builds a middleware over every source of world, mapped by
+// entries instead of the world's own.
+func registerMW(b testing.TB, world *workload.World, entries []mapping.Entry, opts extract.Options) *core.Middleware {
+	b.Helper()
 	mw, err := core.NewWithCatalog(world.Ontology, world.Catalog, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := world.Apply(mw); err != nil {
+	mapped := *world
+	mapped.Entries = entries
+	if err := mapped.Apply(mw); err != nil {
 		b.Fatal(err)
 	}
-	return mw, world
+	return mw
+}
+
+// sameAnswer fails b unless every middleware answers q with the same
+// JSON document: the arms of an ablation may differ in cost, never in
+// answer.
+func sameAnswer(b *testing.B, q string, mws ...*core.Middleware) {
+	b.Helper()
+	var first string
+	for i, mw := range mws {
+		got, err := mw.QueryString(context.Background(), q, instance.FormatJSON)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			first = got
+		} else if got != first {
+			b.Fatalf("arm %d answers %q differently from arm 0:\n%.300s\nvs\n%.300s", i, q, got, first)
+		}
+	}
+}
+
+// isSeikoSteel is the paper query's predicate, for ground-truth counts.
+func isSeikoSteel(r workload.Record) bool { return r.Brand == "Seiko" && r.Case == "stainless-steel" }
+
+// benchQuery times b.N runs of q on mw, failing on any query or source
+// error. Setup and warm-up done before the call are not timed.
+func benchQuery(b *testing.B, mw *core.Middleware, q string) {
+	b.Helper()
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := mw.Query(ctx, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Errors) > 0 {
+			b.Fatalf("errors: %v", res.Errors)
+		}
+	}
 }
 
 // BenchmarkE1EndToEnd — Figure 1: one S2SQL query across the four source
-// kinds, records per source swept.
+// kinds, records per source swept; every answer is checked against the
+// generator's ground truth.
 func BenchmarkE1EndToEnd(b *testing.B) {
 	for _, records := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
-			mw, _ := buildMW(b, workload.Spec{
+			mw, world := buildMW(b, workload.Spec{
 				DBSources: 1, XMLSources: 1, WebSources: 1, TextSources: 1,
 				RecordsPerSource: records, Seed: 1,
 			}, extract.Options{})
+			want := world.CountMatching(isSeikoSteel)
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -65,31 +119,44 @@ func BenchmarkE1EndToEnd(b *testing.B) {
 				if len(res.Errors) > 0 {
 					b.Fatalf("errors: %v", res.Errors)
 				}
+				if len(res.Matched) != want {
+					b.Fatalf("matched %d, ground truth %d", len(res.Matched), want)
+				}
 			}
 		})
 	}
 }
 
-// BenchmarkE2OntologyScale — Figure 2: planning cost against growing
-// ontologies.
+// BenchmarkE2OntologyScale — Figure 2: against growing ontologies,
+// planning a deep-class query ("plan") and exporting the schema as an
+// OWL document ("owl", which reports the schema's triple count).
 func BenchmarkE2OntologyScale(b *testing.B) {
 	for _, classes := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("classes=%d", classes), func(b *testing.B) {
-			ont := workload.GrowOntology(classes, 3, 7)
-			var deepest, deepestPath string
-			depth := -1
-			for _, c := range ont.Classes() {
-				if d := strings.Count(c.Path(), "."); d > depth {
-					depth, deepest, deepestPath = d, c.Name, c.Path()
-				}
+		ont := workload.GrowOntology(classes, 3, 7)
+		// Query the deepest class to stress closure computation; constrain
+		// by the dotted unique ID, since "attr0" repeats along the chain.
+		var deepest, deepestPath string
+		depth := -1
+		for _, c := range ont.Classes() {
+			if d := strings.Count(c.Path(), "."); d > depth {
+				depth, deepest, deepestPath = d, c.Name, c.Path()
 			}
-			q := fmt.Sprintf("SELECT %s WHERE %s.attr0 = 'x'", deepest, deepestPath)
-			b.ResetTimer()
+		}
+		q := fmt.Sprintf("SELECT %s WHERE %s.attr0 = 'x'", deepest, deepestPath)
+		b.Run(fmt.Sprintf("plan/classes=%d", classes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := s2sql.ParseAndPlan(q, ont); err != nil {
 					b.Fatal(err)
 				}
 			}
+		})
+		b.Run(fmt.Sprintf("owl/classes=%d", classes), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := ont.WriteOWL(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ont.ToGraph().Len()), "triples")
 		})
 	}
 }
@@ -141,7 +208,11 @@ func BenchmarkE3Registration(b *testing.B) {
 }
 
 // BenchmarkE4ExtractionSteps — Figure 5: step 4 under sequential and
-// concurrent delegation.
+// concurrent delegation. In-process sources answer in microseconds, so
+// the rtt=2ms arms model the paper's remote autonomous sources: every
+// backend operation (page fetch, database open, XML/text extraction)
+// pays 2ms, injected by faultinject exactly as the repo benchmark's
+// slow_partners workload does.
 func BenchmarkE4ExtractionSteps(b *testing.B) {
 	for _, sources := range []int{4, 16} {
 		per := sources / 4
@@ -153,31 +224,41 @@ func BenchmarkE4ExtractionSteps(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, par := range []int{1, 8} {
-			b.Run(fmt.Sprintf("sources=%d/par=%d", sources, par), func(b *testing.B) {
-				reg := datasource.NewRegistry()
-				repo := mapping.NewRepository(world.Ontology, reg)
-				for _, d := range world.Definitions {
-					if err := reg.Register(d); err != nil {
-						b.Fatal(err)
-					}
+		for _, rtt := range []time.Duration{0, 2 * time.Millisecond} {
+			backends, suffix := extract.FromCatalog(world.Catalog), ""
+			if rtt > 0 {
+				faults := faultinject.Plan{}
+				for _, def := range world.Definitions {
+					faults[faultinject.Key(def)] = faultinject.Fault{AddLatency: rtt}
 				}
-				for _, e := range world.Entries {
-					repo.MustRegister(e)
-				}
-				mgr := extract.NewManager(repo, extract.FromCatalog(world.Catalog), extract.Options{Parallelism: par})
-				ctx := context.Background()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rs, err := mgr.Extract(ctx, plan.AttributeIDs())
-					if err != nil {
-						b.Fatal(err)
+				backends, suffix = faultinject.New(4, faults).WrapBackends(backends), "/rtt="+rtt.String()
+			}
+			for _, par := range []int{1, 8} {
+				b.Run(fmt.Sprintf("sources=%d/par=%d%s", sources, par, suffix), func(b *testing.B) {
+					reg := datasource.NewRegistry()
+					repo := mapping.NewRepository(world.Ontology, reg)
+					for _, d := range world.Definitions {
+						if err := reg.Register(d); err != nil {
+							b.Fatal(err)
+						}
 					}
-					if len(rs.Errors) > 0 {
-						b.Fatalf("errors: %v", rs.Errors)
+					for _, e := range world.Entries {
+						repo.MustRegister(e)
 					}
-				}
-			})
+					mgr := extract.NewManager(repo, backends, extract.Options{Parallelism: par})
+					ctx := context.Background()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						rs, err := mgr.Extract(ctx, plan.AttributeIDs())
+						if err != nil {
+							b.Fatal(err)
+						}
+						if len(rs.Errors) > 0 {
+							b.Fatalf("errors: %v", rs.Errors)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -244,30 +325,37 @@ func BenchmarkE7Serialization(b *testing.B) {
 }
 
 // BenchmarkE8VsBaseline — §1/§5: semantic middleware vs hand-coded
-// syntactic ETL on the same world and question.
+// syntactic ETL on the same world and question; every s2s answer must
+// match the baseline's count.
 func BenchmarkE8VsBaseline(b *testing.B) {
 	spec := workload.Spec{
 		DBSources: 1, XMLSources: 1, WebSources: 1, TextSources: 1,
 		RecordsPerSource: 250, Seed: 5,
+	}
+	world := workload.MustGenerate(spec)
+	it := baseline.New(world.Catalog, world.Definitions)
+	seikoSteel := func(p baseline.Product) bool { return p.Brand == "Seiko" && p.Case == "stainless-steel" }
+	want, err := it.Query(seikoSteel)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.Run("s2s", func(b *testing.B) {
 		mw, _ := buildMW(b, spec, extract.Options{})
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := mw.Query(ctx, paperQuery); err != nil {
+			res, err := mw.Query(ctx, paperQuery)
+			if err != nil {
 				b.Fatal(err)
+			}
+			if len(res.Matched) != len(want) {
+				b.Fatalf("s2s matched %d, baseline %d", len(res.Matched), len(want))
 			}
 		}
 	})
 	b.Run("baseline", func(b *testing.B) {
-		world := workload.MustGenerate(spec)
-		it := baseline.New(world.Catalog, world.Definitions)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := it.Query(func(p baseline.Product) bool {
-				return p.Brand == "Seiko" && p.Case == "stainless-steel"
-			}); err != nil {
+			if _, err := it.Query(seikoSteel); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -289,19 +377,38 @@ func BenchmarkE9ExtractorTypes(b *testing.B) {
 	for _, k := range kinds {
 		b.Run(k.name, func(b *testing.B) {
 			mw, _ := buildMW(b, k.spec, extract.Options{})
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := mw.Query(ctx, "SELECT product")
-				if err != nil {
+			benchQuery(b, mw, "SELECT product")
+		})
+	}
+}
+
+// BenchmarkE10Transport — the middleware behind HTTP.
+func BenchmarkE10Transport(b *testing.B) {
+	mw, _ := buildMW(b, workload.Spec{
+		DBSources: 1, XMLSources: 1, WebSources: 1, TextSources: 1,
+		RecordsPerSource: 100, Seed: 7,
+	}, extract.Options{})
+	srv := httptest.NewServer(transport.NewServer(mw))
+	defer srv.Close()
+	client := transport.NewClient(srv.URL, nil)
+	ctx := context.Background()
+	b.Run("query", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := client.Query(ctx, paperQuery, "json"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			cl := transport.NewClient(srv.URL, nil)
+			for pb.Next() {
+				if _, err := cl.Query(ctx, paperQuery, "json"); err != nil {
 					b.Fatal(err)
-				}
-				if len(res.Errors) > 0 {
-					b.Fatalf("errors: %v", res.Errors)
 				}
 			}
 		})
-	}
+	})
 }
 
 // BenchmarkE11Cache — rule-result caching ablation.
@@ -317,16 +424,10 @@ func BenchmarkE11Cache(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			mw, _ := buildMW(b, spec, extract.Options{CacheTTL: ttl})
-			ctx := context.Background()
-			if _, err := mw.Query(ctx, paperQuery); err != nil { // warm
+			if _, err := mw.Query(context.Background(), paperQuery); err != nil { // warm
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := mw.Query(ctx, paperQuery); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchQuery(b, mw, paperQuery)
 		})
 	}
 }
@@ -368,13 +469,67 @@ func BenchmarkE12Reasoning(b *testing.B) {
 	})
 }
 
+// BenchmarkE13WrapperLanguage — §2.3.1 ablation: the paper-era WebL
+// wrappers against CSS-selector rules over the same generated pages
+// (selectorEntries). Both arms must answer identically; only the rule
+// text differs.
+func BenchmarkE13WrapperLanguage(b *testing.B) {
+	world := workload.MustGenerate(workload.Spec{WebSources: 1, RecordsPerSource: 500, Seed: 10})
+	webl := registerMW(b, world, world.Entries, extract.Options{})
+	selector := registerMW(b, world, selectorEntries(world), extract.Options{})
+	sameAnswer(b, "SELECT product", webl, selector)
+	for _, arm := range []struct {
+		name string
+		mw   *core.Middleware
+	}{{"webl", webl}, {"selector", selector}} {
+		b.Run(arm.name, func(b *testing.B) { benchQuery(b, arm.mw, "SELECT product") })
+	}
+}
+
+// BenchmarkE14MappingGranularity — the ablation DESIGN.md §5 names. The
+// paper maps "on ontology attributes rather than classes" (§2.3.1):
+// every attribute carries its own rule, so a database source runs one
+// SELECT per attribute ("per-attribute"). A class-granular design
+// shares one multi-column SELECT across the class's attributes via
+// Rule.Column ("shared"); with the rule-result cache on
+// ("shared+cache") the shared statement's result is reused. All three
+// arms must answer identically.
+func BenchmarkE14MappingGranularity(b *testing.B) {
+	world := workload.MustGenerate(workload.Spec{DBSources: 1, RecordsPerSource: 2000, Seed: 11})
+	def := world.Definitions[0]
+	const sharedSQL = "SELECT brand, model, watch_case, price, water_m FROM watches ORDER BY id"
+	var perAttribute, shared []mapping.Entry
+	for _, c := range []struct{ attr, column string }{
+		{"thing.product.brand", "brand"},
+		{"thing.product.model", "model"},
+		{"thing.product.watch.case", "watch_case"},
+		{"thing.product.price", "price"},
+		{"thing.product.watch.water_resistance", "water_m"},
+	} {
+		perAttribute = append(perAttribute, mapping.Entry{AttributeID: c.attr, SourceID: def.ID,
+			Rule: mapping.Rule{Language: mapping.LangSQL, Code: "SELECT " + c.column + " FROM watches ORDER BY id"}})
+		shared = append(shared, mapping.Entry{AttributeID: c.attr, SourceID: def.ID,
+			Rule: mapping.Rule{Language: mapping.LangSQL, Code: sharedSQL, Column: c.column}})
+	}
+	arms := []struct {
+		name string
+		mw   *core.Middleware
+	}{
+		{"per-attribute", registerMW(b, world, perAttribute, extract.Options{})},
+		{"shared", registerMW(b, world, shared, extract.Options{})},
+		{"shared+cache", registerMW(b, world, shared, extract.Options{CacheTTL: time.Hour})},
+	}
+	sameAnswer(b, "SELECT product", arms[0].mw, arms[1].mw, arms[2].mw)
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) { benchQuery(b, arm.mw, "SELECT product") })
+	}
+}
+
 // BenchmarkE15RepeatedQuery — hot-path amortization: the same query
 // repeated against an unchanged world. "cold" disables the rule-result
 // cache so every run pays the full fetch/parse/compile cost; "warm"
 // enables it and pre-warms, so steady-state cost is what the caching
 // layers (rule results, compiled rules, plans, schemas) leave behind.
-// BENCH_query_opt.json records this family before and after the
-// hot-path optimisation pass.
 func BenchmarkE15RepeatedQuery(b *testing.B) {
 	spec := workload.Spec{
 		DBSources: 1, XMLSources: 1, WebSources: 1, TextSources: 1,
@@ -390,20 +545,10 @@ func BenchmarkE15RepeatedQuery(b *testing.B) {
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
 			mw, _ := buildMW(b, spec, mode.opts)
-			ctx := context.Background()
-			if _, err := mw.Query(ctx, paperQuery); err != nil { // warm caches & page servers
+			if _, err := mw.Query(context.Background(), paperQuery); err != nil { // warm caches & page servers
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := mw.Query(ctx, paperQuery)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Errors) > 0 {
-					b.Fatalf("errors: %v", res.Errors)
-				}
-			}
+			benchQuery(b, mw, paperQuery)
 		})
 	}
 }
@@ -442,7 +587,6 @@ func BenchmarkE16ConcurrentQuery(b *testing.B) {
 // attribute, so the planner prunes them outright — their WebL programs
 // never run — and the surviving DB/XML/text groups drop failing
 // records at the source boundary before instance assembly.
-// BENCH_pushdown.json records the measured pair.
 func BenchmarkE17SelectiveQuery(b *testing.B) {
 	spec := workload.Spec{
 		DBSources: 1, XMLSources: 1, WebSources: 2, TextSources: 1,
@@ -459,20 +603,10 @@ func BenchmarkE17SelectiveQuery(b *testing.B) {
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
 			mw, _ := buildMW(b, spec, mode.opts)
-			ctx := context.Background()
-			if _, err := mw.Query(ctx, q); err != nil { // warm compiled rules & page servers
+			if _, err := mw.Query(context.Background(), q); err != nil { // warm compiled rules & page servers
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := mw.Query(ctx, q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Errors) > 0 {
-					b.Fatalf("errors: %v", res.Errors)
-				}
-			}
+			benchQuery(b, mw, q)
 		})
 	}
 }
@@ -486,8 +620,7 @@ func BenchmarkE17SelectiveQuery(b *testing.B) {
 // the claim under test is the allocation profile — the chunked path's
 // peak buffered memory stays flat as rows grow 10x
 // (TestStreamingBoundedMemory asserts it; docs/PERFORMANCE.md records
-// the measured sweep). BENCH_stream.json records the pair for
-// `make bench-stream -compare` gating.
+// the measured sweep).
 func BenchmarkE18LargeSource(b *testing.B) {
 	modes := []struct {
 		name  string
@@ -527,43 +660,13 @@ func BenchmarkE18LargeSource(b *testing.B) {
 	}
 }
 
-// BenchmarkE10Transport — the middleware behind HTTP.
-func BenchmarkE10Transport(b *testing.B) {
-	mw, _ := buildMW(b, workload.Spec{
-		DBSources: 1, XMLSources: 1, WebSources: 1, TextSources: 1,
-		RecordsPerSource: 100, Seed: 7,
-	}, extract.Options{})
-	srv := httptest.NewServer(transport.NewServer(mw))
-	defer srv.Close()
-	client := transport.NewClient(srv.URL, nil)
-	ctx := context.Background()
-	b.Run("query", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := client.Query(ctx, paperQuery, "json"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
-			cl := transport.NewClient(srv.URL, nil)
-			for pb.Next() {
-				if _, err := cl.Query(ctx, paperQuery, "json"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	})
-}
-
 // BenchmarkE19HedgedDispatch — fault-tolerant cluster: one query
 // scatter-gathered across a 3-node in-process cluster whose member n2
 // answers 40ms slow on every backend. The hedged/unhedged pair
 // measures what hedging buys: unhedged, every query that lands a
 // partition on n2 waits out the slow node; hedged, the coordinator
 // re-issues those sub-queries to the replica owner after a short
-// deadline and takes the first answer. BENCH_hedge.json records the
-// pair (`make bench-hedge`); docs/CLUSTER.md cites it.
+// deadline and takes the first answer; docs/CLUSTER.md cites the pair.
 func BenchmarkE19HedgedDispatch(b *testing.B) {
 	const slowBy = 40 * time.Millisecond
 	spec := workload.Spec{
@@ -657,8 +760,7 @@ func BenchmarkE19HedgedDispatch(b *testing.B) {
 // With semi-joins on, the details run in wave two narrowed to the
 // directory's key values (a typed IN predicate on their SQL rules);
 // off, every detail row is extracted, assembled, and then filtered at
-// the instance layer. BENCH_semijoin.json records the pair
-// (`make bench-semijoin`); docs/PERFORMANCE.md cites it.
+// the instance layer; docs/PERFORMANCE.md cites the pair.
 func BenchmarkE20SemiJoin(b *testing.B) {
 	spec := workload.SemiJoinSpec{
 		DirectoryRecords: 40, DetailSources: 3, DetailRecords: 800, Seed: 20,
@@ -684,20 +786,10 @@ func BenchmarkE20SemiJoin(b *testing.B) {
 			if err := mw.SetClassKey("watch", "thing.product.model"); err != nil {
 				b.Fatal(err)
 			}
-			ctx := context.Background()
-			if _, err := mw.Query(ctx, q); err != nil { // warm compiled rules
+			if _, err := mw.Query(context.Background(), q); err != nil { // warm compiled rules
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := mw.Query(ctx, q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Errors) > 0 {
-					b.Fatalf("errors: %v", res.Errors)
-				}
-			}
+			benchQuery(b, mw, q)
 		})
 	}
 }
@@ -726,9 +818,8 @@ func (f *firstWriteTimer) Write(p []byte) (int, error) {
 // materialized path ("barrier": QueryTo on the same world) serializes
 // nothing until the slow source finishes, so its first byte waits out
 // the full 20ms. Total query time is the same either way — the custom
-// first_instance_ns metric is the measurement, recorded in
-// BENCH_firstinstance.json (`make bench-firstinstance`) and gated by
-// `make bench-compare`; docs/PERFORMANCE.md cites it.
+// first_instance_ns metric is the measurement, gated by
+// `make bench-compare` like ns/op; docs/PERFORMANCE.md cites it.
 func BenchmarkE21FirstInstance(b *testing.B) {
 	const slowBy = 20 * time.Millisecond
 	spec := workload.Spec{
@@ -803,8 +894,7 @@ func BenchmarkE21FirstInstance(b *testing.B) {
 // cache is off — CacheTTL 0, the default — so nothing else amortizes
 // the repeats). One benchmark op answers all eight queries in both
 // modes, so ns/op is directly comparable ns-per-batch;
-// BENCH_batch.json records the pair (`make bench-batch`) and
-// docs/PERFORMANCE.md cites it.
+// docs/PERFORMANCE.md cites the pair.
 func BenchmarkE22Batch(b *testing.B) {
 	const fetchLatency = 5 * time.Millisecond
 	spec := workload.Spec{

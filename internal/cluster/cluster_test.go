@@ -265,3 +265,30 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Errorf("stats did not survive the wire: %+v", got.Stats)
 	}
 }
+
+// TestOversizedClusterBodiesRefused: the /cluster/* POST routes decode
+// through transport.DecodeBody, so a body past transport.MaxRequestBody
+// is refused with 413 instead of being read into memory.
+func TestOversizedClusterBodiesRefused(t *testing.T) {
+	world := workload.MustGenerate(workload.Spec{DBSources: 1, RecordsPerSource: 3, Seed: 33})
+	coord, err := NewNode(transport.NewServer(newTestMiddleware(t, world, true)), Options{ID: "n1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+	huge := strings.Repeat("x", transport.MaxRequestBody+1)
+	for path, body := range map[string]string{
+		"/cluster/extract":   `{"query":"` + huge + `"}`,
+		"/cluster/heartbeat": `{"node":"` + huge + `"}`,
+	} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status = %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+}

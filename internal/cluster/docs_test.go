@@ -66,7 +66,7 @@ func TestDocCoversClusterSurface(t *testing.T) {
 		}
 	}
 
-	for _, anchor := range []string{"byte-identical", "make chaos-cluster", "make bench-hedge", "BENCH_hedge.json"} {
+	for _, anchor := range []string{"byte-identical", "make chaos-cluster", "make bench-compare FAMILY=E19", "BenchmarkE19HedgedDispatch/hedged", "BENCH_baseline.json"} {
 		if !strings.Contains(doc, anchor) {
 			t.Errorf("doc is missing its %q anchor", anchor)
 		}

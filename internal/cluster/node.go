@@ -155,8 +155,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 // pull it on their next heartbeat.
 func (n *Node) handleRegisterSource(w http.ResponseWriter, r *http.Request) {
 	var ws transport.WireSource
-	if err := json.NewDecoder(r.Body).Decode(&ws); err != nil {
-		clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: decoding source: %w", err))
+	if !transport.DecodeBody(w, r, &ws) {
 		return
 	}
 	def, err := ws.ToDefinition()
@@ -175,8 +174,7 @@ func (n *Node) handleRegisterSource(w http.ResponseWriter, r *http.Request) {
 // handleRegisterMapping is handleRegisterSource for mapping entries.
 func (n *Node) handleRegisterMapping(w http.ResponseWriter, r *http.Request) {
 	var wm transport.WireMapping
-	if err := json.NewDecoder(r.Body).Decode(&wm); err != nil {
-		clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: decoding mapping: %w", err))
+	if !transport.DecodeBody(w, r, &wm) {
 		return
 	}
 	entry, err := wm.ToEntry()
@@ -202,8 +200,7 @@ func (n *Node) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req heartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: decoding heartbeat: %w", err))
+	if !transport.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Node == "" {
@@ -480,8 +477,7 @@ func (n *Node) handleClusterExtract(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req extractRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: decoding extract request: %w", err))
+	if !transport.DecodeBody(w, r, &req) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" || len(req.Sources) == 0 {

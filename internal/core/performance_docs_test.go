@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"os"
 	"reflect"
 	"regexp"
@@ -53,7 +54,6 @@ func TestPerformanceDocKnobsExist(t *testing.T) {
 		"`extract.Options.CacheTTL`",
 		"`extract.Options.Parallelism`",
 		"`extract.Options.RuleParallelism`",
-		"`extract.Options.SimulatedLatency`",
 		"`extract.Options.DisablePushdown`",
 		"`extract.Options.StreamBatchRecords`",
 	} {
@@ -76,7 +76,8 @@ func TestPerformanceDocKnobsExist(t *testing.T) {
 
 // TestPerformanceDocCoversBenchesAndTests pins the doc's pointers: the
 // benchmark families it describes and the coherence test files it
-// cites must exist.
+// cites must exist, and every sub-benchmark it cites by name must be
+// one BENCH_baseline.json records.
 func TestPerformanceDocCoversBenchesAndTests(t *testing.T) {
 	raw, err := os.ReadFile(perfDocPath)
 	if err != nil {
@@ -85,11 +86,10 @@ func TestPerformanceDocCoversBenchesAndTests(t *testing.T) {
 	doc := string(raw)
 	for _, want := range []string{
 		"BenchmarkE15RepeatedQuery", "BenchmarkE16ConcurrentQuery",
-		"BenchmarkE17SelectiveQuery", "BENCH_query_opt.json",
-		"BENCH_pushdown.json", "bench-compare", "InvalidateCache",
-		"BenchmarkE21FirstInstance", "BENCH_firstinstance.json",
-		"first_instance_ns", "BenchmarkE22Batch", "BENCH_batch.json",
-		"-stats-file",
+		"BenchmarkE17SelectiveQuery", "BENCH_baseline.json",
+		"make bench-compare FAMILY=", "InvalidateCache",
+		"BenchmarkE21FirstInstance", "first_instance_ns",
+		"BenchmarkE22Batch", "-stats-file",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("%s missing from %s", want, perfDocPath)
@@ -105,6 +105,23 @@ func TestPerformanceDocCoversBenchesAndTests(t *testing.T) {
 	} {
 		if !strings.Contains(string(bench), "func "+fn) {
 			t.Errorf("doc describes %s, which bench_test.go does not define", fn)
+		}
+	}
+	raw, err = os.ReadFile("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var baseline struct{ Results []struct{ Name string } }
+	if err := json.Unmarshal(raw, &baseline); err != nil {
+		t.Fatal(err)
+	}
+	recorded := map[string]bool{}
+	for _, r := range baseline.Results {
+		recorded[r.Name] = true
+	}
+	for _, name := range regexp.MustCompile("`(BenchmarkE\\d+\\w*/[^`]+)`").FindAllStringSubmatch(doc, -1) {
+		if !recorded[name[1]] {
+			t.Errorf("doc cites sub-benchmark %s, which BENCH_baseline.json does not record", name[1])
 		}
 	}
 	for _, path := range []string{

@@ -199,12 +199,6 @@ type Options struct {
 	RetryBackoffCap time.Duration
 	// WebLMaxSteps caps WebL program execution; 0 uses the webl default.
 	WebLMaxSteps int
-	// SimulatedLatency, when positive, sleeps once per source before its
-	// rules run. The paper's data sources are remote autonomous systems; the
-	// in-process catalog answers in microseconds, so benchmarks use this
-	// knob to model the network round trip a real deployment pays per
-	// source (see DESIGN.md substitutions).
-	SimulatedLatency time.Duration
 	// CacheTTL, when positive, caches rule results per (source, rule) for
 	// that duration. The paper notes sources "do not normally change their
 	// structures"; values change more often, so caching trades freshness
@@ -943,15 +937,6 @@ func (m *Manager) extractSource(ctx context.Context, plan mapping.SourcePlan, do
 	if len(pending) > 0 {
 		ctx, cancel := context.WithTimeout(ctx, m.opts.Timeout)
 		defer cancel()
-
-		if m.opts.SimulatedLatency > 0 {
-			select {
-			case <-time.After(m.opts.SimulatedLatency):
-			case <-ctx.Done():
-				outcome = "canceled"
-				return nil, []SourceError{{SourceID: plan.Source.ID, Err: ctx.Err()}}, run
-			}
-		}
 
 		if rp := m.opts.RuleParallelism; rp > 1 && len(pending) > 1 {
 			var rwg sync.WaitGroup

@@ -64,7 +64,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.releaseQuerySlot()
 
 	var req BatchRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {

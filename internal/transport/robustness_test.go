@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/datasource"
 	"repro/internal/extract"
+	"repro/internal/faultinject"
 	"repro/internal/instance"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -82,6 +84,30 @@ func TestClientRetriesDisabled(t *testing.T) {
 	}
 }
 
+// slowDBMiddleware builds a middleware over world whose database
+// sources answer d late — faultinject latency on each DSN, paid once per
+// query by the run's shared document layer.
+func slowDBMiddleware(t *testing.T, world *workload.World, d time.Duration) *core.Middleware {
+	t.Helper()
+	plan := faultinject.Plan{}
+	for _, def := range world.Definitions {
+		if def.Kind == datasource.KindDatabase {
+			plan[faultinject.Key(def)] = faultinject.Fault{AddLatency: d}
+		}
+	}
+	mw, err := core.New(core.Config{
+		Ontology: world.Ontology,
+		Backends: faultinject.New(1, plan).WrapBackends(extract.FromCatalog(world.Catalog)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := world.Apply(mw); err != nil {
+		t.Fatal(err)
+	}
+	return mw
+}
+
 // TestServerShedsAboveConcurrencyCap saturates a capped server with one
 // slow in-flight query and verifies the next request is shed with 503 +
 // Retry-After and counted under s2s_query_total{outcome="shed"}.
@@ -90,17 +116,9 @@ func TestServerShedsAboveConcurrencyCap(t *testing.T) {
 		DBSources: 1, XMLSources: 1, WebSources: 1, TextSources: 1,
 		RecordsPerSource: 10, Seed: 21,
 	})
-	// SimulatedLatency keeps the in-flight query slow enough to hold the
-	// single slot while the second request arrives.
-	mw, err := core.NewWithCatalog(world.Ontology, world.Catalog, extract.Options{
-		SimulatedLatency: 300 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := world.Apply(mw); err != nil {
-		t.Fatal(err)
-	}
+	// The slow database keeps the in-flight query holding the single
+	// slot while the second request arrives.
+	mw := slowDBMiddleware(t, world, 300*time.Millisecond)
 	srv := httptest.NewServer(NewServer(mw, WithMaxConcurrentQueries(1)))
 	defer srv.Close()
 
@@ -149,15 +167,7 @@ func TestShedRetryAfterJitterSpreadsRetries(t *testing.T) {
 	world := workload.MustGenerate(workload.Spec{
 		DBSources: 1, RecordsPerSource: 5, Seed: 22,
 	})
-	mw, err := core.NewWithCatalog(world.Ontology, world.Catalog, extract.Options{
-		SimulatedLatency: 500 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := world.Apply(mw); err != nil {
-		t.Fatal(err)
-	}
+	mw := slowDBMiddleware(t, world, 500*time.Millisecond)
 	ts := NewServer(mw, WithMaxConcurrentQueries(1))
 	// Deterministic jitter seam: the shed burst draws 0,1,2,0,1,2,...
 	var draws atomic.Int32

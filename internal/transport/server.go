@@ -215,9 +215,9 @@ func (s *Server) releaseQuerySlot() {
 // refused with 413 instead of being decoded into memory.
 const MaxRequestBody = 1 << 20
 
-// decodeBody decodes a POSTed JSON body of at most MaxRequestBody bytes
+// DecodeBody decodes a POSTed JSON body of at most MaxRequestBody bytes
 // into v. On failure it answers the 4xx itself and reports false.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody)).Decode(v)
 	if err == nil {
 		return true
@@ -252,7 +252,7 @@ func DecodeQueryRequest(w http.ResponseWriter, r *http.Request) (QueryRequest, i
 	var req QueryRequest
 	switch r.Method {
 	case http.MethodPost:
-		if !decodeBody(w, r, &req) {
+		if !DecodeBody(w, r, &req) {
 			return req, 0, false
 		}
 	case http.MethodGet:
@@ -416,7 +416,7 @@ func (s *Server) handleSources(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, out)
 	case http.MethodPost:
 		var ws WireSource
-		if !decodeBody(w, r, &ws) {
+		if !DecodeBody(w, r, &ws) {
 			return
 		}
 		def, err := ws.ToDefinition()
@@ -446,7 +446,7 @@ func (s *Server) handleMappings(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, out)
 	case http.MethodPost:
 		var wm WireMapping
-		if !decodeBody(w, r, &wm) {
+		if !DecodeBody(w, r, &wm) {
 			return
 		}
 		entry, err := wm.ToEntry()
@@ -475,7 +475,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SPARQLRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if strings.TrimSpace(req.SPARQL) == "" {
