@@ -29,6 +29,12 @@ func TestOWLGolden(t *testing.T) {
 	}
 	compareGolden(t, "paper_result.ttl", ttl)
 
+	nt, err := w.gen.SerializeString(res, FormatNTriples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, "paper_result.nt", nt)
+
 	txt, err := w.gen.SerializeString(res, FormatText)
 	if err != nil {
 		t.Fatal(err)

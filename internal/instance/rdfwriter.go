@@ -1,0 +1,517 @@
+package instance
+
+// rdfwriter.go writes a result as RDF — RDF/XML (the paper's OWL
+// output), Turtle and N-Triples — straight from its instances, without
+// building an rdf.Graph. The bytes are exactly those the graph writers
+// (owl.WriteRDFXML, rdf.WriteTurtle, rdf.WriteNTriples) produce for
+// ToGraph(res); TestRDFWritersMatchGraph and FuzzRDFWritersMatchGraph
+// pin that. The graph writers sort every triple by its N-Triples key and
+// drop duplicates; this writer gets the same document from three rules:
+//
+//   - Subjects are in order of their term key "<IRI>". Every subject IRI
+//     is the ontology base plus an instance ID, so that is ID order with
+//     a '>' after each ID: watch_100 < watch_10 < watch_1 < watch_2.
+//   - A subject's statements are in order of predicate key, then object
+//     key — a literal's closing quote and datatype included — compared
+//     segment by segment, without building the key.
+//   - Statements with equal keys are written once.
+//
+// Every predicate is resolved before the first byte is written, so an
+// unknown attribute or relation fails the answer with nothing written.
+
+import (
+	"bytes"
+	"cmp"
+	"encoding/xml"
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+	"unicode/utf8"
+
+	"repro/internal/ontology"
+	"repro/internal/owl"
+	"repro/internal/rdf"
+)
+
+// rdfFraming is one RDF syntax: how it writes a document, the comment
+// syntax of its error report, and whether every predicate needs a QName
+// (RDF/XML property elements do).
+type rdfFraming struct {
+	write    func(d *rdfDoc, w stringWriter) error
+	comments commentSyntax
+	qnames   bool
+}
+
+var rdfFramings = map[Format]rdfFraming{
+	FormatOWL:      {(*rdfDoc).writeRDFXML, xmlComments, true},
+	FormatTurtle:   {(*rdfDoc).writeTurtle, hashComments, false},
+	FormatNTriples: {(*rdfDoc).writeNTriples, hashComments, false},
+}
+
+// writeRDF writes res in one RDF syntax, followed by its error report.
+func (g *Generator) writeRDF(w stringWriter, res *Result, f rdfFraming) error {
+	d, err := g.newRDFDoc(res, f.qnames)
+	if err != nil {
+		return err
+	}
+	if err := f.write(d, w); err != nil {
+		return err
+	}
+	return writeErrorEpilog(w, res, f.comments)
+}
+
+// rdfTerm is an IRI in every form the writers need, built once per
+// answer.
+type rdfTerm struct {
+	key    string // "<iri>", the sort key
+	nt     string // N-Triples form, also Turtle's unabbreviated one
+	ttl    string // Turtle form: "a", a prefixed name, or the N-Triples form
+	quoted string // Go-quoted, as RDF/XML writes attribute values
+}
+
+// rdfPred is a predicate: its term, its RDF/XML element name, and the
+// datatype suffixes of its literal objects (empty for xsd:string).
+type rdfPred struct {
+	rdfTerm
+	qname              string
+	dtNT, dtTTL, dtXML string
+}
+
+type objKind uint8
+
+const (
+	objTerm     objKind = iota // a fixed IRI: a class or owl:NamedIndividual
+	objInstance                // an instance IRI, ns+id
+	objLiteral                 // a literal: lit, N-Triples-escaped as esc
+)
+
+// rdfStmt is one statement of the subject being written.
+type rdfStmt struct {
+	pred     *rdfPred
+	kind     objKind
+	term     *rdfTerm
+	ns, id   string
+	lit, esc string
+}
+
+// key returns the statement's key after the subject all statements
+// share — predicate key, a space, object key — as segments of it.
+func (s rdfStmt) key() [5]string {
+	switch s.kind {
+	case objTerm:
+		return [5]string{s.pred.key, " ", s.term.key}
+	case objInstance:
+		return [5]string{s.pred.key, " <", s.ns, s.id, ">"}
+	}
+	return [5]string{s.pred.key, ` "`, s.esc, `"`, s.pred.dtNT}
+}
+
+// cmpStmt orders statements as their triple keys sort.
+func cmpStmt(a, b rdfStmt) int {
+	ka, kb := a.key(), b.key()
+	if a.pred == b.pred {
+		return cmpSegs(ka[1:], kb[1:])
+	}
+	return cmpSegs(ka[:], kb[:])
+}
+
+// cmpSegs compares the concatenations of two segment lists.
+func cmpSegs(a, b []string) int {
+	var x, y string
+	for {
+		for x == "" && len(a) > 0 {
+			x, a = a[0], a[1:]
+		}
+		for y == "" && len(b) > 0 {
+			y, b = b[0], b[1:]
+		}
+		if x == "" || y == "" {
+			return cmp.Compare(len(x), len(y))
+		}
+		n := min(len(x), len(y))
+		if c := strings.Compare(x[:n], y[:n]); c != 0 {
+			return c
+		}
+		x, y = x[n:], y[n:]
+	}
+}
+
+// cmpTurtlePred orders Turtle predicate groups: "a" first, then by term.
+func cmpTurtlePred(a, b rdfStmt) int {
+	switch x, y := a.pred.ttl, b.pred.ttl; {
+	case x == y:
+		return 0
+	case x == "a":
+		return -1
+	case y == "a":
+		return 1
+	default:
+		return strings.Compare(x, y)
+	}
+}
+
+type relKey struct {
+	class *ontology.Class
+	name  string
+}
+
+// rdfDoc is one answer being written as RDF: its resolved predicate and
+// class tables, its subjects in document order, and the statements of
+// the subject being written.
+type rdfDoc struct {
+	ont      *ontology.Ontology
+	prefixes rdf.PrefixMap
+	labels   []string // prefix labels, sorted
+	qnames   bool
+
+	base      string
+	basePlain bool // Go quoting leaves base unchanged
+
+	typ, sourcedFrom *rdfPred // sourcedFrom is nil without provenance
+	named            *rdfTerm // owl:NamedIndividual
+	attrs            map[string]*rdfPred
+	rels             map[relKey]*rdfPred
+	classes          map[*ontology.Class]*rdfTerm
+
+	subjects []*Instance // sorted by subject key
+	pos      int         // next subject to write
+	stmts    []rdfStmt   // the current subject's statements, in key order
+}
+
+// newRDFDoc resolves every predicate and class of res, failing as
+// ToGraph does, and sorts the subjects.
+func (g *Generator) newRDFDoc(res *Result, qnames bool) (*rdfDoc, error) {
+	d := &rdfDoc{
+		ont:      g.ont,
+		prefixes: g.prefixes(),
+		qnames:   qnames,
+		base:     string(g.ont.Base),
+		attrs:    map[string]*rdfPred{},
+		rels:     map[relKey]*rdfPred{},
+		classes:  map[*ontology.Class]*rdfTerm{},
+		subjects: res.Instances(),
+	}
+	for l := range d.prefixes {
+		d.labels = append(d.labels, l)
+	}
+	slices.Sort(d.labels)
+	d.basePlain = plainIRI(d.base)
+	d.named = d.newTerm(owl.NamedIndividual)
+	var err error
+	if d.typ, err = d.newPred(rdf.RDFType, ""); err != nil {
+		return nil, err
+	}
+	if g.Provenance {
+		if d.sourcedFrom, err = d.newPred(SourcedFrom, ""); err != nil {
+			return nil, err
+		}
+	}
+	for _, in := range d.subjects {
+		if err := d.resolve(in); err != nil {
+			return nil, err
+		}
+	}
+	slices.SortFunc(d.subjects, func(a, b *Instance) int {
+		return cmpSegs([]string{a.ID, ">"}, []string{b.ID, ">"})
+	})
+	return d, nil
+}
+
+// resolve adds an instance's class, attributes and relations to the
+// tables. Like ToGraph it names the instance's smallest unknown
+// attribute ID, else its smallest unknown relation name.
+func (d *rdfDoc) resolve(in *Instance) error {
+	if _, ok := d.classes[in.Class]; !ok {
+		d.classes[in.Class] = d.newTerm(d.ont.ClassIRI(in.Class))
+	}
+	var unknown []string
+	for id := range in.Values {
+		if _, ok := d.attrs[id]; ok {
+			continue
+		}
+		attr, ok := d.ont.Attribute(id)
+		if !ok {
+			unknown = append(unknown, id)
+			continue
+		}
+		p, err := d.newPred(d.ont.AttributeIRI(attr), attr.Datatype)
+		if err != nil {
+			return err
+		}
+		d.attrs[id] = p
+	}
+	if len(unknown) > 0 {
+		return fmt.Errorf("instance: %s has value for unknown attribute %q", in.ID, slices.Min(unknown))
+	}
+	for name := range in.Links {
+		k := relKey{in.Class, name}
+		if _, ok := d.rels[k]; ok {
+			continue
+		}
+		rel := findRelation(in.Class, name)
+		if rel == nil {
+			unknown = append(unknown, name)
+			continue
+		}
+		p, err := d.newPred(d.ont.RelationIRI(rel), "")
+		if err != nil {
+			return err
+		}
+		d.rels[k] = p
+	}
+	if len(unknown) > 0 {
+		return fmt.Errorf("instance: %s links through unknown relation %q", in.ID, slices.Min(unknown))
+	}
+	return nil
+}
+
+func (d *rdfDoc) newTerm(iri rdf.IRI) *rdfTerm {
+	return &rdfTerm{
+		key:    "<" + string(iri) + ">",
+		nt:     iri.String(),
+		ttl:    d.turtleTerm(iri),
+		quoted: strconv.Quote(string(iri)),
+	}
+}
+
+func (d *rdfDoc) newPred(iri rdf.IRI, datatype rdf.IRI) (*rdfPred, error) {
+	p := &rdfPred{rdfTerm: *d.newTerm(iri)}
+	if prefix, local, ok := owl.QName(d.prefixes, iri); ok {
+		p.qname = prefix + ":" + local
+	} else if d.qnames {
+		return nil, fmt.Errorf("owl: predicate %s has no registered prefix; rdf/xml requires QName properties", iri)
+	}
+	if datatype != "" && datatype != rdf.XSDString {
+		p.dtNT = "^^" + datatype.String()
+		p.dtTTL = p.dtNT
+		if short, ok := d.prefixes.Shorten(datatype); ok {
+			p.dtTTL = "^^" + short
+		}
+		p.dtXML = " rdf:datatype=" + strconv.Quote(string(datatype))
+	}
+	return p, nil
+}
+
+// turtleTerm is rdf.WriteTurtle's form of an IRI.
+func (d *rdfDoc) turtleTerm(iri rdf.IRI) string {
+	if iri == rdf.RDFType {
+		return "a"
+	}
+	if short, ok := d.prefixes.Shorten(iri); ok {
+		return short
+	}
+	return iri.String()
+}
+
+// next fills d.stmts with the next subject's statements — sorted, without
+// duplicates — and returns its instance ID; ok is false after the last.
+// Instances sharing an ID are one subject, as they are in a graph.
+func (d *rdfDoc) next() (id string, ok bool) {
+	if d.pos == len(d.subjects) {
+		return "", false
+	}
+	id = d.subjects[d.pos].ID
+	st := d.stmts[:0]
+	for ; d.pos < len(d.subjects) && d.subjects[d.pos].ID == id; d.pos++ {
+		in := d.subjects[d.pos]
+		st = append(st,
+			rdfStmt{pred: d.typ, kind: objTerm, term: d.classes[in.Class]},
+			rdfStmt{pred: d.typ, kind: objTerm, term: d.named})
+		if d.sourcedFrom != nil {
+			for _, src := range in.Sources {
+				st = append(st, literal(d.sourcedFrom, src))
+			}
+		}
+		for attr, vs := range in.Values {
+			p := d.attrs[attr]
+			for _, v := range vs {
+				st = append(st, literal(p, strings.TrimSpace(v)))
+			}
+		}
+		for name, targets := range in.Links {
+			p := d.rels[relKey{in.Class, name}]
+			for _, t := range targets {
+				st = append(st, rdfStmt{pred: p, kind: objInstance, ns: d.base, id: t.ID})
+			}
+		}
+	}
+	slices.SortFunc(st, cmpStmt)
+	d.stmts = slices.CompactFunc(st, func(a, b rdfStmt) bool { return cmpStmt(a, b) == 0 })
+	return id, true
+}
+
+func literal(p *rdfPred, v string) rdfStmt {
+	return rdfStmt{pred: p, kind: objLiteral, lit: v, esc: ntEscape(v)}
+}
+
+// writeRDFXML writes the owl.WriteRDFXML document. Every subject is an
+// rdf:Description: it always has two types, its class and
+// owl:NamedIndividual, so none is abbreviated to a typed node.
+func (d *rdfDoc) writeRDFXML(w stringWriter) error {
+	b := []byte(xml.Header + "<rdf:RDF")
+	for _, l := range d.labels {
+		b = appendAll(b, "\n    xmlns:", l, "=")
+		b = strconv.AppendQuote(b, d.prefixes[l])
+	}
+	b = append(b, ">\n"...)
+	if _, err := w.Write(b); err != nil {
+		return err
+	}
+	for id, ok := d.next(); ok; id, ok = d.next() {
+		b = append(b[:0], "  <rdf:Description rdf:about="...)
+		b = d.appendQuoted(b, id)
+		b = append(b, ">\n"...)
+		for _, s := range d.stmts {
+			b = appendAll(b, "    <", s.pred.qname)
+			switch s.kind {
+			case objTerm:
+				b = appendAll(b, " rdf:resource=", s.term.quoted, "/>\n")
+			case objInstance:
+				b = d.appendQuoted(append(b, " rdf:resource="...), s.id)
+				b = append(b, "/>\n"...)
+			default:
+				b = appendAll(b, s.pred.dtXML, ">")
+				b = appendXMLText(b, s.lit)
+				b = appendAll(b, "</", s.pred.qname, ">\n")
+			}
+		}
+		b = append(b, "  </rdf:Description>\n"...)
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+	}
+	_, err := w.WriteString("</rdf:RDF>\n")
+	return err
+}
+
+// writeTurtle writes the rdf.WriteTurtle document: a subject's
+// predicates grouped by Turtle term, "a" first, then in term order —
+// with provenance on, ont:… precedes s2s:sourcedFrom though its key
+// sorts after — and each group's objects in key order.
+func (d *rdfDoc) writeTurtle(w stringWriter) error {
+	var b []byte
+	for _, l := range d.labels {
+		b = appendAll(b, "@prefix ", l, ": <", d.prefixes[l], "> .\n")
+	}
+	if len(d.labels) > 0 {
+		b = append(b, '\n')
+	}
+	if _, err := w.Write(b); err != nil {
+		return err
+	}
+	for id, ok := d.next(); ok; id, ok = d.next() {
+		b = d.appendTurtleIRI(b[:0], id)
+		slices.SortStableFunc(d.stmts, cmpTurtlePred)
+		for i, s := range d.stmts {
+			switch {
+			case i == 0:
+				b = appendAll(b, " ", s.pred.ttl, " ")
+			case s.pred.ttl != d.stmts[i-1].pred.ttl:
+				b = appendAll(b, " ;\n    ", s.pred.ttl, " ")
+			default:
+				b = append(b, ", "...)
+			}
+			switch s.kind {
+			case objTerm:
+				b = append(b, s.term.ttl...)
+			case objInstance:
+				b = d.appendTurtleIRI(b, s.id)
+			default:
+				b = appendAll(b, `"`, s.esc, `"`, s.pred.dtTTL)
+			}
+		}
+		b = append(b, " .\n"...)
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeNTriples writes the rdf.WriteNTriples document: one line per
+// statement, in key order.
+func (d *rdfDoc) writeNTriples(w stringWriter) error {
+	var b, subj []byte
+	for id, ok := d.next(); ok; id, ok = d.next() {
+		subj = d.appendNTIRI(subj[:0], id)
+		b = b[:0]
+		for _, s := range d.stmts {
+			b = append(b, subj...)
+			b = appendAll(b, " ", s.pred.nt, " ")
+			switch s.kind {
+			case objTerm:
+				b = append(b, s.term.nt...)
+			case objInstance:
+				b = d.appendNTIRI(b, s.id)
+			default:
+				b = appendAll(b, `"`, s.esc, `"`, s.pred.dtNT)
+			}
+			b = append(b, " .\n"...)
+		}
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (d *rdfDoc) appendNTIRI(b []byte, id string) []byte {
+	return append(b, rdf.IRI(d.base+id).String()...)
+}
+
+func (d *rdfDoc) appendTurtleIRI(b []byte, id string) []byte {
+	return append(b, d.turtleTerm(rdf.IRI(d.base+id))...)
+}
+
+// appendQuoted appends base+id Go-quoted, copying it as is when quoting
+// would leave it unchanged.
+func (d *rdfDoc) appendQuoted(b []byte, id string) []byte {
+	if d.basePlain && plainIRI(id) {
+		return appendAll(b, `"`, d.base, id, `"`)
+	}
+	return strconv.AppendQuote(b, d.base+id)
+}
+
+// plainIRI reports whether s is printable ASCII that Go quoting leaves
+// unchanged.
+func plainIRI(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= 0x7f || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
+// ntEscape returns a literal value as N-Triples escapes it (rdf.Literal's
+// String without the quotes), and the value itself when nothing needs
+// escaping.
+func ntEscape(v string) string {
+	if !strings.ContainsAny(v, "\\\"\n\r\t") && utf8.ValidString(v) {
+		return v
+	}
+	s := rdf.Literal{Value: v}.String()
+	return s[1 : len(s)-1]
+}
+
+// appendXMLText appends v escaped as xml.EscapeText escapes it.
+// Printable ASCII without markup characters is copied as is.
+func appendXMLText(b []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; c < ' ' || c >= utf8.RuneSelf || strings.IndexByte(`"'&<>`, c) >= 0 {
+			buf := bytes.NewBuffer(b)
+			//lint:ignore errcheck bytes.Buffer never fails, so EscapeText cannot either
+			_ = xml.EscapeText(buf, []byte(v))
+			return buf.Bytes()
+		}
+	}
+	return append(b, v...)
+}
+
+func appendAll(b []byte, parts ...string) []byte {
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return b
+}

@@ -209,37 +209,24 @@ func (g *Generator) serializeTo(w stringWriter, res *Result, format Format) erro
 		}
 		return dw.tail(g, w, res)
 	}
-	switch format {
-	case FormatText:
-		return g.writeText(w, res)
-	case FormatOWL, FormatTurtle, FormatNTriples:
-		graph, err := g.ToGraph(res)
-		if err != nil {
-			return err
-		}
-		if format == FormatTurtle {
-			return rdf.WriteTurtle(w, graph, g.prefixes())
-		}
-		if format == FormatNTriples {
-			return rdf.WriteNTriples(w, graph)
-		}
-		if err := owl.WriteRDFXML(w, graph, g.prefixes()); err != nil {
-			return err
-		}
-		return writeErrorEpilog(w, res)
-	default:
-		return fmt.Errorf("instance: unknown format %d", int(format))
+	if f, ok := rdfFramings[format]; ok {
+		return g.writeRDF(w, res, f)
 	}
+	if format == FormatText {
+		return g.writeText(w, res)
+	}
+	return fmt.Errorf("instance: unknown format %d", int(format))
 }
 
 // docWriter writes one format's document piece by piece: a head that
 // needs only the plan, the matched instances one call each, and a tail
 // that needs the complete result. JSON (instances precede every tail
 // field of the envelope) and XML (no tail fields at all) have one; text
-// leads with result counts and the RDF formats serialize a whole graph,
-// so they do not. serializeTo drives the pieces in one pass; the eager
-// path (GenerateEager) interleaves them with extraction — same pieces,
-// same bytes.
+// leads with result counts, and the RDF formats (rdfwriter.go) sort
+// matched and related instances together by subject IRI, so they do
+// not. serializeTo drives the pieces in one pass; the eager path
+// (GenerateEager) interleaves them with extraction — same pieces, same
+// bytes.
 type docWriter struct {
 	head     func(g *Generator, w stringWriter, plan *s2sql.Plan) error
 	instance func(g *Generator, w stringWriter, in *Instance, first bool) error
@@ -251,39 +238,52 @@ var docWriters = map[Format]docWriter{
 	FormatXML:  {(*Generator).writeXMLHead, (*Generator).writeXMLInstance, (*Generator).writeXMLTail},
 }
 
-// writeErrorEpilog appends the OWL output's error report: an XML comment
-// block after the RDF/XML document naming every source error and stale
-// degradation. Comments after the document element are valid XML, so the
-// output still parses, but a B2B consumer (or an operator reading the
-// file) sees exactly which parts of the answer are missing or stale —
-// the paper's §2.6 requirement that the generator "handles the errors
-// ... from the extraction phases" surfaced in the primary format. It is
-// omitted entirely for clean results.
-func writeErrorEpilog(w io.Writer, res *Result) error {
+// commentSyntax is how an RDF syntax comments out the error report: an
+// opening line, a prefix per report line, a closing line, and what makes
+// a report line legal inside the comment.
+type commentSyntax struct {
+	open, line, close string
+	safe              func(string) string
+}
+
+var (
+	// xmlComments is one XML comment after the document element; "--"
+	// is forbidden inside it.
+	xmlComments = commentSyntax{"<!-- s2s:error-report\n", "  ", "-->\n",
+		func(s string) string { return strings.ReplaceAll(s, "--", "- -") }}
+	// hashComments is a run of '#' line comments, as Turtle and
+	// N-Triples write them; a line break would end the comment.
+	hashComments = commentSyntax{"# s2s:error-report\n", "#   ", "",
+		strings.NewReplacer("\n", " ", "\r", " ").Replace}
+)
+
+// writeErrorEpilog appends an RDF answer's error report: comments after
+// the document naming every source error, stale degradation and
+// unmapped attribute. Comments keep the output parseable, but a B2B
+// consumer (or an operator reading the file) sees exactly which parts of
+// the answer are missing or stale — the paper's §2.6 requirement that
+// the generator "handles the errors ... from the extraction phases"
+// surfaced in every RDF syntax. It is omitted entirely for clean
+// results.
+func writeErrorEpilog(w io.Writer, res *Result, c commentSyntax) error {
 	if len(res.Errors) == 0 && len(res.Degraded) == 0 && len(res.Missing) == 0 {
 		return nil
 	}
 	b := getBuf()
 	defer putBuf(b)
-	b.WriteString("<!-- s2s:error-report\n")
+	b.WriteString(c.open)
 	for _, e := range res.Errors {
-		fmt.Fprintf(b, "  error: %s\n", commentSafe(e.Error()))
+		fmt.Fprintf(b, "%serror: %s\n", c.line, c.safe(e.Error()))
 	}
 	for _, d := range res.Degraded {
-		fmt.Fprintf(b, "  degraded: %s\n", commentSafe(d.String()))
+		fmt.Fprintf(b, "%sdegraded: %s\n", c.line, c.safe(d.String()))
 	}
 	for _, m := range res.Missing {
-		fmt.Fprintf(b, "  unmapped: %s\n", commentSafe(m))
+		fmt.Fprintf(b, "%sunmapped: %s\n", c.line, c.safe(m))
 	}
-	b.WriteString("-->\n")
+	b.WriteString(c.close)
 	_, err := w.Write(b.Bytes())
 	return err
-}
-
-// commentSafe makes a string legal inside an XML comment ("--" is
-// forbidden there).
-func commentSafe(s string) string {
-	return strings.ReplaceAll(s, "--", "- -")
 }
 
 // SerializeString is Serialize into a string.

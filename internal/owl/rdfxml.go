@@ -97,9 +97,9 @@ func RDFXMLString(g *rdf.Graph, prefixes rdf.PrefixMap) string {
 	return b.String()
 }
 
-// qname splits an IRI into a registered namespace prefix and local name.
+// QName splits an IRI into a registered namespace prefix and local name.
 // RDF/XML requires every property element to be a QName.
-func qname(prefixes rdf.PrefixMap, iri rdf.IRI) (prefix, local string, ok bool) {
+func QName(prefixes rdf.PrefixMap, iri rdf.IRI) (prefix, local string, ok bool) {
 	s := string(iri)
 	for label, ns := range prefixes {
 		if strings.HasPrefix(s, ns) && len(s) > len(ns) {
@@ -136,7 +136,7 @@ func writeSubject(b *errWriter, ts []rdf.Triple, prefixes rdf.PrefixMap) error {
 		if t.Predicate.Key() == rdf.RDFType.Key() {
 			typeCount++
 			if iri, ok := t.Object.(rdf.IRI); ok && typeUsed == nil {
-				if p, l, ok := qname(prefixes, iri); ok {
+				if p, l, ok := QName(prefixes, iri); ok {
 					elem = p + ":" + l
 					typeUsed = &ts[i]
 				}
@@ -168,7 +168,7 @@ func writeSubject(b *errWriter, ts []rdf.Triple, prefixes rdf.PrefixMap) error {
 		if !isIRI {
 			return fmt.Errorf("owl: predicate %s is not an IRI", t.Predicate)
 		}
-		p, l, ok := qname(prefixes, predIRI)
+		p, l, ok := QName(prefixes, predIRI)
 		if !ok {
 			return fmt.Errorf("owl: predicate %s has no registered prefix; rdf/xml requires QName properties", t.Predicate)
 		}

@@ -228,17 +228,17 @@ func TestTurtleRoundTripProperty(t *testing.T) {
 
 func TestPrefixMapShorten(t *testing.T) {
 	pm := PrefixMap{"ex": "http://example.org/"}
-	if got, ok := pm.shorten(IRI("http://example.org/Brand")); !ok || got != "ex:Brand" {
-		t.Errorf("shorten = %q, %v", got, ok)
+	if got, ok := pm.Shorten(IRI("http://example.org/Brand")); !ok || got != "ex:Brand" {
+		t.Errorf("Shorten = %q, %v", got, ok)
 	}
-	if _, ok := pm.shorten(IRI("http://other.org/Brand")); ok {
+	if _, ok := pm.Shorten(IRI("http://other.org/Brand")); ok {
 		t.Error("shortened IRI outside namespace")
 	}
 	// Local names with characters Turtle cannot express stay full.
-	if _, ok := pm.shorten(IRI("http://example.org/a b")); ok {
+	if _, ok := pm.Shorten(IRI("http://example.org/a b")); ok {
 		t.Error("shortened local name with space")
 	}
-	if _, ok := pm.shorten(IRI("http://example.org/name.")); ok {
+	if _, ok := pm.Shorten(IRI("http://example.org/name.")); ok {
 		t.Error("shortened local name with trailing dot")
 	}
 }

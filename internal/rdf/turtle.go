@@ -20,9 +20,9 @@ func DefaultPrefixes() PrefixMap {
 	}
 }
 
-// shorten returns the prefixed form of an IRI if a registered namespace is a
+// Shorten returns the prefixed form of an IRI if a registered namespace is a
 // prefix of it and the remainder is a simple local name.
-func (pm PrefixMap) shorten(i IRI) (string, bool) {
+func (pm PrefixMap) Shorten(i IRI) (string, bool) {
 	s := string(i)
 	for label, ns := range pm {
 		if strings.HasPrefix(s, ns) {
@@ -87,12 +87,12 @@ func WriteTurtle(w io.Writer, g *Graph, prefixes PrefixMap) error {
 			if iri == RDFType {
 				return "a"
 			}
-			if short, ok := prefixes.shorten(iri); ok {
+			if short, ok := prefixes.Shorten(iri); ok {
 				return short
 			}
 		}
 		if lit, ok := t.(Literal); ok && lit.Lang == "" && lit.Datatype != "" && lit.Datatype != XSDString {
-			if short, ok := prefixes.shorten(lit.Datatype); ok {
+			if short, ok := prefixes.Shorten(lit.Datatype); ok {
 				return `"` + escapeLiteral(lit.Value) + `"^^` + short
 			}
 		}

@@ -113,34 +113,59 @@ func TestQueryStreamRelationQueryStaysBarrier(t *testing.T) {
 	}
 }
 
-// TestQueryStreamEmptyBodyTrailers is the zero-instance regression: an
-// NTriples result with no instances serializes to zero body bytes, and
-// an uncommitted zero-byte response would be sent with Content-Length: 0
-// — net/http then drops the announced trailers and the client misreads
-// a complete stream as truncated. The server commits the chunked
-// framing before serializing, so the completion and error-count
-// trailers survive an empty body.
+// TestQueryStreamEmptyBodyTrailers is the zero-instance regression: a
+// clean NTriples result with no instances serializes to zero body bytes,
+// and an uncommitted zero-byte response would be sent with
+// Content-Length: 0 — net/http then drops the announced trailers and the
+// client misreads a complete stream as truncated. The server commits the
+// chunked framing before serializing, so the completion trailer survives
+// an empty body. With a source killed, the same answer's body is its
+// error report alone ('#' comments), and the trailer counts the errors.
 func TestQueryStreamEmptyBodyTrailers(t *testing.T) {
 	spec := workload.Spec{XMLSources: 1, WebSources: 1, RecordsPerSource: 8, Seed: 71}
 	target := chaosTarget(t, spec, "web_000")
-	srv := streamChaosServer(t, spec,
-		faultinject.Plan{target: {Permanent: true}},
-		extract.Options{Retries: 2, RetryBackoff: -1})
-
-	client := NewClient(srv.URL, nil)
-	var got bytes.Buffer
-	res, err := client.QueryStream(context.Background(), "SELECT product WHERE brand = 'NoSuchBrand'", "ntriples", &got)
-	if err != nil {
-		t.Fatalf("zero-instance stream must still complete: %v", err)
-	}
-	if got.Len() != 0 {
-		t.Errorf("body = %d bytes, want 0 (no instances, no NTriples envelope)", got.Len())
-	}
-	if res.Matched != 0 {
-		t.Errorf("matched = %d, want 0", res.Matched)
-	}
-	if res.SourceErrors == 0 {
-		t.Error("killed source's errors missing from the trailer count despite the empty body")
+	for _, c := range []struct {
+		name   string
+		faults faultinject.Plan
+	}{
+		{"clean", faultinject.Plan{}},
+		{"killed source", faultinject.Plan{target: {Permanent: true}}},
+	} {
+		srv := streamChaosServer(t, spec, c.faults, extract.Options{Retries: 2, RetryBackoff: -1})
+		client := NewClient(srv.URL, nil)
+		// Map the attributes the generated world leaves unmapped (to an
+		// empty XPath), so the clean answer has nothing to report.
+		for _, attr := range []string{"thing.product.watch.movement", "thing.provider.country", "thing.provider.rating"} {
+			if err := client.RegisterMapping(context.Background(), WireMapping{Attribute: attr, Source: "xml_000", Language: "xpath", Code: "/catalog/none"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got bytes.Buffer
+		res, err := client.QueryStream(context.Background(), "SELECT product WHERE brand = 'NoSuchBrand'", "ntriples", &got)
+		if err != nil {
+			t.Fatalf("%s: zero-instance stream must still complete: %v", c.name, err)
+		}
+		if res.Matched != 0 {
+			t.Errorf("%s: matched = %d, want 0", c.name, res.Matched)
+		}
+		if len(c.faults) == 0 {
+			if got.Len() != 0 || res.SourceErrors != 0 {
+				t.Errorf("%s: body = %d bytes, %d source errors; want an empty body (no instances, no NTriples envelope)", c.name, got.Len(), res.SourceErrors)
+			}
+			continue
+		}
+		if res.SourceErrors == 0 {
+			t.Errorf("%s: killed source's errors missing from the trailer count", c.name)
+		}
+		body := strings.TrimSuffix(got.String(), "\n")
+		if !strings.HasPrefix(body, "# s2s:error-report\n") {
+			t.Errorf("%s: body is not the error report:\n%s", c.name, body)
+		}
+		for _, line := range strings.Split(body, "\n") {
+			if !strings.HasPrefix(line, "#") {
+				t.Errorf("%s: body line %q is not a comment", c.name, line)
+			}
+		}
 	}
 }
 
