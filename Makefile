@@ -46,9 +46,11 @@ lint:
 	$(GO) run ./cmd/s2s-lint
 
 # chaos runs the seeded fault-injection scenarios (deterministic; see
-# docs/ROBUSTNESS.md) on their own, for quick iteration on recovery code.
-# The name matches the 3-node cluster suite too (TestChaosCluster*).
+# docs/ROBUSTNESS.md) and the injector's own unit tests on their own, for
+# quick iteration on recovery code. The name matches the 3-node cluster
+# suite too (TestChaosCluster*).
 chaos:
+	$(GO) test -race ./internal/faultinject
 	$(GO) test -race -run Chaos ./internal/integration
 
 # chaos-cluster runs only the 3-node cluster fault suite (slow node,

@@ -212,9 +212,9 @@ func BenchmarkE3Registration(b *testing.B) {
 // BenchmarkE4ExtractionSteps — Figure 5: step 4 under sequential and
 // concurrent delegation. In-process sources answer in microseconds, so
 // the rtt=2ms arms model the paper's remote autonomous sources: every
-// backend operation (page fetch, database open, XML/text extraction)
-// pays 2ms, injected by faultinject exactly as the repo benchmark's
-// slow_partners workload does.
+// backend read (page fetch, database open, XML/text document read —
+// once per document per run) pays 2ms, injected by faultinject exactly
+// as the repo benchmark's slow_partners workload does.
 func BenchmarkE4ExtractionSteps(b *testing.B) {
 	for _, sources := range []int{4, 16} {
 		per := sources / 4

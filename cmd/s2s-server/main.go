@@ -29,10 +29,10 @@
 // joins the coordinator at the given base URL, replicates its catalog,
 // and serves restricted extraction sub-requests.
 //
-// The server exposes /query, /query/stream, /ontology, /sources,
-// /mappings, /stats, /metrics, /trace/last, /health/sources, and
-// /healthz (see internal/transport; docs/OBSERVABILITY.md documents
-// the ops surface).
+// The server exposes /query, /query/stream, /query/batch, /sparql,
+// /ontology, /sources, /mappings, /stats, /metrics, /trace/last,
+// /health/sources, and /healthz (see internal/transport;
+// docs/OBSERVABILITY.md documents the ops surface).
 // With -pprof, the Go runtime profiles are additionally served under
 // /debug/pprof/.
 package main

@@ -233,7 +233,7 @@ func TestWireRoundTrip(t *testing.T) {
 	rs := &extract.ResultSet{
 		Fragments: []extract.Fragment{{
 			AttributeID: "product", SourceID: "db-0",
-			Values: []string{"Seiko Dive 200"}, Degraded: true, Stale: 3 * time.Second,
+			Values: []string{"Seiko Dive 200"},
 		}},
 		Errors: []extract.SourceError{{
 			SourceID: "web-0", AttributeID: "price",
@@ -248,8 +248,7 @@ func TestWireRoundTrip(t *testing.T) {
 	rs.Stats.ValuesExtracted = 1
 
 	got := fromWire(toWire(rs))
-	if len(got.Fragments) != 1 || got.Fragments[0].Values[0] != "Seiko Dive 200" ||
-		!got.Fragments[0].Degraded || got.Fragments[0].Stale != 3*time.Second {
+	if len(got.Fragments) != 1 || got.Fragments[0].Values[0] != "Seiko Dive 200" {
 		t.Fatalf("fragment did not survive the wire: %+v", got.Fragments)
 	}
 	if got.Errors[0].Error() != rs.Errors[0].Error() {
@@ -258,7 +257,8 @@ func TestWireRoundTrip(t *testing.T) {
 	if !extract.IsPermanent(got.Errors[0].Err) {
 		t.Error("permanent marker lost across the wire")
 	}
-	if got.Degraded[0].Err.Error() != "partner offline" || got.Degraded[0].Stale != time.Minute {
+	if len(got.Degraded) != 1 || got.Degraded[0].SourceID != "web-0" || got.Degraded[0].AttributeID != "price" ||
+		got.Degraded[0].Err.Error() != "partner offline" || got.Degraded[0].Stale != time.Minute {
 		t.Fatalf("degradation did not survive the wire: %+v", got.Degraded[0])
 	}
 	if got.Stats.SourcesContacted != 2 || got.Stats.ValuesExtracted != 1 {

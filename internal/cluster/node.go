@@ -494,7 +494,7 @@ func (n *Node) handleClusterExtract(w http.ResponseWriter, r *http.Request) {
 		clusterError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	plan, err := n.mw.Plan(ctx, req.Query)
+	plan, _, err := n.mw.PlanMergeFree(ctx, req.Query)
 	if err != nil {
 		transport.EndRequest(root, err)
 		clusterError(w, http.StatusBadRequest, err)

@@ -304,7 +304,7 @@ func (n *Node) extractOn(ctx context.Context, node, addr, query string, version 
 	var err error
 	if node == n.opts.ID {
 		var plan *s2sql.Plan
-		plan, err = n.mw.Plan(ctx, query)
+		plan, _, err = n.mw.PlanMergeFree(ctx, query)
 		if err == nil {
 			rs, err = n.mw.ExtractPlanSources(ctx, plan, sources)
 		}

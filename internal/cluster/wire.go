@@ -66,8 +66,6 @@ type wireFragment struct {
 	Source    string   `json:"source"`
 	Scenario  int      `json:"scenario"`
 	Values    []string `json:"values"`
-	Degraded  bool     `json:"degraded,omitempty"`
-	StaleNS   int64    `json:"staleNs,omitempty"`
 }
 
 // wireSourceError is extract.SourceError in wire form; the message
@@ -154,8 +152,6 @@ func toWire(rs *extract.ResultSet) extractResponse {
 			Source:    f.SourceID,
 			Scenario:  int(f.Scenario),
 			Values:    f.Values,
-			Degraded:  f.Degraded,
-			StaleNS:   int64(f.Stale),
 		})
 	}
 	for _, e := range rs.Errors {
@@ -200,8 +196,6 @@ func fromWire(resp extractResponse) *extract.ResultSet {
 			SourceID:    f.Source,
 			Scenario:    mapping.Scenario(f.Scenario),
 			Values:      f.Values,
-			Degraded:    f.Degraded,
-			Stale:       time.Duration(f.StaleNS),
 		})
 	}
 	for _, e := range resp.Errors {

@@ -275,20 +275,14 @@ func (m *Middleware) materialize(ctx context.Context, plan *s2sql.Plan, mergeFre
 	return res, err
 }
 
-// Plan parses and plans a query through the plan cache without running
-// it. The cluster coordinator uses it to learn the query's attribute
-// set — and from it the owning nodes — before any extraction happens;
-// the later QueryWithExtractor call replans through the same cache, so
-// the work is paid once.
-func (m *Middleware) Plan(ctx context.Context, query string) (*s2sql.Plan, error) {
-	plan, _, err := m.PlanMergeFree(ctx, query)
-	return plan, err
-}
-
-// PlanMergeFree is Plan exposing the planner's merge-free verdict for
-// the query (cached with the plan). The transport's stream endpoint
-// uses it to decide, before the response headers go out, whether the
-// body will be emitted barrier-free.
+// PlanMergeFree parses and plans a query through the plan cache without
+// running it, and reports the planner's merge-free verdict for the query
+// (cached with the plan). The cluster coordinator uses it to learn the
+// query's attribute set — and from it the owning nodes — before any
+// extraction happens; the later QueryWithExtractor call replans through
+// the same cache, so the work is paid once. The transport's stream
+// endpoint uses the verdict to decide, before the response headers go
+// out, whether the body will be emitted barrier-free.
 func (m *Middleware) PlanMergeFree(ctx context.Context, query string) (*s2sql.Plan, bool, error) {
 	ctx = obs.ContextWithMetrics(ctx, m.metrics)
 	return m.planQuery(ctx, query)

@@ -97,11 +97,11 @@ func TestCatalogPagesAndDBs(t *testing.T) {
 
 	// XML and text stores are wired in.
 	c.XML.MustAdd("cat.xml", "<a><b>1</b></a>")
-	if vals, err := c.XML.Extract("cat.xml", "/a/b"); err != nil || len(vals) != 1 {
-		t.Errorf("XML extract = %v, %v", vals, err)
+	if root, err := c.XML.Get("cat.xml"); err != nil || root == nil {
+		t.Errorf("XML get = %v, %v", root, err)
 	}
 	c.Text.MustAdd("p.txt", "price=5")
-	if vals, err := c.Text.Extract("p.txt", `price=([0-9]+)`); err != nil || vals[0] != "5" {
-		t.Errorf("Text extract = %v, %v", vals, err)
+	if content, err := c.Text.Get("p.txt"); err != nil || content != "price=5" {
+		t.Errorf("Text get = %q, %v", content, err)
 	}
 }

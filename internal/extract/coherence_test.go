@@ -10,25 +10,25 @@ import (
 	"repro/internal/datasource"
 	"repro/internal/mapping"
 	"repro/internal/ontology"
+	"repro/internal/xmlpath"
 	"repro/internal/xmlstore"
 )
 
-// countingXML is a DocExtractor that counts backend round trips and can
-// delay each one, so concurrent extractions have time to pile up on the
-// singleflight leader. It deliberately does not implement the xmlGetter
-// fast path: every logical extraction must reach Extract.
+// countingXML is an XML document getter that counts backend reads and
+// can delay each one, so concurrent extractions have time to pile up on
+// the singleflight leader.
 type countingXML struct {
 	calls atomic.Int64
 	delay time.Duration
 	docs  *xmlstore.Store
 }
 
-func (c *countingXML) Extract(path, expr string) ([]string, error) {
+func (c *countingXML) Get(path string) (*xmlpath.Node, error) {
 	c.calls.Add(1)
 	if c.delay > 0 {
 		time.Sleep(c.delay)
 	}
-	return c.docs.Extract(path, expr)
+	return c.docs.Get(path)
 }
 
 func countingWorld(t *testing.T, delay time.Duration) (*Manager, *countingXML) {

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"context"
 	"regexp"
 	"sync"
 
@@ -16,17 +17,20 @@ import (
 // compiledRule holds a rule's pre-compiled artifacts so the hot path
 // never re-parses rule text. Exactly one language slot is populated.
 //
-// Error semantics preserve the uncompiled path byte for byte: WebL,
-// selector, and transform compilation always happened in the manager
-// (errors are Permanent), so their failures are recorded here and
-// surfaced the same way; SQL, XPath, and regex compilation happened
-// inside the backend, so a failed compile leaves the slot nil and the
-// extractor falls back to the backend's own Extract call, reproducing
-// the backend's error text and retry classification.
+// A failed compile is recorded once and surfaced as a Permanent error by
+// the extractor (mapping.Register already rejects such rules, so this
+// only guards rules that reach the manager some other way). SQL is the
+// exception: a statement that does not pre-parse to a SELECT leaves the
+// slot nil and runs through the database's own Query, which reports the
+// database's error text.
 type compiledRule struct {
-	sql   *sqllang.Select
-	xpath *xmlpath.Path
-	regex *regexp.Regexp
+	sql *sqllang.Select
+
+	xpath    *xmlpath.Path
+	xpathErr error
+
+	regex    *regexp.Regexp
+	regexErr error
 
 	webl    *webl.Program
 	weblErr error
@@ -57,13 +61,9 @@ func compileArtifacts(rule mapping.Rule) *compiledRule {
 			}
 		}
 	case mapping.LangXPath:
-		if p, err := xmlpath.Compile(rule.Code); err == nil {
-			cr.xpath = p
-		}
+		cr.xpath, cr.xpathErr = xmlpath.Compile(rule.Code)
 	case mapping.LangRegex:
-		if re, err := regexp.Compile(rule.Code); err == nil {
-			cr.regex = re
-		}
+		cr.regex, cr.regexErr = regexp.Compile(rule.Code)
 	case mapping.LangWebL:
 		cr.webl, cr.weblErr = webl.Compile(rule.Code)
 	case mapping.LangSelector:
@@ -117,39 +117,23 @@ func (c *compiledCache) len() int {
 	return len(c.m)
 }
 
-// xmlGetter is the optional backend upgrade the shared-document fast
-// path needs for XML sources: access to the parsed document itself
-// (*xmlstore.Store implements it). Wrappers that only implement
-// DocExtractor (fault injection, remote proxies) keep the legacy
-// per-rule Extract path.
-type xmlGetter interface {
-	Get(id string) (*xmlpath.Node, error)
-}
-
-// textGetter is the optional backend upgrade for text sources: raw
-// document content (*textsrc.Store implements it).
-type textGetter interface {
-	Get(id string) (string, error)
-}
-
 // runDocs is the per-Extract-run shared document layer: each source
 // document is fetched/parsed/resolved at most once per run and shared
 // across that run's rules, no matter how many rules read it or how many
 // retries they make. Only successes are memoized — failures pass
-// through so retry behavior and fault-injection call counts are exactly
-// those of the unshared path. Cross-run, concurrent fetches of the same
-// page deduplicate through the manager's docFlight singleflight group;
-// completed fetches leave no residue there, so document freshness stays
-// per run.
+// through, so every retry is a fresh read. Cross-run, concurrent fetches
+// of the same page deduplicate through the manager's docFlight
+// singleflight group; completed fetches leave no residue there, so
+// document freshness stays per run.
 type runDocs struct {
 	m *Manager
 
 	mu    sync.Mutex
-	pages map[string]string        // URL → page content
-	html  map[string]*htmldoc.Node // URL → parsed DOM
-	xml   map[string]*xmlpath.Node // path → parsed document root
-	text  map[string]string        // path → document content
-	dbs   map[string]*reldb.DB     // DSN → resolved handle
+	pages map[string]string                  // URL → page content
+	html  map[string]*htmldoc.Node           // URL → parsed DOM
+	xml   map[string]*docSlot[*xmlpath.Node] // path → parsed document root
+	text  map[string]*docSlot[string]        // path → document content
+	dbs   map[string]*reldb.DB               // DSN → resolved handle
 }
 
 func (m *Manager) newRunDocs() *runDocs {
@@ -157,8 +141,8 @@ func (m *Manager) newRunDocs() *runDocs {
 		m:     m,
 		pages: make(map[string]string),
 		html:  make(map[string]*htmldoc.Node),
-		xml:   make(map[string]*xmlpath.Node),
-		text:  make(map[string]string),
+		xml:   make(map[string]*docSlot[*xmlpath.Node]),
+		text:  make(map[string]*docSlot[string]),
 		dbs:   make(map[string]*reldb.DB),
 	}
 }
@@ -209,40 +193,42 @@ func (d *runDocs) htmlRoot(f webl.Fetcher, url string) (*htmldoc.Node, error) {
 	return n, nil
 }
 
-// xmlRoot resolves a parsed XML document once per run.
-func (d *runDocs) xmlRoot(g xmlGetter, path string) (*xmlpath.Node, error) {
-	d.mu.Lock()
-	if n, ok := d.xml[path]; ok {
-		d.mu.Unlock()
-		return n, nil
-	}
-	d.mu.Unlock()
-	n, err := g.Get(path)
-	if err != nil {
-		return nil, err
-	}
-	d.mu.Lock()
-	d.xml[path] = n
-	d.mu.Unlock()
-	return n, nil
+// docSlot is one XML or text document of a run. Its lock serializes the
+// reads of that document: concurrent rules wait for the first read
+// instead of racing reads of their own, so a wrapped backend sees one
+// read per document per run and a fault plan's call counts do not depend
+// on scheduling. A failed read is not shared — the next rule (or retry)
+// to ask reads again, exactly as it would alone.
+type docSlot[T any] struct {
+	mu  sync.Mutex
+	ok  bool
+	doc T
 }
 
-// textContent resolves a text document once per run.
-func (d *runDocs) textContent(g textGetter, path string) (string, error) {
+// readDoc returns the run's copy of the document at path, reading it
+// through g if no earlier read of this run succeeded. A rule whose
+// context expired while it waited for the slot gives up without reading.
+func readDoc[T any](ctx context.Context, d *runDocs, slots map[string]*docSlot[T], g DocGetter[T], path string) (T, error) {
 	d.mu.Lock()
-	if s, ok := d.text[path]; ok {
-		d.mu.Unlock()
-		return s, nil
+	s := slots[path]
+	if s == nil {
+		s = new(docSlot[T])
+		slots[path] = s
 	}
 	d.mu.Unlock()
-	s, err := g.Get(path)
-	if err != nil {
-		return "", err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.ok {
+		if err := ctx.Err(); err != nil {
+			return s.doc, err
+		}
+		doc, err := g.Get(path)
+		if err != nil {
+			return doc, err
+		}
+		s.doc, s.ok = doc, true
 	}
-	d.mu.Lock()
-	d.text[path] = s
-	d.mu.Unlock()
-	return s, nil
+	return s.doc, nil
 }
 
 // db resolves a database handle once per run.

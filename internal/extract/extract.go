@@ -40,6 +40,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/textsrc"
 	"repro/internal/webl"
+	"repro/internal/xmlpath"
 )
 
 // Fragment is one chunk of extracted raw data: the values one rule produced
@@ -49,12 +50,6 @@ type Fragment struct {
 	SourceID    string
 	Scenario    mapping.Scenario
 	Values      []string
-	// Degraded marks a fragment served from an expired cache entry after
-	// live extraction failed (graceful degradation: stale beats nothing
-	// when a partner source is down).
-	Degraded bool
-	// Stale is the age of the served cache entry when Degraded is set.
-	Stale time.Duration
 }
 
 // SourceError records one extraction failure. Failures are data, not
@@ -127,8 +122,10 @@ type ResultSet struct {
 	Fragments []Fragment
 	// Errors lists per-source failures.
 	Errors []SourceError
-	// Degraded lists the serve-stale events behind fragments whose
-	// Degraded flag is set, ordered like Fragments.
+	// Degraded lists the serve-stale events: fragments answered from an
+	// expired cache entry after live extraction failed (graceful
+	// degradation: stale beats nothing when a partner source is down),
+	// ordered like Fragments.
 	Degraded []Degradation
 	// Missing lists requested attributes that have no mapping.
 	Missing []string
@@ -136,11 +133,13 @@ type ResultSet struct {
 	Stats Stats
 }
 
-// DocExtractor resolves a document path and an extraction expression to
-// values; *xmlstore.Store and *textsrc.Store implement it, and wrappers
-// (fault injection, remote stores) can interpose.
-type DocExtractor interface {
-	Extract(path, expr string) ([]string, error)
+// DocGetter resolves a document path to the document itself: a parsed
+// XML root (*xmlstore.Store) or text content (*textsrc.Store). Rules run
+// their compiled XPath or regex over it locally, so one Get is one
+// document read however many rules use the document; wrappers (fault
+// injection, remote stores) interpose here.
+type DocGetter[T any] interface {
+	Get(path string) (T, error)
 }
 
 // Backends resolves source definitions to live content. In the paper's
@@ -152,9 +151,9 @@ type Backends struct {
 	// Pages fetches web page content by URL.
 	Pages webl.Fetcher
 	// XML resolves Definition.Path for XML sources.
-	XML DocExtractor
+	XML DocGetter[*xmlpath.Node]
 	// Text resolves Definition.Path for plain-text sources.
-	Text DocExtractor
+	Text DocGetter[string]
 	// DB resolves Definition.DSN for database sources.
 	DB func(dsn string) (*reldb.DB, error)
 }
@@ -1005,8 +1004,6 @@ func (m *Manager) extractSource(ctx context.Context, plan mapping.SourcePlan, do
 			SourceID:    plan.Source.ID,
 			Scenario:    entry.Scenario,
 			Values:      res.values,
-			Degraded:    res.stale > 0,
-			Stale:       res.stale,
 		})
 		if fragAt != nil {
 			fragAt[i] = len(frags) - 1
@@ -1192,11 +1189,11 @@ func (m *Manager) runRule(ctx context.Context, def datasource.Definition, entry 
 		case datasource.KindDatabase:
 			o.values, o.err = m.extractDB(def, entry, cr, docs)
 		case datasource.KindXML:
-			o.values, o.err = m.extractXML(def, entry, cr, docs)
+			o.values, o.err = m.extractXML(ctx, def, cr, docs)
 		case datasource.KindWeb:
 			o.values, o.err = m.extractWeb(ctx, def, entry, cr, docs)
 		case datasource.KindText:
-			o.values, o.err = m.extractText(def, entry, cr, docs)
+			o.values, o.err = m.extractText(ctx, def, cr, docs)
 		default:
 			o.err = Permanent(fmt.Errorf("extract: no extractor for source kind %d", int(def.Kind)))
 		}
@@ -1294,44 +1291,36 @@ func (m *Manager) extractDB(def datasource.Definition, entry mapping.Entry, cr *
 	return values, nil
 }
 
-// extractXML prefers the shared-document fast path: when the backend
-// exposes its parsed documents (xmlGetter) and the path pre-compiled,
-// the document resolves once per run and the compiled path runs
-// directly. Wrapped backends (fault injection, remote proxies) and
-// rules that failed to pre-compile keep the legacy per-rule Extract
-// call, byte-identical errors included.
-func (m *Manager) extractXML(def datasource.Definition, entry mapping.Entry, cr *compiledRule, docs *runDocs) ([]string, error) {
+// extractXML runs the rule's compiled path over the run's shared parsed
+// document, read once per run however many rules select from it.
+func (m *Manager) extractXML(ctx context.Context, def datasource.Definition, cr *compiledRule, docs *runDocs) ([]string, error) {
 	if m.backends.XML == nil {
 		return nil, Permanent(errors.New("extract: no XML backend configured"))
 	}
-	if cr.xpath != nil {
-		if g, ok := m.backends.XML.(xmlGetter); ok {
-			root, err := docs.xmlRoot(g, def.Path)
-			if err != nil {
-				return nil, err
-			}
-			return cr.xpath.SelectStrings(root), nil
-		}
+	if cr.xpathErr != nil {
+		return nil, Permanent(cr.xpathErr)
 	}
-	return m.backends.XML.Extract(def.Path, entry.Rule.Code)
+	root, err := readDoc(ctx, docs, docs.xml, m.backends.XML, def.Path)
+	if err != nil {
+		return nil, err
+	}
+	return cr.xpath.SelectStrings(root), nil
 }
 
-// extractText mirrors extractXML: shared document content + compiled
-// regex when the backend allows it, legacy Extract otherwise.
-func (m *Manager) extractText(def datasource.Definition, entry mapping.Entry, cr *compiledRule, docs *runDocs) ([]string, error) {
+// extractText runs the rule's compiled regex over the run's shared
+// document content, read once per run like extractXML's.
+func (m *Manager) extractText(ctx context.Context, def datasource.Definition, cr *compiledRule, docs *runDocs) ([]string, error) {
 	if m.backends.Text == nil {
 		return nil, Permanent(errors.New("extract: no text backend configured"))
 	}
-	if cr.regex != nil {
-		if g, ok := m.backends.Text.(textGetter); ok {
-			content, err := docs.textContent(g, def.Path)
-			if err != nil {
-				return nil, err
-			}
-			return textsrc.ExtractCompiled(content, cr.regex), nil
-		}
+	if cr.regexErr != nil {
+		return nil, Permanent(cr.regexErr)
 	}
-	return m.backends.Text.Extract(def.Path, entry.Rule.Code)
+	content, err := readDoc(ctx, docs, docs.text, m.backends.Text, def.Path)
+	if err != nil {
+		return nil, err
+	}
+	return textsrc.ExtractCompiled(content, cr.regex), nil
 }
 
 // ContextFetcher is an optional upgrade of webl.Fetcher: a page backend

@@ -257,12 +257,6 @@ func TestServeStaleOnFailure(t *testing.T) {
 		t.Fatalf("fragments = %+v, want the stale value served", rs.Fragments)
 	}
 	frag := rs.Fragments[0]
-	if !frag.Degraded {
-		t.Error("fragment not marked Degraded")
-	}
-	if frag.Stale < 40*time.Millisecond {
-		t.Errorf("staleness = %v, want >= 40ms", frag.Stale)
-	}
 	if strings.TrimSpace(frag.Values[0]) != "Seiko" {
 		t.Errorf("stale value = %q", frag.Values[0])
 	}
@@ -273,8 +267,8 @@ func TestServeStaleOnFailure(t *testing.T) {
 	if d.SourceID != "wpage_81" || d.AttributeID != "thing.product.brand" {
 		t.Errorf("degradation = %+v", d)
 	}
-	if d.Stale != frag.Stale {
-		t.Errorf("degradation staleness %v != fragment staleness %v", d.Stale, frag.Stale)
+	if d.Stale < 40*time.Millisecond {
+		t.Errorf("staleness = %v, want >= 40ms", d.Stale)
 	}
 	if d.Err == nil || !strings.Contains(d.Err.Error(), "source went away") {
 		t.Errorf("degradation must carry the live error, got %v", d.Err)

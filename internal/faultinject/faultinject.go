@@ -10,10 +10,13 @@
 // for databases — see Key). It wraps extract.Backends, webl.Fetcher, or
 // an http.RoundTripper; every operation against a planned target first
 // consults the plan, which may add latency, fail the call, hang until the
-// context expires, or corrupt the payload. Count-based faults (FailFirst,
-// flapping) depend only on the per-target call number, and latency jitter
-// comes from a per-target rng derived from the Injector seed, so a run is
-// reproducible from the single seed.
+// context expires, or corrupt the payload. An operation is one backend
+// read: a page fetch, a document read, a database open, or an HTTP round
+// trip — never one rule, because the extraction layer reads each source
+// document once per run and evaluates every rule over that copy.
+// Count-based faults (FailFirst, flapping) depend only on the per-target
+// call number, and latency jitter comes from a per-target rng derived
+// from the Injector seed, so a run is reproducible from the single seed.
 package faultinject
 
 import (
@@ -33,10 +36,11 @@ import (
 	"repro/internal/extract"
 	"repro/internal/reldb"
 	"repro/internal/webl"
+	"repro/internal/xmlpath"
 )
 
 // maxHang bounds Hang faults when the wrapped call path carries no
-// context (the context-free webl.Fetcher and DocExtractor interfaces);
+// context (the context-free webl.Fetcher and extract.DocGetter interfaces);
 // without it a hung call would leak its goroutine forever.
 const maxHang = 30 * time.Second
 
@@ -69,9 +73,9 @@ type Fault struct {
 	// for context-free call paths), simulating a source that accepts the
 	// connection and never answers.
 	Hang bool
-	// Corrupt lets the operation through but mangles the payload:
-	// extracted values are wrapped in corrupt(...), fetched pages are
-	// truncated mid-document, and HTTP bodies are garbled.
+	// Corrupt lets the operation through but mangles the payload: fetched
+	// pages and text documents are truncated mid-document, XML documents
+	// are replaced by one with no records, and HTTP bodies are garbled.
 	Corrupt bool
 }
 
@@ -250,10 +254,10 @@ func (in *Injector) WrapBackends(b extract.Backends) extract.Backends {
 		out.Pages = in.WrapFetcher(b.Pages)
 	}
 	if b.XML != nil {
-		out.XML = &docExtractor{in: in, next: b.XML}
+		out.XML = &docGetter[*xmlpath.Node]{in: in, next: b.XML, corrupt: corruptXML}
 	}
 	if b.Text != nil {
-		out.Text = &docExtractor{in: in, next: b.Text}
+		out.Text = &docGetter[string]{in: in, next: b.Text, corrupt: CorruptPage}
 	}
 	if b.DB != nil {
 		next := b.DB
@@ -303,36 +307,34 @@ func (f *fetcher) FetchContext(ctx context.Context, url string) (string, error) 
 	return html, nil
 }
 
-// docExtractor wraps an XML or text DocExtractor, keyed by document path.
-type docExtractor struct {
-	in   *Injector
-	next extract.DocExtractor
+// docGetter wraps an XML or text document getter, keyed by document
+// path; corrupt mangles a document a Corrupt fault lets through.
+type docGetter[T any] struct {
+	in      *Injector
+	next    extract.DocGetter[T]
+	corrupt func(T) T
 }
 
-func (d *docExtractor) Extract(path, expr string) ([]string, error) {
-	corrupt, err := d.in.apply(context.Background(), path)
+func (g *docGetter[T]) Get(path string) (T, error) {
+	corrupt, err := g.in.apply(context.Background(), path)
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
-	values, err := d.next.Extract(path, expr)
-	if err != nil {
-		return nil, err
+	doc, err := g.next.Get(path)
+	if err != nil || !corrupt {
+		return doc, err
 	}
-	if corrupt {
-		out := make([]string, len(values))
-		for i, v := range values {
-			out[i] = CorruptValue(v)
-		}
-		return out, nil
-	}
-	return values, nil
+	return g.corrupt(doc), nil
 }
 
-// CorruptValue mangles one extracted value the way a half-broken source
-// would: recognizably garbage, but still a string the pipeline must
-// carry without crashing.
-func CorruptValue(v string) string {
-	return "\x00corrupt(" + v + ")"
+// corruptXML serves a corrupted XML read as the document <corrupted/>:
+// well-formed, but with none of the records the source's rules select.
+// A parsed document has no raw bytes left to truncate.
+func corruptXML(*xmlpath.Node) *xmlpath.Node {
+	root := &xmlpath.Node{}
+	root.Children = []*xmlpath.Node{{Name: "corrupted", Parent: root}}
+	return root
 }
 
 // CorruptPage truncates a fetched page mid-document and appends garbage,

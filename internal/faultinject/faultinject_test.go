@@ -11,7 +11,10 @@ import (
 
 	"repro/internal/datasource"
 	"repro/internal/extract"
+	"repro/internal/textsrc"
 	"repro/internal/webl"
+	"repro/internal/xmlpath"
+	"repro/internal/xmlstore"
 )
 
 func TestKeySelectsBackendAddress(t *testing.T) {
@@ -187,29 +190,40 @@ func TestWrapFetcherCorruptsPages(t *testing.T) {
 	}
 }
 
-type stubDoc struct{ values []string }
-
-func (s stubDoc) Extract(path, expr string) ([]string, error) { return s.values, nil }
-
 func TestWrapBackendsDocCorruption(t *testing.T) {
-	in := New(1, Plan{"cat.xml": {Corrupt: true}})
-	b := in.WrapBackends(extract.Backends{XML: stubDoc{values: []string{"v1", "v2"}}})
-	values, err := b.XML.Extract("cat.xml", "/x")
+	const page = "<catalog><watch><brand>Seiko</brand></watch></catalog>"
+	xml, text := xmlstore.New(), textsrc.New()
+	xml.MustAdd("cat.xml", page)
+	xml.MustAdd("other.xml", page)
+	text.MustAdd("prices.txt", "brand=Seiko price=129.99")
+	in := New(1, Plan{"cat.xml": {Corrupt: true}, "prices.txt": {Corrupt: true}})
+	b := in.WrapBackends(extract.Backends{XML: xml, Text: text})
+	brand := xmlpath.MustCompile("//brand")
+
+	root, err := b.XML.Get("cat.xml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range values {
-		if !strings.HasPrefix(v, "\x00corrupt(") {
-			t.Fatalf("value %q not corrupted", v)
-		}
+	if got := brand.SelectStrings(root); len(got) != 0 {
+		t.Fatalf("corrupted XML document still yields records: %v", got)
+	}
+	content, err := b.Text.Get("prices.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(content, "<corrupted") || strings.Contains(content, "129.99") {
+		t.Fatalf("text document not truncated: %q", content)
 	}
 	// Unplanned path passes through untouched.
-	values, err = b.XML.Extract("other.xml", "/x")
+	root, err = b.XML.Get("other.xml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if values[0] != "v1" {
-		t.Fatalf("unplanned target mangled: %v", values)
+	if got := brand.SelectStrings(root); len(got) != 1 || got[0] != "Seiko" {
+		t.Fatalf("unplanned target mangled: %v", got)
+	}
+	if in.Calls("cat.xml") != 1 || in.Calls("prices.txt") != 1 {
+		t.Errorf("calls = %d, %d; want one operation per document read", in.Calls("cat.xml"), in.Calls("prices.txt"))
 	}
 }
 

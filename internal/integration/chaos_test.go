@@ -213,6 +213,53 @@ func TestChaosCountersMatchInjectedPlan(t *testing.T) {
 	}
 }
 
+// TestChaosHarmlessFaultReadsEachDocumentOnce wraps every XML and text
+// source in an active fault that changes nothing but timing. The
+// answer must be byte-identical to the unwrapped world's in every
+// format, and each query must read each document exactly once however
+// many rules select from it: one injected operation is one document
+// read, not one rule.
+func TestChaosHarmlessFaultReadsEachDocumentOnce(t *testing.T) {
+	spec := workload.Spec{XMLSources: 2, TextSources: 2, RecordsPerSource: 6, Seed: 75}
+	probe := workload.MustGenerate(spec)
+	plan := faultinject.Plan{}
+	var targets []string
+	for _, def := range probe.Definitions {
+		key := faultinject.Key(def)
+		plan[key] = faultinject.Fault{AddLatency: time.Microsecond}
+		targets = append(targets, key)
+	}
+	wrapped, _, inj := chaosWorld(t, spec, plan, extract.Options{})
+	plain, _ := build(t, spec, extract.Options{})
+
+	ctx := context.Background()
+	formats := []instance.Format{
+		instance.FormatOWL, instance.FormatTurtle, instance.FormatNTriples,
+		instance.FormatXML, instance.FormatJSON, instance.FormatText,
+	}
+	for i, f := range formats {
+		var want, got strings.Builder
+		ref, err := plain.QueryTo(ctx, &want, "SELECT product", f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ref.Matched) != 4*spec.RecordsPerSource {
+			t.Fatalf("reference matched %d products, want %d", len(ref.Matched), 4*spec.RecordsPerSource)
+		}
+		if _, err := wrapped.QueryTo(ctx, &got, "SELECT product", f); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: wrapped answer differs from the unwrapped world's", f)
+		}
+		for _, target := range targets {
+			if calls := inj.Calls(target); calls != i+1 {
+				t.Errorf("%s after %d queries: %d reads, want one per query", target, i+1, calls)
+			}
+		}
+	}
+}
+
 // chaosSemiJoinWorld wires a semi-join world (small keyed directory,
 // large narrowable detail sources) through a seeded injector, with the
 // watch class keyed on model so narrowing can fire.

@@ -1,7 +1,8 @@
 // Package textsrc implements the middleware's unstructured plain-text data
 // source substrate (paper §2.1: "unstructured (e.g. Web pages and plain
 // text files)"). Documents are stored by ID and queried with regular
-// expression extraction rules.
+// expression extraction rules, compiled once by the caller and run with
+// ExtractCompiled.
 package textsrc
 
 import (
@@ -63,28 +64,9 @@ func (s *Store) IDs() []string {
 	return out
 }
 
-// Extract runs a regular expression rule over the named document and
-// returns one value per match: the first capture group when the pattern has
-// groups, the whole match otherwise.
-func (s *Store) Extract(id, pattern string) ([]string, error) {
-	content, err := s.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	return ExtractString(content, pattern)
-}
-
-// ExtractString is Extract over literal content.
-func ExtractString(content, pattern string) ([]string, error) {
-	re, err := regexp.Compile(pattern)
-	if err != nil {
-		return nil, fmt.Errorf("textsrc: invalid extraction rule %q: %w", pattern, err)
-	}
-	return ExtractCompiled(content, re), nil
-}
-
-// ExtractCompiled is Extract with a pre-compiled pattern, for callers
-// that cache compiled rules and run them repeatedly.
+// ExtractCompiled runs a compiled regular expression rule over document
+// content and returns one value per match: the first capture group when
+// the pattern has groups, the whole match otherwise.
 func ExtractCompiled(content string, re *regexp.Regexp) []string {
 	matches := re.FindAllStringSubmatch(content, -1)
 	out := make([]string, 0, len(matches))

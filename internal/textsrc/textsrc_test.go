@@ -1,9 +1,25 @@
 package textsrc
 
 import (
+	"regexp"
 	"testing"
 	"testing/quick"
 )
+
+// extract runs a pattern over one stored document, the way the
+// extraction layer does: the store serves the content, the compiled
+// pattern matches it.
+func extract(s *Store, id, pattern string) ([]string, error) {
+	content, err := s.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	re, err := regexp.Compile(pattern)
+	if err != nil {
+		return nil, err
+	}
+	return ExtractCompiled(content, re), nil
+}
 
 const priceList = `WatchCo wholesale price list (2006)
 SKU W-001 brand=Seiko case=stainless-steel price=129.99
@@ -14,7 +30,7 @@ SKU W-003 brand=Citizen case=titanium price=210.50
 func TestExtractWholeMatch(t *testing.T) {
 	s := New()
 	s.MustAdd("prices.txt", priceList)
-	got, err := s.Extract("prices.txt", `W-[0-9]+`)
+	got, err := extract(s, "prices.txt", `W-[0-9]+`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,14 +48,14 @@ func TestExtractWholeMatch(t *testing.T) {
 func TestExtractCaptureGroup(t *testing.T) {
 	s := New()
 	s.MustAdd("prices.txt", priceList)
-	got, err := s.Extract("prices.txt", `brand=([A-Za-z]+)`)
+	got, err := extract(s, "prices.txt", `brand=([A-Za-z]+)`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != "Seiko" || got[2] != "Citizen" {
 		t.Fatalf("Extract = %v", got)
 	}
-	prices, err := s.Extract("prices.txt", `price=([0-9.]+)`)
+	prices, err := extract(s, "prices.txt", `price=([0-9.]+)`)
 	if err != nil || len(prices) != 3 || prices[1] != "15.00" {
 		t.Fatalf("prices = %v, %v", prices, err)
 	}
@@ -53,11 +69,11 @@ func TestErrors(t *testing.T) {
 	if _, err := s.Get("missing"); err == nil {
 		t.Error("missing document returned")
 	}
-	if _, err := s.Extract("missing", "x"); err == nil {
+	if _, err := extract(s, "missing", "x"); err == nil {
 		t.Error("extract from missing document succeeded")
 	}
 	s.MustAdd("d", "content")
-	if _, err := s.Extract("d", "["); err == nil {
+	if _, err := extract(s, "d", "["); err == nil {
 		t.Error("invalid pattern accepted")
 	}
 }
@@ -75,11 +91,8 @@ func TestGetAndIDs(t *testing.T) {
 }
 
 func TestExtractStringNoMatches(t *testing.T) {
-	got, err := ExtractString("nothing here", `zz[0-9]+`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
+	got := ExtractCompiled("nothing here", regexp.MustCompile(`zz[0-9]+`))
+	if got == nil || len(got) != 0 {
 		t.Fatalf("got = %v", got)
 	}
 }
@@ -91,8 +104,8 @@ func TestExtractRecoversPlantedValues(t *testing.T) {
 		for _, v := range vals {
 			content += "item value=" + itoa(int(v)) + " end\n"
 		}
-		got, err := ExtractString(content, `value=([0-9]+)`)
-		if err != nil || len(got) != len(vals) {
+		got := ExtractCompiled(content, regexp.MustCompile(`value=([0-9]+)`))
+		if len(got) != len(vals) {
 			return false
 		}
 		for i, v := range vals {

@@ -357,7 +357,7 @@ func (f fetcherFunc) Fetch(url string) (string, error) { return f(url) }
 // ToGraph refuses.
 func TestFinishQueryTracesSerializationFailure(t *testing.T) {
 	_, mw, _ := testServer(t)
-	plan, err := mw.Plan(context.Background(), "SELECT product")
+	plan, _, err := mw.PlanMergeFree(context.Background(), "SELECT product")
 	if err != nil {
 		t.Fatal(err)
 	}

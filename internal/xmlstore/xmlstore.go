@@ -1,6 +1,8 @@
 // Package xmlstore implements the middleware's semi-structured data source
 // substrate: a store of named XML documents queried with xmlpath extraction
 // rules (paper §2.1 lists XML as the canonical semi-structured B2B format).
+// The store serves parsed documents; the extraction layer runs compiled
+// xmlpath rules over them.
 package xmlstore
 
 import (
@@ -67,18 +69,4 @@ func (s *Store) IDs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Extract compiles the path expression and returns the matching string
-// values from the named document, in document order.
-func (s *Store) Extract(id, pathExpr string) ([]string, error) {
-	root, err := s.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	p, err := xmlpath.Compile(pathExpr)
-	if err != nil {
-		return nil, fmt.Errorf("xmlstore: document %q: %w", id, err)
-	}
-	return p.SelectStrings(root), nil
 }
