@@ -33,8 +33,9 @@ build:
 	$(GO) build ./...
 
 # test runs everything under the race detector; the cache-coherence and
-# concurrency suites (plan/schema/compiled-rule invalidation, singleflight
-# dedup, concurrent query+invalidation) rely on -race staying on here.
+# concurrency suites (plan/schema/compiled-rule invalidation, per-run
+# document sharing, concurrent query+invalidation) rely on -race staying
+# on here.
 test:
 	$(GO) test -race ./...
 

@@ -439,27 +439,6 @@ func BenchmarkE10Transport(b *testing.B) {
 	})
 }
 
-// BenchmarkE11Cache — rule-result caching ablation.
-func BenchmarkE11Cache(b *testing.B) {
-	spec := workload.Spec{
-		DBSources: 1, XMLSources: 1, WebSources: 1, TextSources: 1,
-		RecordsPerSource: 250, Seed: 8,
-	}
-	for _, ttl := range []time.Duration{0, time.Minute} {
-		name := "off"
-		if ttl > 0 {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			mw, _ := buildMW(b, spec, extract.Options{CacheTTL: ttl})
-			if _, err := mw.Query(context.Background(), paperQuery); err != nil { // warm
-				b.Fatal(err)
-			}
-			benchQuery(b, mw, paperQuery)
-		})
-	}
-}
-
 // BenchmarkE12Reasoning — RDFS materialization and SPARQL over the output.
 func BenchmarkE12Reasoning(b *testing.B) {
 	mw, _ := buildMW(b, workload.Spec{DBSources: 1, RecordsPerSource: 1000, Seed: 9}, extract.Options{})
@@ -519,9 +498,7 @@ func BenchmarkE13WrapperLanguage(b *testing.B) {
 // every attribute carries its own rule, so a database source runs one
 // SELECT per attribute ("per-attribute"). A class-granular design
 // shares one multi-column SELECT across the class's attributes via
-// Rule.Column ("shared"); with the rule-result cache on
-// ("shared+cache") the shared statement's result is reused. All three
-// arms must answer identically.
+// Rule.Column ("shared"). Both arms must answer identically.
 func BenchmarkE14MappingGranularity(b *testing.B) {
 	world := workload.MustGenerate(workload.Spec{DBSources: 1, RecordsPerSource: 2000, Seed: 11})
 	def := world.Definitions[0]
@@ -545,51 +522,36 @@ func BenchmarkE14MappingGranularity(b *testing.B) {
 	}{
 		{"per-attribute", registerMW(b, world, perAttribute, extract.Options{})},
 		{"shared", registerMW(b, world, shared, extract.Options{})},
-		{"shared+cache", registerMW(b, world, shared, extract.Options{CacheTTL: time.Hour})},
 	}
-	sameAnswer(b, "SELECT product", arms[0].mw, arms[1].mw, arms[2].mw)
+	sameAnswer(b, "SELECT product", arms[0].mw, arms[1].mw)
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) { benchQuery(b, arm.mw, "SELECT product") })
 	}
 }
 
 // BenchmarkE15RepeatedQuery — hot-path amortization: the same query
-// repeated against an unchanged world. "cold" disables the rule-result
-// cache so every run pays the full fetch/parse/compile cost; "warm"
-// enables it and pre-warms, so steady-state cost is what the caching
-// layers (rule results, compiled rules, plans, schemas) leave behind.
+// repeated against an unchanged world after one warm-up, so the plan,
+// schema and compiled-rule caches are filled and every run still
+// extracts its data values live.
 func BenchmarkE15RepeatedQuery(b *testing.B) {
-	spec := workload.Spec{
+	mw, _ := buildMW(b, workload.Spec{
 		DBSources: 1, XMLSources: 1, WebSources: 1, TextSources: 1,
 		RecordsPerSource: 25, Seed: 15,
+	}, extract.Options{})
+	if _, err := mw.Query(context.Background(), paperQuery); err != nil { // warm the caches
+		b.Fatal(err)
 	}
-	modes := []struct {
-		name string
-		opts extract.Options
-	}{
-		{"cold", extract.Options{}},
-		{"warm", extract.Options{CacheTTL: time.Hour}},
-	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			mw, _ := buildMW(b, spec, mode.opts)
-			if _, err := mw.Query(context.Background(), paperQuery); err != nil { // warm caches & page servers
-				b.Fatal(err)
-			}
-			benchQuery(b, mw, paperQuery)
-		})
-	}
+	benchQuery(b, mw, paperQuery)
 }
 
 // BenchmarkE16ConcurrentQuery — N goroutines issuing the identical
-// query against one middleware, warm caches. Exercises cache-read
-// contention (sharded rule cache) and duplicate-fill suppression
-// (singleflight).
+// query against one middleware after one warm-up: concurrent live
+// extractions sharing the compiled-rule and plan caches.
 func BenchmarkE16ConcurrentQuery(b *testing.B) {
 	mw, _ := buildMW(b, workload.Spec{
 		DBSources: 1, XMLSources: 1, WebSources: 1, TextSources: 1,
 		RecordsPerSource: 25, Seed: 16,
-	}, extract.Options{CacheTTL: time.Hour})
+	}, extract.Options{})
 	ctx := context.Background()
 	if _, err := mw.Query(ctx, paperQuery); err != nil { // warm
 		b.Fatal(err)
@@ -918,9 +880,8 @@ func BenchmarkE21FirstInstance(b *testing.B) {
 // B2B setting). Eight sequential Query calls each stand up their own
 // run document layer, so every query re-fetches and re-parses both
 // pages; one QueryBatchTo shares a single document layer and extraction
-// scatter across the batch, fetching each page once (the rule-result
-// cache is off — CacheTTL 0, the default — so nothing else amortizes
-// the repeats). One benchmark op answers all eight queries in both
+// scatter across the batch, fetching each page once (rule results are
+// never cached, so nothing else amortizes the repeats). One benchmark op answers all eight queries in both
 // modes, so ns/op is directly comparable ns-per-batch;
 // docs/PERFORMANCE.md cites the pair.
 func BenchmarkE22Batch(b *testing.B) {

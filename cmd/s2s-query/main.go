@@ -94,13 +94,10 @@ func run(ctx context.Context, endpoint, query, sparqlQuery, format string, recor
 		if err != nil {
 			return err
 		}
-		fmt.Printf("# matched=%d related=%d errors=%d degraded=%d format=%s\n",
-			resp.Matched, resp.Related, len(resp.Errors), len(resp.Degraded), resp.Format)
+		fmt.Printf("# matched=%d related=%d errors=%d format=%s\n",
+			resp.Matched, resp.Related, len(resp.Errors), resp.Format)
 		for _, e := range resp.Errors {
 			fmt.Printf("# error: %s\n", e)
-		}
-		for _, d := range resp.Degraded {
-			fmt.Printf("# degraded: %s\n", d)
 		}
 		fmt.Print(resp.Body)
 		if trace && resp.Trace != nil {

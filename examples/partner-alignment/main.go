@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/align"
+	"repro/examples/partner-alignment/align"
 	"repro/internal/core"
 	"repro/internal/extract"
 	"repro/internal/ontology"

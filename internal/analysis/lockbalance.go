@@ -10,7 +10,7 @@ import (
 // Lockbalance verifies that every sync.Mutex/RWMutex acquisition in a
 // function is paired with a release on all return paths — deferred or
 // dominating. The middleware's hot path takes short critical sections
-// (metrics registry, rule cache, breaker state) without defer to keep
+// (metrics registry, compiled-rule cache, breaker state) without defer to keep
 // them cheap; that style is safe exactly as long as no early return
 // slips between Lock and Unlock, which is the regression this analyzer
 // exists to catch before it deadlocks a production query.

@@ -239,10 +239,6 @@ func TestWireRoundTrip(t *testing.T) {
 			SourceID: "web-0", AttributeID: "price",
 			Err: extract.Permanent(fmt.Errorf("rule compile failed")),
 		}},
-		Degraded: []extract.Degradation{{
-			SourceID: "web-0", AttributeID: "price", Stale: time.Minute,
-			Err: fmt.Errorf("partner offline"),
-		}},
 	}
 	rs.Stats.SourcesContacted = 2
 	rs.Stats.ValuesExtracted = 1
@@ -256,10 +252,6 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if !extract.IsPermanent(got.Errors[0].Err) {
 		t.Error("permanent marker lost across the wire")
-	}
-	if len(got.Degraded) != 1 || got.Degraded[0].SourceID != "web-0" || got.Degraded[0].AttributeID != "price" ||
-		got.Degraded[0].Err.Error() != "partner offline" || got.Degraded[0].Stale != time.Minute {
-		t.Fatalf("degradation did not survive the wire: %+v", got.Degraded[0])
 	}
 	if got.Stats.SourcesContacted != 2 || got.Stats.ValuesExtracted != 1 {
 		t.Errorf("stats did not survive the wire: %+v", got.Stats)

@@ -115,12 +115,9 @@ func (n *Node) scatterExtract(ctx context.Context, query string, plan *s2sql.Pla
 			mu.Lock()
 			merged.Fragments = append(merged.Fragments, rs.Fragments...)
 			merged.Errors = append(merged.Errors, rs.Errors...)
-			merged.Degraded = append(merged.Degraded, rs.Degraded...)
 			merged.Stats.SourcesContacted += rs.Stats.SourcesContacted
 			merged.Stats.ValuesExtracted += rs.Stats.ValuesExtracted
 			merged.Stats.Retries += rs.Stats.Retries
-			merged.Stats.CacheHits += rs.Stats.CacheHits
-			merged.Stats.StaleServes += rs.Stats.StaleServes
 			mu.Unlock()
 		}(g)
 	}

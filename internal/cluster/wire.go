@@ -77,14 +77,6 @@ type wireSourceError struct {
 	Permanent bool   `json:"permanent,omitempty"`
 }
 
-// wireDegradation is extract.Degradation in wire form.
-type wireDegradation struct {
-	Source    string `json:"source"`
-	Attribute string `json:"attribute"`
-	StaleNS   int64  `json:"staleNs"`
-	Error     string `json:"error"`
-}
-
 // wireStats is extract.Stats in wire form.
 type wireStats struct {
 	SourcesContacted int   `json:"sourcesContacted"`
@@ -92,15 +84,12 @@ type wireStats struct {
 	SchemaNS         int64 `json:"schemaNs"`
 	ExtractNS        int64 `json:"extractNs"`
 	Retries          int   `json:"retries"`
-	CacheHits        int   `json:"cacheHits"`
-	StaleServes      int   `json:"staleServes"`
 }
 
 // extractResponse is one node's answer to a restricted extraction.
 type extractResponse struct {
 	Fragments []wireFragment    `json:"fragments"`
 	Errors    []wireSourceError `json:"errors,omitempty"`
-	Degraded  []wireDegradation `json:"degraded,omitempty"`
 	Stats     wireStats         `json:"stats"`
 }
 
@@ -142,8 +131,6 @@ func toWire(rs *extract.ResultSet) extractResponse {
 			SchemaNS:         int64(rs.Stats.SchemaDuration),
 			ExtractNS:        int64(rs.Stats.ExtractDuration),
 			Retries:          rs.Stats.Retries,
-			CacheHits:        rs.Stats.CacheHits,
-			StaleServes:      rs.Stats.StaleServes,
 		},
 	}
 	for _, f := range rs.Fragments {
@@ -162,14 +149,6 @@ func toWire(rs *extract.ResultSet) extractResponse {
 			Permanent: extract.IsPermanent(e.Err),
 		})
 	}
-	for _, d := range rs.Degraded {
-		out.Degraded = append(out.Degraded, wireDegradation{
-			Source:    d.SourceID,
-			Attribute: d.AttributeID,
-			StaleNS:   int64(d.Stale),
-			Error:     d.Err.Error(),
-		})
-	}
 	return out
 }
 
@@ -186,8 +165,6 @@ func fromWire(resp extractResponse) *extract.ResultSet {
 			SchemaDuration:   time.Duration(resp.Stats.SchemaNS),
 			ExtractDuration:  time.Duration(resp.Stats.ExtractNS),
 			Retries:          resp.Stats.Retries,
-			CacheHits:        resp.Stats.CacheHits,
-			StaleServes:      resp.Stats.StaleServes,
 		},
 	}
 	for _, f := range resp.Fragments {
@@ -207,14 +184,6 @@ func fromWire(resp extractResponse) *extract.ResultSet {
 			SourceID:    e.Source,
 			AttributeID: e.Attribute,
 			Err:         err,
-		})
-	}
-	for _, d := range resp.Degraded {
-		rs.Degraded = append(rs.Degraded, extract.Degradation{
-			SourceID:    d.Source,
-			AttributeID: d.Attribute,
-			Stale:       time.Duration(d.StaleNS),
-			Err:         errors.New(d.Error),
 		})
 	}
 	return rs

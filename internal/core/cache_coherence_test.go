@@ -109,14 +109,12 @@ func TestPlanCacheDisabled(t *testing.T) {
 }
 
 // TestStaleRuleAfterRemap is the remap regression test: after a query
-// has warmed every cache layer (plan, schema, compiled rules, rule
-// results), registering a new mapping for an already-queried attribute
-// must surface the new rule's values on the very next query. A stale
-// schema or plan would keep answering from the old rule set.
+// has warmed every cache layer (plan, schema, compiled rules),
+// registering a new mapping for an already-queried attribute must
+// surface the new rule's values on the very next query. A stale schema
+// or plan would keep answering from the old rule set.
 func TestStaleRuleAfterRemap(t *testing.T) {
 	m, world := testMiddleware(t, workload.Spec{XMLSources: 1, RecordsPerSource: 3, Seed: 23})
-	// Warm with CacheTTL-free options is fine: the schema and plan caches
-	// are always on, which is what a remap can go stale against.
 	before, err := m.Query(context.Background(), "SELECT product")
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,6 @@ func TestPerformanceDocKnobsExist(t *testing.T) {
 	// The knobs the caching layer exposes must all be documented.
 	for _, knob := range []string{
 		"`core.Config.PlanCacheSize`",
-		"`extract.Options.CacheTTL`",
 		"`extract.Options.Parallelism`",
 		"`extract.Options.RuleParallelism`",
 		"`extract.Options.DisablePushdown`",

@@ -76,22 +76,6 @@ func (e SourceError) Error() string {
 	return fmt.Sprintf("source %s: %v%s", e.SourceID, e.Err, suffix)
 }
 
-// Degradation records one serve-stale event: an attribute answered from
-// an expired cache entry because live extraction failed.
-type Degradation struct {
-	SourceID    string
-	AttributeID string
-	// Stale is the age of the cache entry served in place of live data.
-	Stale time.Duration
-	// Err is the live extraction failure that forced the stale serve.
-	Err error
-}
-
-func (d Degradation) String() string {
-	return fmt.Sprintf("source %s, attribute %s: served %s-stale cached values (live extraction failed: %v)",
-		d.SourceID, d.AttributeID, d.Stale.Round(time.Millisecond), d.Err)
-}
-
 // Unwrap exposes the underlying error.
 func (e SourceError) Unwrap() error { return e.Err }
 
@@ -109,11 +93,6 @@ type Stats struct {
 	ExtractDuration time.Duration
 	// Retries counts rule re-executions after transient failures.
 	Retries int
-	// CacheHits counts rules answered from the rule-result cache.
-	CacheHits int
-	// StaleServes counts rules answered from expired cache entries after
-	// live extraction failed (see ResultSet.Degraded for details).
-	StaleServes int
 }
 
 // ResultSet is the raw output of one extraction run.
@@ -122,11 +101,6 @@ type ResultSet struct {
 	Fragments []Fragment
 	// Errors lists per-source failures.
 	Errors []SourceError
-	// Degraded lists the serve-stale events: fragments answered from an
-	// expired cache entry after live extraction failed (graceful
-	// degradation: stale beats nothing when a partner source is down),
-	// ordered like Fragments.
-	Degraded []Degradation
 	// Missing lists requested attributes that have no mapping.
 	Missing []string
 	// Stats summarizes the run.
@@ -196,20 +170,6 @@ type Options struct {
 	// RetryBackoffCap caps a single backoff sleep; 0 means
 	// DefaultRetryBackoffCap.
 	RetryBackoffCap time.Duration
-	// WebLMaxSteps caps WebL program execution; 0 uses the webl default.
-	WebLMaxSteps int
-	// CacheTTL, when positive, caches rule results per (source, rule) for
-	// that duration. The paper notes sources "do not normally change their
-	// structures"; values change more often, so caching trades freshness
-	// for latency and is off by default. InvalidateCache drops it.
-	// Expired entries are kept for serve-stale degradation (see
-	// ServeStale) until InvalidateCache.
-	CacheTTL time.Duration
-	// DisableServeStale turns off graceful degradation from the rule
-	// cache. By default (with CacheTTL > 0), when live extraction of a
-	// rule fails after retries, an expired cache entry is served instead
-	// and the fragment is marked Degraded with its staleness age.
-	DisableServeStale bool
 	// Breaker configures the per-source circuit breaker; the zero value
 	// disables it.
 	Breaker BreakerOptions
@@ -260,14 +220,12 @@ type Manager struct {
 	backends Backends
 	opts     Options
 
-	// cache is the sharded rule-result cache; nil unless CacheTTL > 0.
-	cache *shardedCache
 	// compiled memoizes per-rule compiled artifacts (always on:
-	// compilation is pure, so there is no freshness to trade).
+	// compilation is pure, so there is no freshness to trade). Rule
+	// results are never cached: data values are extracted live on every
+	// query.
 	compiled compiledCache
-	// flight deduplicates concurrent fills of one rule-cache key;
 	// docFlight deduplicates concurrent fetches of one source document.
-	flight    singleflight.Group
 	docFlight singleflight.Group
 
 	breaker *breaker
@@ -279,14 +237,8 @@ type Manager struct {
 	srcMetricsFor map[string]srcMetrics
 	srcMetricsReg *obs.Registry
 
-	// keyMemoMu guards keyMemo; see cacheKeyFor.
-	keyMemoMu sync.RWMutex
-	keyMemo   map[*mapping.Entry]string
-
 	// rewriteMu guards rewrites, the bounded per-query-shape cache of
-	// planner rewrites (see plannedRewrite in pushdown.go). Caching the
-	// rewritten plans also keeps their entry addresses stable, which
-	// cacheKeyFor's address memo depends on.
+	// planner rewrites (see plannedRewrite in pushdown.go).
 	rewriteMu sync.RWMutex
 	rewrites  map[string]rewriteEntry
 
@@ -324,9 +276,6 @@ func NewManager(repo *mapping.Repository, backends Backends, opts Options) *Mana
 		opts.RetryBackoffCap = DefaultRetryBackoffCap
 	}
 	m := &Manager{repo: repo, backends: backends, opts: opts, breaker: newBreaker(opts.Breaker), srcStats: stats.New()}
-	if opts.CacheTTL > 0 {
-		m.cache = newShardedCache(opts.CacheTTL)
-	}
 	m.sleep = sleepCtx
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	m.randFloat = rng.Float64
@@ -368,47 +317,15 @@ func (m *Manager) backoffDelay(attempt int) time.Duration {
 	return time.Duration(f * float64(ceil))
 }
 
-// InvalidateCache drops every cached rule result and every compiled
-// rule artifact. The middleware calls it whenever mappings, sources, or
-// class keys change, so a remapped rule can never serve results (or
-// compiled code) from its previous registration.
+// InvalidateCache drops every compiled rule artifact and every cached
+// planner rewrite. The middleware calls it whenever mappings, sources,
+// or class keys change, so a remapped rule can never run compiled code
+// or a pushed-down plan from its previous registration.
 func (m *Manager) InvalidateCache() {
 	m.compiled.clear()
-	if m.cache != nil {
-		m.cache.clear()
-	}
-	m.keyMemoMu.Lock()
-	m.keyMemo = nil
-	m.keyMemoMu.Unlock()
 	m.rewriteMu.Lock()
 	m.rewrites = nil
 	m.rewriteMu.Unlock()
-}
-
-// keyMemoBound caps the result-cache key memo; past it the memo is
-// flushed wholesale, like the other bounded caches in this package.
-const keyMemoBound = 4096
-
-// cacheKeyFor is cacheKey memoized by entry address. Schema plans are
-// cached by the mapping repository and shared across queries, so an
-// Entry's address identifies its contents for as long as the memo holds
-// it (the map key itself keeps the backing array alive, so the address
-// cannot be recycled for a different entry while referenced).
-func (m *Manager) cacheKeyFor(def datasource.Definition, entry *mapping.Entry) string {
-	m.keyMemoMu.RLock()
-	k, ok := m.keyMemo[entry]
-	m.keyMemoMu.RUnlock()
-	if ok {
-		return k
-	}
-	k = cacheKey(def, *entry)
-	m.keyMemoMu.Lock()
-	if m.keyMemo == nil || len(m.keyMemo) >= keyMemoBound {
-		m.keyMemo = make(map[*mapping.Entry]string, 64)
-	}
-	m.keyMemo[entry] = k
-	m.keyMemoMu.Unlock()
-	return k
 }
 
 // srcMetrics is one source's steady-state metric handles.
@@ -444,19 +361,6 @@ func (m *Manager) sourceMetrics(reg *obs.Registry, sourceID string) srcMetrics {
 // compiled artifacts (ops introspection; coherence tests assert it
 // drops to zero on invalidation).
 func (m *Manager) CompiledRuleCount() int { return m.compiled.len() }
-
-// CachedRuleResults reports how many rule results (fresh or stale) the
-// result cache currently holds; 0 when caching is off.
-func (m *Manager) CachedRuleResults() int {
-	if m.cache == nil {
-		return 0
-	}
-	return m.cache.len()
-}
-
-func cacheKey(def datasource.Definition, entry mapping.Entry) string {
-	return def.ID + "\x00" + entry.Rule.Language.String() + "\x00" + entry.Rule.Code + "\x00" + entry.Rule.Column
-}
 
 // Extract runs the four-step process for the given attribute list. When
 // ctx carries an obs span and metrics registry (the middleware query
@@ -634,12 +538,10 @@ func (m *Manager) planRun(ctx context.Context, attributeIDs []string, qplan *s2s
 // concurrently under the parallelism semaphore, in up to two semi-join
 // waves. Each source's fragments go to deliver as the source completes —
 // outside the run's lock, because deliver may block on a consumer — and
-// everything else (errors, degradations, stats, failover marks, the
-// canonical sort) lands in r.rs, complete when execute returns.
+// everything else (errors, stats, failover marks, the canonical sort)
+// lands in r.rs, complete when execute returns.
 func (r *plannedRun) execute(ctx context.Context, deliver func(sourceID string, frags []Fragment)) {
 	m, rs, espan, metrics := r.m, r.rs, r.espan, r.metrics
-	// Memoized cache-lookup counters: resolved once, not per rule.
-	rm := newRunMetrics(metrics)
 
 	// Semi-join split (planner v3): narrowable plans defer to a second
 	// wave restricted to the key values the first wave produced.
@@ -673,14 +575,11 @@ func (r *plannedRun) execute(ctx context.Context, deliver func(sourceID string, 
 				}
 				sctx := obs.ContextWithSpan(ctx, espan.StartChild("source:"+plan.Source.ID))
 				srcStart := time.Now()
-				frags, errs, run := m.extractSource(sctx, plan, r.docs, rm)
+				frags, errs, run := m.extractSource(sctx, plan, r.docs)
 				m.observeSource(plan, errs, run, time.Since(srcStart), r.shape)
 				mu.Lock()
 				rs.Errors = append(rs.Errors, errs...)
-				rs.Degraded = append(rs.Degraded, run.degraded...)
 				rs.Stats.Retries += run.retries
-				rs.Stats.CacheHits += run.cacheHits
-				rs.Stats.StaleServes += len(run.degraded)
 				for _, f := range frags {
 					covered[f.AttributeID] = true
 					rs.Stats.ValuesExtracted += len(f.Values)
@@ -708,9 +607,6 @@ func (r *plannedRun) execute(ctx context.Context, deliver func(sourceID string, 
 
 	rs.Stats.ExtractDuration = time.Since(extractStart)
 	rs.Stats.SourcesContacted = len(r.plans)
-	if len(rs.Degraded) > 0 {
-		espan.SetAttr("degraded", strconv.Itoa(len(rs.Degraded)))
-	}
 	// Failover marking needs the global fragment view, which a restricted
 	// run lacks; the cluster coordinator marks the merged set instead.
 	if !r.restricted {
@@ -722,8 +618,8 @@ func (r *plannedRun) execute(ctx context.Context, deliver func(sourceID string, 
 }
 
 // SortCanonical puts the result set in the pipeline's deterministic
-// order: fragments and degradations by (attribute, source), errors by
-// (source, attribute). Extraction applies it before returning; the
+// order: fragments by (attribute, source), errors by (source,
+// attribute). Extraction applies it before returning; the
 // cluster coordinator re-applies it after merging per-node result sets
 // so merged answers stay byte-identical to single-node ones.
 func (rs *ResultSet) SortCanonical() {
@@ -738,12 +634,6 @@ func (rs *ResultSet) SortCanonical() {
 			return rs.Errors[i].SourceID < rs.Errors[j].SourceID
 		}
 		return rs.Errors[i].AttributeID < rs.Errors[j].AttributeID
-	})
-	sort.Slice(rs.Degraded, func(i, j int) bool {
-		if rs.Degraded[i].AttributeID != rs.Degraded[j].AttributeID {
-			return rs.Degraded[i].AttributeID < rs.Degraded[j].AttributeID
-		}
-		return rs.Degraded[i].SourceID < rs.Degraded[j].SourceID
 	})
 }
 
@@ -842,8 +732,6 @@ func markFailovers(errs []SourceError, covered map[string]bool, plans []mapping.
 // sourceRun summarizes one source's extraction pass.
 type sourceRun struct {
 	retries   int
-	cacheHits int
-	degraded  []Degradation
 	exhausted bool // at least one rule failed after its full retry budget
 	// rawValues / keptValues count extracted values before and after the
 	// planner's record filters; their ratio is the observed selectivity
@@ -852,28 +740,11 @@ type sourceRun struct {
 	keptValues int
 }
 
-// runMetrics holds the cache-lookup counter handles for one extraction
-// run. Resolving a counter costs a label-map allocation and a registry
-// lookup; the rule hot loop increments these per rule, so the handles
-// are resolved once per run instead. All methods are nil-safe, matching
-// the no-registry case.
-type runMetrics struct {
-	cacheHit, cacheMiss, cacheStale *obs.Counter
-}
-
-func newRunMetrics(metrics *obs.Registry) runMetrics {
-	return runMetrics{
-		cacheHit:   metrics.Counter(obs.MetricCacheLookups, obs.Labels{"outcome": obs.OutcomeCacheHit}),
-		cacheMiss:  metrics.Counter(obs.MetricCacheLookups, obs.Labels{"outcome": obs.OutcomeCacheMiss}),
-		cacheStale: metrics.Counter(obs.MetricCacheLookups, obs.Labels{"outcome": obs.OutcomeCacheStale}),
-	}
-}
-
 // extractSource runs every rule of one source plan under the per-source
 // timeout, honoring the circuit breaker. The span and metrics registry
 // carried by ctx (if any) receive the per-source annotations: kind,
-// outcome, retries, cache hits, and breaker state.
-func (m *Manager) extractSource(ctx context.Context, plan mapping.SourcePlan, docs *runDocs, rm runMetrics) (frags []Fragment, errs []SourceError, run sourceRun) {
+// outcome, retries, and breaker state.
+func (m *Manager) extractSource(ctx context.Context, plan mapping.SourcePlan, docs *runDocs) (frags []Fragment, errs []SourceError, run sourceRun) {
 	span := obs.SpanFromContext(ctx)
 	metrics := obs.MetricsFromContext(ctx)
 	sm := m.sourceMetrics(metrics, plan.Source.ID)
@@ -883,9 +754,6 @@ func (m *Manager) extractSource(ctx context.Context, plan mapping.SourcePlan, do
 		span.SetAttr("kind", plan.Source.Kind.String())
 		span.SetAttr("outcome", outcome)
 		span.SetAttr("retries", strconv.Itoa(run.retries))
-		if m.cache != nil {
-			span.SetAttr("cache_hits", strconv.Itoa(run.cacheHits))
-		}
 		span.End()
 		if outcome == "ok" {
 			sm.okTotal.Inc()
@@ -906,54 +774,27 @@ func (m *Manager) extractSource(ctx context.Context, plan mapping.SourcePlan, do
 		}}, run
 	}
 
-	// Answer fresh cache hits inline first — a fully warm source then
-	// skips the timeout context, the simulated latency sleep, and the
-	// rule worker pool entirely — and send only the misses to the pool.
-	// Results land in entry order, so fragments, errors, and degradation
-	// records stay deterministic regardless of the parallelism setting.
-	// The scratch buffers are pooled: nothing below retains them past the
-	// deferred release (fragment values are slice headers copied out).
-	scratch := scratchPool.Get().(*sourceScratch)
-	defer scratch.release()
-	results := scratch.resultsFor(len(plan.Entries))
-	pending := scratch.pending[:0]
-	if m.cache != nil && !plan.Ephemeral {
-		for i := range plan.Entries {
-			if cached, ok := m.cache.get(m.cacheKeyFor(plan.Source, &plan.Entries[i])); ok {
-				rm.cacheHit.Inc()
-				results[i] = ruleResult{values: cached, cacheHit: true}
-				continue
-			}
-			pending = append(pending, i)
+	// Results land in entry order, so fragments and errors stay
+	// deterministic regardless of the parallelism setting.
+	results := make([]ruleResult, len(plan.Entries))
+	rctx, cancel := context.WithTimeout(ctx, m.opts.Timeout)
+	defer cancel()
+	if rp := m.opts.RuleParallelism; rp > 1 && len(results) > 1 {
+		var rwg sync.WaitGroup
+		rsem := make(chan struct{}, rp)
+		for i := range results {
+			rwg.Add(1)
+			go func(i int) {
+				defer rwg.Done()
+				rsem <- struct{}{}
+				defer func() { <-rsem }()
+				results[i] = m.retryRule(rctx, plan.Source, plan.Entries[i], docs)
+			}(i)
 		}
+		rwg.Wait()
 	} else {
-		for i := range plan.Entries {
-			pending = append(pending, i)
-		}
-	}
-	scratch.pending = pending
-
-	if len(pending) > 0 {
-		ctx, cancel := context.WithTimeout(ctx, m.opts.Timeout)
-		defer cancel()
-
-		if rp := m.opts.RuleParallelism; rp > 1 && len(pending) > 1 {
-			var rwg sync.WaitGroup
-			rsem := make(chan struct{}, rp)
-			for _, i := range pending {
-				rwg.Add(1)
-				go func(i int) {
-					defer rwg.Done()
-					rsem <- struct{}{}
-					defer func() { <-rsem }()
-					results[i] = m.runRuleWithRetry(ctx, plan.Source, plan.Entries[i], docs, rm, plan.Ephemeral)
-				}(i)
-			}
-			rwg.Wait()
-		} else {
-			for _, i := range pending {
-				results[i] = m.runRuleWithRetry(ctx, plan.Source, plan.Entries[i], docs, rm, plan.Ephemeral)
-			}
+		for i := range results {
+			results[i] = m.retryRule(rctx, plan.Source, plan.Entries[i], docs)
 		}
 	}
 
@@ -971,9 +812,6 @@ func (m *Manager) extractSource(ctx context.Context, plan mapping.SourcePlan, do
 	for i, entry := range plan.Entries {
 		res := results[i]
 		run.retries += res.attempts
-		if res.cacheHit {
-			run.cacheHits++
-		}
 		if res.exhausted {
 			run.exhausted = true
 		}
@@ -990,14 +828,6 @@ func (m *Manager) extractSource(ctx context.Context, plan mapping.SourcePlan, do
 					len(res.values), entry.AttributeID)),
 			})
 			continue
-		}
-		if res.stale > 0 {
-			run.degraded = append(run.degraded, Degradation{
-				SourceID:    plan.Source.ID,
-				AttributeID: entry.AttributeID,
-				Stale:       res.stale,
-				Err:         res.liveErr,
-			})
 		}
 		frags = append(frags, Fragment{
 			AttributeID: entry.AttributeID,
@@ -1023,150 +853,44 @@ func (m *Manager) extractSource(ctx context.Context, plan mapping.SourcePlan, do
 		outcome = obs.OutcomeRetryExhausted
 	case anyFailed:
 		outcome = obs.OutcomeError
-	case len(run.degraded) > 0:
-		outcome = obs.OutcomeDegradedStale
 	}
-	// Stale serves count as failures for breaker purposes: the live source
-	// misbehaved even though the query was answered.
-	if m.breaker.report(plan.Source.ID, anyFailed || len(run.degraded) > 0) {
+	if m.breaker.report(plan.Source.ID, anyFailed) {
 		span.SetAttr("breaker", "tripped")
 		metrics.Counter(obs.MetricBreakerTrips, obs.Labels{"source": plan.Source.ID}).Inc()
 	}
 	return frags, errs, run
 }
 
-// sourceScratch is extractSource's pooled per-call working memory: the
-// in-order rule results and the pending (cache-miss) index list. Pooling
-// them keeps the fully-warm path from allocating per source per query.
-type sourceScratch struct {
-	results []ruleResult
-	pending []int
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(sourceScratch) }}
-
-// resultsFor returns a zeroed results slice of length n, reusing the
-// pooled backing array when it is large enough.
-func (s *sourceScratch) resultsFor(n int) []ruleResult {
-	if cap(s.results) < n {
-		s.results = make([]ruleResult, n)
-	}
-	s.results = s.results[:n]
-	for i := range s.results {
-		s.results[i] = ruleResult{}
-	}
-	return s.results
-}
-
-// release drops value references (so cached extraction results are not
-// pinned by the pool) and returns the scratch to the pool.
-func (s *sourceScratch) release() {
-	for i := range s.results {
-		s.results[i] = ruleResult{}
-	}
-	scratchPool.Put(s)
-}
-
 // ruleResult is the outcome of one rule execution (with retries).
 type ruleResult struct {
 	values   []string
-	attempts int  // retries performed (not counting the first attempt)
-	cacheHit bool // answered from a fresh cache entry
-	// stale > 0 means values came from an expired cache entry after live
-	// extraction failed; liveErr is that live failure.
-	stale   time.Duration
-	liveErr error
+	attempts int // retries performed (not counting the first attempt)
 	// exhausted marks a retriable failure that used the whole retry
-	// budget; err is the final error (nil when stale values were served).
+	// budget; err is the final error.
 	exhausted bool
 	err       error
 }
 
-// runRuleWithRetry answers one rule: from the result cache when fresh,
-// otherwise by live execution behind a per-key singleflight, so N
-// concurrent identical extractions (the same rule racing across
-// concurrent queries) cost one backend round trip — waiters share the
-// leader's result. Ephemeral plans (per-run semi-join narrowings)
-// bypass cache and singleflight entirely: their rule codes embed
-// run-specific key values, so caching them would only grow the cache
-// with entries no later run can hit — and a narrowed result must never
-// be served for the unnarrowed rule or vice versa.
-func (m *Manager) runRuleWithRetry(ctx context.Context, def datasource.Definition, entry mapping.Entry, docs *runDocs, rm runMetrics, ephemeral bool) ruleResult {
-	if m.cache == nil || ephemeral {
-		return m.runRuleLive(ctx, def, entry, docs, rm, "")
-	}
-	key := cacheKey(def, entry)
-	if cached, ok := m.cache.get(key); ok {
-		rm.cacheHit.Inc()
-		return ruleResult{values: cached, cacheHit: true}
-	}
-	rm.cacheMiss.Inc()
-	v, _, shared := m.flight.Do(key, func() (any, error) {
-		return m.runRuleLive(ctx, def, entry, docs, rm, key), nil
-	})
-	res := v.(ruleResult)
-	if shared {
-		// Waiters did none of the leader's work: they performed no
-		// retries of their own, and a successfully shared fill is a
-		// cache hit from the waiter's point of view.
-		res.attempts = 0
-		if res.err == nil && res.stale == 0 {
-			res.cacheHit = true
-		}
-	}
-	return res
-}
-
-// runRuleLive executes one rule with bounded retries: full-jitter
-// exponential backoff between attempts, fail-fast on Permanent errors,
-// and — when the rule cache holds an expired entry — serve-stale
-// degradation after the retry budget is spent. key is the result-cache
-// key, or "" when caching is off.
-func (m *Manager) runRuleLive(ctx context.Context, def datasource.Definition, entry mapping.Entry, docs *runDocs, rm runMetrics, key string) ruleResult {
-	var res ruleResult
+// retryRule executes one rule live with bounded retries: full-jitter
+// exponential backoff between attempts, fail-fast on Permanent errors.
+func (m *Manager) retryRule(ctx context.Context, def datasource.Definition, entry mapping.Entry, docs *runDocs) ruleResult {
 	for attempt := 0; ; attempt++ {
-		var values []string
-		var err error
-		values, err = m.runRule(ctx, def, entry, docs)
+		values, err := m.runRule(ctx, def, entry, docs)
 		if err == nil {
-			if m.cache != nil && key != "" {
-				m.cache.put(key, values)
-			}
-			res.values = values
-			res.attempts = attempt
+			return ruleResult{values: values, attempts: attempt}
+		}
+		res := ruleResult{attempts: attempt, err: err}
+		if IsPermanent(err) {
 			return res
 		}
-		if IsPermanent(err) {
-			res.attempts = attempt
-			res.err = err
-			break
-		}
 		if attempt >= m.opts.Retries || ctx.Err() != nil {
-			res.attempts = attempt
-			res.err = err
 			res.exhausted = m.opts.Retries > 0 && attempt >= m.opts.Retries
-			break
+			return res
 		}
 		if !m.sleep(ctx, m.backoffDelay(attempt)) {
-			res.attempts = attempt
-			res.err = err
-			break
+			return res
 		}
 	}
-	// Graceful degradation: an expired cache entry beats a failure.
-	if m.cache != nil && key != "" && !m.opts.DisableServeStale {
-		if stale, age, ok := m.cache.getStale(key); ok {
-			rm.cacheStale.Inc()
-			return ruleResult{
-				values:    stale,
-				attempts:  res.attempts,
-				stale:     age,
-				liveErr:   res.err,
-				exhausted: res.exhausted,
-			}
-		}
-	}
-	return res
 }
 
 // runRule delegates to the extractor for the source's kind, then applies
@@ -1368,7 +1092,7 @@ func (m *Manager) extractWeb(ctx context.Context, def datasource.Definition, ent
 	if cr.weblErr != nil {
 		return nil, Permanent(cr.weblErr)
 	}
-	globals, err := cr.webl.Run(&webl.Env{Fetcher: memoFetcher{docs: docs, next: pages}, MaxSteps: m.opts.WebLMaxSteps})
+	globals, err := cr.webl.Run(&webl.Env{Fetcher: memoFetcher{docs: docs, next: pages}})
 	if err != nil {
 		return nil, err
 	}

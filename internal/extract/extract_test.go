@@ -245,15 +245,17 @@ func TestExtractTimeout(t *testing.T) {
 	w := newWorld(t)
 	w.repo.MustRegister(mapping.Entry{
 		AttributeID: "thing.product.brand", SourceID: "wpage_81",
-		Rule: mapping.Rule{Code: `
-var i = 0
-while true { i = i + 1 }
-var brand = "never"
-`},
+		Rule: mapping.Rule{Code: paperWebLRule}, Scenario: mapping.SingleRecord,
 	})
-	m := w.manager(Options{Timeout: 20 * time.Millisecond, WebLMaxSteps: 1 << 40})
-	// Guard: even with an effectively unlimited WebL budget, the source
-	// timeout fires.
+	const timeout = 20 * time.Millisecond
+	backends := FromCatalog(w.catalog)
+	inner := backends.Pages
+	// The rule blocks in its page fetch well past the source timeout.
+	backends.Pages = fetcherFunc(func(url string) (string, error) {
+		time.Sleep(10 * timeout)
+		return inner.Fetch(url)
+	})
+	m := NewManager(w.repo, backends, Options{Timeout: timeout})
 	done := make(chan struct{})
 	var rs *ResultSet
 	var err error
@@ -375,69 +377,6 @@ func TestWebSourceAcceptsBothLanguages(t *testing.T) {
 	}
 	if len(rs.Fragments) != 2 {
 		t.Fatalf("fragments = %+v", rs.Fragments)
-	}
-}
-
-func TestRuleCache(t *testing.T) {
-	w := newWorld(t)
-	fetches := 0
-	backends := FromCatalog(w.catalog)
-	inner := backends.Pages
-	backends.Pages = fetcherFunc(func(url string) (string, error) {
-		fetches++
-		return inner.Fetch(url)
-	})
-	w.repo.MustRegister(mapping.Entry{
-		AttributeID: "thing.product.brand", SourceID: "wpage_81",
-		Rule: mapping.Rule{Code: paperWebLRule}, Scenario: mapping.SingleRecord,
-	})
-	m := NewManager(w.repo, backends, Options{CacheTTL: time.Hour})
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		rs, err := m.Extract(ctx, []string{"thing.product.brand"})
-		if err != nil || len(rs.Errors) > 0 {
-			t.Fatalf("%v %v", err, rs.Errors)
-		}
-		if got := strings.TrimSpace(rs.Fragments[0].Values[0]); got != "Seiko" {
-			t.Fatalf("cached value = %q", got)
-		}
-	}
-	if fetches != 1 {
-		t.Fatalf("fetches = %d, want 1 (cache hit afterwards)", fetches)
-	}
-	// Invalidation forces a re-fetch.
-	m.InvalidateCache()
-	if _, err := m.Extract(ctx, []string{"thing.product.brand"}); err != nil {
-		t.Fatal(err)
-	}
-	if fetches != 2 {
-		t.Fatalf("fetches after invalidate = %d, want 2", fetches)
-	}
-}
-
-func TestRuleCacheTTLExpiry(t *testing.T) {
-	w := newWorld(t)
-	fetches := 0
-	backends := FromCatalog(w.catalog)
-	inner := backends.Pages
-	backends.Pages = fetcherFunc(func(url string) (string, error) {
-		fetches++
-		return inner.Fetch(url)
-	})
-	w.repo.MustRegister(mapping.Entry{
-		AttributeID: "thing.product.brand", SourceID: "wpage_81",
-		Rule: mapping.Rule{Code: paperWebLRule}, Scenario: mapping.SingleRecord,
-	})
-	m := NewManager(w.repo, backends, Options{CacheTTL: time.Nanosecond})
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if _, err := m.Extract(ctx, []string{"thing.product.brand"}); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if fetches != 3 {
-		t.Fatalf("fetches = %d, want 3 (TTL expired each time)", fetches)
 	}
 }
 

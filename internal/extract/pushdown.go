@@ -27,10 +27,7 @@ type rewriteEntry struct {
 const rewriteCacheBound = 256
 
 // plannedRewrite returns the planner's rewrite of plans for qplan,
-// cached per query shape. Caching matters twice over: the rewrite
-// itself is saved, and the rewritten entries keep stable addresses
-// across queries, which the result cache's address-keyed memo
-// (cacheKeyFor) relies on. InvalidateCache flushes the cache, so a
+// cached per query shape. InvalidateCache flushes the cache, so a
 // remapped rule can never serve a stale pushed-down plan.
 func (m *Manager) plannedRewrite(qplan *s2sql.Plan, attributeIDs []string, plans []mapping.SourcePlan) ([]mapping.SourcePlan, planner.Stats) {
 	key := strings.Join(attributeIDs, "\x00") + "\x01" + querySig(qplan)
@@ -149,8 +146,6 @@ func applyRecordFilter(frags []Fragment, fragAt []int, f mapping.RecordFilter) {
 	}
 	for _, fi := range idx {
 		vals := frags[fi].Values
-		// Never filter in place: Values may alias the rule-result cache's
-		// stored slice.
 		out := make([]string, 0, kept)
 		for r, v := range vals {
 			if keep[r] {

@@ -214,120 +214,6 @@ func TestBackoffSleepsBetweenRetries(t *testing.T) {
 	}
 }
 
-func TestServeStaleOnFailure(t *testing.T) {
-	w := newWorld(t)
-	backends := FromCatalog(w.catalog)
-	inner := backends.Pages
-	var failing bool
-	var mu sync.Mutex
-	backends.Pages = fetcherFunc(func(url string) (string, error) {
-		mu.Lock()
-		f := failing
-		mu.Unlock()
-		if f {
-			return "", fmt.Errorf("source went away")
-		}
-		return inner.Fetch(url)
-	})
-	w.repo.MustRegister(mapping.Entry{
-		AttributeID: "thing.product.brand", SourceID: "wpage_81",
-		Rule: mapping.Rule{Code: paperWebLRule}, Scenario: mapping.SingleRecord,
-	})
-	reg := obs.NewRegistry()
-	ctx := obs.ContextWithMetrics(context.Background(), reg)
-	m := NewManager(w.repo, backends, Options{CacheTTL: 20 * time.Millisecond, RetryBackoff: -1})
-
-	// Warm the cache with a healthy extraction.
-	rs, err := m.Extract(ctx, []string{"thing.product.brand"})
-	if err != nil || len(rs.Errors) > 0 {
-		t.Fatalf("%v %v", err, rs.Errors)
-	}
-
-	// Let the entry expire, then kill the source.
-	time.Sleep(40 * time.Millisecond)
-	mu.Lock()
-	failing = true
-	mu.Unlock()
-
-	rs, err = m.Extract(ctx, []string{"thing.product.brand"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Fragments) != 1 {
-		t.Fatalf("fragments = %+v, want the stale value served", rs.Fragments)
-	}
-	frag := rs.Fragments[0]
-	if strings.TrimSpace(frag.Values[0]) != "Seiko" {
-		t.Errorf("stale value = %q", frag.Values[0])
-	}
-	if len(rs.Degraded) != 1 {
-		t.Fatalf("degradations = %v", rs.Degraded)
-	}
-	d := rs.Degraded[0]
-	if d.SourceID != "wpage_81" || d.AttributeID != "thing.product.brand" {
-		t.Errorf("degradation = %+v", d)
-	}
-	if d.Stale < 40*time.Millisecond {
-		t.Errorf("staleness = %v, want >= 40ms", d.Stale)
-	}
-	if d.Err == nil || !strings.Contains(d.Err.Error(), "source went away") {
-		t.Errorf("degradation must carry the live error, got %v", d.Err)
-	}
-	if rs.Stats.StaleServes != 1 {
-		t.Errorf("StaleServes = %d, want 1", rs.Stats.StaleServes)
-	}
-	// A degraded answer is not an extraction error: the query got values.
-	if len(rs.Errors) != 0 {
-		t.Errorf("errors = %v, want none (stale serve absorbed the failure)", rs.Errors)
-	}
-	got := reg.Counter(obs.MetricSourceExtractTotal,
-		obs.Labels{"source": "wpage_81", "outcome": obs.OutcomeDegradedStale}).Value()
-	if got != 1 {
-		t.Errorf("degraded_stale counter = %v, want 1", got)
-	}
-}
-
-func TestServeStaleDisabled(t *testing.T) {
-	w := newWorld(t)
-	backends := FromCatalog(w.catalog)
-	inner := backends.Pages
-	var failing bool
-	var mu sync.Mutex
-	backends.Pages = fetcherFunc(func(url string) (string, error) {
-		mu.Lock()
-		f := failing
-		mu.Unlock()
-		if f {
-			return "", fmt.Errorf("source went away")
-		}
-		return inner.Fetch(url)
-	})
-	w.repo.MustRegister(mapping.Entry{
-		AttributeID: "thing.product.brand", SourceID: "wpage_81",
-		Rule: mapping.Rule{Code: paperWebLRule}, Scenario: mapping.SingleRecord,
-	})
-	m := NewManager(w.repo, backends, Options{
-		CacheTTL: 20 * time.Millisecond, DisableServeStale: true, RetryBackoff: -1,
-	})
-	if rs, err := m.Extract(context.Background(), []string{"thing.product.brand"}); err != nil || len(rs.Errors) > 0 {
-		t.Fatalf("%v %v", err, rs.Errors)
-	}
-	time.Sleep(40 * time.Millisecond)
-	mu.Lock()
-	failing = true
-	mu.Unlock()
-	rs, err := m.Extract(context.Background(), []string{"thing.product.brand"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Fragments) != 0 || len(rs.Errors) != 1 {
-		t.Fatalf("fragments=%v errors=%v, want plain failure with serve-stale off", rs.Fragments, rs.Errors)
-	}
-	if rs.Stats.StaleServes != 0 || len(rs.Degraded) != 0 {
-		t.Errorf("unexpected degradation: %+v", rs.Degraded)
-	}
-}
-
 func TestFailoverMarking(t *testing.T) {
 	w := newWorld(t)
 	backends := FromCatalog(w.catalog)

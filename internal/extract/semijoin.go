@@ -220,8 +220,8 @@ func addSeed(seed map[string]map[string]bool, keyAttrs map[string]bool, frags []
 // narrowPlan builds the per-run narrowed copy of one wave-two plan:
 // database groups get a typed IN predicate on the key column (original
 // code preserved as fallback), other groups get a key record filter.
-// The copy is marked Ephemeral so its run-specific rules bypass the
-// rule-result cache. Gate failures degrade per group — an oversized
+// The copy is marked Ephemeral so its run-specific results stay out of
+// the source statistics. Gate failures degrade per group — an oversized
 // seed runs that group unnarrowed, an unsafe SQL value falls back to
 // the record filter — and never affect correctness.
 func (m *Manager) narrowPlan(p mapping.SourcePlan, seed map[string]map[string]bool, metrics *obs.Registry) mapping.SourcePlan {

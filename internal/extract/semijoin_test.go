@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/datasource"
 	"repro/internal/mapping"
@@ -102,13 +101,13 @@ func TestSemiJoinNarrowedValuesStaySeedBound(t *testing.T) {
 	}
 }
 
-// TestSemiJoinCacheCoherence guards the rule-result cache against
-// narrowed runs: a narrowed (ephemeral) plan must neither store its
-// seed-dependent results under the rule's cache identity nor be served
-// from it, in either order.
+// TestSemiJoinCacheCoherence guards the planner-rewrite and
+// compiled-rule caches against narrowed runs: a narrowed (ephemeral)
+// plan's seed-dependent rules must neither leak into an unnarrowed run
+// nor pick up the unnarrowed rules, in either order.
 func TestSemiJoinCacheCoherence(t *testing.T) {
 	spec := workload.SemiJoinSpec{DirectoryRecords: 4, DetailSources: 1, DetailRecords: 25, Seed: 43}
-	m, _, world := semiJoinManager(t, spec, Options{CacheTTL: time.Hour})
+	m, _, world := semiJoinManager(t, spec, Options{})
 	ctx := context.Background()
 	attrs := []string{
 		"thing.product.brand", "thing.product.model",
@@ -117,13 +116,14 @@ func TestSemiJoinCacheCoherence(t *testing.T) {
 	}
 
 	// Baseline from an untouched manager: the full, unnarrowed world.
-	fresh, _, _ := semiJoinManager(t, spec, Options{CacheTTL: time.Hour})
+	fresh, _, _ := semiJoinManager(t, spec, Options{})
 	want, err := fresh.Extract(ctx, attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Narrowed first: the ephemeral detail rules must not seed the cache.
+	// Narrowed first: the ephemeral detail rules must not replace the
+	// unnarrowed ones in any cache.
 	if _, err := m.ExtractQuery(ctx, semiJoinPlan(t, world)); err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestSemiJoinCacheCoherence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got.Fragments) != fmt.Sprint(want.Fragments) {
-		t.Fatal("unnarrowed extraction after a narrowed run diverges — the narrowed rule results leaked into the cache")
+		t.Fatal("unnarrowed extraction after a narrowed run diverges — the narrowed rules leaked into a cache")
 	}
 
-	// Unnarrowed first (cache warm): the narrowed run must not be served
-	// the cached full results, and a repeat narrowed run must agree.
+	// Unnarrowed first (caches warm): the narrowed run must still run its
+	// narrowed rules, and a repeat narrowed run must agree.
 	first, err := m.ExtractQuery(ctx, semiJoinPlan(t, world))
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestSemiJoinCacheCoherence(t *testing.T) {
 		}
 	}
 	if narrowedVals == 0 || narrowedVals >= full {
-		t.Errorf("narrowed detail models = %d of %d — the warm cache served unnarrowed results to the narrowed run", narrowedVals, full)
+		t.Errorf("narrowed detail models = %d of %d — the narrowed run ran the unnarrowed rules", narrowedVals, full)
 	}
 }
 
@@ -184,7 +184,7 @@ func TestSemiJoinStatsSurviveInvalidation(t *testing.T) {
 	}
 
 	// The repository-level invalidation path (remapping, class keys)
-	// flushes plans and rule results, never statistics.
+	// flushes plans and compiled rules, never statistics.
 	must(t, repo.SetClassKey("watch", "thing.product.model"))
 	m.InvalidateCache()
 	if m.SourceStats().Samples("dir") == 0 {

@@ -2,7 +2,7 @@
 // for chaos-testing the extraction pipeline. The paper's data sources are
 // autonomous and distributed — partner outages, slowdowns, and garbage
 // responses are the normal case — so the recovery machinery (retries with
-// backoff, circuit breakers, serve-stale degradation, failover marking)
+// backoff, circuit breakers, failover marking)
 // needs tests that reproduce those failures exactly.
 //
 // An Injector holds per-target fault Plans keyed by the backend address a

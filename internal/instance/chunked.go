@@ -141,7 +141,7 @@ func (g *Generator) SerializeChunked(ctx context.Context, w io.Writer, res *Resu
 
 // The JSON document pieces below reproduce, byte for byte, what
 // json.Encoder with SetIndent("", "  ") writes for the envelope
-// {query, matched, related?, errors?, degraded?, missing?} — HTML
+// {query, matched, related?, errors?, missing?} — HTML
 // escaping, sorted map keys, field order, and the trailing newline
 // included (the goldens and the equivalence suites pin it) — one
 // instance per marshal, so no piece needs the whole result in memory.
@@ -236,14 +236,7 @@ func (g *Generator) writeJSONTail(w stringWriter, res *Result) error {
 	for i, e := range res.Errors {
 		errs[i] = e.Error()
 	}
-	degraded := make([]string, len(res.Degraded))
-	for i, d := range res.Degraded {
-		degraded[i] = d.String()
-	}
 	if err := writeJSONStrings(w, "errors", errs); err != nil {
-		return err
-	}
-	if err := writeJSONStrings(w, "degraded", degraded); err != nil {
 		return err
 	}
 	if err := writeJSONStrings(w, "missing", res.Missing); err != nil {

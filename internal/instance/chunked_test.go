@@ -14,7 +14,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/extract"
 )
@@ -134,9 +133,8 @@ func TestJSONPiecesMatchEncoder(t *testing.T) {
 			frag("thing.product.model", "DB_ID_45", "<5 & \"Sports\">", "SKX", "F91"),
 			frag("thing.provider.name", "DB_ID_45", "TimeHouse"),
 		},
-		Errors:   []extract.SourceError{{SourceID: "web_1", AttributeID: "thing.product.price", Err: errors.New("fetch <failed>")}},
-		Degraded: []extract.Degradation{{SourceID: "xml_1", AttributeID: "thing.product.brand", Stale: time.Second, Err: errors.New("down")}},
-		Missing:  []string{"thing.product.watch.case"},
+		Errors:  []extract.SourceError{{SourceID: "web_1", AttributeID: "thing.product.price", Err: errors.New("fetch <failed>")}},
+		Missing: []string{"thing.product.watch.case"},
 	}
 	for name, rs := range map[string]*extract.ResultSet{"full": full, "empty": {}} {
 		res, err := w.gen.Generate(p, rs)
@@ -148,12 +146,11 @@ func TestJSONPiecesMatchEncoder(t *testing.T) {
 		}
 
 		type envelope struct {
-			Query    string         `json:"query"`
-			Matched  []jsonInstance `json:"matched"`
-			Related  []jsonInstance `json:"related,omitempty"`
-			Errors   []string       `json:"errors,omitempty"`
-			Degraded []string       `json:"degraded,omitempty"`
-			Missing  []string       `json:"missing,omitempty"`
+			Query   string         `json:"query"`
+			Matched []jsonInstance `json:"matched"`
+			Related []jsonInstance `json:"related,omitempty"`
+			Errors  []string       `json:"errors,omitempty"`
+			Missing []string       `json:"missing,omitempty"`
 		}
 		ref := envelope{Query: res.Plan.Query.String(), Matched: []jsonInstance{}, Missing: res.Missing}
 		for _, in := range res.Matched {
@@ -164,9 +161,6 @@ func TestJSONPiecesMatchEncoder(t *testing.T) {
 		}
 		for _, e := range res.Errors {
 			ref.Errors = append(ref.Errors, e.Error())
-		}
-		for _, d := range res.Degraded {
-			ref.Degraded = append(ref.Degraded, d.String())
 		}
 		var want bytes.Buffer
 		enc := json.NewEncoder(&want)

@@ -200,7 +200,6 @@ func (g *Generator) consumeEager(plan *s2sql.Plan, st *extract.Stream, cw *Chunk
 		res.Errors = append(res.Errors, perSrcErrs[id]...)
 	}
 	res.Errors = append(res.Errors, condErrs...)
-	res.Degraded = append(res.Degraded, tail.Degraded...)
 	res.Missing = append(res.Missing, tail.Missing...)
 
 	// Merge-free plans cannot link, so Related is empty and the tail only

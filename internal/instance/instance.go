@@ -94,10 +94,6 @@ type Result struct {
 	// generator "handles the errors from the queries and from the
 	// extraction phases", §2.6).
 	Errors []extract.SourceError
-	// Degraded records values served stale from the rule cache after the
-	// live source failed; consumers see which fragments are degraded and
-	// how old they are.
-	Degraded []extract.Degradation
 	// Missing lists attributes in the plan that had no mapping.
 	Missing []string
 }
@@ -170,7 +166,6 @@ func (g *Generator) GenerateOpts(plan *s2sql.Plan, rs *extract.ResultSet, opts G
 	res := &Result{Plan: plan}
 	if rs != nil {
 		res.Errors = append(res.Errors, rs.Errors...)
-		res.Degraded = append(res.Degraded, rs.Degraded...)
 		res.Missing = append(res.Missing, rs.Missing...)
 	}
 

@@ -18,6 +18,7 @@ package instance
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net/url"
@@ -117,14 +118,18 @@ type DemuxedResult struct {
 	Began bool
 }
 
-// DemuxBatch reads a complete batch response from r and reassembles the
-// per-query results, indexed as the queries were submitted.
-func DemuxBatch(r io.Reader) ([]DemuxedResult, error) {
+// DemuxBatch reads a complete batch response of at most n queries from r
+// and reassembles the per-query results, indexed as the queries were
+// submitted. The stream comes off the network, so nothing it declares is
+// trusted: a frame index outside [0, n) is an error, and a chunk's
+// declared size allocates nothing ahead of the bytes that actually
+// arrive.
+func DemuxBatch(r io.Reader, n int) ([]DemuxedResult, error) {
 	br := bufio.NewReader(r)
 	var results []DemuxedResult
 	at := func(i int) (*DemuxedResult, error) {
-		if i < 0 {
-			return nil, fmt.Errorf("instance: batch frame index %d out of range", i)
+		if i < 0 || i >= n {
+			return nil, fmt.Errorf("instance: batch frame index %d out of range [0, %d)", i, n)
 		}
 		for i >= len(results) {
 			results = append(results, DemuxedResult{})
@@ -163,7 +168,7 @@ func DemuxBatch(r io.Reader) ([]DemuxedResult, error) {
 			if len(fields) != 3 {
 				return results, fmt.Errorf("instance: malformed chunk frame %q", line)
 			}
-			size, err := strconv.Atoi(fields[2])
+			size, err := strconv.ParseInt(fields[2], 10, 64)
 			if err != nil || size < 0 {
 				return results, fmt.Errorf("instance: malformed chunk size %q", line)
 			}
@@ -171,11 +176,15 @@ func DemuxBatch(r io.Reader) ([]DemuxedResult, error) {
 			if err != nil {
 				return results, err
 			}
-			buf := make([]byte, size)
-			if _, err := io.ReadFull(br, buf); err != nil {
+			body := bytes.NewBuffer(res.Body)
+			_, err = io.CopyN(body, br, size)
+			res.Body = body.Bytes()
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			if err != nil {
 				return results, fmt.Errorf("instance: reading %d-byte chunk: %w", size, err)
 			}
-			res.Body = append(res.Body, buf...)
 		case "=t":
 			res, err := at(idx)
 			if err != nil {

@@ -45,7 +45,7 @@ func TestMuxRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results, err := DemuxBatch(&wire)
+	results, err := DemuxBatch(&wire, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +90,69 @@ func TestDemuxMalformed(t *testing.T) {
 		"bare line":       "hello\n",
 		"trailer no k=v":  "=t 0 junk\n",
 		"trailer bad esc": "=t 0 error=%zz\n",
+		// A declared size must not allocate ahead of the bytes that
+		// arrive, and an index must stay below the query count: a hostile
+		// or corrupted response cannot panic the client or make it grow
+		// its result slice to the frame's say-so.
+		"huge chunk size":    "=c 0 9223372036854775807\n",
+		"index past queries": "=b 2000000000\n",
+		"header past count":  "=n 5\n",
+		"chunk past queries": "=c 4 1\nx",
 	}
 	for name, wire := range cases {
-		if _, err := DemuxBatch(strings.NewReader(wire)); err == nil {
+		if _, err := DemuxBatch(strings.NewReader(wire), 4); err == nil {
 			t.Errorf("%s: demux accepted %q", name, wire)
 		}
 	}
+}
+
+// FuzzDemuxBatch: arbitrary bytes never panic the demultiplexer nor
+// yield more than n results, and any stream MuxWriter writes — n
+// queries, a body split into chunks at arbitrary points, a trailer with
+// an arbitrary message — demultiplexes back to exactly what was written.
+func FuzzDemuxBatch(f *testing.F) {
+	f.Add([]byte("=n 2\n=b 0\n=c 0 3\nabc=t 0 matched=1\n"), uint8(2), []byte(`{"a": 1}`), "msg", uint8(3))
+	f.Add([]byte("=c 0 9223372036854775807\n"), uint8(1), []byte{}, "", uint8(0))
+	f.Add([]byte("=b 2000000000\n"), uint8(0), []byte("\n=c 0 9 9\n"), "err=%zz\n+ &", uint8(1))
+	f.Add([]byte("=t 0 error=%zz\n"), uint8(4), []byte("<x/>"), "parse error: near \"=c 9 9\"\nline 2", uint8(255))
+	f.Fuzz(func(t *testing.T, raw []byte, n uint8, body []byte, msg string, split uint8) {
+		if got, err := DemuxBatch(bytes.NewReader(raw), int(n)); err == nil && len(got) > int(n) {
+			t.Fatalf("demux returned %d results for %d queries", len(got), n)
+		}
+
+		queries := int(n%8) + 1
+		var wire bytes.Buffer
+		mux := NewMuxWriter(&wire)
+		if err := mux.Header(queries); err != nil {
+			t.Fatal(err)
+		}
+		step := int(split) + 1
+		for i := 0; i < queries; i++ {
+			if err := mux.Begin(i); err != nil {
+				t.Fatal(err)
+			}
+			for rest := body; len(rest) > 0; {
+				k := min(step, len(rest))
+				if _, err := mux.Stream(i).Write(rest[:k]); err != nil {
+					t.Fatal(err)
+				}
+				rest = rest[k:]
+			}
+			if err := mux.Trailer(i, map[string]string{"error": msg, "matched": "1"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := DemuxBatch(&wire, queries)
+		if err != nil {
+			t.Fatalf("demux of a MuxWriter stream: %v", err)
+		}
+		if len(got) != queries {
+			t.Fatalf("results = %d, want %d", len(got), queries)
+		}
+		for i, r := range got {
+			if !r.Began || !bytes.Equal(r.Body, body) || r.Trailer["error"] != msg || r.Trailer["matched"] != "1" {
+				t.Fatalf("query %d = %+v, want body %q and error %q", i, r, body, msg)
+			}
+		}
+	})
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/datasource"
 	"repro/internal/extract"
@@ -322,16 +321,14 @@ func TestRDFErrorsBeforeFirstByte(t *testing.T) {
 	}
 }
 
-// failedResult is the paper result with a failed source, a stale
-// degradation and an unmapped attribute; the messages carry the
-// characters each comment syntax must neutralize.
+// failedResult is the paper result with a failed source and an unmapped
+// attribute; the error message carries the characters each comment
+// syntax must neutralize.
 func failedResult(t *testing.T, w *world) *Result {
 	t.Helper()
 	res := paperResult(t, w)
 	res.Errors = append(res.Errors, extract.SourceError{SourceID: "web_001", AttributeID: "thing.product.price",
 		Err: errors.New("fetch failed -- connection reset\nafter 3 retries")})
-	res.Degraded = append(res.Degraded, extract.Degradation{SourceID: "xml_001", AttributeID: "thing.product.brand",
-		Stale: 90 * time.Second, Err: errors.New("timeout")})
 	res.Missing = append(res.Missing, "thing.product.watch.movement")
 	return res
 }
@@ -360,7 +357,7 @@ func TestFailedSourceReportedInEveryRDFFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 		compareGolden(t, golden, out)
-		for _, line := range []string{"s2s:error-report", "error: source web_001", "degraded: source xml_001", "unmapped: thing.product.watch.movement"} {
+		for _, line := range []string{"s2s:error-report", "error: source web_001", "unmapped: thing.product.watch.movement"} {
 			if !strings.Contains(out, line) {
 				t.Errorf("%s: report lacks %q", f, line)
 			}

@@ -258,15 +258,14 @@ var (
 )
 
 // writeErrorEpilog appends an RDF answer's error report: comments after
-// the document naming every source error, stale degradation and
-// unmapped attribute. Comments keep the output parseable, but a B2B
-// consumer (or an operator reading the file) sees exactly which parts of
-// the answer are missing or stale — the paper's §2.6 requirement that
-// the generator "handles the errors ... from the extraction phases"
-// surfaced in every RDF syntax. It is omitted entirely for clean
-// results.
+// the document naming every source error and unmapped attribute.
+// Comments keep the output parseable, but a B2B consumer (or an operator
+// reading the file) sees exactly which parts of the answer are missing —
+// the paper's §2.6 requirement that the generator "handles the errors
+// ... from the extraction phases" surfaced in every RDF syntax. It is
+// omitted entirely for clean results.
 func writeErrorEpilog(w io.Writer, res *Result, c commentSyntax) error {
-	if len(res.Errors) == 0 && len(res.Degraded) == 0 && len(res.Missing) == 0 {
+	if len(res.Errors) == 0 && len(res.Missing) == 0 {
 		return nil
 	}
 	b := getBuf()
@@ -274,9 +273,6 @@ func writeErrorEpilog(w io.Writer, res *Result, c commentSyntax) error {
 	b.WriteString(c.open)
 	for _, e := range res.Errors {
 		fmt.Fprintf(b, "%serror: %s\n", c.line, c.safe(e.Error()))
-	}
-	for _, d := range res.Degraded {
-		fmt.Fprintf(b, "%sdegraded: %s\n", c.line, c.safe(d.String()))
 	}
 	for _, m := range res.Missing {
 		fmt.Fprintf(b, "%sunmapped: %s\n", c.line, c.safe(m))
@@ -397,7 +393,7 @@ func jsonInstanceOf(in *Instance) jsonInstance {
 }
 
 // writeText emits the plain-text view: header, one instance at a time,
-// then the error/degradation/missing epilog lines.
+// then the error/missing epilog lines.
 func (g *Generator) writeText(b stringWriter, res *Result) error {
 	fmt.Fprintf(b, "query: %s\n", res.Plan.Query.String())
 	fmt.Fprintf(b, "matched: %d, related: %d, errors: %d\n", len(res.Matched), len(res.Related), len(res.Errors))
@@ -429,9 +425,6 @@ func (g *Generator) writeText(b stringWriter, res *Result) error {
 	}
 	for _, e := range res.Errors {
 		fmt.Fprintf(b, "! %s\n", e.Error())
-	}
-	for _, d := range res.Degraded {
-		fmt.Fprintf(b, "~ %s\n", d.String())
 	}
 	for _, m := range res.Missing {
 		fmt.Fprintf(b, "? unmapped attribute %s\n", m)

@@ -210,9 +210,6 @@ func (r *clusterRig) assertEquivalent(q, format string) cluster.QueryResponse {
 	if fmt.Sprint(cr.Errors) != fmt.Sprint(sr.Errors) {
 		r.t.Errorf("errors diverge for %q/%s:\n cluster %v\n single  %v", q, format, cr.Errors, sr.Errors)
 	}
-	if fmt.Sprint(cr.Degraded) != fmt.Sprint(sr.Degraded) {
-		r.t.Errorf("degradations diverge for %q/%s:\n cluster %v\n single  %v", q, format, cr.Degraded, sr.Degraded)
-	}
 	return cr
 }
 

@@ -347,55 +347,3 @@ func TestChaosSemiJoinFallbackMatchesPlain(t *testing.T) {
 		})
 	}
 }
-
-// TestChaosServeStaleKeepsDataFlowing warms the rule cache, kills the
-// only source, and verifies the degradation ladder: answers keep
-// flowing from expired cache entries, marked degraded with their
-// staleness age, with no errors surfaced.
-func TestChaosServeStaleKeepsDataFlowing(t *testing.T) {
-	spec := workload.Spec{XMLSources: 1, RecordsPerSource: 5, Seed: 74}
-	probe := workload.MustGenerate(spec)
-	target := chaosKey(t, probe, "xml_000")
-
-	mw, _, inj := chaosWorld(t, spec, nil, extract.Options{
-		CacheTTL:     25 * time.Millisecond,
-		RetryBackoff: -1,
-	})
-	ctx := context.Background()
-
-	warm, err := mw.Query(ctx, "SELECT product")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warm.Errors) > 0 || len(warm.Matched) != 5 {
-		t.Fatalf("warm query: matched=%d errors=%v", len(warm.Matched), warm.Errors)
-	}
-
-	time.Sleep(60 * time.Millisecond) // let the cache expire
-	inj.Set(target, faultinject.Fault{Permanent: true})
-
-	res, err := mw.Query(ctx, "SELECT product")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matched) != 5 {
-		t.Errorf("stale serve matched %d, want 5 (stale answers beat no answers)", len(res.Matched))
-	}
-	if len(res.Errors) > 0 {
-		t.Errorf("serve-stale should absorb the failure, got errors: %v", res.Errors)
-	}
-	if len(res.Degraded) == 0 {
-		t.Fatal("stale-served result carries no degradation records")
-	}
-	for _, d := range res.Degraded {
-		if d.SourceID != "xml_000" {
-			t.Errorf("degradation attributed to %s, want xml_000", d.SourceID)
-		}
-		if d.Stale < 60*time.Millisecond {
-			t.Errorf("staleness age = %v, want >= the 60ms the cache sat expired", d.Stale)
-		}
-	}
-	if got := counter(mw, obs.MetricSourceExtractTotal, obs.Labels{"source": "xml_000", "outcome": obs.OutcomeDegradedStale}); got != 1 {
-		t.Errorf("degraded_stale counter = %v, want 1", got)
-	}
-}

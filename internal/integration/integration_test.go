@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -298,8 +297,9 @@ func TestConcurrentQueriesAndRegistration(t *testing.T) {
 	}
 }
 
-// TestCacheCoherenceAfterInvalidation: cached rule results go stale when a
-// source changes; invalidation restores freshness.
+// TestCacheCoherenceAfterInvalidation: data values are extracted live on
+// every query, so a change to a source's content is visible on the very
+// next extraction, with no invalidation in between.
 func TestCacheCoherenceAfterInvalidation(t *testing.T) {
 	world := workload.MustGenerate(workload.Spec{XMLSources: 1, RecordsPerSource: 3, Seed: 67})
 	reg := datasource.NewRegistry()
@@ -312,7 +312,7 @@ func TestCacheCoherenceAfterInvalidation(t *testing.T) {
 	for _, e := range world.Entries {
 		repo.MustRegister(e)
 	}
-	mgr := extract.NewManager(repo, extract.FromCatalog(world.Catalog), extract.Options{CacheTTL: time.Hour})
+	mgr := extract.NewManager(repo, extract.FromCatalog(world.Catalog), extract.Options{})
 	ctx := context.Background()
 	attrs := []string{"thing.product.brand"}
 
@@ -320,22 +320,17 @@ func TestCacheCoherenceAfterInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(first.Fragments) != 1 || len(first.Fragments[0].Values) != 3 {
+		t.Fatalf("first extraction = %+v, want 3 brands", first.Fragments)
+	}
 	// The source changes underneath.
 	world.Catalog.XML.MustAdd("catalog-000.xml", "<catalog><watch><brand>NewBrand</brand></watch></catalog>")
-	stale, err := mgr.Extract(ctx, attrs)
+	next, err := mgr.Extract(ctx, attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stale.Fragments[0].Values) != len(first.Fragments[0].Values) {
-		t.Fatal("cache did not serve the stale values")
-	}
-	mgr.InvalidateCache()
-	fresh, err := mgr.Extract(ctx, attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh.Fragments[0].Values) != 1 || fresh.Fragments[0].Values[0] != "NewBrand" {
-		t.Fatalf("post-invalidation values = %v", fresh.Fragments[0].Values)
+	if len(next.Fragments[0].Values) != 1 || next.Fragments[0].Values[0] != "NewBrand" {
+		t.Fatalf("values after the source changed = %v, want [NewBrand]", next.Fragments[0].Values)
 	}
 }
 

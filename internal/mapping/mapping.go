@@ -456,11 +456,9 @@ type SourcePlan struct {
 	// Like Filters, they appear only on planner-rewritten copies.
 	SemiJoins []SemiJoin
 	// Ephemeral marks a per-run plan copy whose entries carry run-specific
-	// rewritten rules (semi-join-narrowed SQL). Ephemeral plans bypass the
-	// extractor's rule-result cache and its address-keyed memo: their
-	// entry addresses are fresh every run and their results depend on the
-	// run's seed values, so caching them could serve a narrowed result for
-	// the unnarrowed rule (or leak memo entries).
+	// rewritten rules (semi-join-narrowed SQL). Their results depend on the
+	// run's seed values, so the extractor keeps them out of the source
+	// statistics it learns cardinality from.
 	Ephemeral bool
 }
 

@@ -71,7 +71,6 @@ func TestDocCoversEveryOutcomeValue(t *testing.T) {
 	}{
 		{MetricQueryTotal, QueryOutcomes},
 		{MetricSourceExtractTotal, SourceOutcomes},
-		{MetricCacheLookups, CacheOutcomes},
 		{MetricClusterSubqueries, ClusterSubqueryOutcomes},
 		{MetricClusterHedges, ClusterHedgeOutcomes},
 		{MetricPlannerMergeFree, MergeFreeOutcomes},

@@ -29,8 +29,6 @@ const (
 	MetricSourceExtractDuration = "s2s_source_extract_duration_seconds"
 	// MetricSourceRetries counts rule re-executions per source.
 	MetricSourceRetries = "s2s_source_retries_total"
-	// MetricCacheLookups counts rule-cache lookups by outcome.
-	MetricCacheLookups = "s2s_cache_lookups_total"
 	// MetricBreakerTrips counts circuit-breaker open transitions.
 	MetricBreakerTrips = "s2s_breaker_trips_total"
 	// MetricInstances counts generated (matched) ontology instances.
@@ -86,21 +84,12 @@ const (
 	// OutcomeRetryExhausted marks a source whose rules still failed after
 	// the full retry/backoff budget.
 	OutcomeRetryExhausted = "retry_exhausted"
-	// OutcomeDegradedStale marks a source answered from expired cache
-	// entries because live extraction failed.
-	OutcomeDegradedStale = "degraded_stale"
 	// OutcomeFailover marks a source failure whose attributes were still
 	// served by an alternate source mapped to the same attribute.
 	OutcomeFailover = "failover"
 	// OutcomeShed marks a query rejected by server-side load shedding
 	// (503 + Retry-After above the concurrent-query cap).
 	OutcomeShed = "shed"
-	// OutcomeCacheHit / OutcomeCacheMiss / OutcomeCacheStale label rule
-	// cache lookups: fresh hit, miss, and expired entry served anyway
-	// under degradation.
-	OutcomeCacheHit   = "hit"
-	OutcomeCacheMiss  = "miss"
-	OutcomeCacheStale = "stale"
 	// OutcomeHedgeWon / OutcomeHedgeLost label hedged dispatches: the
 	// duplicate sent to the replica either delivered the answer first
 	// (won) or the primary beat it after all (lost).
@@ -134,16 +123,12 @@ const (
 // emitted with.
 var SourceOutcomes = []string{
 	OutcomeOK, OutcomeError, OutcomeBreakerOpen, OutcomeCanceled,
-	OutcomeRetryExhausted, OutcomeDegradedStale, OutcomeFailover,
+	OutcomeRetryExhausted, OutcomeFailover,
 }
 
 // QueryOutcomes lists every outcome value MetricQueryTotal is emitted
 // with.
 var QueryOutcomes = []string{OutcomeOK, OutcomeError, OutcomeShed}
-
-// CacheOutcomes lists every outcome value MetricCacheLookups is emitted
-// with.
-var CacheOutcomes = []string{OutcomeCacheHit, OutcomeCacheMiss, OutcomeCacheStale}
 
 // ClusterSubqueryOutcomes lists every outcome value
 // MetricClusterSubqueries is emitted with: a sub-request answered (ok),
@@ -189,10 +174,9 @@ var descriptors = []Desc{
 	{MetricQueryTotal, "counter", "Queries served, labeled by outcome (ok|error|shed).", []string{"outcome"}},
 	{MetricQueryDuration, "histogram", "End-to-end query latency in seconds.", nil},
 	{MetricStageDuration, "histogram", "Pipeline stage latency in seconds (parse_plan, extraction_schema, extract, generate, serialize).", []string{"stage"}},
-	{MetricSourceExtractTotal, "counter", "Per-source extraction attempts, labeled by source and outcome (ok|error|breaker_open|canceled|retry_exhausted|degraded_stale|failover).", []string{"source", "outcome"}},
+	{MetricSourceExtractTotal, "counter", "Per-source extraction attempts, labeled by source and outcome (ok|error|breaker_open|canceled|retry_exhausted|failover).", []string{"source", "outcome"}},
 	{MetricSourceExtractDuration, "histogram", "Per-source extraction latency in seconds.", []string{"source"}},
 	{MetricSourceRetries, "counter", "Rule re-executions after transient failures, per source.", []string{"source"}},
-	{MetricCacheLookups, "counter", "Rule-cache lookups, labeled by outcome (hit|miss|stale).", []string{"outcome"}},
 	{MetricBreakerTrips, "counter", "Circuit-breaker transitions to open, per source.", []string{"source"}},
 	{MetricInstances, "counter", "Matched ontology instances generated across queries.", nil},
 	{MetricPlannerSourcesPruned, "counter", "Source plans the query planner pruned before extraction.", nil},

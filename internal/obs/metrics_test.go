@@ -213,7 +213,7 @@ func TestDescriptorsCoverConstants(t *testing.T) {
 	want := []string{
 		MetricQueryTotal, MetricQueryDuration, MetricStageDuration,
 		MetricSourceExtractTotal, MetricSourceExtractDuration, MetricSourceRetries,
-		MetricCacheLookups, MetricBreakerTrips, MetricInstances,
+		MetricBreakerTrips, MetricInstances,
 		MetricPlannerSourcesPruned, MetricPlannerEntriesPruned,
 		MetricPlannerPushdownApplied, MetricPlannerMergeFree,
 		MetricPlannerSemiJoin, MetricStreamBatches,

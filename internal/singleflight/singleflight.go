@@ -1,13 +1,11 @@
 // Package singleflight suppresses duplicate concurrent work: calls that
 // share a key while one is in flight wait for the leader's result
-// instead of repeating the call. The extract manager uses it so N
-// identical queries racing on a cold rule cache or an unfetched source
-// document cost one backend round trip, not N.
+// instead of repeating the call. The extract manager uses it so rules
+// racing on an unfetched source page cost one backend round trip, not N.
 //
 // Unlike a cache, a completed call leaves no residue: the key is
 // forgotten the moment the leader returns, so freshness policy stays
-// wherever the caller keeps it (the rule cache's TTL, the per-run
-// document memo). This is a stdlib-only re-implementation of the
+// wherever the caller keeps it (the per-run document memo). This is a stdlib-only re-implementation of the
 // well-known golang.org/x/sync/singleflight shape, reduced to what the
 // hot path needs.
 package singleflight

@@ -15,7 +15,7 @@
 // reproducible under the chaos suites.
 //
 // Lifetime: the extractor manager owns one registry for its own
-// lifetime. Unlike the rule-result and rewrite caches, statistics
+// lifetime. Unlike the compiled-rule and rewrite caches, statistics
 // survive Manager.InvalidateCache — a catalog edit changes what a rule
 // extracts, not how big or slow its source is — and are dropped only by
 // an explicit Reset.

@@ -168,7 +168,7 @@ func (c *Client) QueryBatch(ctx context.Context, queries []string, format string
 		return nil, fmt.Errorf("transport: unexpected batch content type %q", ct)
 	}
 
-	parts, err := instance.DemuxBatch(resp.Body)
+	parts, err := instance.DemuxBatch(resp.Body, len(queries))
 	if err != nil {
 		return nil, fmt.Errorf("transport: demultiplexing batch response: %w", err)
 	}

@@ -293,59 +293,6 @@ func TestHealthReportsDegradedState(t *testing.T) {
 	}
 }
 
-// TestQueryResponseCarriesDegraded runs a query against a world whose web
-// source dies after warming the rule cache, and checks the degradations
-// reach the wire envelope.
-func TestQueryResponseCarriesDegraded(t *testing.T) {
-	world := workload.MustGenerate(workload.Spec{
-		WebSources: 1, RecordsPerSource: 5, Seed: 3,
-	})
-	backends := extract.FromCatalog(world.Catalog)
-	inner := backends.Pages
-	var dead atomic.Bool
-	backends.Pages = fetcherFunc(func(url string) (string, error) {
-		if dead.Load() {
-			return "", fmt.Errorf("partner offline")
-		}
-		return inner.Fetch(url)
-	})
-	mw, err := core.New(core.Config{
-		Ontology: world.Ontology,
-		Backends: backends,
-		Extract:  extract.Options{CacheTTL: 10 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := world.Apply(mw); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServer(mw))
-	defer srv.Close()
-	client := NewClient(srv.URL, nil)
-	ctx := context.Background()
-
-	if _, err := client.Query(ctx, "SELECT product", "json"); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(30 * time.Millisecond) // expire the cache
-	dead.Store(true)
-
-	resp, err := client.Query(ctx, "SELECT product", "json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Degraded) == 0 {
-		t.Fatalf("response carries no degradations: %+v", resp)
-	}
-	if !strings.Contains(resp.Degraded[0], "stale") {
-		t.Errorf("degradation text = %q", resp.Degraded[0])
-	}
-	if resp.Matched == 0 {
-		t.Error("stale serve should still answer the query")
-	}
-}
-
 type fetcherFunc func(url string) (string, error)
 
 func (f fetcherFunc) Fetch(url string) (string, error) { return f(url) }

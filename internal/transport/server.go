@@ -324,9 +324,6 @@ func FinishQuery(ctx context.Context, w http.ResponseWriter, root *obs.Span, gen
 	for _, e := range res.Errors {
 		resp.Errors = append(resp.Errors, e.Error())
 	}
-	for _, d := range res.Degraded {
-		resp.Degraded = append(resp.Degraded, d.String())
-	}
 	return resp, true
 }
 

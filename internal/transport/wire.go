@@ -141,10 +141,7 @@ type QueryResponse struct {
 	Matched int      `json:"matched"`
 	Related int      `json:"related"`
 	Errors  []string `json:"errors,omitempty"`
-	// Degraded lists fragments served stale from the rule cache after
-	// their live source failed, with staleness ages.
-	Degraded []string `json:"degraded,omitempty"`
-	Missing  []string `json:"missing,omitempty"`
+	Missing []string `json:"missing,omitempty"`
 	// Body is the serialized result in the requested format.
 	Body string `json:"body"`
 	// Trace is the server-side span tree, present when the request set
