@@ -6,7 +6,7 @@
 // Usage:
 //
 //	s2s-server [-addr :8080] [-db 2] [-xml 2] [-web 2] [-text 2] [-records 100] [-seed 1] [-pprof]
-//	           [-max-queries 0] [-budget 0] [-stats-file path]
+//	           [-max-queries 0] [-budget 0]
 //	           [-cluster node-id] [-join http://coordinator]
 //
 // -max-queries caps concurrent /query work; excess requests are shed
@@ -15,12 +15,6 @@
 // answered is not configurable: /query materializes, and /query/stream
 // streams eagerly whenever the planner proves the query merge-free and
 // the format is instance-incremental (docs/STREAMING.md).
-//
-// -stats-file persists the extractor's per-source cost statistics
-// (internal/stats) across restarts: the file is loaded on start when it
-// exists and rewritten on graceful shutdown (SIGINT/SIGTERM), so the
-// planner's cost-based source ordering starts warm instead of cold
-// (docs/PERFORMANCE.md).
 //
 // -cluster names this process as a cluster node and layers the
 // /cluster/* routes on top of the regular surface (docs/CLUSTER.md).
@@ -39,7 +33,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -72,7 +65,6 @@ func main() {
 		dumpConfig = flag.String("dump-config", "", "write the generated middleware configuration to this file and continue")
 		maxQueries = flag.Int("max-queries", 0, "concurrent /query cap; beyond it requests are shed with 503 + Retry-After (0 disables)")
 		budget     = flag.Duration("budget", 0, "per-query deadline budget across all sources (0 disables)")
-		statsFile  = flag.String("stats-file", "", "persist per-source cost statistics here across restarts (loaded on start, saved on graceful shutdown)")
 		clusterID  = flag.String("cluster", "", "cluster node ID; enables the /cluster/* routes (see docs/CLUSTER.md)")
 		join       = flag.String("join", "", "coordinator base URL to join as a member (requires -cluster); empty makes this node the coordinator")
 		advertise  = flag.String("advertise", "", "base URL other cluster nodes reach this node at; defaults to http://localhost<addr>")
@@ -82,13 +74,13 @@ func main() {
 	if err := run(*addr, workload.Spec{
 		DBSources: *db, XMLSources: *xml, WebSources: *web, TextSources: *text,
 		RecordsPerSource: *records, Seed: *seed,
-	}, *dumpConfig, *pprofOn, *maxQueries, *budget, *statsFile, *clusterID, *join, *advertise); err != nil {
+	}, *dumpConfig, *pprofOn, *maxQueries, *budget, *clusterID, *join, *advertise); err != nil {
 		fmt.Fprintln(os.Stderr, "s2s-server:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, spec workload.Spec, dumpConfig string, pprofOn bool, maxQueries int, budget time.Duration, statsFile, clusterID, join, advertise string) error {
+func run(addr string, spec workload.Spec, dumpConfig string, pprofOn bool, maxQueries int, budget time.Duration, clusterID, join, advertise string) error {
 	if join != "" && clusterID == "" {
 		return fmt.Errorf("-join requires -cluster <node-id>")
 	}
@@ -106,11 +98,6 @@ func run(addr string, spec workload.Spec, dumpConfig string, pprofOn bool, maxQu
 	// backends so it can serve any source it is assigned.
 	if join == "" {
 		if err := world.Apply(mw); err != nil {
-			return err
-		}
-	}
-	if statsFile != "" {
-		if err := loadStats(mw, statsFile); err != nil {
 			return err
 		}
 	}
@@ -160,17 +147,12 @@ func run(addr string, spec workload.Spec, dumpConfig string, pprofOn bool, maxQu
 		"http://localhost"+displayAddr(addr)+"/query?q=SELECT+product+WHERE+brand%3D%27Seiko%27&format=json")
 	log.Printf("s2s-server: ops  curl http://localhost%s/metrics  |  curl http://localhost%s/trace/last",
 		displayAddr(addr), displayAddr(addr))
-	return serve(addr, handler, func() error {
-		if statsFile == "" {
-			return nil
-		}
-		return saveStats(mw, statsFile)
-	})
+	return serve(addr, handler)
 }
 
 // serve runs the HTTP server until SIGINT/SIGTERM, then drains in-flight
-// requests and runs onShutdown (the stats snapshot) before returning.
-func serve(addr string, handler http.Handler, onShutdown func() error) error {
+// requests before returning.
+func serve(addr string, handler http.Handler) error {
 	srv := &http.Server{Addr: addr, Handler: handler}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -190,56 +172,6 @@ func serve(addr string, handler http.Handler, onShutdown func() error) error {
 	if err := srv.Shutdown(sctx); err != nil {
 		log.Printf("s2s-server: shutdown: %v", err)
 	}
-	return onShutdown()
-}
-
-// loadStats restores the cost-statistics registry from path. A missing
-// file is a cold start, not an error; a corrupt one refuses to start
-// rather than silently running cold.
-func loadStats(mw *core.Middleware, path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		log.Printf("s2s-server: no stats file at %s, starting cold", path)
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := mw.SourceStats().Load(f); err != nil {
-		return fmt.Errorf("loading %s: %w", path, err)
-	}
-	log.Printf("s2s-server: loaded cost statistics for %d sources from %s",
-		mw.SourceStats().Len(), path)
-	return nil
-}
-
-// saveStats snapshots the cost-statistics registry to path, writing to
-// a temporary sibling first so a crash mid-write never corrupts the
-// previous snapshot.
-func saveStats(mw *core.Middleware, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := mw.SourceStats().Save(f); err != nil {
-		//lint:ignore errcheck the Save error is what matters; the file is removed next anyway
-		f.Close()
-		//lint:ignore errcheck best-effort cleanup of the partial temp file; the Save error is what matters
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		//lint:ignore errcheck best-effort cleanup of the partial temp file; the Close error is what matters
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	log.Printf("s2s-server: saved cost statistics for %d sources to %s",
-		mw.SourceStats().Len(), path)
 	return nil
 }
 

@@ -25,11 +25,8 @@ var Determinism = register(&Analyzer{
 // the deterministic zone. The cluster is in scope because its failure
 // detector, hedge timers, and latency measurements must run off the
 // Options.Now/After seams — a raw clock call there would make the
-// 3-node chaos suite irreproducible. The stats registry is in scope
-// because cost-based source ordering must be a pure function of the
-// observation sequence: latencies are measured by callers and passed
-// in, never read from the wall clock inside the registry.
-var determinismScope = []string{"faultinject", "integration", "planner", "cluster", "stats"}
+// 3-node chaos suite irreproducible.
+var determinismScope = []string{"faultinject", "integration", "planner", "cluster"}
 
 // inDeterminismScope reports whether the unit's import path has a
 // segment naming a deterministic-zone package.

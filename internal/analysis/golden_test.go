@@ -79,7 +79,7 @@ func TestGoldenCorpus(t *testing.T) {
 		{"stdlibonly", []string{"stdlibonly"}, false},
 		{"errwrap", []string{"errwrap"}, true},
 		{"ctxfield", []string{"ctxfield"}, true},
-		{"determinism", []string{"determinism/faultinject", "determinism/clean", "determinism/planner", "determinism/cluster", "determinism/stats"}, true},
+		{"determinism", []string{"determinism/faultinject", "determinism/clean", "determinism/planner", "determinism/cluster"}, true},
 		{"spanend", []string{"spanend"}, true},
 		{"lockbalance", []string{"lockbalance"}, true},
 		{"pkgdoc", []string{"pkgdoc/missing", "pkgdoc/malformed", "pkgdoc/clean", "pkgdoc/command"}, false},

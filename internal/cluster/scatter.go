@@ -88,13 +88,6 @@ func (n *Node) scatterExtract(ctx context.Context, query string, plan *s2sql.Pla
 		}
 		g.sources = append(g.sources, p.Source.ID)
 	}
-	// Embed the coordinator's cost-ordering hint in each group's source
-	// list: restricted extraction preserves the caller's order, so the
-	// owning node runs cheapest-most-selective sources first even though
-	// its own statistics never observed them.
-	for _, g := range groups {
-		g.sources = n.mw.OrderExtractSources(plan, g.sources)
-	}
 	info.Subqueries = len(groups)
 
 	merged := &extract.ResultSet{Missing: missing}

@@ -1,8 +1,10 @@
 package config
 
 import (
+	"bytes"
 	"context"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,7 +13,7 @@ import (
 	"repro/internal/workload"
 )
 
-func builtWorld(t *testing.T) (*core.Middleware, *workload.World) {
+func builtWorld(t testing.TB) (*core.Middleware, *workload.World) {
 	t.Helper()
 	world := workload.MustGenerate(workload.Spec{
 		DBSources: 1, XMLSources: 1, WebSources: 1, TextSources: 1,
@@ -67,6 +69,66 @@ func TestRoundTripThroughFile(t *testing.T) {
 	if rebuilt.Sources().Len() != mw.Sources().Len() {
 		t.Errorf("sources: %d vs %d", rebuilt.Sources().Len(), mw.Sources().Len())
 	}
+	again, err := FromMiddleware(rebuilt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, cfg) {
+		t.Error("configuration changed on its way through the file and a rebuilt middleware")
+	}
+}
+
+// FuzzConfigRead feeds arbitrary bytes to Read and whatever it accepts
+// to BuildMiddleware with empty backends: neither may panic. A document
+// that builds must then reach a fixed point: writing the rebuilt
+// middleware's configuration and building from that again gives the same
+// configuration. The seed corpus holds the paper world's configuration.
+func FuzzConfigRead(f *testing.F) {
+	mw, _ := builtWorld(f)
+	cfg, err := FromMiddleware(mw)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := cfg.Write(&doc); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(doc.Bytes())
+	f.Add([]byte(`{"ontology": "<rdf:RDF/>"}`))
+	f.Add([]byte(`{"ontology": "x", "sources": [{"id": "s", "kind": "xml"}], "classKeys": {"a": "b"}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		mw, err := cfg.BuildMiddleware(core.Config{})
+		if err != nil {
+			return
+		}
+		first, err := FromMiddleware(mw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc bytes.Buffer
+		if err := first.Write(&doc); err != nil {
+			t.Fatal(err)
+		}
+		reread, err := Read(&doc)
+		if err != nil {
+			t.Fatalf("written configuration does not read back: %v", err)
+		}
+		rebuilt, err := reread.BuildMiddleware(core.Config{})
+		if err != nil {
+			t.Fatalf("written configuration does not build: %v", err)
+		}
+		second, err := FromMiddleware(rebuilt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Error("configuration changed on a write-read-build round trip")
+		}
+	})
 }
 
 func TestReadErrors(t *testing.T) {

@@ -23,7 +23,6 @@ import (
 	"repro/internal/ontology"
 	"repro/internal/planner"
 	"repro/internal/s2sql"
-	"repro/internal/stats"
 )
 
 // Config configures a Middleware.
@@ -157,9 +156,9 @@ func (m *Middleware) SetClassKey(class, attributeID string) error {
 
 // invalidateCaches flushes every cache whose contents could be stale
 // after a catalog mutation: the plan cache here and the extractor
-// manager's compiled-rule and result caches. Called after each
+// manager's compiled-rule and planner-rewrite caches. Called after each
 // successful RegisterSource/RegisterMapping/SetClassKey so a remapped
-// rule can never serve results compiled or cached under the old
+// rule can never run code compiled or a plan rewritten under the old
 // mapping.
 func (m *Middleware) invalidateCaches() {
 	m.plans.invalidate()
@@ -311,15 +310,6 @@ func (m *Middleware) ExtractPlanSources(ctx context.Context, plan *s2sql.Plan, s
 	return m.manager.ExtractQuerySources(ctx, plan, sources)
 }
 
-// OrderExtractSources returns sourceIDs in the extractor's current cost
-// order for the plan: cheapest-most-selective first, cold sources in
-// their given order. Restricted extraction (ExtractPlanSources)
-// preserves the caller's order, so a cluster coordinator calls this to
-// embed its ordering hint in each node's scatter list.
-func (m *Middleware) OrderExtractSources(plan *s2sql.Plan, sourceIDs []string) []string {
-	return m.manager.OrderSources(plan, sourceIDs)
-}
-
 // QueryWithExtractor answers one S2SQL query like Query, but with the
 // extraction stage supplied by the caller: extractFn receives the
 // planned query and must return the complete result set (canonically
@@ -418,13 +408,6 @@ func (m *Middleware) Generator() *instance.Generator { return m.gen }
 // breaker is disabled in the extract options).
 func (m *Middleware) SourceHealth() []extract.SourceHealth {
 	return m.manager.Health()
-}
-
-// SourceStats exposes the extractor's per-source statistics registry —
-// the cost model behind source ordering. s2s-server persists it across
-// restarts via stats.Registry.Save/Load (-stats-file).
-func (m *Middleware) SourceStats() *stats.Registry {
-	return m.manager.SourceStats()
 }
 
 // Stats returns a snapshot of cumulative statistics. Safe to call

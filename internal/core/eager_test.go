@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/extract"
 	"repro/internal/instance"
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -117,14 +118,8 @@ func TestEagerWriterFailureLeavesNoGoroutines(t *testing.T) {
 	if w.writes < 2 {
 		t.Fatalf("writer saw %d writes; the failure never triggered", w.writes)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines: %d before, %d after the failed eager query\n%s",
-				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
+	if report := leakcheck.Settle(before); report != "" {
+		t.Fatalf("after the failed eager query: %s", report)
 	}
 }
 

@@ -88,7 +88,7 @@ func TestPerformanceDocCoversBenchesAndTests(t *testing.T) {
 		"BenchmarkE17SelectiveQuery", "BENCH_baseline.json",
 		"make bench-compare FAMILY=", "InvalidateCache",
 		"BenchmarkE21FirstInstance", "first_instance_ns",
-		"BenchmarkE22Batch", "-stats-file",
+		"BenchmarkE22Batch",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("%s missing from %s", want, perfDocPath)

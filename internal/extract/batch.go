@@ -52,7 +52,7 @@ func (m *Manager) ExtractQueryBatch(ctx context.Context, qplans []*s2sql.Plan) (
 	}
 
 	shared := &sharedRun{
-		docs: m.newRunDocs(),
+		docs: newRunDocs(),
 		sem:  make(chan struct{}, m.opts.Parallelism),
 	}
 	var wg sync.WaitGroup

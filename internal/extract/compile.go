@@ -117,103 +117,52 @@ func (c *compiledCache) len() int {
 	return len(c.m)
 }
 
-// runDocs is the per-Extract-run shared document layer: each source
-// document is fetched/parsed/resolved at most once per run and shared
-// across that run's rules, no matter how many rules read it or how many
-// retries they make. Only successes are memoized — failures pass
-// through, so every retry is a fresh read. Cross-run, concurrent fetches
-// of the same page deduplicate through the manager's docFlight
-// singleflight group; completed fetches leave no residue there, so
-// document freshness stays per run.
+// runDocs is the per-Extract-run shared document layer: one docSlot per
+// source document of each kind — page, parsed DOM, XML root, text
+// content, database handle — so each is read at most once per run and
+// shared across that run's rules, no matter how many rules read it or how
+// many retries they make. Nothing in it outlives the run (or the batch
+// that shares it), so document freshness is per run.
 type runDocs struct {
-	m *Manager
-
 	mu    sync.Mutex
-	pages map[string]string                  // URL → page content
-	html  map[string]*htmldoc.Node           // URL → parsed DOM
+	pages map[string]*docSlot[string]        // URL → page content
+	html  map[string]*docSlot[*htmldoc.Node] // URL → parsed DOM
 	xml   map[string]*docSlot[*xmlpath.Node] // path → parsed document root
 	text  map[string]*docSlot[string]        // path → document content
-	dbs   map[string]*reldb.DB               // DSN → resolved handle
+	dbs   map[string]*docSlot[*reldb.DB]     // DSN → resolved handle
 }
 
-func (m *Manager) newRunDocs() *runDocs {
+func newRunDocs() *runDocs {
 	return &runDocs{
-		m:     m,
-		pages: make(map[string]string),
-		html:  make(map[string]*htmldoc.Node),
+		pages: make(map[string]*docSlot[string]),
+		html:  make(map[string]*docSlot[*htmldoc.Node]),
 		xml:   make(map[string]*docSlot[*xmlpath.Node]),
 		text:  make(map[string]*docSlot[string]),
-		dbs:   make(map[string]*reldb.DB),
+		dbs:   make(map[string]*docSlot[*reldb.DB]),
 	}
 }
 
-// page fetches a URL through f, once per run per URL. The fetcher is a
-// parameter rather than a field so context-bound fetchers stay scoped
-// to the rule that made them.
-func (d *runDocs) page(f webl.Fetcher, url string) (string, error) {
-	d.mu.Lock()
-	if v, ok := d.pages[url]; ok {
-		d.mu.Unlock()
-		return v, nil
-	}
-	d.mu.Unlock()
-	v, err, _ := d.m.docFlight.Do("page\x00"+url, func() (any, error) {
-		return f.Fetch(url)
-	})
-	if err != nil {
-		return "", err
-	}
-	s := v.(string)
-	d.mu.Lock()
-	d.pages[url] = s
-	d.mu.Unlock()
-	return s, nil
-}
-
-// htmlRoot returns the parsed DOM of a page, fetching and parsing at
-// most once per run.
-func (d *runDocs) htmlRoot(f webl.Fetcher, url string) (*htmldoc.Node, error) {
-	d.mu.Lock()
-	if n, ok := d.html[url]; ok {
-		d.mu.Unlock()
-		return n, nil
-	}
-	d.mu.Unlock()
-	src, err := d.page(f, url)
-	if err != nil {
-		return nil, err
-	}
-	v, _, _ := d.m.docFlight.Do("html\x00"+url, func() (any, error) {
-		return htmldoc.Parse(src), nil
-	})
-	n := v.(*htmldoc.Node)
-	d.mu.Lock()
-	d.html[url] = n
-	d.mu.Unlock()
-	return n, nil
-}
-
-// docSlot is one XML or text document of a run. Its lock serializes the
-// reads of that document: concurrent rules wait for the first read
-// instead of racing reads of their own, so a wrapped backend sees one
-// read per document per run and a fault plan's call counts do not depend
-// on scheduling. A failed read is not shared — the next rule (or retry)
-// to ask reads again, exactly as it would alone.
+// docSlot is one document of a run. Its lock serializes the reads of that
+// document: concurrent rules wait for the first read instead of racing
+// reads of their own, so a wrapped backend sees one read per document per
+// run and a fault plan's call counts do not depend on scheduling. A
+// failed read is not shared — the next rule (or retry) to ask reads
+// again, exactly as it would alone.
 type docSlot[T any] struct {
 	mu  sync.Mutex
 	ok  bool
 	doc T
 }
 
-// readDoc returns the run's copy of the document at path, reading it
-// through g if no earlier read of this run succeeded. A rule whose
+// readDoc returns the run's copy of the document at key, reading it
+// through get if no earlier read of this run succeeded. A rule whose
 // context expired while it waited for the slot gives up without reading.
-func readDoc[T any](ctx context.Context, d *runDocs, slots map[string]*docSlot[T], g DocGetter[T], path string) (T, error) {
+func readDoc[T any](ctx context.Context, d *runDocs, slots map[string]*docSlot[T], get func(key string) (T, error), key string) (T, error) {
 	d.mu.Lock()
-	s := slots[path]
+	s := slots[key]
 	if s == nil {
 		s = new(docSlot[T])
-		slots[path] = s
+		slots[key] = s
 	}
 	d.mu.Unlock()
 	s.mu.Lock()
@@ -222,7 +171,7 @@ func readDoc[T any](ctx context.Context, d *runDocs, slots map[string]*docSlot[T
 		if err := ctx.Err(); err != nil {
 			return s.doc, err
 		}
-		doc, err := g.Get(path)
+		doc, err := get(key)
 		if err != nil {
 			return doc, err
 		}
@@ -230,30 +179,3 @@ func readDoc[T any](ctx context.Context, d *runDocs, slots map[string]*docSlot[T
 	}
 	return s.doc, nil
 }
-
-// db resolves a database handle once per run.
-func (d *runDocs) db(resolve func(dsn string) (*reldb.DB, error), dsn string) (*reldb.DB, error) {
-	d.mu.Lock()
-	if h, ok := d.dbs[dsn]; ok {
-		d.mu.Unlock()
-		return h, nil
-	}
-	d.mu.Unlock()
-	h, err := resolve(dsn)
-	if err != nil {
-		return nil, err
-	}
-	d.mu.Lock()
-	d.dbs[dsn] = h
-	d.mu.Unlock()
-	return h, nil
-}
-
-// memoFetcher routes WebL GetURL calls through the run's shared page
-// memo so programs against one page fetch it once per run.
-type memoFetcher struct {
-	docs *runDocs
-	next webl.Fetcher
-}
-
-func (f memoFetcher) Fetch(url string) (string, error) { return f.docs.page(f.next, url) }

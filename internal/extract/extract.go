@@ -31,13 +31,12 @@ import (
 	"math/rand"
 
 	"repro/internal/datasource"
+	"repro/internal/htmldoc"
 	"repro/internal/mapping"
 	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/reldb"
 	"repro/internal/s2sql"
-	"repro/internal/singleflight"
-	"repro/internal/stats"
 	"repro/internal/textsrc"
 	"repro/internal/webl"
 	"repro/internal/xmlpath"
@@ -194,8 +193,7 @@ type Options struct {
 	// to the class-key values the first wave actually produced, so a
 	// selective query reads far fewer rows from large keyed sources. The
 	// instance layer re-applies every condition regardless, so the knob
-	// trades only latency, never answers. Cost-based source ordering is
-	// unaffected.
+	// trades only latency, never answers.
 	DisableSemiJoin bool
 	// SemiJoinMaxValues caps the number of distinct key values pushed
 	// into a narrowed rule; past it the plan runs unnarrowed (a huge IN
@@ -225,8 +223,6 @@ type Manager struct {
 	// results are never cached: data values are extracted live on every
 	// query.
 	compiled compiledCache
-	// docFlight deduplicates concurrent fetches of one source document.
-	docFlight singleflight.Group
 
 	breaker *breaker
 
@@ -241,13 +237,6 @@ type Manager struct {
 	// planner rewrites (see plannedRewrite in pushdown.go).
 	rewriteMu sync.RWMutex
 	rewrites  map[string]rewriteEntry
-
-	// srcStats is the per-source statistics registry feeding cost-based
-	// source ordering (planner v3): cardinality, per-query-shape
-	// selectivity, and latency, decayed exponentially. It survives
-	// InvalidateCache — observed source behavior stays valid when
-	// mappings change — and is reset only explicitly.
-	srcStats *stats.Registry
 
 	// sleep and randFloat are the backoff hooks; tests inject a recording
 	// sleep and a deterministic rand to assert jittered delays exactly.
@@ -275,7 +264,7 @@ func NewManager(repo *mapping.Repository, backends Backends, opts Options) *Mana
 	if opts.RetryBackoffCap <= 0 {
 		opts.RetryBackoffCap = DefaultRetryBackoffCap
 	}
-	m := &Manager{repo: repo, backends: backends, opts: opts, breaker: newBreaker(opts.Breaker), srcStats: stats.New()}
+	m := &Manager{repo: repo, backends: backends, opts: opts, breaker: newBreaker(opts.Breaker)}
 	m.sleep = sleepCtx
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	m.randFloat = rng.Float64
@@ -387,15 +376,14 @@ func (m *Manager) ExtractQuery(ctx context.Context, qplan *s2sql.Plan) (*ResultS
 
 // ExtractQuerySources is ExtractQuery restricted to the given source
 // IDs: the full schema (planner rewrite included) is computed as usual,
-// then only the plans of the listed sources are executed, in the order
-// given (so a coordinator's cost-ordering hint survives partitioned
-// dispatch). The cluster's scatter-gather path uses it so each node
-// extracts exactly the sources it owns; because the restriction is
-// applied after the planner rewrite, the union of the per-node fragment
-// sets is identical to one unrestricted run. Failover marking is
-// skipped — a restricted run cannot see fragments other nodes produced
-// — so the coordinator must re-mark the merged result set with
-// MarkFailovers.
+// then only the plans of the listed sources are executed, in schema
+// order (the list is a set: its order and repeats do not matter). The
+// cluster's scatter-gather path uses it so each node extracts exactly
+// the sources it owns; because the restriction is applied after the
+// planner rewrite, the union of the per-node fragment sets is identical
+// to one unrestricted run. Failover marking is skipped — a restricted
+// run cannot see fragments other nodes produced — so the coordinator
+// must re-mark the merged result set with MarkFailovers.
 func (m *Manager) ExtractQuerySources(ctx context.Context, qplan *s2sql.Plan, sourceIDs []string) (*ResultSet, error) {
 	if qplan == nil {
 		return nil, errors.New("extract: nil query plan")
@@ -443,10 +431,8 @@ type plannedRun struct {
 	metrics *obs.Registry
 	// end closes the extract span and releases the deadline budget.
 	end func()
-	// plans are the sources to contact, in execution order; shape is the
-	// query's stats-registry signature.
+	// plans are the sources to contact, in schema order.
 	plans []mapping.SourcePlan
-	shape string
 	// restricted marks a cluster sub-request: no semi-join split and no
 	// failover marking, both of which need the global source view.
 	restricted bool
@@ -458,14 +444,14 @@ type plannedRun struct {
 
 // planRun runs steps 2-3 and everything else that precedes fan-out:
 // the deadline budget, the extraction schema and planner rewrite, and
-// source ordering. A non-nil restrict list limits execution to the
-// named sources in the given order (after schema planning and the
-// planner rewrite). A non-nil shared run replaces the per-run document
-// layer, parallelism semaphore, and deadline budget with ones a batch
-// of concurrent runs holds in common (see ExtractQueryBatch); everything
-// else — schema, planner rewrite, wave split, canonical sort — stays per
-// run, so a shared-run result set is identical to a standalone one. On
-// success the caller owns r.end.
+// the source restriction. A non-nil restrict list limits execution to
+// the named sources (after schema planning and the planner rewrite). A
+// non-nil shared run replaces the per-run document layer, parallelism
+// semaphore, and deadline budget with ones a batch of concurrent runs
+// holds in common (see ExtractQueryBatch); everything else — schema,
+// planner rewrite, wave split, canonical sort — stays per run, so a
+// shared-run result set is identical to a standalone one. On success
+// the caller owns r.end.
 func (m *Manager) planRun(ctx context.Context, attributeIDs []string, qplan *s2sql.Plan, restrict []string, shared *sharedRun) (context.Context, *plannedRun, error) {
 	ctx, espan, edone := obs.StartStage(ctx, "extract")
 	metrics := obs.MetricsFromContext(ctx)
@@ -493,29 +479,18 @@ func (m *Manager) planRun(ctx context.Context, attributeIDs []string, qplan *s2s
 	r.rs.Missing = missing
 	r.rs.Stats.SchemaDuration = time.Since(start)
 
-	// Cost-based ordering (planner v3): the sources of an unrestricted
-	// run execute cheapest-most-selective first per the stats registry.
-	// Restricted runs instead preserve the caller's order — the cluster
-	// coordinator already ordered each node's scatter list.
-	if qplan != nil {
-		r.shape = querySig(qplan)
-	}
-	if restrict == nil {
-		plans = m.orderPlans(plans, r.shape)
-	} else {
-		byID := make(map[string]int, len(plans))
-		for i := range plans {
-			byID[plans[i].Source.ID] = i
+	// Sources run in schema order. A restricted run keeps the plans of
+	// the sources it names; plans may be shared with the rewrite cache,
+	// so they go to a fresh slice.
+	if restrict != nil {
+		named := make(map[string]bool, len(restrict))
+		for _, id := range restrict {
+			named[id] = true
 		}
 		kept := plans[:0:0]
-		seen := make(map[string]bool, len(restrict))
-		for _, id := range restrict {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			if i, ok := byID[id]; ok {
-				kept = append(kept, plans[i])
+		for _, p := range plans {
+			if named[p.Source.ID] {
+				kept = append(kept, p)
 			}
 		}
 		plans = kept
@@ -529,7 +504,7 @@ func (m *Manager) planRun(ctx context.Context, attributeIDs []string, qplan *s2s
 	if shared != nil {
 		r.docs, r.sem = shared.docs, shared.sem
 	} else {
-		r.docs, r.sem = m.newRunDocs(), make(chan struct{}, m.opts.Parallelism)
+		r.docs, r.sem = newRunDocs(), make(chan struct{}, m.opts.Parallelism)
 	}
 	return ctx, r, nil
 }
@@ -574,9 +549,7 @@ func (r *plannedRun) execute(ctx context.Context, deliver func(sourceID string, 
 					return
 				}
 				sctx := obs.ContextWithSpan(ctx, espan.StartChild("source:"+plan.Source.ID))
-				srcStart := time.Now()
 				frags, errs, run := m.extractSource(sctx, plan, r.docs)
-				m.observeSource(plan, errs, run, time.Since(srcStart), r.shape)
 				mu.Lock()
 				rs.Errors = append(rs.Errors, errs...)
 				rs.Stats.Retries += run.retries
@@ -733,11 +706,6 @@ func markFailovers(errs []SourceError, covered map[string]bool, plans []mapping.
 type sourceRun struct {
 	retries   int
 	exhausted bool // at least one rule failed after its full retry budget
-	// rawValues / keptValues count extracted values before and after the
-	// planner's record filters; their ratio is the observed selectivity
-	// fed to the stats registry.
-	rawValues  int
-	keptValues int
 }
 
 // extractSource runs every rule of one source plan under the per-source
@@ -839,14 +807,8 @@ func (m *Manager) extractSource(ctx context.Context, plan mapping.SourcePlan, do
 			fragAt[i] = len(frags) - 1
 		}
 	}
-	for _, f := range frags {
-		run.rawValues += len(f.Values)
-	}
 	for _, f := range plan.Filters {
 		applyRecordFilter(frags, fragAt, f)
-	}
-	for _, f := range frags {
-		run.keptValues += len(f.Values)
 	}
 	switch {
 	case anyFailed && run.exhausted:
@@ -896,7 +858,7 @@ func (m *Manager) retryRule(ctx context.Context, def datasource.Definition, entr
 // runRule delegates to the extractor for the source's kind, then applies
 // the rule's value transform, if any. Compiled artifacts come from the
 // manager's compiled-rule cache; source documents from the run's shared
-// document layer.
+// document layer, read under the rule's ctx.
 func (m *Manager) runRule(ctx context.Context, def datasource.Definition, entry mapping.Entry, docs *runDocs) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -911,7 +873,7 @@ func (m *Manager) runRule(ctx context.Context, def datasource.Definition, entry 
 		var o outcome
 		switch def.Kind {
 		case datasource.KindDatabase:
-			o.values, o.err = m.extractDB(def, entry, cr, docs)
+			o.values, o.err = m.extractDB(ctx, def, entry, cr, docs)
 		case datasource.KindXML:
 			o.values, o.err = m.extractXML(ctx, def, cr, docs)
 		case datasource.KindWeb:
@@ -965,11 +927,11 @@ func applyTransform(cr *compiledRule, values []string) ([]string, error) {
 // The database handle is resolved once per run, and pre-parsed SELECTs
 // skip the per-call SQL parse; a rule whose statement did not pre-parse
 // falls back to the database's own Query for identical error reporting.
-func (m *Manager) extractDB(def datasource.Definition, entry mapping.Entry, cr *compiledRule, docs *runDocs) ([]string, error) {
+func (m *Manager) extractDB(ctx context.Context, def datasource.Definition, entry mapping.Entry, cr *compiledRule, docs *runDocs) ([]string, error) {
 	if m.backends.DB == nil {
 		return nil, Permanent(errors.New("extract: no database backend configured"))
 	}
-	db, err := docs.db(m.backends.DB, def.DSN)
+	db, err := readDoc(ctx, docs, docs.dbs, m.backends.DB, def.DSN)
 	if err != nil {
 		return nil, err
 	}
@@ -1024,7 +986,7 @@ func (m *Manager) extractXML(ctx context.Context, def datasource.Definition, cr 
 	if cr.xpathErr != nil {
 		return nil, Permanent(cr.xpathErr)
 	}
-	root, err := readDoc(ctx, docs, docs.xml, m.backends.XML, def.Path)
+	root, err := readDoc(ctx, docs, docs.xml, m.backends.XML.Get, def.Path)
 	if err != nil {
 		return nil, err
 	}
@@ -1040,7 +1002,7 @@ func (m *Manager) extractText(ctx context.Context, def datasource.Definition, cr
 	if cr.regexErr != nil {
 		return nil, Permanent(cr.regexErr)
 	}
-	content, err := readDoc(ctx, docs, docs.text, m.backends.Text, def.Path)
+	content, err := readDoc(ctx, docs, docs.text, m.backends.Text.Get, def.Path)
 	if err != nil {
 		return nil, err
 	}
@@ -1055,35 +1017,55 @@ type ContextFetcher interface {
 	FetchContext(ctx context.Context, url string) (string, error)
 }
 
-// ctxBoundFetcher adapts a ContextFetcher to the context-free
-// webl.Fetcher interface by capturing the per-rule context. This is the
+// ruleFetcher is one rule's view of the run's pages: every page it asks
+// for — a WebL GetURL call or a selector rule's document — comes from
+// the run's page slot, read under the rule's context. This is the
 // sanctioned exception to the no-ctx-in-structs rule: webl.Fetcher's
-// signature cannot carry a context, the adapter lives only for the one
-// Fetch call it bridges, and it never outlives the request that made it.
-type ctxBoundFetcher struct {
-	//lint:ignore ctxfield single-call adapter bridging the context-free webl.Fetcher interface; scoped to one extraction and never stored
-	ctx context.Context
-	cf  ContextFetcher
+// signature cannot carry a context, and the adapter lives only for the
+// one rule execution that made it.
+type ruleFetcher struct {
+	//lint:ignore ctxfield single-rule adapter bridging the context-free webl.Fetcher interface; scoped to one extraction and never stored
+	ctx  context.Context
+	docs *runDocs
+	next webl.Fetcher
 }
 
-func (f ctxBoundFetcher) Fetch(url string) (string, error) { return f.cf.FetchContext(f.ctx, url) }
+// Fetch returns the run's copy of the page at url.
+func (f ruleFetcher) Fetch(url string) (string, error) {
+	return readDoc(f.ctx, f.docs, f.docs.pages, f.fetch, url)
+}
+
+// fetch is one live page read; backends that take a context get the
+// rule's.
+func (f ruleFetcher) fetch(url string) (string, error) {
+	if cf, ok := f.next.(ContextFetcher); ok {
+		return cf.FetchContext(f.ctx, url)
+	}
+	return f.next.Fetch(url)
+}
+
+// parse parses the run's copy of the page at url.
+func (f ruleFetcher) parse(url string) (*htmldoc.Node, error) {
+	src, err := f.Fetch(url)
+	if err != nil {
+		return nil, err
+	}
+	return htmldoc.Parse(src), nil
+}
 
 // extractWeb delegates by rule language: WebL programs run in the
-// interpreter (their GetURL calls routed through the run's shared page
-// memo); CSS selector rules extract from the run's shared parsed DOM.
+// interpreter (their GetURL calls read the run's shared pages); CSS
+// selector rules extract from the run's shared parsed DOM.
 func (m *Manager) extractWeb(ctx context.Context, def datasource.Definition, entry mapping.Entry, cr *compiledRule, docs *runDocs) ([]string, error) {
 	if m.backends.Pages == nil {
 		return nil, Permanent(errors.New("extract: no web backend configured"))
 	}
-	pages := m.backends.Pages
-	if cf, ok := pages.(ContextFetcher); ok {
-		pages = ctxBoundFetcher{ctx: ctx, cf: cf}
-	}
+	pages := ruleFetcher{ctx: ctx, docs: docs, next: m.backends.Pages}
 	if entry.Rule.Language == mapping.LangSelector {
 		if cr.selectorErr != nil {
 			return nil, Permanent(cr.selectorErr)
 		}
-		root, err := docs.htmlRoot(pages, def.URL)
+		root, err := readDoc(ctx, docs, docs.html, pages.parse, def.URL)
 		if err != nil {
 			return nil, err
 		}
@@ -1092,7 +1074,7 @@ func (m *Manager) extractWeb(ctx context.Context, def datasource.Definition, ent
 	if cr.weblErr != nil {
 		return nil, Permanent(cr.weblErr)
 	}
-	globals, err := cr.webl.Run(&webl.Env{Fetcher: memoFetcher{docs: docs, next: pages}})
+	globals, err := cr.webl.Run(&webl.Env{Fetcher: pages})
 	if err != nil {
 		return nil, err
 	}

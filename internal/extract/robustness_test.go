@@ -105,6 +105,47 @@ func TestTransientErrorIsRetried(t *testing.T) {
 	}
 }
 
+// TestFailedPageReadIsNotShared runs two WebL rules over one page whose
+// first read fails, concurrently and without retries. The rules share
+// the run's page slot: the one that waited must read again rather than
+// inherit the failure, so exactly one rule fails and the page is read
+// exactly twice, whichever rule reads first.
+func TestFailedPageReadIsNotShared(t *testing.T) {
+	w := newWorld(t)
+	backends := FromCatalog(w.catalog)
+	inner := backends.Pages
+	first := true
+	fetcher := &countingFetcher{fn: func(url string) (string, error) {
+		if first {
+			first = false
+			// Hold the slot long enough for the other rule to queue on it.
+			time.Sleep(20 * time.Millisecond)
+			return "", fmt.Errorf("transient network failure")
+		}
+		return inner.Fetch(url)
+	}}
+	backends.Pages = fetcher
+	w.repo.MustRegister(mapping.Entry{
+		AttributeID: "thing.product.brand", SourceID: "wpage_81",
+		Rule: mapping.Rule{Code: paperWebLRule}, Scenario: mapping.SingleRecord,
+	})
+	w.repo.MustRegister(mapping.Entry{
+		AttributeID: "thing.product.model", SourceID: "wpage_81",
+		Rule: mapping.Rule{Code: `var model = Text(GetURL("http://www.eshop.com/products/watches.html"))`},
+	})
+	m := NewManager(w.repo, backends, Options{RuleParallelism: 2})
+	rs, err := m.Extract(context.Background(), []string{"thing.product.brand", "thing.product.model"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Errors) != 1 || len(rs.Fragments) != 1 {
+		t.Errorf("errors = %v, fragments = %d; want exactly one failed rule", rs.Errors, len(rs.Fragments))
+	}
+	if got := fetcher.count(); got != 2 {
+		t.Errorf("page reads = %d, want 2 (the failed read, then one shared success)", got)
+	}
+}
+
 func TestRetryExhaustedOutcomeMetric(t *testing.T) {
 	w := newWorld(t)
 	backends := FromCatalog(w.catalog)

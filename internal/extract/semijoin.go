@@ -1,14 +1,9 @@
 package extract
 
-// semijoin.go is the extractor side of planner v3: cost-based source
-// ordering and cross-source semi-join narrowing.
+// semijoin.go is the extractor side of planner v3: cross-source
+// semi-join narrowing.
 //
-// Ordering: before fan-out, plans are sorted cheapest-most-selective
-// first by the per-source statistics registry (internal/stats). The
-// result set is canonically sorted afterwards, so ordering changes only
-// wall-clock behavior, never bytes.
-//
-// Semi-join: the planner annotates groups that pushdown had to decline
+// The planner annotates groups that pushdown had to decline
 // solely because a class key makes their records mergeable across
 // sources (mapping.SemiJoin). Those records can influence the answer
 // only by merging with an instance that shares their key value — so
@@ -28,68 +23,11 @@ package extract
 import (
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/mapping"
 	"repro/internal/obs"
 	"repro/internal/planner"
-	"repro/internal/s2sql"
-	"repro/internal/stats"
 )
-
-// SourceStats exposes the per-source statistics registry that feeds
-// cost-based ordering. It survives InvalidateCache (observed source
-// behavior stays valid when mappings change); call its Reset to clear.
-func (m *Manager) SourceStats() *stats.Registry { return m.srcStats }
-
-// OrderSources returns the given source IDs in the registry's current
-// cost order for the query plan: cheapest-most-selective first, with
-// cold sources keeping their relative order. The cluster coordinator
-// uses it to order each node's scatter list, so ordering hints survive
-// partitioned dispatch.
-func (m *Manager) OrderSources(qplan *s2sql.Plan, sourceIDs []string) []string {
-	shape := ""
-	if qplan != nil {
-		shape = querySig(qplan)
-	}
-	return m.srcStats.Order(sourceIDs, shape)
-}
-
-// orderPlans returns plans in the stats registry's cost order for the
-// query shape. It never mutates its input (the slice may be shared with
-// the rewrite cache); a fresh slice is returned whenever reordering is
-// possible.
-func (m *Manager) orderPlans(plans []mapping.SourcePlan, shape string) []mapping.SourcePlan {
-	if len(plans) < 2 {
-		return plans
-	}
-	ids := make([]string, len(plans))
-	byID := make(map[string]int, len(plans))
-	for i := range plans {
-		ids[i] = plans[i].Source.ID
-		byID[ids[i]] = i
-	}
-	out := make([]mapping.SourcePlan, 0, len(plans))
-	for _, id := range m.srcStats.Order(ids, shape) {
-		out = append(out, plans[byID[id]])
-	}
-	return out
-}
-
-// observeSource feeds one source run into the stats registry. Failed
-// runs are skipped (a timeout's zero values would teach the registry
-// the source is tiny), as are narrowed runs (their cardinality is an
-// artifact of this run's seed, not the source's behavior).
-func (m *Manager) observeSource(plan mapping.SourcePlan, errs []SourceError, run sourceRun, dur time.Duration, shape string) {
-	if len(errs) > 0 || plan.Ephemeral {
-		return
-	}
-	m.srcStats.Observe(plan.Source.ID, shape, stats.Sample{
-		Values:  run.rawValues,
-		Kept:    run.keptValues,
-		Latency: dur,
-	})
-}
 
 // splitWaves partitions plans into the immediate wave and the deferred
 // (narrowable) wave, returning the lowercased key attribute IDs whose
@@ -220,8 +158,7 @@ func addSeed(seed map[string]map[string]bool, keyAttrs map[string]bool, frags []
 // narrowPlan builds the per-run narrowed copy of one wave-two plan:
 // database groups get a typed IN predicate on the key column (original
 // code preserved as fallback), other groups get a key record filter.
-// The copy is marked Ephemeral so its run-specific results stay out of
-// the source statistics. Gate failures degrade per group — an oversized
+// Gate failures degrade per group — an oversized
 // seed runs that group unnarrowed, an unsafe SQL value falls back to
 // the record filter — and never affect correctness.
 func (m *Manager) narrowPlan(p mapping.SourcePlan, seed map[string]map[string]bool, metrics *obs.Registry) mapping.SourcePlan {
@@ -233,7 +170,6 @@ func (m *Manager) narrowPlan(p mapping.SourcePlan, seed map[string]map[string]bo
 		metrics.Counter(obs.MetricPlannerSemiJoin, obs.Labels{"outcome": o}).Inc()
 	}
 	out := p
-	out.Ephemeral = true
 	var filters []mapping.RecordFilter
 	copied := false
 	for _, sj := range p.SemiJoins {

@@ -102,8 +102,8 @@ func TestSemiJoinNarrowedValuesStaySeedBound(t *testing.T) {
 }
 
 // TestSemiJoinCacheCoherence guards the planner-rewrite and
-// compiled-rule caches against narrowed runs: a narrowed (ephemeral)
-// plan's seed-dependent rules must neither leak into an unnarrowed run
+// compiled-rule caches against narrowed runs: a narrowed plan's
+// seed-dependent rules must neither leak into an unnarrowed run
 // nor pick up the unnarrowed rules, in either order.
 func TestSemiJoinCacheCoherence(t *testing.T) {
 	spec := workload.SemiJoinSpec{DirectoryRecords: 4, DetailSources: 1, DetailRecords: 25, Seed: 43}
@@ -122,7 +122,7 @@ func TestSemiJoinCacheCoherence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Narrowed first: the ephemeral detail rules must not replace the
+	// Narrowed first: the narrowed detail rules must not replace the
 	// unnarrowed ones in any cache.
 	if _, err := m.ExtractQuery(ctx, semiJoinPlan(t, world)); err != nil {
 		t.Fatal(err)
@@ -161,39 +161,6 @@ func TestSemiJoinCacheCoherence(t *testing.T) {
 	}
 	if narrowedVals == 0 || narrowedVals >= full {
 		t.Errorf("narrowed detail models = %d of %d — the narrowed run ran the unnarrowed rules", narrowedVals, full)
-	}
-}
-
-// TestSemiJoinStatsSurviveInvalidation pins the statistics registry's
-// lifecycle: observed source behavior stays valid when mappings change,
-// so InvalidateCache must not clear it; only an explicit Reset does.
-func TestSemiJoinStatsSurviveInvalidation(t *testing.T) {
-	m, repo, world := semiJoinManager(t, workload.SemiJoinSpec{
-		DirectoryRecords: 3, DetailSources: 1, DetailRecords: 10, Seed: 44,
-	}, Options{})
-	if _, err := m.ExtractQuery(context.Background(), semiJoinPlan(t, world)); err != nil {
-		t.Fatal(err)
-	}
-	if m.SourceStats().Samples("dir") == 0 {
-		t.Fatal("extraction fed no statistics for the directory source")
-	}
-
-	m.InvalidateCache()
-	if m.SourceStats().Samples("dir") == 0 {
-		t.Error("InvalidateCache cleared the source statistics registry")
-	}
-
-	// The repository-level invalidation path (remapping, class keys)
-	// flushes plans and compiled rules, never statistics.
-	must(t, repo.SetClassKey("watch", "thing.product.model"))
-	m.InvalidateCache()
-	if m.SourceStats().Samples("dir") == 0 {
-		t.Error("re-keying cleared the source statistics registry")
-	}
-
-	m.SourceStats().Reset()
-	if m.SourceStats().Samples("dir") != 0 {
-		t.Error("Reset left samples behind")
 	}
 }
 
@@ -282,9 +249,6 @@ func TestSemiJoinNarrowPlanFallbacks(t *testing.T) {
 	t.Run("empty seed drops every record", func(t *testing.T) {
 		metrics := obs.NewRegistry()
 		out := m.narrowPlan(detail, map[string]map[string]bool{}, metrics)
-		if !out.Ephemeral {
-			t.Error("narrowed plan not marked ephemeral")
-		}
 		if len(out.Filters) != len(detail.Filters)+1 {
 			t.Fatalf("filters = %d, want one key filter added", len(out.Filters))
 		}
@@ -368,30 +332,4 @@ func TestSemiJoinNarrowPlanFallbacks(t *testing.T) {
 			t.Error("applied_sql not counted")
 		}
 	})
-}
-
-// TestOrderPlansUsesStats pins cost-based ordering to the registry: a
-// source observed to be slow and fat sinks behind a cheap one, and the
-// restricted path keeps the caller's order.
-func TestOrderPlansUsesStats(t *testing.T) {
-	m, _, world := semiJoinManager(t, workload.SemiJoinSpec{
-		DirectoryRecords: 3, DetailSources: 2, DetailRecords: 10, Seed: 47,
-	}, Options{})
-	qplan := semiJoinPlan(t, world)
-
-	// Cold registry: input order is preserved.
-	ids := []string{"detail_000", "detail_001", "dir"}
-	if got := m.OrderSources(qplan, ids); fmt.Sprint(got) != fmt.Sprint(ids) {
-		t.Errorf("cold ordering = %v, want input order %v", got, ids)
-	}
-
-	// A run teaches the registry that the detail sources are fatter than
-	// the directory; the directory should now sort first.
-	if _, err := m.ExtractQuery(context.Background(), qplan); err != nil {
-		t.Fatal(err)
-	}
-	got := m.OrderSources(qplan, ids)
-	if got[0] != "dir" {
-		t.Errorf("ordering after observation = %v, want the small directory first", got)
-	}
 }

@@ -69,11 +69,11 @@ type Stream struct {
 }
 
 // Tail returns everything that is only known once every source has
-// finished — errors, degradations, missing attributes, and stats — as a
-// ResultSet whose Fragments are empty (they went out as batches). It
-// blocks until the producer finishes, which requires Batches to have
-// been drained (the channel is unbuffered) — call it only after the
-// Batches channel closed.
+// finished — errors, missing attributes, and stats — as a ResultSet
+// whose Fragments are empty (they went out as batches). It blocks until
+// the producer finishes, which requires Batches to have been drained
+// (the channel is unbuffered) — call it only after the Batches channel
+// closed.
 func (s *Stream) Tail() *ResultSet {
 	<-s.done
 	return s.tail

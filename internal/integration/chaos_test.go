@@ -3,6 +3,7 @@ package integration
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -213,14 +214,15 @@ func TestChaosCountersMatchInjectedPlan(t *testing.T) {
 	}
 }
 
-// TestChaosHarmlessFaultReadsEachDocumentOnce wraps every XML and text
-// source in an active fault that changes nothing but timing. The
+// TestChaosHarmlessFaultReadsEachDocumentOnce wraps every XML, text and
+// web source in an active fault that changes nothing but timing. The
 // answer must be byte-identical to the unwrapped world's in every
 // format, and each query must read each document exactly once however
 // many rules select from it: one injected operation is one document
-// read, not one rule.
+// read, not one rule. Concurrent queries share nothing: eight at once
+// cost every document exactly eight reads.
 func TestChaosHarmlessFaultReadsEachDocumentOnce(t *testing.T) {
-	spec := workload.Spec{XMLSources: 2, TextSources: 2, RecordsPerSource: 6, Seed: 75}
+	spec := workload.Spec{XMLSources: 2, TextSources: 2, WebSources: 2, RecordsPerSource: 6, Seed: 75}
 	probe := workload.MustGenerate(spec)
 	plan := faultinject.Plan{}
 	var targets []string
@@ -243,8 +245,8 @@ func TestChaosHarmlessFaultReadsEachDocumentOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ref.Matched) != 4*spec.RecordsPerSource {
-			t.Fatalf("reference matched %d products, want %d", len(ref.Matched), 4*spec.RecordsPerSource)
+		if len(ref.Matched) != 6*spec.RecordsPerSource {
+			t.Fatalf("reference matched %d products, want %d", len(ref.Matched), 6*spec.RecordsPerSource)
 		}
 		if _, err := wrapped.QueryTo(ctx, &got, "SELECT product", f); err != nil {
 			t.Fatal(err)
@@ -256,6 +258,28 @@ func TestChaosHarmlessFaultReadsEachDocumentOnce(t *testing.T) {
 			if calls := inj.Calls(target); calls != i+1 {
 				t.Errorf("%s after %d queries: %d reads, want one per query", target, i+1, calls)
 			}
+		}
+	}
+
+	const concurrent = 8
+	before := make(map[string]int, len(targets))
+	for _, target := range targets {
+		before[target] = inj.Calls(target)
+	}
+	var wg sync.WaitGroup
+	for q := 0; q < concurrent; q++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := wrapped.Query(ctx, "SELECT product"); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, target := range targets {
+		if got := inj.Calls(target) - before[target]; got != concurrent {
+			t.Errorf("%s: %d reads for %d concurrent queries, want one per query", target, got, concurrent)
 		}
 	}
 }
@@ -305,8 +329,7 @@ func TestChaosSemiJoinFallbackMatchesPlain(t *testing.T) {
 		// A dead narrowed source fails in wave two; the plain run fails
 		// the same rules in its single wave.
 		{"dead narrowed source", faultinject.Plan{"detail-000": {Permanent: true}}},
-		// Transient failures exercise the retry path on narrowed
-		// (ephemeral) rules.
+		// Transient failures exercise the retry path on narrowed rules.
 		{"flapping narrowed source", faultinject.Plan{"detail-001": {FailFirst: 1}}},
 	}
 	for _, tc := range cases {

@@ -455,11 +455,6 @@ type SourcePlan struct {
 	// a second wave, narrowed by the key values the first wave observed.
 	// Like Filters, they appear only on planner-rewritten copies.
 	SemiJoins []SemiJoin
-	// Ephemeral marks a per-run plan copy whose entries carry run-specific
-	// rewritten rules (semi-join-narrowed SQL). Their results depend on the
-	// run's seed values, so the extractor keeps them out of the source
-	// statistics it learns cardinality from.
-	Ephemeral bool
 }
 
 // SemiJoin describes one semi-join-narrowable record-scope group: the
