@@ -52,7 +52,6 @@ func TestPerformanceDocKnobsExist(t *testing.T) {
 	for _, knob := range []string{
 		"`core.Config.PlanCacheSize`",
 		"`extract.Options.Parallelism`",
-		"`extract.Options.RuleParallelism`",
 		"`extract.Options.DisablePushdown`",
 		"`extract.Options.StreamBatchRecords`",
 	} {
@@ -61,16 +60,39 @@ func TestPerformanceDocKnobsExist(t *testing.T) {
 		}
 	}
 
-	// Documented defaults must track the constants.
-	for name, val := range map[string]int{
-		"PlanCacheSize":   DefaultPlanCacheSize,
-		"Parallelism":     extract.DefaultParallelism,
-		"RuleParallelism": extract.DefaultRuleParallelism,
+	// Each knob's bullet under "## Tuning knobs" must state the default
+	// its constant holds.
+	bullets := tuningKnobBullets(doc)
+	for knob, val := range map[string]int{
+		"`core.Config.PlanCacheSize`":          DefaultPlanCacheSize,
+		"`extract.Options.Parallelism`":        extract.DefaultParallelism,
+		"`extract.Options.StreamBatchRecords`": extract.DefaultStreamBatchRecords,
+		"`extract.Options.SemiJoinMaxValues`":  extract.DefaultSemiJoinMaxValues,
 	} {
-		if !strings.Contains(doc, strconv.Itoa(val)) {
-			t.Errorf("default for %s (%d) not stated in %s", name, val, perfDocPath)
+		bullet, ok := bullets[knob]
+		if !ok {
+			t.Errorf("no bullet for %s under \"## Tuning knobs\" in %s", knob, perfDocPath)
+			continue
+		}
+		if !regexp.MustCompile(`\b` + strconv.Itoa(val) + `\b`).MatchString(bullet) {
+			t.Errorf("bullet for %s does not state its default %d: %q", knob, val, bullet)
 		}
 	}
+}
+
+// tuningKnobBullets maps each bullet's leading code span under the
+// "## Tuning knobs" heading to the bullet's full text, continuation
+// lines included.
+func tuningKnobBullets(doc string) map[string]string {
+	_, section, _ := strings.Cut(doc, "\n## Tuning knobs\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	bullets := map[string]string{}
+	for _, b := range strings.Split(section, "\n- ")[1:] {
+		if knob, _, ok := strings.Cut(b, " "); ok {
+			bullets[knob] = b
+		}
+	}
+	return bullets
 }
 
 // TestPerformanceDocCoversBenchesAndTests pins the doc's pointers: the

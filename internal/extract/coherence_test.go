@@ -2,12 +2,15 @@ package extract
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/datasource"
 	"repro/internal/mapping"
 	"repro/internal/ontology"
+	"repro/internal/s2sql"
+	"repro/internal/workload"
 	"repro/internal/xmlpath"
 	"repro/internal/xmlstore"
 )
@@ -64,5 +67,43 @@ func TestInvalidateCacheDropsEverything(t *testing.T) {
 	}
 	if got := backend.calls.Load(); got != 2 {
 		t.Errorf("backend calls after invalidation = %d, want 2", got)
+	}
+}
+
+// TestCompiledCacheStaysBounded runs thousands of queries that differ
+// only in a literal. Pushdown writes each literal into the database
+// rules' SQL, so every query compiles new rules; the compiled-rule cache
+// must flush at its bound instead of keeping them all.
+func TestCompiledCacheStaysBounded(t *testing.T) {
+	world := workload.MustGenerate(workload.Spec{DBSources: 2, XMLSources: 1, RecordsPerSource: 5, Seed: 7})
+	reg := datasource.NewRegistry()
+	for _, def := range world.Definitions {
+		must(t, reg.Register(def))
+	}
+	repo := mapping.NewRepository(world.Ontology, reg)
+	for _, e := range world.Entries {
+		must(t, repo.Register(e))
+	}
+	m := NewManager(repo, FromCatalog(world.Catalog), Options{})
+	ctx := context.Background()
+	const queries = 3000
+	peak := 0
+	for i := 0; i < queries; i++ {
+		plan, err := s2sql.ParseAndPlan(fmt.Sprintf("SELECT product WHERE brand = 'B%d'", i), world.Ontology)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.ExtractQuery(ctx, plan); err != nil {
+			t.Fatal(err)
+		}
+		n := m.CompiledRuleCount()
+		if n > compiledCacheBound {
+			t.Fatalf("after %d queries the compiled-rule cache holds %d rules, bound %d", i+1, n, compiledCacheBound)
+		}
+		peak = max(peak, n)
+	}
+	// The workload must be one that would overflow an unbounded cache.
+	if peak < compiledCacheBound/2 {
+		t.Fatalf("peak compiled rules = %d: the queries did not compile new rules per literal", peak)
 	}
 }

@@ -78,10 +78,21 @@ func compileArtifacts(rule mapping.Rule) *compiledRule {
 // builds a fresh interpreter per Run), so one artifact serves all
 // goroutines. A racing double compile is tolerated — the first stored
 // entry wins — because compilation is pure and rare.
+//
+// Rule text is not a fixed set: planner pushdown and semi-join narrowing
+// write each query's literals into the SQL they run, so every distinct
+// literal compiles a new entry. The cache therefore flushes wholesale at
+// compiledCacheBound, like the plan and rewrite caches.
 type compiledCache struct {
 	mu sync.RWMutex
 	m  map[string]*compiledRule
 }
+
+// compiledCacheBound caps the compiled-rule cache. It is 15 times the
+// repository benchmark's steady state (paper_mix's query shapes over its
+// eight sources compile 268 rules, even with every brand and case pair
+// asked), so only a stream of ever-new literals reaches it.
+const compiledCacheBound = 4096
 
 func (c *compiledCache) get(rule mapping.Rule) *compiledRule {
 	key := compiledKey(rule)
@@ -96,7 +107,7 @@ func (c *compiledCache) get(rule mapping.Rule) *compiledRule {
 	if existing := c.m[key]; existing != nil {
 		cr = existing
 	} else {
-		if c.m == nil {
+		if c.m == nil || len(c.m) >= compiledCacheBound {
 			c.m = make(map[string]*compiledRule)
 		}
 		c.m[key] = cr
@@ -120,9 +131,10 @@ func (c *compiledCache) len() int {
 // runDocs is the per-Extract-run shared document layer: one docSlot per
 // source document of each kind — page, parsed DOM, XML root, text
 // content, database handle — so each is read at most once per run and
-// shared across that run's rules, no matter how many rules read it or how
-// many retries they make. Nothing in it outlives the run (or the batch
-// that shares it), so document freshness is per run.
+// shared across that run's rules and sources (and a batch's queries), no
+// matter how many of them read it or how many retries they make. Nothing
+// in it outlives the run (or the batch that shares it), so document
+// freshness is per run.
 type runDocs struct {
 	mu    sync.Mutex
 	pages map[string]*docSlot[string]        // URL → page content
@@ -143,11 +155,11 @@ func newRunDocs() *runDocs {
 }
 
 // docSlot is one document of a run. Its lock serializes the reads of that
-// document: concurrent rules wait for the first read instead of racing
-// reads of their own, so a wrapped backend sees one read per document per
-// run and a fault plan's call counts do not depend on scheduling. A
-// failed read is not shared — the next rule (or retry) to ask reads
-// again, exactly as it would alone.
+// document: concurrent sources and batch queries that read it wait for
+// the first read instead of racing reads of their own, so a wrapped
+// backend sees one read per document per run and a fault plan's call
+// counts do not depend on scheduling. A failed read is not shared — the
+// next rule (or retry) to ask reads again, exactly as it would alone.
 type docSlot[T any] struct {
 	mu  sync.Mutex
 	ok  bool

@@ -12,10 +12,12 @@
 //     rules are executed, and the raw data fragments are handed to the
 //     instance generator.
 //
-// The paper is silent about concurrency; this implementation fans out
-// across data sources with bounded parallelism, per-source timeouts, and
-// bounded retries, and reports per-source failures without aborting the
-// whole extraction (autonomous sources fail independently).
+// The paper is silent about concurrency; like its Extractor Manager, this
+// implementation hands each data source to one extractor. Sources fan out
+// with bounded parallelism, each running its rules one after another in
+// entry order, with per-source timeouts and bounded retries, and per-source
+// failures are reported without aborting the whole extraction (autonomous
+// sources fail independently).
 package extract
 
 import (
@@ -138,16 +140,11 @@ func FromCatalog(c *datasource.Catalog) Backends {
 
 // Options tune the manager.
 type Options struct {
-	// Parallelism bounds concurrent source extractions; 0 means
-	// DefaultParallelism, 1 forces sequential extraction.
+	// Parallelism bounds concurrent source extractions (a batch's runs
+	// share one such bound); 0 means DefaultParallelism, 1 forces
+	// sequential extraction. It is the only fan-out: a source's own rules
+	// always run one after another, in entry order.
 	Parallelism int
-	// RuleParallelism bounds concurrent rule executions within one
-	// source's plan; 0 means DefaultRuleParallelism, 1 runs a source's
-	// rules sequentially. Results keep the plan's deterministic entry
-	// order regardless of the setting, and the per-run shared document
-	// layer guarantees concurrent rules still fetch and parse each
-	// source document once.
-	RuleParallelism int
 	// Timeout bounds each source's total extraction time; 0 means
 	// DefaultTimeout.
 	Timeout time.Duration
@@ -162,13 +159,10 @@ type Options struct {
 	Retries int
 	// RetryBackoff is the base delay of the full-jitter exponential
 	// backoff between retry attempts: each attempt sleeps a uniformly
-	// random duration in [0, min(RetryBackoffCap, RetryBackoff<<attempt)).
+	// random duration in [0, min(2s, RetryBackoff<<attempt)).
 	// 0 means DefaultRetryBackoff; negative disables backoff (tight-loop
 	// retries, useful in tests).
 	RetryBackoff time.Duration
-	// RetryBackoffCap caps a single backoff sleep; 0 means
-	// DefaultRetryBackoffCap.
-	RetryBackoffCap time.Duration
 	// Breaker configures the per-source circuit breaker; the zero value
 	// disables it.
 	Breaker BreakerOptions
@@ -205,12 +199,14 @@ type Options struct {
 // Defaults for Options.
 const (
 	DefaultParallelism       = 8
-	DefaultRuleParallelism   = 4
 	DefaultTimeout           = 10 * time.Second
 	DefaultRetryBackoff      = 20 * time.Millisecond
-	DefaultRetryBackoffCap   = 2 * time.Second
 	DefaultSemiJoinMaxValues = 64
 )
+
+// retryBackoffCap caps a single backoff sleep, however many attempts
+// came before it.
+const retryBackoffCap = 2 * time.Second
 
 // Manager coordinates extraction across the registered data sources.
 type Manager struct {
@@ -252,17 +248,11 @@ func NewManager(repo *mapping.Repository, backends Backends, opts Options) *Mana
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = DefaultParallelism
 	}
-	if opts.RuleParallelism <= 0 {
-		opts.RuleParallelism = DefaultRuleParallelism
-	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = DefaultTimeout
 	}
 	if opts.RetryBackoff == 0 {
 		opts.RetryBackoff = DefaultRetryBackoff
-	}
-	if opts.RetryBackoffCap <= 0 {
-		opts.RetryBackoffCap = DefaultRetryBackoffCap
 	}
 	m := &Manager{repo: repo, backends: backends, opts: opts, breaker: newBreaker(opts.Breaker)}
 	m.sleep = sleepCtx
@@ -288,13 +278,13 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 }
 
 // backoffDelay returns the full-jitter exponential backoff before retry
-// attempt (0-based): uniform in [0, min(cap, base<<attempt)).
+// attempt (0-based): uniform in [0, min(retryBackoffCap, base<<attempt)).
 func (m *Manager) backoffDelay(attempt int) time.Duration {
 	base := m.opts.RetryBackoff
 	if base < 0 {
 		return 0
 	}
-	ceil := m.opts.RetryBackoffCap
+	ceil := retryBackoffCap
 	if attempt < 62 { // avoid shift overflow
 		if scaled := base << uint(attempt); scaled < ceil {
 			ceil = scaled
@@ -742,30 +732,8 @@ func (m *Manager) extractSource(ctx context.Context, plan mapping.SourcePlan, do
 		}}, run
 	}
 
-	// Results land in entry order, so fragments and errors stay
-	// deterministic regardless of the parallelism setting.
-	results := make([]ruleResult, len(plan.Entries))
 	rctx, cancel := context.WithTimeout(ctx, m.opts.Timeout)
 	defer cancel()
-	if rp := m.opts.RuleParallelism; rp > 1 && len(results) > 1 {
-		var rwg sync.WaitGroup
-		rsem := make(chan struct{}, rp)
-		for i := range results {
-			rwg.Add(1)
-			go func(i int) {
-				defer rwg.Done()
-				rsem <- struct{}{}
-				defer func() { <-rsem }()
-				results[i] = m.retryRule(rctx, plan.Source, plan.Entries[i], docs)
-			}(i)
-		}
-		rwg.Wait()
-	} else {
-		for i := range results {
-			results[i] = m.retryRule(rctx, plan.Source, plan.Entries[i], docs)
-		}
-	}
-
 	frags = make([]Fragment, 0, len(plan.Entries))
 	// fragAt maps entry index to fragment index for the planner's
 	// record-scoped filters; entries whose rule failed map to -1.
@@ -776,9 +744,12 @@ func (m *Manager) extractSource(ctx context.Context, plan mapping.SourcePlan, do
 			fragAt[i] = -1
 		}
 	}
+	// Rules run in entry order on the source's own goroutine (the source
+	// fan-out in execute is the only concurrency), so each result becomes
+	// a fragment or an error as soon as its rule returns, in entry order.
 	anyFailed := false
 	for i, entry := range plan.Entries {
-		res := results[i]
+		res := m.retryRule(rctx, plan.Source, entry, docs)
 		run.retries += res.attempts
 		if res.exhausted {
 			run.exhausted = true

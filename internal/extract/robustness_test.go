@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datasource"
 	"repro/internal/mapping"
 	"repro/internal/obs"
 )
@@ -105,11 +106,11 @@ func TestTransientErrorIsRetried(t *testing.T) {
 	}
 }
 
-// TestFailedPageReadIsNotShared runs two WebL rules over one page whose
-// first read fails, concurrently and without retries. The rules share
+// TestFailedPageReadIsNotShared runs two web sources with the same URL
+// in one run, concurrently and without retries. Their WebL rules share
 // the run's page slot: the one that waited must read again rather than
 // inherit the failure, so exactly one rule fails and the page is read
-// exactly twice, whichever rule reads first.
+// exactly twice, whichever source reads first.
 func TestFailedPageReadIsNotShared(t *testing.T) {
 	w := newWorld(t)
 	backends := FromCatalog(w.catalog)
@@ -118,22 +119,25 @@ func TestFailedPageReadIsNotShared(t *testing.T) {
 	fetcher := &countingFetcher{fn: func(url string) (string, error) {
 		if first {
 			first = false
-			// Hold the slot long enough for the other rule to queue on it.
+			// Hold the slot long enough for the other source to queue on it.
 			time.Sleep(20 * time.Millisecond)
 			return "", fmt.Errorf("transient network failure")
 		}
 		return inner.Fetch(url)
 	}}
 	backends.Pages = fetcher
+	must(t, w.repo.Sources().Register(datasource.Definition{
+		ID: "wpage_82", Kind: datasource.KindWeb, URL: "http://www.eshop.com/products/watches.html",
+	}))
 	w.repo.MustRegister(mapping.Entry{
 		AttributeID: "thing.product.brand", SourceID: "wpage_81",
 		Rule: mapping.Rule{Code: paperWebLRule}, Scenario: mapping.SingleRecord,
 	})
 	w.repo.MustRegister(mapping.Entry{
-		AttributeID: "thing.product.model", SourceID: "wpage_81",
+		AttributeID: "thing.product.model", SourceID: "wpage_82",
 		Rule: mapping.Rule{Code: `var model = Text(GetURL("http://www.eshop.com/products/watches.html"))`},
 	})
-	m := NewManager(w.repo, backends, Options{RuleParallelism: 2})
+	m := NewManager(w.repo, backends, Options{})
 	rs, err := m.Extract(context.Background(), []string{"thing.product.brand", "thing.product.model"})
 	if err != nil {
 		t.Fatal(err)
@@ -171,18 +175,15 @@ func TestRetryExhaustedOutcomeMetric(t *testing.T) {
 
 // TestBackoffDelaysGrowGeometrically drives the backoff hooks directly:
 // with the rng pinned to 1.0 the jittered delay equals its ceiling, so
-// the sequence must double from RetryBackoff up to RetryBackoffCap.
+// the sequence must double from RetryBackoff up to retryBackoffCap.
 func TestBackoffDelaysGrowGeometrically(t *testing.T) {
 	w := newWorld(t)
-	m := w.manager(Options{
-		Retries:         8,
-		RetryBackoff:    10 * time.Millisecond,
-		RetryBackoffCap: 100 * time.Millisecond,
-	})
+	base := retryBackoffCap / 8
+	m := w.manager(Options{Retries: 8, RetryBackoff: base})
 	m.randFloat = func() float64 { return 1.0 }
 	want := []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
-		80 * time.Millisecond, 100 * time.Millisecond, 100 * time.Millisecond,
+		base, 2 * base, 4 * base,
+		retryBackoffCap, retryBackoffCap, retryBackoffCap,
 	}
 	for attempt, exp := range want {
 		if got := m.backoffDelay(attempt); got != exp {
@@ -193,16 +194,13 @@ func TestBackoffDelaysGrowGeometrically(t *testing.T) {
 
 func TestBackoffDelaysJitterWithinRange(t *testing.T) {
 	w := newWorld(t)
-	m := w.manager(Options{
-		Retries:         4,
-		RetryBackoff:    10 * time.Millisecond,
-		RetryBackoffCap: 50 * time.Millisecond,
-	})
+	base := retryBackoffCap / 5
+	m := w.manager(Options{Retries: 4, RetryBackoff: base})
 	// Real rng: every draw must stay within [0, min(cap, base<<attempt)).
 	for attempt := 0; attempt < 10; attempt++ {
-		ceil := 10 * time.Millisecond << uint(attempt)
-		if ceil > 50*time.Millisecond || ceil <= 0 {
-			ceil = 50 * time.Millisecond
+		ceil := base << uint(attempt)
+		if ceil > retryBackoffCap || ceil <= 0 {
+			ceil = retryBackoffCap
 		}
 		for i := 0; i < 100; i++ {
 			d := m.backoffDelay(attempt)
@@ -225,11 +223,8 @@ func TestBackoffSleepsBetweenRetries(t *testing.T) {
 		AttributeID: "thing.product.brand", SourceID: "wpage_81",
 		Rule: mapping.Rule{Code: paperWebLRule},
 	})
-	m := NewManager(w.repo, backends, Options{
-		Retries:         3,
-		RetryBackoff:    10 * time.Millisecond,
-		RetryBackoffCap: 1 * time.Second,
-	})
+	base := retryBackoffCap / 2
+	m := NewManager(w.repo, backends, Options{Retries: 3, RetryBackoff: base})
 	m.randFloat = func() float64 { return 1.0 }
 	var mu sync.Mutex
 	var slept []time.Duration
@@ -242,7 +237,7 @@ func TestBackoffSleepsBetweenRetries(t *testing.T) {
 	if _, err := m.Extract(context.Background(), []string{"thing.product.brand"}); err != nil {
 		t.Fatal(err)
 	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
+	want := []time.Duration{base, retryBackoffCap, retryBackoffCap}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(slept) != len(want) {

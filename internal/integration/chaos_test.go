@@ -337,7 +337,7 @@ func TestChaosSemiJoinFallbackMatchesPlain(t *testing.T) {
 			// Sequential extraction keeps the injector's per-call counters
 			// (embedded in its error strings) identical across both runs;
 			// concurrency would assign them by goroutine scheduling.
-			opts := extract.Options{Retries: 2, RetryBackoff: -1, Parallelism: 1, RuleParallelism: 1}
+			opts := extract.Options{Retries: 2, RetryBackoff: -1, Parallelism: 1}
 			narrowedMW := chaosSemiJoinWorld(t, spec, tc.plan, opts)
 			plainOpts := opts
 			plainOpts.DisableSemiJoin = true

@@ -588,7 +588,8 @@ func asIndex(v Value, length int, line int) (int, error) {
 }
 
 // regexpCache memoizes compiled regular expressions across rule executions;
-// the extractor manager runs rules concurrently, so access is locked.
+// the extractor manager runs different sources' rules concurrently, so
+// access is locked.
 var regexpCache = struct {
 	sync.Mutex
 	m map[string]*regexp.Regexp
