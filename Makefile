@@ -11,7 +11,7 @@ SHELL := bash
 BENCHTIME ?= 100ms
 BENCH_RE = $(if $(FAMILY),^BenchmarkE$(patsubst E%,%,$(FAMILY))[A-Z],.)
 
-.PHONY: check vet fmt lint build test chaos chaos-cluster benchmark-smoke bench bench-compare bench-smoke bin clean
+.PHONY: check vet fmt lint build test chaos chaos-cluster benchmark-smoke bench bench-compare bench-smoke fuzz bin clean
 
 # check is the full gate: go vet, formatting, the repo's own static
 # analysis suite, build, the test suite under the race detector, the
@@ -98,6 +98,21 @@ bench-compare:
 # internal/baseline, E13 and E14 across their arms).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+
+# fuzz runs every fuzz target of the module — each Fuzz* function that
+# `go test -list '^Fuzz' ./...` names — for FUZZTIME (default 10s), one
+# target after another, and stops at the first failure; a failing input
+# is written under its package's testdata/fuzz as usual. `make test`
+# already runs every seed corpus, so fuzz only explores beyond it and
+# stays out of check, e.g. `make fuzz FUZZTIME=1m`.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -list '^Fuzz' ./... \
+		| awk '/^Fuzz/ { names[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, names[i]; n = 0 }' \
+		| while read -r pkg name; do \
+			echo "fuzz $$pkg $$name"; \
+			$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) "$$pkg" < /dev/null || exit 1; \
+		done
 
 # bin builds the two executables into ./bin.
 bin:

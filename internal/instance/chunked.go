@@ -1,22 +1,21 @@
 package instance
 
 // chunked.go is the incremental serialization tail: a bounded chunk
-// buffer between the serializer and the transport, and the JSON
-// document pieces. Serialize stages whole documents; SerializeChunked
-// flushes the document in threshold-sized chunks as it forms, so peak
-// serialization memory stays flat no matter how large the result is
-// (E18 in bench_test.go asserts exactly that). Output bytes are
-// identical between the two for every format — they share serializeTo.
+// buffer between the serializer and the transport. Serialize stages
+// whole documents; SerializeChunked flushes the document in
+// threshold-sized chunks as it forms, so peak serialization memory
+// stays flat no matter how large the result is (E18 in bench_test.go
+// asserts exactly that). Output bytes are identical between the two for
+// every format — they share serializeTo and its writers (docwriter.go,
+// rdfwriter.go), which form each piece in the chunk buffer itself.
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"strconv"
 
 	"repro/internal/obs"
-	"repro/internal/s2sql"
 )
 
 // DefaultChunkSize is the flush threshold of a ChunkedWriter built with
@@ -83,6 +82,15 @@ func (c *ChunkedWriter) WriteString(s string) (int, error) {
 	return len(s), nil
 }
 
+// AvailableBuffer returns the chunk buffer's spare capacity, as
+// bytes.Buffer.AvailableBuffer does: a piece appended to it and passed
+// to Write is formed in place.
+func (c *ChunkedWriter) AvailableBuffer() []byte { return c.buf.AvailableBuffer() }
+
+// Grow makes room for n more bytes in the chunk buffer, as
+// bytes.Buffer.Grow does.
+func (c *ChunkedWriter) Grow(n int) { c.buf.Grow(n) }
+
 func (c *ChunkedWriter) mark() {
 	if l := c.buf.Len(); l > c.stats.HighWater {
 		c.stats.HighWater = l
@@ -137,111 +145,4 @@ func (g *Generator) SerializeChunked(ctx context.Context, w io.Writer, res *Resu
 	}
 	span.SetAttr("chunks", strconv.Itoa(cw.Stats().Chunks))
 	return cw.Stats(), err
-}
-
-// The JSON document pieces below reproduce, byte for byte, what
-// json.Encoder with SetIndent("", "  ") writes for the envelope
-// {query, matched, related?, errors?, missing?} — HTML
-// escaping, sorted map keys, field order, and the trailing newline
-// included (the goldens and the equivalence suites pin it) — one
-// instance per marshal, so no piece needs the whole result in memory.
-
-// writeJSONHead opens the envelope through the "matched" field
-// separator; only the query string is needed, so an eager emitter can
-// write it before extraction delivers anything.
-func (g *Generator) writeJSONHead(w stringWriter, plan *s2sql.Plan) error {
-	q, err := json.Marshal(plan.Query.String())
-	if err != nil {
-		return err
-	}
-	_, err = w.WriteString("{\n  \"query\": " + string(q) + ",\n  \"matched\": ")
-	return err
-}
-
-// writeJSONInstance writes one element of an instance array. The
-// array's opening bracket rides on the first element (closeJSONInstances
-// writes "[]" if no element was ever written), so an eager emitter needs
-// no lookahead.
-func (g *Generator) writeJSONInstance(w stringWriter, in *Instance, first bool) error {
-	sep := ",\n    "
-	if first {
-		sep = "[\n    "
-	}
-	if _, err := w.WriteString(sep); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(jsonInstanceOf(in), "    ", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-// closeJSONInstances terminates an instance array of n written elements.
-func closeJSONInstances(w stringWriter, n int) error {
-	end := "\n  ]"
-	if n == 0 {
-		end = "[]"
-	}
-	_, err := w.WriteString(end)
-	return err
-}
-
-// writeJSONStrings writes the envelope field name as a string array;
-// like the encoder's omitempty, it writes nothing for an empty one.
-func writeJSONStrings(w stringWriter, name string, ss []string) error {
-	if len(ss) == 0 {
-		return nil
-	}
-	sep := ",\n  \"" + name + "\": [\n    "
-	for _, s := range ss {
-		data, err := json.Marshal(s)
-		if err != nil {
-			return err
-		}
-		if _, err := w.WriteString(sep); err != nil {
-			return err
-		}
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
-		sep = ",\n    "
-	}
-	_, err := w.WriteString("\n  ]")
-	return err
-}
-
-// writeJSONTail closes the matched array (its elements already written)
-// and emits every remaining envelope field; it needs the complete
-// result, so the eager path writes it after the stream's tail arrives.
-func (g *Generator) writeJSONTail(w stringWriter, res *Result) error {
-	if err := closeJSONInstances(w, len(res.Matched)); err != nil {
-		return err
-	}
-	if len(res.Related) > 0 {
-		if _, err := w.WriteString(",\n  \"related\": "); err != nil {
-			return err
-		}
-		for i, in := range res.Related {
-			if err := g.writeJSONInstance(w, in, i == 0); err != nil {
-				return err
-			}
-		}
-		if err := closeJSONInstances(w, len(res.Related)); err != nil {
-			return err
-		}
-	}
-	errs := make([]string, len(res.Errors))
-	for i, e := range res.Errors {
-		errs[i] = e.Error()
-	}
-	if err := writeJSONStrings(w, "errors", errs); err != nil {
-		return err
-	}
-	if err := writeJSONStrings(w, "missing", res.Missing); err != nil {
-		return err
-	}
-	_, err := w.WriteString("\n}\n")
-	return err
 }

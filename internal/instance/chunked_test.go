@@ -10,8 +10,6 @@ package instance
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"strings"
 	"testing"
 
@@ -116,65 +114,5 @@ func TestChunkedWriterWindowExceedsThreshold(t *testing.T) {
 	}
 	if stats.Bytes != int64(got.Len()) {
 		t.Errorf("Bytes = %d, want %d", stats.Bytes, got.Len())
-	}
-}
-
-// TestJSONPiecesMatchEncoder holds the piecewise JSON writer to its
-// specification: the document equals what json.Encoder with two-space
-// indent writes for the whole envelope — field order, omitempty, sorted
-// map keys, HTML escaping and trailing newline included — on results
-// that exercise every envelope field and on the empty result.
-func TestJSONPiecesMatchEncoder(t *testing.T) {
-	w := newWorld(t)
-	p := plan(t, w.ont, "SELECT product WHERE brand='Seiko'")
-	full := &extract.ResultSet{
-		Fragments: []extract.Fragment{
-			frag("thing.product.brand", "DB_ID_45", "Seiko", "Seiko", "Casio"),
-			frag("thing.product.model", "DB_ID_45", "<5 & \"Sports\">", "SKX", "F91"),
-			frag("thing.provider.name", "DB_ID_45", "TimeHouse"),
-		},
-		Errors:  []extract.SourceError{{SourceID: "web_1", AttributeID: "thing.product.price", Err: errors.New("fetch <failed>")}},
-		Missing: []string{"thing.product.watch.case"},
-	}
-	for name, rs := range map[string]*extract.ResultSet{"full": full, "empty": {}} {
-		res, err := w.gen.Generate(p, rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name == "full" && (len(res.Matched) != 2 || len(res.Related) != 1) {
-			t.Fatalf("fixture: matched/related = %d/%d, want 2/1", len(res.Matched), len(res.Related))
-		}
-
-		type envelope struct {
-			Query   string         `json:"query"`
-			Matched []jsonInstance `json:"matched"`
-			Related []jsonInstance `json:"related,omitempty"`
-			Errors  []string       `json:"errors,omitempty"`
-			Missing []string       `json:"missing,omitempty"`
-		}
-		ref := envelope{Query: res.Plan.Query.String(), Matched: []jsonInstance{}, Missing: res.Missing}
-		for _, in := range res.Matched {
-			ref.Matched = append(ref.Matched, jsonInstanceOf(in))
-		}
-		for _, in := range res.Related {
-			ref.Related = append(ref.Related, jsonInstanceOf(in))
-		}
-		for _, e := range res.Errors {
-			ref.Errors = append(ref.Errors, e.Error())
-		}
-		var want bytes.Buffer
-		enc := json.NewEncoder(&want)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(ref); err != nil {
-			t.Fatal(err)
-		}
-
-		got, err := w.gen.SerializeString(res, FormatJSON)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want.String() {
-			t.Errorf("%s: piecewise JSON diverges from json.Encoder\nencoder:\n%s\npieces:\n%s", name, want.String(), got)
-		}
 	}
 }

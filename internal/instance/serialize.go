@@ -3,7 +3,6 @@ package instance
 import (
 	"bytes"
 	"context"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"sort"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/ontology"
 	"repro/internal/owl"
 	"repro/internal/rdf"
-	"repro/internal/s2sql"
 )
 
 // bufPool recycles Serialize's staging buffers across queries, so
@@ -189,10 +187,14 @@ func (g *Generator) Serialize(w io.Writer, res *Result, format Format) error {
 
 // stringWriter is the serialization target: bytes.Buffer (Serialize's
 // pooled staging buffer) and ChunkedWriter (SerializeChunked and the
-// eager path) both satisfy it.
+// eager path) both satisfy it. A writer appends a piece to
+// AvailableBuffer() and passes the result to Write, so a piece that fits
+// the spare capacity is formed in place; Grow reserves that capacity.
 type stringWriter interface {
 	io.Writer
 	io.StringWriter
+	AvailableBuffer() []byte
+	Grow(n int)
 }
 
 // serializeTo is the one serializer behind Serialize and
@@ -216,26 +218,6 @@ func (g *Generator) serializeTo(w stringWriter, res *Result, format Format) erro
 		return g.writeText(w, res)
 	}
 	return fmt.Errorf("instance: unknown format %d", int(format))
-}
-
-// docWriter writes one format's document piece by piece: a head that
-// needs only the plan, the matched instances one call each, and a tail
-// that needs the complete result. JSON (instances precede every tail
-// field of the envelope) and XML (no tail fields at all) have one; text
-// leads with result counts, and the RDF formats (rdfwriter.go) sort
-// matched and related instances together by subject IRI, so they do
-// not. serializeTo drives the pieces in one pass; the eager path
-// (GenerateEager) interleaves them with extraction — same pieces, same
-// bytes.
-type docWriter struct {
-	head     func(g *Generator, w stringWriter, plan *s2sql.Plan) error
-	instance func(g *Generator, w stringWriter, in *Instance, first bool) error
-	tail     func(g *Generator, w stringWriter, res *Result) error
-}
-
-var docWriters = map[Format]docWriter{
-	FormatJSON: {(*Generator).writeJSONHead, (*Generator).writeJSONInstance, (*Generator).writeJSONTail},
-	FormatXML:  {(*Generator).writeXMLHead, (*Generator).writeXMLInstance, (*Generator).writeXMLTail},
 }
 
 // commentSyntax is how an RDF syntax comments out the error report: an
@@ -302,94 +284,6 @@ func (g *Generator) prefixes() rdf.PrefixMap {
 		p["s2s"] = ontology.S2SNS
 	}
 	return p
-}
-
-// writeXMLHead opens the plain XML view of §2.6: attribute IDs
-// transform directly into an element hierarchy ("transforming the unique
-// identifiers of the ontology attributes in a XML format is done
-// naturally").
-func (g *Generator) writeXMLHead(w stringWriter, _ *s2sql.Plan) error {
-	if _, err := w.WriteString(xml.Header); err != nil {
-		return err
-	}
-	_, err := w.WriteString("<s2s-result>\n")
-	return err
-}
-
-// writeXMLTail writes the related instances and closes the document.
-func (g *Generator) writeXMLTail(w stringWriter, res *Result) error {
-	for _, in := range res.Related {
-		if err := g.writeXMLInstance(w, in, false); err != nil {
-			return err
-		}
-	}
-	_, err := w.WriteString("</s2s-result>\n")
-	return err
-}
-
-// writeXMLInstance emits one <instance> element.
-func (g *Generator) writeXMLInstance(b stringWriter, in *Instance, _ bool) error {
-	fmt.Fprintf(b, "  <instance id=%q class=%q>\n", in.ID, in.Class.Path())
-	ids := make([]string, 0, len(in.Values))
-	for id := range in.Values {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		attr, ok := g.ont.Attribute(id)
-		if !ok {
-			return fmt.Errorf("instance: unknown attribute %q", id)
-		}
-		for _, v := range in.Values[id] {
-			fmt.Fprintf(b, "    <attribute id=%q name=%q>", attr.ID(), attr.Name)
-			if err := xml.EscapeText(b, []byte(strings.TrimSpace(v))); err != nil {
-				return err
-			}
-			if _, err := b.WriteString("</attribute>\n"); err != nil {
-				return err
-			}
-		}
-	}
-	relNames := make([]string, 0, len(in.Links))
-	for name := range in.Links {
-		relNames = append(relNames, name)
-	}
-	sort.Strings(relNames)
-	for _, name := range relNames {
-		for _, t := range in.Links[name] {
-			fmt.Fprintf(b, "    <relation name=%q target=%q/>\n", name, t.ID)
-		}
-	}
-	_, err := b.WriteString("  </instance>\n")
-	return err
-}
-
-// jsonInstance is the JSON projection of an instance.
-type jsonInstance struct {
-	ID      string              `json:"id"`
-	Class   string              `json:"class"`
-	Values  map[string][]string `json:"values"`
-	Links   map[string][]string `json:"links,omitempty"`
-	Sources []string            `json:"sources,omitempty"`
-}
-
-// jsonInstanceOf projects one instance.
-func jsonInstanceOf(in *Instance) jsonInstance {
-	ji := jsonInstance{
-		ID:      in.ID,
-		Class:   in.Class.Path(),
-		Values:  in.Values,
-		Sources: in.Sources,
-	}
-	if len(in.Links) > 0 {
-		ji.Links = map[string][]string{}
-		for name, targets := range in.Links {
-			for _, t := range targets {
-				ji.Links[name] = append(ji.Links[name], t.ID)
-			}
-		}
-	}
-	return ji
 }
 
 // writeText emits the plain-text view: header, one instance at a time,

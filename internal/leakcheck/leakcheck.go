@@ -6,6 +6,7 @@
 package leakcheck
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -36,15 +37,22 @@ func Settle(before int) string {
 
 // Main runs a package's tests behind the fence and exits: a passing run
 // whose goroutines do not settle within five seconds prints the report and
-// exits 1. Call it from TestMain.
+// exits 1. Call it from TestMain. A fuzzing run (-test.fuzz) is not
+// fenced: the fuzzing engine's own signal watcher outlives m.Run.
 func Main(m *testing.M) {
 	before := runtime.NumGoroutine()
 	code := m.Run()
-	if code == 0 {
+	if code == 0 && !fuzzing() {
 		if report := Settle(before); report != "" {
 			fmt.Fprintln(os.Stderr, "leakcheck:", report)
 			code = 1
 		}
 	}
 	os.Exit(code)
+}
+
+// fuzzing reports whether the test binary runs a fuzz target.
+func fuzzing() bool {
+	f := flag.Lookup("test.fuzz")
+	return f != nil && f.Value.String() != ""
 }

@@ -17,6 +17,7 @@ func FuzzParseTurtle(f *testing.F) {
 		"# comment only",
 		`@prefix ex: <http://e/> . ex:a ex:desc """long
 text""" .`,
+		"<http://e/\xd5> <http://e/p> \"v\" .",
 	}
 	for _, s := range seeds {
 		f.Add(s)

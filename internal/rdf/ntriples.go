@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // WriteNTriples serializes the graph in canonical order, one statement per
@@ -123,6 +124,11 @@ func (p *ntParser) iri() (IRI, error) {
 		switch c {
 		case '>':
 			p.pos++
+			// IRI.String writes runes, so an IRI that is not UTF-8 could
+			// not be written back as it was read.
+			if !utf8.ValidString(b.String()) {
+				return "", fmt.Errorf("IRI is not valid UTF-8")
+			}
 			return IRI(b.String()), nil
 		case '\\':
 			r, err := p.escape()

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // PrefixMap maps prefix labels (without the colon) to namespace IRIs.
@@ -350,6 +351,9 @@ func (p *turtleParser) iriRef() (IRI, error) {
 	}
 	raw := p.input[start:p.pos]
 	p.pos++ // '>'
+	if !utf8.ValidString(raw) {
+		return "", p.errf("IRI is not valid UTF-8")
+	}
 	if p.base != "" && !strings.Contains(raw, "://") && !strings.HasPrefix(raw, "urn:") {
 		raw = p.base + raw
 	}
