@@ -11,7 +11,7 @@ SHELL := bash
 BENCHTIME ?= 100ms
 BENCH_RE = $(if $(FAMILY),^BenchmarkE$(patsubst E%,%,$(FAMILY))[A-Z],.)
 
-.PHONY: check vet fmt lint build test chaos chaos-cluster benchmark-smoke bench bench-compare bench-smoke fuzz bin clean
+.PHONY: check vet fmt lint build test chaos chaos-cluster benchmark-smoke bench bench-compare bench-smoke fuzz loc bin clean
 
 # check is the full gate: go vet, formatting, the repo's own static
 # analysis suite, build, the test suite under the race detector, the
@@ -113,6 +113,18 @@ fuzz:
 			echo "fuzz $$pkg $$name"; \
 			$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) "$$pkg" < /dev/null || exit 1; \
 		done
+
+# loc prints the non-test Go lines (every line of each package's
+# non-test .go files) of the packages ROADMAP item 4's size gate counts
+# — extract, instance, core, transport — and of mapping and cluster, one
+# package a line, then the sum over the first four and the total. It
+# measures; it gates nothing, so it stays out of check.
+LOC_PKGS = extract instance core transport mapping cluster
+loc:
+	@for p in $(LOC_PKGS); do \
+		printf '%-10s %6d\n' "$$p" "$$(cat $$(ls internal/$$p/*.go | grep -v '_test\.go$$') | wc -l)"; \
+	done | awk '{ print; total += $$2; if (NR <= 4) four += $$2 } \
+		END { printf "%-10s %6d\n%-10s %6d\n", "first4", four, "total", total }'
 
 # bin builds the two executables into ./bin.
 bin:

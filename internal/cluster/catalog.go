@@ -5,8 +5,8 @@ package cluster
 // version counter: each registration bumps the version, heartbeats
 // advertise it, and a member that is behind pulls the full catalog and
 // applies it idempotently. Because members apply registrations through
-// the middleware facade, every sync also runs InvalidateCache — the
-// propagation path for cache coherence across the fleet.
+// the middleware facade, every sync also flushes the member's plan
+// cache — the propagation path for cache coherence across the fleet.
 
 import (
 	"fmt"

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -282,5 +283,44 @@ func TestOversizedClusterBodiesRefused(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("POST %s with a %d-byte body: status = %d, want 413", path, len(body), resp.StatusCode)
 		}
+	}
+}
+
+// TestOversizedClusterResponsesRefused points a node at a peer that
+// answers with valid JSON longer than maxResponseBody — on the extract
+// success path, on its error path, and as a catalog — and checks that
+// each read fails instead of decoding the body.
+func TestOversizedClusterResponsesRefused(t *testing.T) {
+	huge := strings.Repeat("x", maxResponseBody)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		switch r.URL.Path {
+		case "/ok":
+			fmt.Fprintf(w, `{"fragments":[{"attributeId":"thing.product.brand","sourceId":"s","values":[%q]}]}`, huge)
+		case "/fail":
+			w.WriteHeader(http.StatusInternalServerError)
+			fmt.Fprintf(w, `{"error":%q}`, huge)
+		case "/cluster/catalog":
+			fmt.Fprintf(w, `{"version":2,"padding":%q}`, huge)
+		}
+	}))
+	defer peer.Close()
+	world := workload.MustGenerate(workload.Spec{DBSources: 1, RecordsPerSource: 3, Seed: 34})
+	member, err := NewNode(transport.NewServer(newTestMiddleware(t, world, false)), Options{ID: "m1", CoordinatorURL: peer.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	var resp extractResponse
+	if err := member.postJSON(ctx, peer.URL+"/ok", extractRequest{Query: "SELECT product"}, &resp); err == nil {
+		t.Error("an extract response above the bound was decoded")
+	}
+	err = member.postJSON(ctx, peer.URL+"/fail", extractRequest{Query: "SELECT product"}, &resp)
+	if err == nil || len(err.Error()) > 1000 {
+		t.Errorf("an error body above the bound was decoded into the error (%d bytes)", len(fmt.Sprint(err)))
+	}
+	if err := member.syncCatalog(ctx); err == nil {
+		t.Error("a catalog above the bound was decoded and applied")
 	}
 }

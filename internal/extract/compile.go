@@ -79,10 +79,13 @@ func compileArtifacts(rule mapping.Rule) *compiledRule {
 // goroutines. A racing double compile is tolerated — the first stored
 // entry wins — because compilation is pure and rare.
 //
-// Rule text is not a fixed set: planner pushdown and semi-join narrowing
-// write each query's literals into the SQL they run, so every distinct
-// literal compiles a new entry. The cache therefore flushes wholesale at
-// compiledCacheBound, like the plan and rewrite caches.
+// The key is everything compilation reads, so an entry can never go
+// stale: a remapped rule has new text and compiles under a new key, and
+// catalog mutations leave the cache alone. Rule text is not a fixed set,
+// though: planner pushdown and semi-join narrowing write each query's
+// literals into the SQL they run, so every distinct literal compiles a
+// new entry. The cache therefore flushes wholesale at
+// compiledCacheBound, like the plan cache.
 type compiledCache struct {
 	mu sync.RWMutex
 	m  map[string]*compiledRule
@@ -114,12 +117,6 @@ func (c *compiledCache) get(rule mapping.Rule) *compiledRule {
 	}
 	c.mu.Unlock()
 	return cr
-}
-
-func (c *compiledCache) clear() {
-	c.mu.Lock()
-	c.m = nil
-	c.mu.Unlock()
 }
 
 func (c *compiledCache) len() int {

@@ -87,8 +87,9 @@ type Stats struct {
 	SourcesContacted int
 	// ValuesExtracted counts raw values across all fragments.
 	ValuesExtracted int
-	// SchemaDuration covers steps 2-3 (extraction schema + source
-	// definitions).
+	// SchemaDuration covers this run's share of steps 2-3 (extraction
+	// schema + source definitions): selecting the source plans of a
+	// schema built beforehand (see Schema).
 	SchemaDuration time.Duration
 	// ExtractDuration covers step 4 (rule execution).
 	ExtractDuration time.Duration
@@ -167,7 +168,7 @@ type Options struct {
 	// disables it.
 	Breaker BreakerOptions
 	// DisablePushdown turns off the query planner's predicate pushdown
-	// and projection pruning (internal/planner). By default, ExtractQuery
+	// and projection pruning (internal/planner). By default, Schema
 	// rewrites the extraction schema per query: source groups that cannot
 	// satisfy the WHERE conditions are pruned before any rule runs,
 	// record-scoped filters drop failing records at the source boundary,
@@ -228,11 +229,6 @@ type Manager struct {
 	srcMetricsMu  sync.Mutex
 	srcMetricsFor map[string]srcMetrics
 	srcMetricsReg *obs.Registry
-
-	// rewriteMu guards rewrites, the bounded per-query-shape cache of
-	// planner rewrites (see plannedRewrite in pushdown.go).
-	rewriteMu sync.RWMutex
-	rewrites  map[string]rewriteEntry
 
 	// sleep and randFloat are the backoff hooks; tests inject a recording
 	// sleep and a deterministic rand to assert jittered delays exactly.
@@ -296,17 +292,6 @@ func (m *Manager) backoffDelay(attempt int) time.Duration {
 	return time.Duration(f * float64(ceil))
 }
 
-// InvalidateCache drops every compiled rule artifact and every cached
-// planner rewrite. The middleware calls it whenever mappings, sources,
-// or class keys change, so a remapped rule can never run compiled code
-// or a pushed-down plan from its previous registration.
-func (m *Manager) InvalidateCache() {
-	m.compiled.clear()
-	m.rewriteMu.Lock()
-	m.rewrites = nil
-	m.rewriteMu.Unlock()
-}
-
 // srcMetrics is one source's steady-state metric handles.
 type srcMetrics struct {
 	okTotal  *obs.Counter   // extract total, outcome "ok"
@@ -337,58 +322,103 @@ func (m *Manager) sourceMetrics(reg *obs.Registry, sourceID string) srcMetrics {
 }
 
 // CompiledRuleCount reports how many distinct rules currently hold
-// compiled artifacts (ops introspection; coherence tests assert it
-// drops to zero on invalidation).
+// compiled artifacts (ops introspection; coherence tests assert that
+// catalog mutations leave it alone).
 func (m *Manager) CompiledRuleCount() int { return m.compiled.len() }
 
-// Extract runs the four-step process for the given attribute list. When
-// ctx carries an obs span and metrics registry (the middleware query
-// path injects both), the run emits an "extract" span with one
-// "source:<id>" child per contacted source and per-source counters and
-// latency histograms.
-func (m *Manager) Extract(ctx context.Context, attributeIDs []string) (*ResultSet, error) {
-	return m.extract(ctx, attributeIDs, nil, nil, nil)
+// Schema is one query's extraction schema — steps 2-3 of the
+// extraction process, with the query planner's rewrite applied. It
+// depends only on the query and the catalog, so the middleware computes
+// it once per plan-cache miss and every run of the query shares it.
+// A Schema and everything it holds are read-only once built.
+type Schema struct {
+	// Base is the repository's schema for the query's attributes: every
+	// source plan they map to, in source order, unrewritten. The
+	// merge-free proof reads it, and the cluster coordinator partitions
+	// and marks failovers over it.
+	Base []mapping.SourcePlan
+	// Plans are the source plans extraction runs: Base as the planner
+	// rewrote it, or Base itself when the planner did not run.
+	Plans []mapping.SourcePlan
+	// Missing lists requested attributes that have no mapping.
+	Missing []string
+	// Planner is the rewrite's outcome, nil when the planner did not run
+	// (an unconstrained query, or Options.DisablePushdown).
+	Planner *planner.Stats
 }
 
-// ExtractQuery is Extract with the full query plan in hand: before the
-// sources are contacted, the query planner (internal/planner) rewrites
-// the extraction schema against the plan's WHERE conditions — pruning
-// source groups that provably cannot contribute, attaching record-scoped
-// filters, and pushing string constraints into generated SQL. Disabled
-// by Options.DisablePushdown; the rewrite is cached per query shape and
-// flushed by InvalidateCache.
-func (m *Manager) ExtractQuery(ctx context.Context, qplan *s2sql.Plan) (*ResultSet, error) {
+// Schema runs steps 2-3 of the extraction process for a planned query —
+// extraction schema plus data source definitions — and, for constrained
+// queries with pushdown enabled, the query planner's rewrite
+// (internal/planner): source groups that provably cannot contribute are
+// pruned, record-scoped filters attached, and string constraints pushed
+// into generated SQL. The work runs under an "extraction_schema" span
+// opened in ctx.
+func (m *Manager) Schema(ctx context.Context, qplan *s2sql.Plan) (*Schema, error) {
 	if qplan == nil {
 		return nil, errors.New("extract: nil query plan")
 	}
-	return m.extract(ctx, qplan.AttributeIDs(), qplan, nil, nil)
+	return m.schema(ctx, qplan.AttributeIDs(), qplan)
+}
+
+// schema is Schema for an attribute list; a nil qplan skips the rewrite.
+func (m *Manager) schema(ctx context.Context, attributeIDs []string, qplan *s2sql.Plan) (*Schema, error) {
+	_, sspan, sdone := obs.StartStage(ctx, "extraction_schema")
+	defer sdone()
+	plans, missing, err := m.repo.Schema(attributeIDs)
+	if err != nil {
+		return nil, fmt.Errorf("extract: obtaining extraction schema: %w", err)
+	}
+	sspan.SetAttr("sources", strconv.Itoa(len(plans)))
+	s := &Schema{Base: plans, Plans: plans, Missing: missing}
+	if qplan != nil && len(qplan.Conditions) > 0 && !m.opts.DisablePushdown {
+		res := planner.Rewrite(m.repo.Ontology(), m.repo.ClassKeys(), qplan, plans)
+		s.Plans, s.Planner = res.Plans, &res.Stats
+	}
+	return s, nil
+}
+
+// Extract runs the four-step process for the given attribute list, with
+// no query planner. When ctx carries an obs span and metrics registry
+// (the middleware query path injects both), the run emits an "extract"
+// span with one "source:<id>" child per contacted source and per-source
+// counters and latency histograms.
+func (m *Manager) Extract(ctx context.Context, attributeIDs []string) (*ResultSet, error) {
+	s, err := m.schema(ctx, attributeIDs, nil)
+	if err != nil {
+		return nil, err
+	}
+	return m.extract(ctx, s, nil, nil)
+}
+
+// ExtractQuery runs step 4 — extraction proper — over a query's schema
+// (see Schema).
+func (m *Manager) ExtractQuery(ctx context.Context, s *Schema) (*ResultSet, error) {
+	return m.extract(ctx, s, nil, nil)
 }
 
 // ExtractQuerySources is ExtractQuery restricted to the given source
-// IDs: the full schema (planner rewrite included) is computed as usual,
-// then only the plans of the listed sources are executed, in schema
-// order (the list is a set: its order and repeats do not matter). The
-// cluster's scatter-gather path uses it so each node extracts exactly
-// the sources it owns; because the restriction is applied after the
-// planner rewrite, the union of the per-node fragment sets is identical
-// to one unrestricted run. Failover marking is skipped — a restricted
-// run cannot see fragments other nodes produced — so the coordinator
-// must re-mark the merged result set with MarkFailovers.
-func (m *Manager) ExtractQuerySources(ctx context.Context, qplan *s2sql.Plan, sourceIDs []string) (*ResultSet, error) {
-	if qplan == nil {
-		return nil, errors.New("extract: nil query plan")
-	}
+// IDs: only the schema's plans of the listed sources are executed, in
+// schema order (the list is a set: its order and repeats do not
+// matter). The cluster's scatter-gather path uses it so each node
+// extracts exactly the sources it owns; because the restriction is
+// applied to the planner-rewritten plans, the union of the per-node
+// fragment sets is identical to one unrestricted run. Failover marking
+// is skipped — a restricted run cannot see fragments other nodes
+// produced — so the coordinator must re-mark the merged result set with
+// MarkFailovers.
+func (m *Manager) ExtractQuerySources(ctx context.Context, s *Schema, sourceIDs []string) (*ResultSet, error) {
 	if sourceIDs == nil {
 		sourceIDs = []string{}
 	}
-	return m.extract(ctx, qplan.AttributeIDs(), qplan, sourceIDs, nil)
+	return m.extract(ctx, s, sourceIDs, nil)
 }
 
 // extract is the materialized run: every source's fragments are appended
 // to the ResultSet as the source completes — synchronously, no channel —
 // and the set is returned once all sources finished.
-func (m *Manager) extract(ctx context.Context, attributeIDs []string, qplan *s2sql.Plan, restrict []string, shared *sharedRun) (*ResultSet, error) {
-	ctx, r, err := m.planRun(ctx, attributeIDs, qplan, restrict, shared)
+func (m *Manager) extract(ctx context.Context, s *Schema, restrict []string, shared *sharedRun) (*ResultSet, error) {
+	ctx, r, err := m.planRun(ctx, s, restrict, shared)
 	if err != nil {
 		return nil, err
 	}
@@ -432,17 +462,19 @@ type plannedRun struct {
 	rs *ResultSet
 }
 
-// planRun runs steps 2-3 and everything else that precedes fan-out:
-// the deadline budget, the extraction schema and planner rewrite, and
-// the source restriction. A non-nil restrict list limits execution to
-// the named sources (after schema planning and the planner rewrite). A
-// non-nil shared run replaces the per-run document layer, parallelism
-// semaphore, and deadline budget with ones a batch of concurrent runs
-// holds in common (see ExtractQueryBatch); everything else — schema,
-// planner rewrite, wave split, canonical sort — stays per run, so a
-// shared-run result set is identical to a standalone one. On success
-// the caller owns r.end.
-func (m *Manager) planRun(ctx context.Context, attributeIDs []string, qplan *s2sql.Plan, restrict []string, shared *sharedRun) (context.Context, *plannedRun, error) {
+// planRun runs everything that precedes fan-out: the deadline budget,
+// the selection of the schema's source plans, and the planner's span
+// attributes and counters. A non-nil restrict list limits execution to
+// the named sources. A non-nil shared run replaces the per-run document
+// layer, parallelism semaphore, and deadline budget with ones a batch of
+// concurrent runs holds in common (see ExtractQueryBatch); everything
+// else — wave split, canonical sort — stays per run, so a shared-run
+// result set is identical to a standalone one. On success the caller
+// owns r.end.
+func (m *Manager) planRun(ctx context.Context, s *Schema, restrict []string, shared *sharedRun) (context.Context, *plannedRun, error) {
+	if s == nil {
+		return ctx, nil, errors.New("extract: nil extraction schema")
+	}
 	ctx, espan, edone := obs.StartStage(ctx, "extract")
 	metrics := obs.MetricsFromContext(ctx)
 
@@ -453,25 +485,27 @@ func (m *Manager) planRun(ctx context.Context, attributeIDs []string, qplan *s2s
 	if m.opts.QueryBudget > 0 && shared == nil {
 		ctx, cancel = context.WithTimeout(ctx, m.opts.QueryBudget)
 	}
-	r := &plannedRun{m: m, espan: espan, metrics: metrics, restricted: restrict != nil, rs: &ResultSet{}}
+	r := &plannedRun{m: m, espan: espan, metrics: metrics, restricted: restrict != nil, rs: &ResultSet{Missing: s.Missing}}
 	r.end = func() {
 		cancel()
 		edone()
 	}
 
-	// Steps 2-3: extraction schema + data source definitions.
 	start := time.Now()
-	plans, missing, err := m.planSchema(ctx, espan, metrics, attributeIDs, qplan)
-	if err != nil {
-		r.end()
-		return ctx, nil, err
+	if p := s.Planner; p != nil {
+		espan.SetAttr("sources_pruned", strconv.Itoa(p.SourcesPruned))
+		espan.SetAttr("entries_pruned", strconv.Itoa(p.EntriesPruned))
+		espan.SetAttr("pushdown_applied", strconv.Itoa(p.PushdownApplied))
+		metrics.Counter(obs.MetricPlannerSourcesPruned, nil).Add(uint64(p.SourcesPruned))
+		metrics.Counter(obs.MetricPlannerEntriesPruned, nil).Add(uint64(p.EntriesPruned))
+		metrics.Counter(obs.MetricPlannerPushdownApplied, nil).Add(uint64(p.PushdownApplied))
 	}
-	r.rs.Missing = missing
-	r.rs.Stats.SchemaDuration = time.Since(start)
+	espan.SetAttr("sources", strconv.Itoa(len(s.Plans)))
 
 	// Sources run in schema order. A restricted run keeps the plans of
-	// the sources it names; plans may be shared with the rewrite cache,
-	// so they go to a fresh slice.
+	// the sources it names; the schema is shared, so they go to a fresh
+	// slice.
+	plans := s.Plans
 	if restrict != nil {
 		named := make(map[string]bool, len(restrict))
 		for _, id := range restrict {
@@ -487,6 +521,7 @@ func (m *Manager) planRun(ctx context.Context, attributeIDs []string, qplan *s2s
 		espan.SetAttr("sources_restricted", strconv.Itoa(len(plans)))
 	}
 	r.plans = plans
+	r.rs.Stats.SchemaDuration = time.Since(start)
 
 	// Per-run shared state: the document layer (each source document is
 	// fetched/parsed once per run, shared across rules) and the
@@ -598,33 +633,6 @@ func (rs *ResultSet) SortCanonical() {
 		}
 		return rs.Errors[i].AttributeID < rs.Errors[j].AttributeID
 	})
-}
-
-// planSchema runs steps 2-3 of the extraction process — extraction
-// schema plus data source definitions — and, for constrained queries
-// with pushdown enabled, the query planner's schema rewrite.
-func (m *Manager) planSchema(ctx context.Context, espan *obs.Span, metrics *obs.Registry, attributeIDs []string, qplan *s2sql.Plan) ([]mapping.SourcePlan, []string, error) {
-	_, sspan, sdone := obs.StartStage(ctx, "extraction_schema")
-	plans, missing, err := m.repo.Schema(attributeIDs)
-	sdone()
-	if err != nil {
-		return nil, nil, fmt.Errorf("extract: obtaining extraction schema: %w", err)
-	}
-	sspan.SetAttr("sources", strconv.Itoa(len(plans)))
-
-	// Query planner v2: rewrite the schema against the plan's conditions.
-	if qplan != nil && len(qplan.Conditions) > 0 && !m.opts.DisablePushdown {
-		var pstats planner.Stats
-		plans, pstats = m.plannedRewrite(qplan, attributeIDs, plans)
-		espan.SetAttr("sources_pruned", strconv.Itoa(pstats.SourcesPruned))
-		espan.SetAttr("entries_pruned", strconv.Itoa(pstats.EntriesPruned))
-		espan.SetAttr("pushdown_applied", strconv.Itoa(pstats.PushdownApplied))
-		metrics.Counter(obs.MetricPlannerSourcesPruned, nil).Add(uint64(pstats.SourcesPruned))
-		metrics.Counter(obs.MetricPlannerEntriesPruned, nil).Add(uint64(pstats.EntriesPruned))
-		metrics.Counter(obs.MetricPlannerPushdownApplied, nil).Add(uint64(pstats.PushdownApplied))
-	}
-	espan.SetAttr("sources", strconv.Itoa(len(plans)))
-	return plans, missing, nil
 }
 
 // MarkFailovers flags failures whose attributes were still served by an

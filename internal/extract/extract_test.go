@@ -11,6 +11,7 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/ontology"
 	"repro/internal/reldb"
+	"repro/internal/s2sql"
 )
 
 // testWorld wires the paper's four source kinds with overlapping watch data.
@@ -58,6 +59,16 @@ func must(t *testing.T, err error) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// extractQuery is the planned-query path in one call: the query's
+// schema, then extraction over it.
+func extractQuery(ctx context.Context, m *Manager, plan *s2sql.Plan) (*ResultSet, error) {
+	s, err := m.Schema(ctx, plan)
+	if err != nil {
+		return nil, err
+	}
+	return m.ExtractQuery(ctx, s)
 }
 
 func (w *testWorld) manager(opts Options) *Manager {

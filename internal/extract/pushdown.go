@@ -1,70 +1,16 @@
 package extract
 
 // This file is the extractor side of query planner v2 (internal/planner):
-// the per-query-shape rewrite cache and the record-scoped filter hook
-// that extractSource applies to a source's fragments before they enter
-// the result set.
+// the record-scoped filter hook that extractSource applies to a source's
+// fragments before they enter the result set. The planner's rewrite
+// itself runs once per query, in Schema.
 
 import (
-	"strconv"
 	"strings"
 
 	"repro/internal/mapping"
-	"repro/internal/planner"
 	"repro/internal/s2sql"
 )
-
-// rewriteEntry is one cached planner rewrite.
-type rewriteEntry struct {
-	plans []mapping.SourcePlan
-	stats planner.Stats
-}
-
-// rewriteCacheBound caps the rewrite cache; past it the cache is flushed
-// wholesale, like the other bounded caches in this package. Query shapes
-// are few (distinct class + condition signatures), so the bound exists
-// only as a runaway backstop.
-const rewriteCacheBound = 256
-
-// plannedRewrite returns the planner's rewrite of plans for qplan,
-// cached per query shape. InvalidateCache flushes the cache, so a
-// remapped rule can never serve a stale pushed-down plan.
-func (m *Manager) plannedRewrite(qplan *s2sql.Plan, attributeIDs []string, plans []mapping.SourcePlan) ([]mapping.SourcePlan, planner.Stats) {
-	key := strings.Join(attributeIDs, "\x00") + "\x01" + querySig(qplan)
-	m.rewriteMu.RLock()
-	e, ok := m.rewrites[key]
-	m.rewriteMu.RUnlock()
-	if ok {
-		return e.plans, e.stats
-	}
-	res := planner.Rewrite(m.repo.Ontology(), m.repo.ClassKeys(), qplan, plans)
-	m.rewriteMu.Lock()
-	if m.rewrites == nil || len(m.rewrites) >= rewriteCacheBound {
-		m.rewrites = make(map[string]rewriteEntry, 16)
-	}
-	m.rewrites[key] = rewriteEntry{plans: res.Plans, stats: res.Stats}
-	m.rewriteMu.Unlock()
-	return res.Plans, res.Stats
-}
-
-// querySig is the condition-relevant shape of a query plan: the queried
-// class plus each condition's attribute, operator, and literal. Plans
-// with equal signatures (and equal attribute lists) rewrite identically.
-func querySig(p *s2sql.Plan) string {
-	var b strings.Builder
-	b.WriteString(p.Class.Name)
-	for _, c := range p.Conditions {
-		b.WriteByte('\x00')
-		b.WriteString(c.Attribute.ID())
-		b.WriteByte('\x00')
-		b.WriteString(string(c.Op))
-		b.WriteByte('\x00')
-		b.WriteString(strconv.Itoa(int(c.Value.Kind)))
-		b.WriteByte('\x00')
-		b.WriteString(c.Value.Text)
-	}
-	return b.String()
-}
 
 // applyRecordFilter drops record positions that fail the filter's
 // conditions from the filter group's fragments. fragAt maps entry index
@@ -144,15 +90,19 @@ func applyRecordFilter(frags []Fragment, fragAt []int, f mapping.RecordFilter) {
 	if kept == records {
 		return
 	}
+	// Compact in place: every extractor returns a Values slice of its
+	// own, made for this one rule execution, so nothing else can see it.
 	for _, fi := range idx {
 		vals := frags[fi].Values
-		out := make([]string, 0, kept)
+		n := 0
 		for r, v := range vals {
 			if keep[r] {
-				out = append(out, v)
+				vals[n] = v
+				n++
 			}
 		}
-		frags[fi].Values = out
+		clear(vals[n:])
+		frags[fi].Values = vals[:n]
 	}
 }
 

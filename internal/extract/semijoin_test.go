@@ -47,7 +47,7 @@ func TestSemiJoinShrinksWork(t *testing.T) {
 	spec := workload.SemiJoinSpec{DirectoryRecords: 5, DetailSources: 2, DetailRecords: 60, Seed: 41}
 	count := func(disable bool) int {
 		m, _, world := semiJoinManager(t, spec, Options{DisableSemiJoin: disable})
-		rs, err := m.ExtractQuery(context.Background(), semiJoinPlan(t, world))
+		rs, err := extractQuery(context.Background(), m, semiJoinPlan(t, world))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestSemiJoinNarrowedValuesStaySeedBound(t *testing.T) {
 	}, Options{})
 	metrics := obs.NewRegistry()
 	ctx := obs.ContextWithMetrics(context.Background(), metrics)
-	rs, err := m.ExtractQuery(ctx, semiJoinPlan(t, world))
+	rs, err := extractQuery(ctx, m, semiJoinPlan(t, world))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSemiJoinCacheCoherence(t *testing.T) {
 
 	// Narrowed first: the narrowed detail rules must not replace the
 	// unnarrowed ones in any cache.
-	if _, err := m.ExtractQuery(ctx, semiJoinPlan(t, world)); err != nil {
+	if _, err := extractQuery(ctx, m, semiJoinPlan(t, world)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := m.Extract(ctx, attrs)
@@ -137,11 +137,11 @@ func TestSemiJoinCacheCoherence(t *testing.T) {
 
 	// Unnarrowed first (caches warm): the narrowed run must still run its
 	// narrowed rules, and a repeat narrowed run must agree.
-	first, err := m.ExtractQuery(ctx, semiJoinPlan(t, world))
+	first, err := extractQuery(ctx, m, semiJoinPlan(t, world))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := m.ExtractQuery(ctx, semiJoinPlan(t, world))
+	second, err := extractQuery(ctx, m, semiJoinPlan(t, world))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +171,11 @@ func TestSemiJoinWaveSplitGates(t *testing.T) {
 	m, _, world := semiJoinManager(t, workload.SemiJoinSpec{
 		DirectoryRecords: 3, DetailSources: 2, DetailRecords: 8, Seed: 45,
 	}, Options{})
-	plans, _, err := m.planSchema(context.Background(), nil, nil, semiJoinPlan(t, world).AttributeIDs(), semiJoinPlan(t, world))
+	s, err := m.Schema(context.Background(), semiJoinPlan(t, world))
 	if err != nil {
 		t.Fatal(err)
 	}
+	plans := s.Plans
 	narrowable := 0
 	for _, p := range plans {
 		if p.Narrowable() {
@@ -230,10 +231,11 @@ func TestSemiJoinNarrowPlanFallbacks(t *testing.T) {
 	m, _, world := semiJoinManager(t, workload.SemiJoinSpec{
 		DirectoryRecords: 3, DetailSources: 1, DetailRecords: 8, Seed: 46,
 	}, Options{})
-	plans, _, err := m.planSchema(context.Background(), nil, nil, semiJoinPlan(t, world).AttributeIDs(), semiJoinPlan(t, world))
+	s, err := m.Schema(context.Background(), semiJoinPlan(t, world))
 	if err != nil {
 		t.Fatal(err)
 	}
+	plans := s.Plans
 	var detail mapping.SourcePlan
 	found := false
 	for _, p := range plans {

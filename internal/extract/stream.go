@@ -13,12 +13,10 @@ package extract
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"strconv"
 
 	"repro/internal/obs"
-	"repro/internal/s2sql"
 )
 
 // DefaultStreamBatchRecords is the record-window size of a streaming
@@ -91,17 +89,14 @@ func (s *Stream) Drain() {
 }
 
 // ExtractQueryStream is ExtractQuery in windowed form: the same
-// schema/planner phases run up front (errors there fail fast), then the
-// per-source fan-out emits record-scoped fragment batches on the
-// returned Stream instead of materializing a ResultSet. The extract
-// span records one "stream_batch" event per emitted batch and the
-// s2s_stream_batches_total counter counts them per source. The caller
-// must consume Batches to the end or call Drain.
-func (m *Manager) ExtractQueryStream(ctx context.Context, qplan *s2sql.Plan) (*Stream, error) {
-	if qplan == nil {
-		return nil, errors.New("extract: nil query plan")
-	}
-	ctx, r, err := m.planRun(ctx, qplan.AttributeIDs(), qplan, nil, nil)
+// schema's source plans fan out, and each source emits record-scoped
+// fragment batches on the returned Stream instead of into a
+// materialized ResultSet. The extract span records one "stream_batch"
+// event per emitted batch and the s2s_stream_batches_total counter
+// counts them per source. The caller must consume Batches to the end or
+// call Drain.
+func (m *Manager) ExtractQueryStream(ctx context.Context, s *Schema) (*Stream, error) {
+	ctx, r, err := m.planRun(ctx, s, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -101,7 +101,12 @@ func generatedResult(t *testing.T, world *workload.World, classKey bool, query s
 		}
 	}
 	p := plan(t, world.Ontology, query)
-	rs, err := extract.NewManager(repo, extract.FromCatalog(world.Catalog), extract.Options{}).ExtractQuery(context.Background(), p)
+	mgr := extract.NewManager(repo, extract.FromCatalog(world.Catalog), extract.Options{})
+	schema, err := mgr.Schema(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := mgr.ExtractQuery(context.Background(), schema)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,33 +183,16 @@ type Repository struct {
 	mu      sync.RWMutex
 	entries map[string][]Entry // lower-cased attribute ID → entries
 	keys    map[string]string  // lower-cased class name → key attribute ID
-
-	// schemaMu guards the schema cache separately from mu so a cache
-	// store never upgrades a read lock. Source definitions are immutable
-	// once registered, so cached plans only go stale when entries change;
-	// Register and SetClassKey flush conservatively.
-	schemaMu    sync.RWMutex
-	schemaCache map[string]schemaCacheEntry // raw joined attribute IDs → schema
-}
-
-// schemaCacheBound caps the schema cache; at capacity it flushes
-// wholesale (distinct attribute-ID sets per deployment are few).
-const schemaCacheBound = 256
-
-type schemaCacheEntry struct {
-	plans   []SourcePlan
-	missing []string
 }
 
 // NewRepository creates an attribute repository bound to an ontology and a
 // source registry.
 func NewRepository(ont *ontology.Ontology, sources *datasource.Registry) *Repository {
 	return &Repository{
-		ont:         ont,
-		sources:     sources,
-		entries:     make(map[string][]Entry),
-		keys:        make(map[string]string),
-		schemaCache: make(map[string]schemaCacheEntry),
+		ont:     ont,
+		sources: sources,
+		entries: make(map[string][]Entry),
+		keys:    make(map[string]string),
 	}
 }
 
@@ -272,16 +255,7 @@ func (r *Repository) Register(e Entry) error {
 	}
 	e.AttributeID = attr.ID() // canonical casing
 	r.entries[key] = append(r.entries[key], e)
-	r.invalidateSchemaCache()
 	return nil
-}
-
-// invalidateSchemaCache flushes cached extraction schemas. Safe to call
-// while holding mu: it only takes schemaMu.
-func (r *Repository) invalidateSchemaCache() {
-	r.schemaMu.Lock()
-	r.schemaCache = make(map[string]schemaCacheEntry)
-	r.schemaMu.Unlock()
 }
 
 // MustRegister is Register but panics on error; for static fixtures.
@@ -383,7 +357,6 @@ func (r *Repository) SetClassKey(class, attributeID string) error {
 	r.mu.Lock()
 	r.keys[strings.ToLower(c.Name)] = attr.ID()
 	r.mu.Unlock()
-	r.invalidateSchemaCache()
 	return nil
 }
 
@@ -445,8 +418,8 @@ type SourcePlan struct {
 	Entries []Entry
 	// Filters are record-scoped pushdown filters the query planner
 	// (internal/planner) attached for one specific query. Repository
-	// schemas never carry them; they appear only on the rewritten copies
-	// the extractor manager caches per query shape.
+	// schemas never carry them; they appear only on the planner's
+	// rewritten copies.
 	Filters []RecordFilter
 	// SemiJoins lists the cross-source semi-join narrowing opportunities
 	// the query planner found for this plan (planner v3): record-scope
@@ -525,32 +498,9 @@ type RecordFilter struct {
 // by data source, with each source's connection definition attached.
 // Attributes without any mapping are reported in missing rather than
 // failing the whole schema; the caller decides whether that is an error.
+// Every call builds the schema afresh from the live entry tables: the
+// middleware keeps the one cached copy, with the query's plan.
 func (r *Repository) Schema(attributeIDs []string) (plans []SourcePlan, missing []string, err error) {
-	key := strings.Join(attributeIDs, "\x00")
-	r.schemaMu.RLock()
-	cached, ok := r.schemaCache[key]
-	r.schemaMu.RUnlock()
-	if ok {
-		// Hand out a fresh top-level slice so callers appending to the
-		// result never alias the cache; plans and entries themselves are
-		// read-only by contract.
-		return append([]SourcePlan(nil), cached.plans...), append([]string(nil), cached.missing...), nil
-	}
-	plans, missing, err = r.buildSchema(attributeIDs)
-	if err != nil {
-		return nil, nil, err
-	}
-	r.schemaMu.Lock()
-	if len(r.schemaCache) >= schemaCacheBound {
-		r.schemaCache = make(map[string]schemaCacheEntry, schemaCacheBound)
-	}
-	r.schemaCache[key] = schemaCacheEntry{plans: plans, missing: missing}
-	r.schemaMu.Unlock()
-	return append([]SourcePlan(nil), plans...), append([]string(nil), missing...), nil
-}
-
-// buildSchema assembles a schema from the live entry tables.
-func (r *Repository) buildSchema(attributeIDs []string) (plans []SourcePlan, missing []string, err error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 

@@ -6,8 +6,9 @@
 //
 // A [Tracer] owns a bounded ring buffer of completed traces. A trace is a
 // tree of [Span] values describing one query's journey through the
-// pipeline: parse_plan → extract → extraction_schema → one source:<id>
-// child per contacted data source → generate → serialize. Spans travel
+// pipeline: parse_plan (extraction_schema under it on a plan-cache miss)
+// → extract → one source:<id> child per contacted data source →
+// generate → serialize. Spans travel
 // through the call graph inside a [context.Context], so packages deep in
 // the pipeline (extract, instance) emit spans without any API change:
 //

@@ -361,7 +361,11 @@ func TestPushdownShrinksWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := mgr.ExtractQuery(context.Background(), plan)
+		schema, err := mgr.Schema(context.Background(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := mgr.ExtractQuery(context.Background(), schema)
 		if err != nil {
 			t.Fatal(err)
 		}
