@@ -19,8 +19,11 @@ BENCH_RE = $(if $(FAMILY),^BenchmarkE$(patsubst E%,%,$(FAMILY))[A-Z],.)
 # repository benchmark's smoke run.
 check: vet fmt lint build test chaos bench-smoke benchmark-smoke
 
+# vet and test also cover the benchmark's nested module (benchmark/),
+# which `./...` stops at.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C benchmark ./...
 
 # fmt fails (and lists the offenders) if any file is not gofmt-clean.
 fmt:
@@ -38,6 +41,7 @@ build:
 # on here.
 test:
 	$(GO) test -race ./...
+	GOFLAGS=-buildvcs=false $(GO) test -C benchmark -race ./...
 
 # lint runs the repo-specific analyzer suite (stdlibonly, errwrap,
 # spanend, ctxfield, determinism, lockbalance, pkgdoc, wgbalance,

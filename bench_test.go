@@ -803,7 +803,7 @@ func (f *firstWriteTimer) Write(p []byte) (int, error) {
 // BenchmarkE21FirstInstance — barrier-free streaming: a merge-free
 // four-source query where one source (xml_000, canonically last)
 // answers 20ms slow. The eager path (QueryToStream) emits the three
-// fast sources' instances as their extraction windows close, so the
+// fast sources' instances as each of them finishes extracting, so the
 // first instance reaches the writer in fast-source time; the
 // materialized path ("barrier": QueryTo on the same world) serializes
 // nothing until the slow source finishes, so its first byte waits out

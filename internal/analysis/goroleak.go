@@ -9,10 +9,10 @@ import (
 
 // Goroleak guards the fan-out boundaries of the query and cluster
 // paths: every `go` statement there must either be joined — a
-// WaitGroup the spawner waits on, a result channel the spawner reads
-// (the hedged-dispatch loser, the stream-window workers) — or observe a
-// cancellation seam (ctx.Done(), a stop channel, or a callee that
-// takes a context). A goroutine with neither outlives the query that
+// WaitGroup the spawner waits on (the per-source extraction workers), a
+// result channel the spawner reads (the hedged-dispatch loser) — or
+// observe a cancellation seam (ctx.Done(), a stop channel, or a callee
+// that takes a context). A goroutine with neither outlives the query that
 // spawned it: under the million-user traffic the ROADMAP targets,
 // "leaks one goroutine per query on the error path" is an outage with
 // a delay timer. Test files are exempt — a test's goroutines die with

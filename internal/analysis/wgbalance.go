@@ -6,8 +6,8 @@ import (
 )
 
 // Wgbalance checks the three legs of the sync.WaitGroup contract the
-// fan-out paths (scatter-gather dispatch, streaming source workers,
-// the rule worker pool) depend on: Add must happen before the goroutine
+// fan-out paths (scatter-gather dispatch, per-source extraction
+// workers, a batch's per-query runs) depend on: Add must happen before the goroutine
 // starts (an Add inside the spawned body races with Wait), Done must be
 // reached on every path of the spawned function (one missed path hangs
 // Wait forever under exactly the error conditions the path handles),

@@ -17,12 +17,10 @@
 // byte-identical to a single node's. See docs/CLUSTER.md.
 package cluster
 
-import (
-	"net/http"
-	"time"
-)
+import "time"
 
-// Defaults for Options.
+// The cluster's fixed tunings. Only HedgeDelay can be overridden, by
+// Options.HedgeDelay.
 const (
 	// DefaultReplicationFactor is how many member nodes own each source
 	// (one primary plus one replica).
@@ -69,33 +67,14 @@ type Options struct {
 	// heartbeats the coordinator at that base URL; when empty the node
 	// is the coordinator.
 	CoordinatorURL string
-	// ReplicationFactor is how many members own each source; 0 means
-	// DefaultReplicationFactor, clamped to the member count.
-	ReplicationFactor int
-	// VirtualNodes is the ring points per member; 0 means
-	// DefaultVirtualNodes.
-	VirtualNodes int
-	// HeartbeatInterval, SuspectAfter, and DeadAfter tune failure
-	// detection; zero values use the defaults.
-	HeartbeatInterval time.Duration
-	SuspectAfter      time.Duration
-	DeadAfter         time.Duration
-	// HedgeDelay is the fixed hedge deadline used until HedgeMinSamples
-	// latency observations exist for the target node, after which the
-	// HedgePercentile of its observed sub-request latency is used.
-	// Zero values use the defaults.
-	HedgeDelay      time.Duration
-	HedgePercentile float64
-	HedgeMinSamples int
+	// HedgeDelay is the fixed hedge deadline used until
+	// DefaultHedgeMinSamples latency observations exist for the target
+	// node, after which the DefaultHedgePercentile of its observed
+	// sub-request latency is used. 0 means DefaultHedgeDelay.
+	HedgeDelay time.Duration
 	// DisableHedging turns tail-latency hedging off; failover on error
 	// still happens.
 	DisableHedging bool
-	// RequestTimeout bounds each sub-request; 0 means
-	// DefaultRequestTimeout.
-	RequestTimeout time.Duration
-	// HTTPClient is used for intra-cluster calls; nil uses a client
-	// with RequestTimeout.
-	HTTPClient *http.Client
 	// Now and After are the clock seams (failure detection, latency
 	// measurement, hedge timers); nil uses the real clock. Tests inject
 	// fakes, and the determinism analyzer enforces that no raw clock
@@ -106,41 +85,14 @@ type Options struct {
 
 // withDefaults fills zero fields.
 func (o Options) withDefaults() Options {
-	if o.ReplicationFactor <= 0 {
-		o.ReplicationFactor = DefaultReplicationFactor
-	}
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = DefaultVirtualNodes
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = DefaultHeartbeatInterval
-	}
-	if o.SuspectAfter <= 0 {
-		o.SuspectAfter = DefaultSuspectAfter
-	}
-	if o.DeadAfter <= 0 {
-		o.DeadAfter = DefaultDeadAfter
-	}
 	if o.HedgeDelay <= 0 {
 		o.HedgeDelay = DefaultHedgeDelay
-	}
-	if o.HedgePercentile <= 0 || o.HedgePercentile > 1 {
-		o.HedgePercentile = DefaultHedgePercentile
-	}
-	if o.HedgeMinSamples <= 0 {
-		o.HedgeMinSamples = DefaultHedgeMinSamples
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = DefaultRequestTimeout
 	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
 	if o.After == nil {
 		o.After = time.After
-	}
-	if o.HTTPClient == nil {
-		o.HTTPClient = &http.Client{Timeout: o.RequestTimeout}
 	}
 	return o
 }

@@ -103,7 +103,6 @@ func TestMembershipStatusTransitions(t *testing.T) {
 	clk := newFakeClock()
 	coord, err := NewNode(transport.NewServer(newTestMiddleware(t, world, true)), Options{
 		ID: "coord", Addr: "http://coord",
-		SuspectAfter: 2 * time.Second, DeadAfter: 6 * time.Second,
 		Now: clk.Now,
 	})
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -31,6 +30,8 @@ type Node struct {
 	srv  *transport.Server
 	mw   *core.Middleware
 	mux  *http.ServeMux
+	// http carries every intra-cluster call.
+	http *http.Client
 
 	// cat is the replicated catalog. The coordinator's copy is
 	// authoritative; members track the version they last applied.
@@ -75,6 +76,7 @@ func NewNode(srv *transport.Server, opts Options) (*Node, error) {
 		srv:    srv,
 		mw:     srv.Middleware(),
 		mux:    http.NewServeMux(),
+		http:   &http.Client{Timeout: DefaultRequestTimeout},
 		addr:   opts.Addr,
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
@@ -274,9 +276,9 @@ func (n *Node) Members() []Member {
 			m.CatalogVersion = n.cat.version()
 		} else {
 			switch silence := now.Sub(st.lastBeat); {
-			case silence > n.opts.DeadAfter:
+			case silence > DefaultDeadAfter:
 				m.Status = StatusDead
-			case silence > n.opts.SuspectAfter:
+			case silence > DefaultSuspectAfter:
 				m.Status = StatusSuspect
 			}
 		}
@@ -305,26 +307,14 @@ func (n *Node) setAppliedVersion(v uint64) {
 	}
 }
 
-// maxResponseBody bounds every JSON reply a node reads from a peer: a
-// member's extract response or error, a heartbeat or join reply, the
-// coordinator's catalog. The largest replies the cluster tests and the
-// E19 benchmark produce are a 5.8 KB extract response and an 8.6 KB
-// catalog; 8 MiB is over 1,000 times either, and still refuses a
-// runaway or hostile peer before it fills memory.
+// maxResponseBody bounds every JSON reply a node reads from a peer
+// (through transport.ReadJSON): a member's extract response or error, a
+// heartbeat or join reply, the coordinator's catalog. The largest
+// replies the cluster tests and the E19 benchmark produce are a 5.8 KB
+// extract response and an 8.6 KB catalog; 8 MiB is over 1,000 times
+// either, and still refuses a runaway or hostile peer before it fills
+// memory.
 const maxResponseBody = 8 << 20
-
-// readJSON decodes a peer's JSON reply into v, refusing a body longer
-// than maxResponseBody instead of reading all of it.
-func readJSON(body io.Reader, v any) error {
-	data, err := io.ReadAll(io.LimitReader(body, maxResponseBody+1))
-	if err != nil {
-		return err
-	}
-	if len(data) > maxResponseBody {
-		return fmt.Errorf("cluster: response body exceeds %d bytes", maxResponseBody)
-	}
-	return json.Unmarshal(data, v)
-}
 
 // postJSON POSTs body and decodes the JSON response into out. The
 // caller's trace identity rides along in the request headers, so a
@@ -344,7 +334,7 @@ func (n *Node) postJSON(ctx context.Context, url string, body, out any) error {
 		req.Header.Set(transport.TraceIDHeader, span.TraceID)
 		req.Header.Set(transport.SpanIDHeader, span.ID)
 	}
-	resp, err := n.opts.HTTPClient.Do(req)
+	resp, err := n.http.Do(req)
 	if err != nil {
 		return fmt.Errorf("cluster: calling %s: %w", url, err)
 	}
@@ -353,13 +343,13 @@ func (n *Node) postJSON(ctx context.Context, url string, body, out any) error {
 		var e struct {
 			Error string `json:"error"`
 		}
-		if jerr := readJSON(resp.Body, &e); jerr == nil && e.Error != "" {
+		if jerr := transport.ReadJSON(resp.Body, maxResponseBody, &e); jerr == nil && e.Error != "" {
 			return fmt.Errorf("cluster: %s: %s (status %d)", url, e.Error, resp.StatusCode)
 		}
 		return fmt.Errorf("cluster: %s: status %s", url, resp.Status)
 	}
 	if out != nil {
-		if err := readJSON(resp.Body, out); err != nil {
+		if err := transport.ReadJSON(resp.Body, maxResponseBody, out); err != nil {
 			return fmt.Errorf("cluster: decoding response: %w", err)
 		}
 	}
@@ -421,7 +411,7 @@ func (n *Node) syncCatalog(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("cluster: building request: %w", err)
 	}
-	resp, err := n.opts.HTTPClient.Do(req)
+	resp, err := n.http.Do(req)
 	if err != nil {
 		return fmt.Errorf("cluster: pulling catalog: %w", err)
 	}
@@ -430,7 +420,7 @@ func (n *Node) syncCatalog(ctx context.Context) error {
 		return fmt.Errorf("cluster: pulling catalog: status %s", resp.Status)
 	}
 	var cs catalogState
-	if err := readJSON(resp.Body, &cs); err != nil {
+	if err := transport.ReadJSON(resp.Body, maxResponseBody, &cs); err != nil {
 		return fmt.Errorf("cluster: decoding catalog: %w", err)
 	}
 	if err := applyCatalog(n.mw, cs); err != nil {
@@ -457,8 +447,8 @@ func (n *Node) Start(ctx context.Context) error {
 			select {
 			case <-n.stopCh:
 				return
-			case <-n.opts.After(n.opts.HeartbeatInterval):
-				hctx, cancel := context.WithTimeout(context.Background(), n.opts.RequestTimeout)
+			case <-n.opts.After(DefaultHeartbeatInterval):
+				hctx, cancel := context.WithTimeout(context.Background(), DefaultRequestTimeout)
 				//lint:ignore errcheck a missed beat is the failure detector's business; the suspicion state is the error channel
 				_ = n.HeartbeatOnce(hctx)
 				cancel()

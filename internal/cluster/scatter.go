@@ -66,8 +66,8 @@ func (n *Node) scatterExtract(ctx context.Context, query string, schema *extract
 	// Ownership hashes over every member regardless of status, so a
 	// flapping node does not reshuffle the partitioning; dispatch order
 	// (not ownership) is what reacts to liveness.
-	ring := buildRing(ids, n.opts.VirtualNodes)
-	rf := n.opts.ReplicationFactor
+	ring := buildRing(ids, DefaultVirtualNodes)
+	rf := DefaultReplicationFactor
 	if rf > len(ids) {
 		rf = len(ids)
 	}
@@ -267,13 +267,13 @@ func orderByLiveness(owners []string, statusOf map[string]string) []string {
 	return out
 }
 
-// hedgeDelayFor is the hedge deadline for a node: the configured
-// latency percentile of its observed sub-request latency once enough
-// samples exist, the fixed HedgeDelay until then.
+// hedgeDelayFor is the hedge deadline for a node: the
+// DefaultHedgePercentile of its observed sub-request latency once
+// DefaultHedgeMinSamples exist, the fixed HedgeDelay until then.
 func (n *Node) hedgeDelayFor(node string) time.Duration {
 	h := n.mw.Metrics().Histogram(obs.MetricClusterSubqueryDuration, obs.Labels{"node": node})
-	if h.Count() >= uint64(n.opts.HedgeMinSamples) {
-		if q := h.Quantile(n.opts.HedgePercentile); q > 0 {
+	if h.Count() >= uint64(DefaultHedgeMinSamples) {
+		if q := h.Quantile(DefaultHedgePercentile); q > 0 {
 			return time.Duration(q * float64(time.Second))
 		}
 	}
@@ -295,7 +295,7 @@ func (n *Node) extractOn(ctx context.Context, node, addr, query string, version 
 			rs, err = n.mw.ExtractPlanSources(ctx, plan, sources)
 		}
 	} else {
-		ctx, cancel := context.WithTimeout(ctx, n.opts.RequestTimeout)
+		ctx, cancel := context.WithTimeout(ctx, DefaultRequestTimeout)
 		defer cancel()
 		var resp extractResponse
 		err = n.postJSON(ctx, addr+"/cluster/extract", extractRequest{

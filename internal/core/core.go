@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -254,11 +255,8 @@ func (m *Middleware) run(ctx context.Context, query string, body func(ctx contex
 }
 
 // materialize is the materialized strategy: extract everything
-// (extractor manager), then generate (instance generator). Extraction
-// does not go through extract.Stream here: a source's fragments are
-// complete before they could be windowed, and the generator needs every
-// instance before it can merge, link and order, so a channel hand-off
-// would release nothing early.
+// (extractor manager), then generate (instance generator), which needs
+// every instance before it can merge, link and order.
 func (m *Middleware) materialize(ctx context.Context, p *prepared, extractFn func(context.Context, *extract.Schema) (*extract.ResultSet, error)) (*instance.Result, error) {
 	if p.schemaErr != nil {
 		return nil, p.schemaErr
@@ -370,10 +368,11 @@ func (m *Middleware) QueryTo(ctx context.Context, w io.Writer, query string, for
 // http.Flusher-backed writer so every chunk reaches the wire as a
 // chunked-transfer frame. When the planner proved the query merge-free
 // and the format supports it (EagerStream), the body is emitted
-// barrier-free: instances stream out as extraction windows close, so
-// the first instance reaches w while slower sources are still
-// extracting; otherwise the query is materialized and the document
-// leaves in chunks afterwards. The bytes are identical either way, and
+// barrier-free: each source's instances stream out as the source
+// finishes (instance.GenerateEager is the extraction run's sink), so the
+// first instance reaches w while slower sources are still extracting;
+// otherwise the query is materialized and the document leaves in chunks
+// afterwards. The bytes are identical either way, and
 // identical to QueryTo's. The result and chunk statistics are returned
 // alongside any error; a serialization error may surface after part of
 // the body was already written, which is why the transport signals
@@ -389,19 +388,29 @@ func (m *Middleware) QueryToStream(ctx context.Context, w io.Writer, query strin
 			stats, err = m.gen.SerializeChunked(ctx, w, res, format)
 			return res, err
 		}
-		st, err := m.manager.ExtractQueryStream(ctx, p.schema)
-		if err != nil {
-			return nil, err
+		sources := make([]string, len(p.schema.Plans))
+		for i, sp := range p.schema.Plans {
+			sources[i] = sp.Source.ID
 		}
-		// Extraction overlaps generation on this path, so the generate
-		// time includes waiting on windows; the extract time comes from
-		// the stream's tail, which GenerateEager leaves complete.
+		sort.Strings(sources)
+		// Extraction runs inside generation on this path, so the generate
+		// time includes waiting on sources. The extraction run takes the
+		// query's ctx, keeping its span a sibling of generate's.
+		var (
+			rs  *extract.ResultSet
+			res *instance.Result
+			err error
+		)
 		genStart := time.Now()
-		var res *instance.Result
-		res, stats, err = m.gen.GenerateEager(ctx, p.plan, st, w, format)
+		res, stats, err = m.gen.GenerateEager(ctx, p.plan, sources, w, format, func(deliver func(string, []extract.Fragment)) (*extract.ResultSet, error) {
+			var err error
+			rs, err = m.manager.ExtractQueryEach(ctx, p.schema, deliver)
+			return rs, err
+		})
 		m.stats.generateNS.Add(int64(time.Since(genStart)))
-		tail := st.Tail()
-		m.stats.extractNS.Add(int64(tail.Stats.SchemaDuration + tail.Stats.ExtractDuration))
+		if rs != nil {
+			m.stats.extractNS.Add(int64(rs.Stats.SchemaDuration + rs.Stats.ExtractDuration))
+		}
 		return res, err
 	})
 	return res, stats, err

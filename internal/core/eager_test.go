@@ -5,15 +5,18 @@ package core_test
 // relations, no class keys), QueryToStream — eager for JSON and XML,
 // materialized for the rest — produces byte-identical output to QueryTo
 // for every query and format; an eager run whose writer fails leaves no
-// goroutine behind; and the multi-query batch pipeline answers exactly
-// like N sequential single queries.
+// goroutine behind; a source held back delays only the instances that
+// canonically follow it; and the multi-query batch pipeline answers
+// exactly like N sequential single queries.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,6 +26,7 @@ import (
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/workload"
+	"repro/internal/xmlpath"
 )
 
 func buildFlatWorld(t *testing.T, opts extract.Options) *core.Middleware {
@@ -69,8 +73,7 @@ func TestFlatWorldProvesMergeFree(t *testing.T) {
 }
 
 // TestEagerStreamingEquivalence is the byte-equivalence suite on the
-// flat world: JSON and XML answers stream eagerly (small windows force
-// multi-window interleaving across sources), the other formats
+// flat world: JSON and XML answers stream eagerly, the other formats
 // materialize, and all must match QueryTo byte for byte.
 func TestEagerStreamingEquivalence(t *testing.T) {
 	checkStreamBytesMatchQueryTo(t, buildFlatWorld)
@@ -98,11 +101,11 @@ func (w *failAfterFirstWrite) Write(p []byte) (int, error) {
 
 // TestEagerWriterFailureLeavesNoGoroutines fails the writer of an eager
 // query after its first chunk: QueryToStream must return that error, and
-// the extraction producer must be gone — Stream.Drain released it, so
-// its deadline-budget cancel ran — which shows as the goroutine count
+// the extraction run must be over — every source goroutine returned and
+// the deadline budget's cancel ran — which shows as the goroutine count
 // settling back to where it started.
 func TestEagerWriterFailureLeavesNoGoroutines(t *testing.T) {
-	mw := buildFlatWorld(t, extract.Options{StreamBatchRecords: 1, QueryBudget: time.Minute})
+	mw := buildFlatWorld(t, extract.Options{QueryBudget: time.Minute})
 	ctx := context.Background()
 	// Warm the caches (and any lazily started runtime goroutines) first.
 	if _, _, err := mw.QueryToStream(ctx, io.Discard, "SELECT product", instance.FormatJSON); err != nil {
@@ -191,4 +194,173 @@ func TestQueryBatchToSinksEveryResult(t *testing.T) {
 	if errs[1] == nil || !strings.Contains(errs[1].Error(), "canceled") {
 		t.Errorf("sink error not propagated: %v", errs[1])
 	}
+}
+
+// gatedXML holds every read of one XML document until release closes;
+// entered closes when the first such read arrives.
+type gatedXML struct {
+	extract.DocGetter[*xmlpath.Node]
+	path    string
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedXML) Get(path string) (*xmlpath.Node, error) {
+	if path == g.path {
+		g.once.Do(func() { close(g.entered) })
+		<-g.release
+	}
+	return g.DocGetter.Get(path)
+}
+
+// notifyWriter records what reached the wire and signals every write.
+type notifyWriter struct {
+	mu    sync.Mutex
+	buf   bytes.Buffer
+	wrote chan struct{}
+}
+
+func (w *notifyWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	w.buf.Write(p)
+	w.mu.Unlock()
+	select {
+	case w.wrote <- struct{}{}:
+	default:
+	}
+	return len(p), nil
+}
+
+func (w *notifyWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
+}
+
+// gatedEagerQuery runs "SELECT product" as JSON through QueryToStream
+// on a three-source flat world (xml_000, xml_001, xml_002: canonical
+// order is their ID order) whose XML backend holds the document at
+// blockedPath. It returns the reference bytes from QueryTo on an
+// ungated copy of the world, the gate, the writer, and a channel that
+// yields QueryToStream's error once the query returns.
+func gatedEagerQuery(t *testing.T, blockedPath string) (want string, mw *core.Middleware, gate *gatedXML, w *notifyWriter, done <-chan error) {
+	t.Helper()
+	ctx := context.Background()
+	spec := workload.Spec{XMLSources: 3, RecordsPerSource: 12, Seed: 21, FlatOntology: true}
+	build := func(xml extract.DocGetter[*xmlpath.Node]) *core.Middleware {
+		world := workload.MustGenerate(spec)
+		backends := extract.FromCatalog(world.Catalog)
+		if xml != nil {
+			backends.XML = xml
+		}
+		mw, err := core.New(core.Config{Ontology: world.Ontology, Backends: backends})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := world.Apply(mw); err != nil {
+			t.Fatal(err)
+		}
+		return mw
+	}
+	want, err := build(nil).QueryString(ctx, "SELECT product", instance.FormatJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate = &gatedXML{
+		DocGetter: workload.MustGenerate(spec).Catalog.XML,
+		path:      blockedPath,
+		entered:   make(chan struct{}),
+		release:   make(chan struct{}),
+	}
+	mw = build(gate)
+	w = &notifyWriter{wrote: make(chan struct{}, 1)}
+	errs := make(chan error, 1)
+	go func() {
+		_, _, err := mw.QueryToStream(ctx, w, "SELECT product", instance.FormatJSON)
+		errs <- err
+	}()
+	t.Cleanup(func() {
+		select {
+		case <-gate.release:
+		default:
+			close(gate.release)
+		}
+	})
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the gated document was never read")
+	}
+	return want, mw, gate, w, errs
+}
+
+// finishGatedQuery releases the gate and checks that the query then
+// completes with exactly QueryTo's bytes.
+func finishGatedQuery(t *testing.T, want string, mw *core.Middleware, gate *gatedXML, w *notifyWriter, done <-chan error) {
+	t.Helper()
+	close(gate.release)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("QueryToStream did not return after the release")
+	}
+	if got := w.String(); got != want {
+		t.Errorf("QueryToStream diverges from QueryTo\nQueryTo:\n%s\nQueryToStream:\n%s", clip(want), clip(got))
+	}
+	if !lastQueryWasEager(mw) {
+		t.Error("the query did not take the eager path")
+	}
+}
+
+// TestEagerEmitsAheadOfBlockedSource holds the canonically last
+// source's document: while it is held, the writer must already have
+// received the head and the first source's instances, as a prefix of
+// QueryTo's bytes, and nothing of the held source.
+func TestEagerEmitsAheadOfBlockedSource(t *testing.T) {
+	want, mw, gate, w, done := gatedEagerQuery(t, "catalog-002.xml")
+	// Each source contributes 12 instances, numbered in canonical order.
+	firstSourceDone := `"watch_12"`
+	timeout := time.NewTimer(10 * time.Second)
+	defer timeout.Stop()
+	for !strings.Contains(w.String(), firstSourceDone) {
+		select {
+		case <-w.wrote:
+		case <-timeout.C:
+			t.Fatalf("the first source's instances never reached the writer while the last source was held; got:\n%s", clip(w.String()))
+		}
+	}
+	got := w.String()
+	if !strings.HasPrefix(want, got) {
+		t.Fatalf("bytes written ahead of the held source are not a prefix of QueryTo's:\n%s", clip(got))
+	}
+	if strings.Contains(got, `"watch_25"`) {
+		t.Errorf("the held source's instances were written before its document was read")
+	}
+	finishGatedQuery(t, want, mw, gate, w, done)
+}
+
+// TestEagerBlockedFirstSourceKeepsOrder holds the canonically first
+// source's document until both later sources finished extracting: no
+// byte may reach the writer ahead of the first source, and once it is
+// released the stashed sources follow it in canonical order, so the
+// bytes equal QueryTo's.
+func TestEagerBlockedFirstSourceKeepsOrder(t *testing.T) {
+	want, mw, gate, w, done := gatedEagerQuery(t, "catalog-000.xml")
+	deadline := time.Now().Add(10 * time.Second)
+	for _, id := range []string{"xml_001", "xml_002"} {
+		for mw.Metrics().Counter(obs.MetricSourceExtractTotal, obs.Labels{"source": id, "outcome": "ok"}).Value() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never finished while xml_000 was held", id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if got := w.String(); got != "" {
+		t.Fatalf("bytes reached the writer ahead of the held first source:\n%s", clip(got))
+	}
+	finishGatedQuery(t, want, mw, gate, w, done)
 }

@@ -52,7 +52,6 @@ func TestPerformanceDocKnobsExist(t *testing.T) {
 	for _, knob := range []string{
 		"`extract.Options.Parallelism`",
 		"`extract.Options.DisablePushdown`",
-		"`extract.Options.StreamBatchRecords`",
 	} {
 		if !strings.Contains(doc, knob) {
 			t.Errorf("tuning knob %s missing from %s", knob, perfDocPath)
@@ -63,9 +62,8 @@ func TestPerformanceDocKnobsExist(t *testing.T) {
 	// its constant holds.
 	bullets := tuningKnobBullets(doc)
 	for knob, val := range map[string]int{
-		"`extract.Options.Parallelism`":        extract.DefaultParallelism,
-		"`extract.Options.StreamBatchRecords`": extract.DefaultStreamBatchRecords,
-		"`extract.Options.SemiJoinMaxValues`":  extract.DefaultSemiJoinMaxValues,
+		"`extract.Options.Parallelism`":       extract.DefaultParallelism,
+		"`extract.Options.SemiJoinMaxValues`": extract.DefaultSemiJoinMaxValues,
 	} {
 		bullet, ok := bullets[knob]
 		if !ok {

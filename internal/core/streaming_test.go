@@ -5,10 +5,7 @@ package core_test
 // where the planner proves the query merge-free and the format allows
 // it, materialized plus chunked serialization otherwise) produces
 // byte-identical output to the whole-document entry point (QueryTo).
-// The batch window is forced small so every source spans several
-// windows — the regime where windowed assembly could diverge if its
-// ordering argument were wrong. This file runs the suite on the paper
-// world (relations: never merge-free, so QueryToStream materializes);
+// This file runs the suite on the paper world (relations: never merge-free, so QueryToStream materializes);
 // eager_test.go runs it on the flat world, where every query is eager.
 
 import (
@@ -66,40 +63,32 @@ func buildEquivalenceWorld(t *testing.T, opts extract.Options) *core.Middleware 
 	return mw
 }
 
-// streamWindows are the extract.Options.StreamBatchRecords settings the
-// equivalence suites run QueryToStream under: the default window, a
-// 4-record window (each 12-record source then emits 3 batches), and a
-// 1-record window (every record its own batch).
-var streamWindows = []int{0, 4, 1}
-
 var allFormats = []instance.Format{
 	instance.FormatOWL, instance.FormatTurtle, instance.FormatNTriples,
 	instance.FormatXML, instance.FormatJSON, instance.FormatText,
 }
 
 // checkStreamBytesMatchQueryTo runs the 9-query × 6-format suite: on a
-// world built per window setting, QueryToStream's bytes must equal
+// second, identically built world, QueryToStream's bytes must equal
 // QueryTo's (the reference) for every query and format.
 func checkStreamBytesMatchQueryTo(t *testing.T, build func(*testing.T, extract.Options) *core.Middleware) {
 	t.Helper()
 	ctx := context.Background()
 	ref := build(t, extract.Options{})
-	for _, window := range streamWindows {
-		mw := build(t, extract.Options{StreamBatchRecords: window})
-		for _, q := range equivalenceQueries {
-			for _, f := range allFormats {
-				want, err := ref.QueryString(ctx, q, f)
-				if err != nil {
-					t.Fatalf("QueryTo %q %v: %v", q, f, err)
-				}
-				var got bytes.Buffer
-				if _, _, err := mw.QueryToStream(ctx, &got, q, f); err != nil {
-					t.Fatalf("QueryToStream window=%d %q %v: %v", window, q, f, err)
-				}
-				if got.String() != want {
-					t.Errorf("window=%d %q %v: QueryToStream diverges from QueryTo\nQueryTo:\n%s\nQueryToStream:\n%s",
-						window, q, f, clip(want), clip(got.String()))
-				}
+	mw := build(t, extract.Options{})
+	for _, q := range equivalenceQueries {
+		for _, f := range allFormats {
+			want, err := ref.QueryString(ctx, q, f)
+			if err != nil {
+				t.Fatalf("QueryTo %q %v: %v", q, f, err)
+			}
+			var got bytes.Buffer
+			if _, _, err := mw.QueryToStream(ctx, &got, q, f); err != nil {
+				t.Fatalf("QueryToStream %q %v: %v", q, f, err)
+			}
+			if got.String() != want {
+				t.Errorf("%q %v: QueryToStream diverges from QueryTo\nQueryTo:\n%s\nQueryToStream:\n%s",
+					q, f, clip(want), clip(got.String()))
 			}
 		}
 	}
@@ -113,7 +102,7 @@ func checkStreamResultMatchesQueryTo(t *testing.T, build func(*testing.T, extrac
 	t.Helper()
 	ctx := context.Background()
 	ref := build(t, extract.Options{})
-	mw := build(t, extract.Options{StreamBatchRecords: 4})
+	mw := build(t, extract.Options{})
 	for _, q := range equivalenceQueries {
 		want, err := ref.QueryTo(ctx, io.Discard, q, instance.FormatJSON)
 		if err != nil {
@@ -155,7 +144,7 @@ func TestStreamingErrorListEquivalence(t *testing.T) {
 // byte.
 func TestQueryToStreamMatchesQueryTo(t *testing.T) {
 	ctx := context.Background()
-	mw := buildEquivalenceWorld(t, extract.Options{StreamBatchRecords: 4})
+	mw := buildEquivalenceWorld(t, extract.Options{})
 	for _, q := range equivalenceQueries {
 		var want, got bytes.Buffer
 		if _, err := mw.QueryTo(ctx, &want, q, instance.FormatJSON); err != nil {
@@ -184,10 +173,24 @@ func clip(s string) string {
 	return s
 }
 
+// lastQueryWasEager reports whether the middleware's most recent traced
+// query took the eager path: its generate span carries eager=true.
+func lastQueryWasEager(mw *core.Middleware) bool {
+	eager := false
+	for _, root := range mw.Tracer().Last(1) {
+		root.Walk(func(s *obs.Span) {
+			if s.Name == "generate" && s.Attrs["eager"] == "true" {
+				eager = true
+			}
+		})
+	}
+	return eager
+}
+
 // TestStreamingEmptySource registers a source whose document yields
 // zero records on the flat world, so the query runs eagerly: the eager
-// path must still observe the source (one empty Last batch, counted in
-// s2s_stream_batches_total) and the output must stay byte-identical.
+// sink must still see the source complete (it sorts first, so every
+// other source waits on it) and the output must stay byte-identical.
 func TestStreamingEmptySource(t *testing.T) {
 	ctx := context.Background()
 	spec := workload.Spec{XMLSources: 1, RecordsPerSource: 5, Seed: 21, FlatOntology: true}
@@ -196,7 +199,6 @@ func TestStreamingEmptySource(t *testing.T) {
 	mw, err := core.New(core.Config{
 		Ontology: world.Ontology,
 		Backends: extract.FromCatalog(world.Catalog),
-		Extract:  extract.Options{StreamBatchRecords: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,11 +227,8 @@ func TestStreamingEmptySource(t *testing.T) {
 	if got.String() != want {
 		t.Errorf("empty source: QueryToStream diverges from QueryTo\nwant:\n%s\ngot:\n%s", want, got.String())
 	}
-	if n := mw.Metrics().Counter(obs.MetricStreamBatches, obs.Labels{"source": "empty_xml"}).Value(); n != 1 {
-		t.Errorf("empty source emitted %d batches, want exactly 1 (empty Last batch)", n)
-	}
-	if n := mw.Metrics().Counter(obs.MetricStreamBatches, obs.Labels{"source": "xml_000"}).Value(); n != 3 {
-		t.Errorf("5-record source with window 2 emitted %d batches, want 3", n)
+	if !lastQueryWasEager(mw) {
+		t.Error("QueryToStream did not take the eager path")
 	}
 }
 
@@ -245,7 +244,6 @@ func TestStreamingQueriesRaceInvalidation(t *testing.T) {
 	mw, err := core.New(core.Config{
 		Ontology: world.Ontology,
 		Backends: extract.FromCatalog(world.Catalog),
-		Extract:  extract.Options{StreamBatchRecords: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +286,7 @@ func TestStreamingQueriesRaceInvalidation(t *testing.T) {
 	if len(res.Matched) != 8 {
 		t.Errorf("final matched = %d, want 8 (4 seeded + 4 late)", len(res.Matched))
 	}
-	if n := mw.Metrics().Counter(obs.MetricStreamBatches, obs.Labels{"source": "xml_000"}).Value(); n == 0 {
-		t.Error("no stream batches counted: the queries did not take the eager path")
+	if !lastQueryWasEager(mw) {
+		t.Error("the final query did not take the eager path")
 	}
 }

@@ -177,11 +177,6 @@ type Options struct {
 	// this knob trades only latency, never answers (benchmarks compare
 	// both paths; see docs/PERFORMANCE.md).
 	DisablePushdown bool
-	// StreamBatchRecords is the record-window size of an
-	// ExtractQueryStream fragment batch; 0 means
-	// DefaultStreamBatchRecords. Smaller batches reach the consumer sooner
-	// and raise per-batch overhead.
-	StreamBatchRecords int
 	// DisableSemiJoin turns off cross-source semi-join narrowing
 	// (planner v3). By default, source plans the planner marked
 	// narrowable are deferred to a second extraction wave and restricted
@@ -414,9 +409,28 @@ func (m *Manager) ExtractQuerySources(ctx context.Context, s *Schema, sourceIDs 
 	return m.extract(ctx, s, sourceIDs, nil)
 }
 
-// extract is the materialized run: every source's fragments are appended
-// to the ResultSet as the source completes — synchronously, no channel —
-// and the set is returned once all sources finished.
+// ExtractQueryEach is ExtractQuery with the fragments handed to a sink
+// instead of collected: deliver receives each source's complete
+// fragments once, as that source finishes, for every source that ran.
+// Calls come concurrently from the source goroutines, each outside the
+// run's lock, so a deliver that blocks holds back only its own source
+// (and the parallelism slot it occupies). The returned ResultSet carries
+// everything else — errors, missing attributes, stats, failover marks —
+// and no fragments. The eager query path (instance.GenerateEager) is
+// its sink.
+func (m *Manager) ExtractQueryEach(ctx context.Context, s *Schema, deliver func(sourceID string, frags []Fragment)) (*ResultSet, error) {
+	ctx, r, err := m.planRun(ctx, s, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer r.end()
+	r.execute(ctx, deliver)
+	return r.rs, nil
+}
+
+// extract is the materialized run: the same run as ExtractQueryEach
+// with a sink that appends every source's fragments to the ResultSet,
+// which is returned once all sources finished.
 func (m *Manager) extract(ctx context.Context, s *Schema, restrict []string, shared *sharedRun) (*ResultSet, error) {
 	ctx, r, err := m.planRun(ctx, s, restrict, shared)
 	if err != nil {
@@ -442,8 +456,8 @@ func (m *Manager) extract(ctx context.Context, s *Schema, restrict []string, sha
 }
 
 // plannedRun is one extraction between schema planning and fan-out:
-// the state the materialized path (extract) and the windowed path
-// (ExtractQueryStream) share. They differ only in the deliver callback
+// the state the materialized path (extract) and the sink path
+// (ExtractQueryEach) share. They differ only in the deliver callback
 // handed to execute.
 type plannedRun struct {
 	m       *Manager

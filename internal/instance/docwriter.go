@@ -222,7 +222,7 @@ func writeJSONStrings(w stringWriter, name string, ss []string) error {
 
 // writeJSONTail closes the matched array (its elements already written)
 // and emits every remaining envelope field; it needs the complete
-// result, so the eager path writes it after the stream's tail arrives.
+// result, so the eager path writes it after the extraction run returns.
 func (g *Generator) writeJSONTail(w stringWriter, res *Result) error {
 	if err := closeJSONInstances(w, len(res.Matched)); err != nil {
 		return err

@@ -5,21 +5,21 @@ package instance
 // (planner.ProveMergeFree), no instance can merge across fragments, no
 // relation can link, and assembly order is the canonical order — so
 // there is nothing an ordering barrier would wait for. GenerateEager
-// fuses generation and serialization: it consumes extraction windows as
-// they arrive, filters and numbers each window's instances in canonical
-// order, and hands their serialized bytes to the ChunkedWriter as each
-// window closes, flushing per window so the first instance reaches the
-// wire while slower sources are still extracting.
+// fuses generation and serialization into the extraction run's
+// per-source sink: each source's fragments are assembled as the source
+// finishes, its instances filtered and numbered in canonical order, and
+// their serialized bytes flushed through the ChunkedWriter, so the first
+// instance reaches the wire while slower sources are still extracting.
 //
 // Canonical order is sources in sorted ID order, records in extraction
-// order. Batches of different sources interleave in completion order,
-// so the consumer emits the lowest unemitted source directly and
-// buffers windows of later sources until every earlier source finished;
-// one slow source therefore only delays instances that canonically
-// follow its own. Output bytes are identical to the materialized path
-// (under the same merge-free flag) because both produce the same
-// instances in the same order through the same assembler and document
-// pieces — the equivalence suite in internal/core pins this.
+// order. Sources finish in any order, so the sink emits the lowest
+// unemitted source directly and stashes later sources until every
+// earlier source has been emitted; one slow source therefore only delays
+// instances that canonically follow its own. Output bytes are identical
+// to the materialized path (under the same merge-free flag) because both
+// produce the same instances in the same order through the same
+// assembler and document pieces — the equivalence suite in
+// internal/core pins this.
 //
 // Only the formats with a docWriter stream eagerly (JSON and XML); the
 // middleware takes the materialized path for the rest.
@@ -30,6 +30,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"sync"
 
 	"repro/internal/extract"
 	"repro/internal/obs"
@@ -44,28 +45,31 @@ func EagerFormat(format Format) bool {
 	return ok
 }
 
-// GenerateEager consumes st and serializes the result to w in bounded
-// chunks as extraction windows close, without an ordering barrier. It
-// must only be called for plans the planner proved merge-free and for
-// formats EagerFormat accepts; it is the stream's only consumer and
-// leaves it fully drained, on errors too. The returned Result carries
-// the matched instances, errors, and tail diagnostics exactly as the
+// GenerateEager serializes a query's result to w in bounded chunks
+// while its extraction runs, without an ordering barrier. sources are
+// the IDs of every planned source in sorted order — the canonical
+// emission order. run executes the extraction, calling deliver once
+// with the complete fragments of every source that ran (concurrently,
+// from the source goroutines; extract.Manager.ExtractQueryEach has that
+// contract), and returns the fragment-free result set: errors, missing
+// attributes, stats.
+//
+// It must only be called for plans the planner proved merge-free and
+// for formats EagerFormat accepts. The returned Result carries the
+// matched instances, errors, and tail diagnostics exactly as the
 // materialized path would (the bytes written to w serialize that same
 // result). On error, part of the body may already be on the wire — the
 // caller signals completion out of band, as the transport's trailers
-// do. It runs under a "generate" span (annotated eager=true);
+// do. A writer failure stops emission but not extraction: run always
+// completes. It runs under a "generate" span (annotated eager=true);
 // generation and serialization are fused here, so no separate serialize
 // stage is recorded.
-func (g *Generator) GenerateEager(ctx context.Context, plan *s2sql.Plan, st *extract.Stream, w io.Writer, format Format) (*Result, ChunkStats, error) {
+func (g *Generator) GenerateEager(ctx context.Context, plan *s2sql.Plan, sources []string, w io.Writer, format Format, run func(deliver func(sourceID string, frags []extract.Fragment)) (*extract.ResultSet, error)) (*Result, ChunkStats, error) {
 	if plan == nil {
 		return nil, ChunkStats{}, fmt.Errorf("instance: nil plan")
 	}
-	if st == nil {
-		return nil, ChunkStats{}, fmt.Errorf("instance: nil stream")
-	}
 	dw, ok := docWriters[format]
 	if !ok {
-		st.Drain()
 		return nil, ChunkStats{}, fmt.Errorf("instance: format %s cannot stream barrier-free", format)
 	}
 	_, span, done := obs.StartStage(ctx, "generate")
@@ -73,36 +77,22 @@ func (g *Generator) GenerateEager(ctx context.Context, plan *s2sql.Plan, st *ext
 	span.SetAttr("eager", "true")
 
 	cw := NewChunkedWriter(w, 0)
-	res, err := g.consumeEager(plan, st, cw, dw)
-	if err != nil {
-		// The write side failed mid-stream: release the producer, which
-		// would otherwise block on its next (unbuffered) send.
-		st.Drain()
-		return res, cw.Stats(), err
-	}
-	if err := cw.Flush(); err != nil {
-		return res, cw.Stats(), err
-	}
-	span.SetAttr("matched", strconv.Itoa(len(res.Matched)))
-	span.SetAttr("chunks", strconv.Itoa(cw.Stats().Chunks))
-	return res, cw.Stats(), nil
-}
-
-// consumeEager is the eager consumer loop; on return with err == nil the
-// batches channel is fully drained and the document (including its
-// tail) is written, possibly with bytes still buffered in cw.
-func (g *Generator) consumeEager(plan *s2sql.Plan, st *extract.Stream, cw *ChunkedWriter, dw docWriter) (*Result, error) {
 	res := &Result{Plan: plan}
 	condKeys := conditionKeys(plan.Conditions)
 	counters := map[string]int{}
 	var condErrs []extract.SourceError
+	// werr is the first write error; once set, nothing more is emitted.
+	werr := dw.head(g, cw, plan)
 
-	// emit filters, numbers, and serializes one window's instances in
-	// canonical order, then flushes the window to the wire. Condition
-	// evaluation happens here — at emission, never at buffering — so
+	// emit filters, numbers, and serializes one source's instances in
+	// canonical order, then flushes them to the wire. Condition
+	// evaluation happens here — at emission, never at stashing — so
 	// evaluation errors accrue in canonical order too, matching the
 	// materialized path's error list byte for byte.
-	emit := func(ins []*Instance) error {
+	emit := func(ins []*Instance) {
+		if werr != nil {
+			return
+		}
 		for _, in := range ins {
 			if !in.Class.IsA(plan.Class) {
 				continue
@@ -117,92 +107,74 @@ func (g *Generator) consumeEager(plan *s2sql.Plan, st *extract.Stream, cw *Chunk
 			}
 			counters[in.Class.Name]++
 			in.ID = in.Class.Name + "_" + strconv.Itoa(counters[in.Class.Name])
-			if err := dw.instance(g, cw, in, len(res.Matched) == 0); err != nil {
-				return err
+			if werr = dw.instance(g, cw, in, len(res.Matched) == 0); werr != nil {
+				return
 			}
 			res.Matched = append(res.Matched, in)
 		}
-		return cw.Flush()
+		werr = cw.Flush()
 	}
 
-	if err := dw.head(g, cw, plan); err != nil {
-		return res, err
-	}
-
-	// The lowest unemitted source (sources[next]) emits directly; later
-	// sources buffer their assembled windows until every earlier source
-	// finished. A source's Last batch advances next past it and drains
-	// whatever the following sources buffered meanwhile. The merge-free
-	// proof guarantees a single lineage group per source, so windows
-	// concatenated in sequence order reproduce the materialized path's
-	// group-major assembly order exactly.
-	sources := st.Sources
-	next := 0
-	pending := map[string][][]*Instance{}
-	finished := map[string]bool{}
-	perSrcErrs := map[string][]extract.SourceError{}
-
-	for b := range st.Batches {
-		// Unmapped-attribute diagnostics would repeat identically in
-		// every window, so only window 0's are kept.
-		ins, errs := g.assembleSource(nil, b.SourceID, b.Fragments)
-		if b.Seq == 0 {
-			perSrcErrs[b.SourceID] = errs
-		}
-		if b.Last {
-			finished[b.SourceID] = true
-		}
-		if next < len(sources) && b.SourceID == sources[next] {
-			if err := emit(ins); err != nil {
-				return res, err
+	// The sink assembles a source outside the lock. Within one source the
+	// materialized path's global (attribute, source) fragment sort reduces
+	// to an attribute sort, and the merge-free proof guarantees a single
+	// lineage group per source, so the instances are exactly the
+	// materialized path's for that source. Under the lock it stashes them
+	// and emits every stashed source from sources[next] on, stopping at
+	// the first that has not been delivered.
+	var (
+		mu      sync.Mutex
+		next    int
+		stashed = map[string][]*Instance{}
+		srcErrs = map[string][]extract.SourceError{}
+	)
+	rs, err := run(func(sourceID string, frags []extract.Fragment) {
+		sort.SliceStable(frags, func(i, j int) bool { return frags[i].AttributeID < frags[j].AttributeID })
+		ins, errs := g.assembleSource(nil, sourceID, frags)
+		mu.Lock()
+		defer mu.Unlock()
+		srcErrs[sourceID] = errs
+		stashed[sourceID] = ins
+		for ; next < len(sources); next++ {
+			held, ok := stashed[sources[next]]
+			if !ok {
+				break
 			}
-			for next < len(sources) && finished[sources[next]] {
-				next++
-				if next == len(sources) {
-					break
-				}
-				for _, win := range pending[sources[next]] {
-					if err := emit(win); err != nil {
-						return res, err
-					}
-				}
-				delete(pending, sources[next])
-			}
-		} else {
-			pending[b.SourceID] = append(pending[b.SourceID], ins)
+			delete(stashed, sources[next])
+			emit(held)
 		}
+	})
+	if err != nil {
+		return res, cw.Stats(), err
 	}
-
-	// Channel closed: every source is done (a source that never got to
-	// run sends nothing and surfaces its error in the tail). Drain any
-	// windows still buffered, in canonical order.
+	// The run is over. A source that never ran delivered nothing (its
+	// error is in rs); the sources it held back go out now.
 	for ; next < len(sources); next++ {
-		for _, win := range pending[sources[next]] {
-			if err := emit(win); err != nil {
-				return res, err
-			}
-		}
-		delete(pending, sources[next])
+		emit(stashed[sources[next]])
+	}
+	if werr != nil {
+		return res, cw.Stats(), werr
 	}
 
-	// Assemble the error list in the materialized path's order: the tail's
-	// sorted per-source errors, then window-0 partition diagnostics in
-	// sorted source order, then condition-evaluation errors in canonical
-	// instance order.
-	tail := st.Tail()
-	res.Errors = append(res.Errors, tail.Errors...)
-	srcIDs := make([]string, 0, len(perSrcErrs))
-	for id := range perSrcErrs {
-		srcIDs = append(srcIDs, id)
-	}
-	sort.Strings(srcIDs)
-	for _, id := range srcIDs {
-		res.Errors = append(res.Errors, perSrcErrs[id]...)
+	// The materialized path's error order: extraction's sorted per-source
+	// errors, then partition diagnostics in sorted source order, then
+	// condition-evaluation errors in canonical instance order.
+	res.Errors = append(res.Errors, rs.Errors...)
+	for _, id := range sources {
+		res.Errors = append(res.Errors, srcErrs[id]...)
 	}
 	res.Errors = append(res.Errors, condErrs...)
-	res.Missing = append(res.Missing, tail.Missing...)
+	res.Missing = append(res.Missing, rs.Missing...)
 
 	// Merge-free plans cannot link, so Related is empty and the tail only
 	// closes the document.
-	return res, dw.tail(g, cw, res)
+	if err := dw.tail(g, cw, res); err != nil {
+		return res, cw.Stats(), err
+	}
+	if err := cw.Flush(); err != nil {
+		return res, cw.Stats(), err
+	}
+	span.SetAttr("matched", strconv.Itoa(len(res.Matched)))
+	span.SetAttr("chunks", strconv.Itoa(cw.Stats().Chunks))
+	return res, cw.Stats(), nil
 }

@@ -276,9 +276,10 @@ func (g *Generator) assemble(rs *extract.ResultSet) ([]*Instance, []extract.Sour
 }
 
 // assembleSource is the one assembler: it appends to dst the instances
-// of one source built from one window of its fragments — every record
-// for the materialized path, one record window for the eager path — by
-// lineage partition and positional correlation, group-major.
+// of one source built from that source's fragments — by the
+// materialized path for every source in turn, by the eager sink for
+// each source as it finishes — by lineage partition and positional
+// correlation, group-major.
 func (g *Generator) assembleSource(dst []*Instance, sourceID string, frags []extract.Fragment) ([]*Instance, []extract.SourceError) {
 	groups, errs := g.partition(sourceID, frags)
 	for _, grp := range groups {

@@ -106,6 +106,29 @@ func (s muxStream) Write(p []byte) (int, error) {
 	return s.m.w.Write(p)
 }
 
+// maxFrameLine bounds one frame line of a batch response. The longest
+// legitimate line is a trailer echoing an error about a request of up
+// to 1 MiB, which query-escaping can triple; a longer line is refused
+// instead of read into memory whole.
+const maxFrameLine = 4 << 20
+
+// readFrameLine reads one frame line, newline included, refusing it
+// once it passes maxFrameLine bytes. At EOF it returns what it read
+// with io.EOF, as bufio.Reader.ReadString does.
+func readFrameLine(br *bufio.Reader) (string, error) {
+	var line []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		if len(line)+len(frag) > maxFrameLine {
+			return "", fmt.Errorf("instance: batch frame line exceeds %d bytes", maxFrameLine)
+		}
+		line = append(line, frag...)
+		if err != bufio.ErrBufferFull {
+			return string(line), err
+		}
+	}
+}
+
 // DemuxedResult is one query's reassembled slice of the batch response.
 type DemuxedResult struct {
 	// Body is the query's complete serialized result document — the
@@ -121,9 +144,9 @@ type DemuxedResult struct {
 // DemuxBatch reads a complete batch response of at most n queries from r
 // and reassembles the per-query results, indexed as the queries were
 // submitted. The stream comes off the network, so nothing it declares is
-// trusted: a frame index outside [0, n) is an error, and a chunk's
-// declared size allocates nothing ahead of the bytes that actually
-// arrive.
+// trusted: a frame index outside [0, n) is an error, a frame line
+// longer than maxFrameLine is refused, and a chunk's declared size
+// allocates nothing ahead of the bytes that actually arrive.
 func DemuxBatch(r io.Reader, n int) ([]DemuxedResult, error) {
 	br := bufio.NewReader(r)
 	var results []DemuxedResult
@@ -137,7 +160,7 @@ func DemuxBatch(r io.Reader, n int) ([]DemuxedResult, error) {
 		return &results[i], nil
 	}
 	for {
-		line, err := br.ReadString('\n')
+		line, err := readFrameLine(br)
 		if err == io.EOF && line == "" {
 			return results, nil
 		}

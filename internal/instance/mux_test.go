@@ -2,6 +2,7 @@ package instance
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,49 @@ func TestDemuxMalformed(t *testing.T) {
 		if _, err := DemuxBatch(strings.NewReader(wire), 4); err == nil {
 			t.Errorf("%s: demux accepted %q", name, wire)
 		}
+	}
+}
+
+// endlessLine is a frame line that never ends. It fails the test once
+// more than limit bytes have been read from it.
+type endlessLine struct {
+	t     *testing.T
+	read  int
+	limit int
+}
+
+func (r *endlessLine) Read(p []byte) (int, error) {
+	r.read += len(p)
+	if r.read > r.limit {
+		r.t.Fatalf("demux read %d bytes of an unterminated frame line", r.read)
+	}
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
+}
+
+// TestDemuxBoundsFrameLines: a batch body whose first line never ends
+// is refused after at most maxFrameLine bytes (plus one read buffer),
+// while a trailer echoing a 1 MiB error — tripled by query-escaping —
+// still demultiplexes.
+func TestDemuxBoundsFrameLines(t *testing.T) {
+	r := &endlessLine{t: t, limit: maxFrameLine + 64<<10}
+	if _, err := DemuxBatch(io.MultiReader(strings.NewReader("=t 0 error="), r), 1); err == nil {
+		t.Error("demux accepted an unterminated frame line")
+	}
+
+	msg := strings.Repeat("\n", 1<<20)
+	var wire bytes.Buffer
+	if err := NewMuxWriter(&wire).Trailer(0, map[string]string{"error": msg}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DemuxBatch(&wire, 1)
+	if err != nil {
+		t.Fatalf("a %d-byte trailer line was refused: %v", wire.Len(), err)
+	}
+	if got[0].Trailer["error"] != msg {
+		t.Error("the long trailer did not round-trip")
 	}
 }
 

@@ -48,9 +48,6 @@ const (
 	// MetricPlannerSemiJoin counts semi-join narrowing decisions at
 	// runtime, labeled by outcome.
 	MetricPlannerSemiJoin = "s2s_planner_semijoin_total"
-	// MetricStreamBatches counts fragment batches emitted by the
-	// streaming extraction pipeline, per source.
-	MetricStreamBatches = "s2s_stream_batches_total"
 	// MetricClusterSubqueries counts scatter-gather sub-requests
 	// dispatched to cluster nodes, labeled by node and outcome.
 	MetricClusterSubqueries = "s2s_cluster_subqueries_total"
@@ -184,7 +181,6 @@ var descriptors = []Desc{
 	{MetricPlannerPushdownApplied, "counter", "Record-scope groups with predicate pushdown applied.", nil},
 	{MetricPlannerMergeFree, "counter", "Merge-free proof decisions at plan time, labeled by outcome (proved|unmapped_attribute|relations|class_key|multi_group).", []string{"outcome"}},
 	{MetricPlannerSemiJoin, "counter", "Semi-join narrowing decisions at runtime, labeled by outcome (applied_sql|applied_filter|seed_empty|capped|mixed|no_common_condition).", []string{"outcome"}},
-	{MetricStreamBatches, "counter", "Fragment batches emitted by the streaming extraction pipeline, per source.", []string{"source"}},
 	{MetricClusterSubqueries, "counter", "Scatter-gather sub-requests dispatched to cluster nodes, labeled by node and outcome (ok|error|canceled|failover).", []string{"node", "outcome"}},
 	{MetricClusterSubqueryDuration, "histogram", "Per-node scatter-gather sub-request latency in seconds (the hedging deadline derives from its quantiles).", []string{"node"}},
 	{MetricClusterHedges, "counter", "Hedged duplicate dispatches to replica owners, labeled by outcome (won|lost).", []string{"outcome"}},

@@ -216,7 +216,7 @@ func TestDescriptorsCoverConstants(t *testing.T) {
 		MetricBreakerTrips, MetricInstances,
 		MetricPlannerSourcesPruned, MetricPlannerEntriesPruned,
 		MetricPlannerPushdownApplied, MetricPlannerMergeFree,
-		MetricPlannerSemiJoin, MetricStreamBatches,
+		MetricPlannerSemiJoin,
 		MetricClusterSubqueries, MetricClusterSubqueryDuration,
 		MetricClusterHedges, MetricClusterCatalogSyncs, MetricClusterHeartbeats,
 	}

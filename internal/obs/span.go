@@ -27,27 +27,12 @@ type Span struct {
 	Duration time.Duration `json:"durationNs"`
 	// Attrs annotates the span (outcome, retries, cache, breaker, ...).
 	Attrs map[string]string `json:"attrs,omitempty"`
-	// Events are point-in-time marks within the span's duration — the
-	// streaming pipeline records one per fragment batch, so a trace shows
-	// when each batch crossed the extract/generate boundary without
-	// costing a child span per batch.
-	Events []SpanEvent `json:"events,omitempty"`
 	// Children are the nested spans, in start order.
 	Children []*Span `json:"children,omitempty"`
 
 	mu     sync.Mutex
 	ended  bool
 	tracer *Tracer
-}
-
-// SpanEvent is one timestamped mark inside a span (see Span.AddEvent).
-type SpanEvent struct {
-	// Time is when the event happened.
-	Time time.Time `json:"time"`
-	// Name identifies the event, e.g. "stream_batch".
-	Name string `json:"name"`
-	// Attrs annotates the event (source, batch sequence, fragment count).
-	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
 // StartChild starts a nested span. Safe to call from concurrent
@@ -73,26 +58,6 @@ func (s *Span) SetAttr(key, value string) {
 		s.Attrs = make(map[string]string)
 	}
 	s.Attrs[key] = value
-	s.mu.Unlock()
-}
-
-// AddEvent records a timestamped event on the span. Events are cheaper
-// than child spans (no ID minting, no subtree) and suit high-frequency
-// marks like per-batch progress in the streaming pipeline. attrs may be
-// nil; the map is copied, so the caller may reuse it.
-func (s *Span) AddEvent(name string, attrs map[string]string) {
-	if s == nil {
-		return
-	}
-	ev := SpanEvent{Time: time.Now(), Name: name}
-	if len(attrs) > 0 {
-		ev.Attrs = make(map[string]string, len(attrs))
-		for k, v := range attrs {
-			ev.Attrs[k] = v
-		}
-	}
-	s.mu.Lock()
-	s.Events = append(s.Events, ev)
 	s.mu.Unlock()
 }
 

@@ -4,8 +4,9 @@ package planner
 // (docs/STREAMING.md, "Barrier-free emission"): a static proof that a
 // planned query can never merge, link, or key-join instances across
 // fragments, so the instance generator's deterministic assembly order
-// is already canonical and the streaming pipeline may emit instances as
-// extraction windows close, without the ordering barrier.
+// is already canonical and the eager path may emit each source's
+// instances as the source finishes extracting, without the ordering
+// barrier.
 //
 // The proof is conservative and option-independent: it looks only at
 // the ontology, the declared class keys, and the unrewritten extraction
@@ -61,7 +62,7 @@ type MergeFreeVerdict struct {
 // Under those conditions the generator's assembly order — sources in
 // sorted ID order, records in extraction order — is deterministic and
 // identical on every execution path, so it replaces the fingerprint
-// sort as the canonical order and instances can stream out as windows
+// sort as the canonical order and instances can stream out as sources
 // complete (docs/STREAMING.md).
 //
 // plans must be the unrewritten repository schema (mapping.Repository

@@ -162,19 +162,51 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	return lastErr
 }
 
+// maxResponseBody bounds every reply body the client reads: a JSON
+// answer or error, and the ontology document. The largest reply the
+// transport and integration tests and the examples produce is a 46.8 KB
+// query answer; 16 MiB is over 300 times that, leaves room for the
+// thousand-instance answers of a bulk query, and still refuses a
+// runaway or hostile endpoint before it fills memory.
+const maxResponseBody = 16 << 20
+
+// readAtMost reads r to its end, refusing a body longer than limit bytes
+// instead of reading all of it.
+func readAtMost(r io.Reader, limit int64) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("transport: response body exceeds %d bytes", limit)
+	}
+	return data, nil
+}
+
+// ReadJSON decodes the JSON document r holds into v, refusing a body
+// longer than limit bytes instead of reading all of it. Every reply a
+// client or cluster node reads from a peer goes through it.
+func ReadJSON(r io.Reader, limit int64, v any) error {
+	data, err := readAtMost(r, limit)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, v)
+}
+
 // decodeResponse turns one HTTP exchange into the call's result.
 func decodeResponse(resp *http.Response, method, path string, out any) error {
 	if resp.StatusCode >= 400 {
 		var e struct {
 			Error string `json:"error"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&e); err == nil && e.Error != "" {
+		if err := ReadJSON(resp.Body, maxResponseBody, &e); err == nil && e.Error != "" {
 			return fmt.Errorf("transport: %s %s: %s (status %d)", method, path, e.Error, resp.StatusCode)
 		}
 		return fmt.Errorf("transport: %s %s: status %s", method, path, resp.Status)
 	}
 	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err := ReadJSON(resp.Body, maxResponseBody, out); err != nil {
 			return fmt.Errorf("transport: decoding response: %w", err)
 		}
 	}
@@ -259,7 +291,7 @@ func (c *Client) Ontology(ctx context.Context) (string, error) {
 	if resp.StatusCode != http.StatusOK {
 		return "", fmt.Errorf("transport: fetching ontology: status %s", resp.Status)
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := readAtMost(resp.Body, maxResponseBody)
 	if err != nil {
 		return "", fmt.Errorf("transport: reading ontology: %w", err)
 	}

@@ -351,3 +351,43 @@ func TestOversizedBodiesRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedClientResponsesRefused points a Client at an endpoint
+// that answers with valid JSON longer than maxResponseBody — a query
+// answer, a query error, and the ontology document — and checks that
+// each read fails instead of decoding the body.
+func TestOversizedClientResponsesRefused(t *testing.T) {
+	huge := strings.Repeat("x", maxResponseBody)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/query":
+			var req QueryRequest
+			if !DecodeBody(w, r, &req) {
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			if req.Query == "fail" {
+				w.WriteHeader(http.StatusInternalServerError)
+				fmt.Fprintf(w, `{"error":%q}`, huge)
+				return
+			}
+			fmt.Fprintf(w, `{"query":%q,"body":%q}`, req.Query, huge)
+		case "/ontology":
+			fmt.Fprint(w, huge+"x")
+		}
+	}))
+	defer srv.Close()
+	ctx := context.Background()
+
+	client := NewClient(srv.URL, nil)
+	if _, err := client.Query(ctx, "SELECT product", "json"); err == nil {
+		t.Error("a query answer above the bound was decoded")
+	}
+	_, err := client.Query(ctx, "fail", "json")
+	if err == nil || len(err.Error()) > 1000 {
+		t.Errorf("an error body above the bound was decoded into the error (%d bytes)", len(fmt.Sprint(err)))
+	}
+	if _, err := client.Ontology(ctx); err == nil {
+		t.Error("an ontology document above the bound was read")
+	}
+}

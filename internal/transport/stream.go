@@ -202,7 +202,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamEager serves /query/stream barrier-free: the body starts as the
-// first extraction window closes, so the instance counts are not known
+// canonically first source finishes extracting, so the instance counts are not known
 // until the body ends — they ride in the trailers alongside the
 // completion signal. QueryToStream re-checks the verdict internally and
 // materializes if the catalog mutated since the header decision; the

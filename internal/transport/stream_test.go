@@ -57,7 +57,7 @@ func TestQueryStreamEndToEnd(t *testing.T) {
 // formats keep the barrier — and every body stays byte-identical to the
 // local serialization.
 func TestQueryStreamEagerMode(t *testing.T) {
-	srv, mw := flatTestServer(t, extract.Options{StreamBatchRecords: 4})
+	srv, mw := flatTestServer(t, extract.Options{})
 	client := NewClient(srv.URL, nil)
 	ctx := context.Background()
 

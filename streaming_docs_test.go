@@ -77,15 +77,12 @@ func TestStreamingBoundedMemory(t *testing.T) {
 }
 
 // TestStreamingDocCoversKnobs keeps docs/STREAMING.md in lockstep with
-// the configuration surface: the one extract.Options knob by name, the
-// default batch window, the chunk flush threshold, and the CLI flag —
-// and every extract.Options field the doc names must exist, so a
+// the configuration surface: the chunk flush threshold and the CLI flag
+// — and every extract.Options field the doc names must exist, so a
 // deleted knob cannot linger in the text.
 func TestStreamingDocCoversKnobs(t *testing.T) {
 	doc := readStreamingDoc(t)
 	for _, want := range []string{
-		"`extract.Options.StreamBatchRecords`",
-		fmt.Sprintf("%d records", extract.DefaultStreamBatchRecords),
 		fmt.Sprintf("%d KiB", instance.DefaultChunkSize/1024),
 		"`s2s-query -stream`",
 	} {
@@ -125,14 +122,15 @@ func TestStreamingDocCoversWireProtocol(t *testing.T) {
 }
 
 // TestStreamingDocCoversStagesAndSignals checks the documented pipeline
-// stages and observability hooks: the four stages of the stream, the
-// per-source batch counter, and the per-batch span event.
+// stages and observability hooks: the four stages of the eager path,
+// the extraction entry that feeds its sink, and the span attribute that
+// marks an eager query.
 func TestStreamingDocCoversStagesAndSignals(t *testing.T) {
 	doc := readStreamingDoc(t)
 	for _, want := range []string{
 		"extract", "assemble", "serialize", "flush",
-		obs.MetricStreamBatches,
-		"`stream_batch`",
+		"`ExtractQueryEach`",
+		"`eager=true`",
 		"backpressure",
 	} {
 		if !strings.Contains(doc, want) {
@@ -153,7 +151,6 @@ func TestStreamingDocCoversBarrierFree(t *testing.T) {
 		transport.StreamModeEager,
 		transport.StreamModeBarrier,
 		"`QueryTo`", "`QueryToStream`", "`Middleware.EagerStream`",
-		"`Stream.Drain`",
 		obs.MetricPlannerMergeFree,
 		"/query/batch",
 		transport.BatchContentType,
