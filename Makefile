@@ -118,17 +118,22 @@ fuzz:
 			$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) "$$pkg" < /dev/null || exit 1; \
 		done
 
-# loc prints the non-test Go lines (every line of each package's
-# non-test .go files) of the packages ROADMAP item 4's size gate counts
-# — extract, instance, core, transport — and of mapping and cluster, one
-# package a line, then the sum over the first four and the total. It
-# measures; it gates nothing, so it stays out of check.
+# loc prints, for the packages ROADMAP item 4's size gate counts —
+# extract, instance, core, transport — and for mapping and cluster, one
+# package a line: the non-test Go lines (every line of the package's
+# non-test .go files) and, second, the code lines among them (lines
+# that are neither blank nor a // comment). Then the sums over the
+# first four and the totals. It measures; it gates nothing, so it stays
+# out of check.
 LOC_PKGS = extract instance core transport mapping cluster
 loc:
+	@printf '%-10s %6s %6s\n' package lines code
 	@for p in $(LOC_PKGS); do \
-		printf '%-10s %6d\n' "$$p" "$$(cat $$(ls internal/$$p/*.go | grep -v '_test\.go$$') | wc -l)"; \
-	done | awk '{ print; total += $$2; if (NR <= 4) four += $$2 } \
-		END { printf "%-10s %6d\n%-10s %6d\n", "first4", four, "total", total }'
+		files="$$(ls internal/$$p/*.go | grep -v '_test\.go$$')"; \
+		printf '%-10s %6d %6d\n' "$$p" "$$(cat $$files | wc -l)" \
+			"$$(cat $$files | grep -cv '^[[:space:]]*\(//.*\)\{0,1\}$$')"; \
+	done | awk '{ print; total += $$2; code += $$3; if (NR <= 4) { four += $$2; fourcode += $$3 } } \
+		END { printf "%-10s %6d %6d\n%-10s %6d %6d\n", "first4", four, fourcode, "total", total, code }'
 
 # bin builds the two executables into ./bin.
 bin:

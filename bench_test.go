@@ -68,10 +68,11 @@ func sameAnswer(b *testing.B, q string, mws ...*core.Middleware) {
 	b.Helper()
 	var first string
 	for i, mw := range mws {
-		got, err := mw.QueryString(context.Background(), q, instance.FormatJSON)
-		if err != nil {
+		var out strings.Builder
+		if _, err := mw.QueryTo(context.Background(), &out, q, instance.FormatJSON); err != nil {
 			b.Fatal(err)
 		}
+		got := out.String()
 		if i == 0 {
 			first = got
 		} else if got != first {
@@ -330,11 +331,11 @@ func BenchmarkE7Serialization(b *testing.B) {
 	} {
 		b.Run(f.String(), func(b *testing.B) {
 			if parse, ok := parsers[f]; ok {
-				out, err := gen.SerializeString(res, f)
-				if err != nil {
+				var out strings.Builder
+				if err := gen.Serialize(&out, res, f); err != nil {
 					b.Fatal(err)
 				}
-				got, err := parse(strings.NewReader(out))
+				got, err := parse(strings.NewReader(out.String()))
 				if err != nil {
 					b.Fatalf("%s output does not parse: %v", f, err)
 				}
@@ -344,7 +345,8 @@ func BenchmarkE7Serialization(b *testing.B) {
 				b.ResetTimer()
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := gen.SerializeString(res, f); err != nil {
+				var out strings.Builder
+				if err := gen.Serialize(&out, res, f); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -74,12 +74,11 @@ func run() error {
 	}
 	fmt.Printf("S2SQL> SELECT product WHERE case = 'stainless-steel'\n  -> now %d matched across 4 organizations\n\n", len(res.Matched))
 
-	out, err := mw.Generator().SerializeString(res, instance.FormatTurtle)
-	if err != nil {
+	fmt.Println("--- integrated result as Turtle ---")
+	if err := mw.Generator().Serialize(os.Stdout, res, instance.FormatTurtle); err != nil {
 		return err
 	}
-	fmt.Println("--- integrated result as Turtle ---")
-	fmt.Println(out)
+	fmt.Println()
 	return nil
 }
 

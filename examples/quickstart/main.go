@@ -122,17 +122,14 @@ func run() error {
 
 	// Primary output: OWL instances (§2.6).
 	fmt.Println("--- OWL (RDF/XML) ---")
-	if _, err := fmt.Println(must(mw.Generator().SerializeString(res, instance.FormatOWL))); err != nil {
+	if err := mw.Generator().Serialize(os.Stdout, res, instance.FormatOWL); err != nil {
 		return err
 	}
+	fmt.Println()
 	fmt.Println("--- plain text view ---")
-	fmt.Println(must(mw.Generator().SerializeString(res, instance.FormatText)))
-	return nil
-}
-
-func must(s string, err error) string {
-	if err != nil {
-		panic(err)
+	if err := mw.Generator().Serialize(os.Stdout, res, instance.FormatText); err != nil {
+		return err
 	}
-	return s
+	fmt.Println()
+	return nil
 }

@@ -137,11 +137,10 @@ var %s = Column(Str_Search(Text(P), %q), 1)
 			return err
 		}
 		fmt.Printf("S2SQL> %s\n", q)
-		out, err := mw.Generator().SerializeString(res, instance.FormatText)
-		if err != nil {
+		if err := mw.Generator().Serialize(os.Stdout, res, instance.FormatText); err != nil {
 			return err
 		}
-		fmt.Println(out)
+		fmt.Println()
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/extract"
@@ -47,11 +48,11 @@ func TestWrapperLanguagesAgree(t *testing.T) {
 		if err != nil || len(res.Errors) > 0 {
 			t.Fatalf("query: %v %v", err, res.Errors)
 		}
-		out, err := mw.Generator().SerializeString(res, instance.FormatJSON)
-		if err != nil {
+		var out strings.Builder
+		if err := mw.Generator().Serialize(&out, res, instance.FormatJSON); err != nil {
 			t.Fatal(err)
 		}
-		return out, len(res.Matched)
+		return out.String(), len(res.Matched)
 	}
 
 	selectors := selectorEntries(world)

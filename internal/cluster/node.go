@@ -139,20 +139,6 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n.srv.ServeHTTP(w, r)
 }
 
-// clusterError mirrors the transport error envelope.
-func clusterError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	writeJSON(w, map[string]string{"error": err.Error()})
-}
-
-// writeJSON encodes v onto the response. Handlers funnel their replies
-// through here so the deliberate discard below is the only one.
-func writeJSON(w http.ResponseWriter, v any) {
-	//lint:ignore errcheck a response-encode failure means the peer hung up; the dead connection is the only place to report it
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // handleRegisterSource registers a source on the coordinator and
 // records it in the replicated catalog, bumping the version so members
 // pull it on their next heartbeat.
@@ -163,11 +149,11 @@ func (n *Node) handleRegisterSource(w http.ResponseWriter, r *http.Request) {
 	}
 	def, err := ws.ToDefinition()
 	if err != nil {
-		clusterError(w, http.StatusBadRequest, err)
+		transport.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := n.mw.RegisterSource(def); err != nil {
-		clusterError(w, http.StatusConflict, err)
+		transport.Error(w, http.StatusConflict, err)
 		return
 	}
 	n.cat.recordSource(ws)
@@ -182,11 +168,11 @@ func (n *Node) handleRegisterMapping(w http.ResponseWriter, r *http.Request) {
 	}
 	entry, err := wm.ToEntry()
 	if err != nil {
-		clusterError(w, http.StatusBadRequest, err)
+		transport.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := n.mw.RegisterMapping(entry); err != nil {
-		clusterError(w, http.StatusConflict, err)
+		transport.Error(w, http.StatusConflict, err)
 		return
 	}
 	n.cat.recordMapping(wm)
@@ -199,7 +185,7 @@ func (n *Node) handleRegisterMapping(w http.ResponseWriter, r *http.Request) {
 // returns the full catalog so the joiner syncs in one round trip.
 func (n *Node) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		clusterError(w, http.StatusMethodNotAllowed, fmt.Errorf("cluster: %s not allowed", r.Method))
+		transport.Error(w, http.StatusMethodNotAllowed, fmt.Errorf("cluster: %s not allowed", r.Method))
 		return
 	}
 	var req heartbeatRequest
@@ -207,7 +193,7 @@ func (n *Node) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Node == "" {
-		clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: heartbeat without node id"))
+		transport.Error(w, http.StatusBadRequest, fmt.Errorf("cluster: heartbeat without node id"))
 		return
 	}
 	n.mw.Metrics().Counter(obs.MetricClusterHeartbeats, obs.Labels{"node": req.Node}).Inc()
@@ -229,25 +215,25 @@ func (n *Node) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		resp.Catalog = &cs
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, resp)
+	transport.WriteJSON(w, resp)
 }
 
 // handleCatalog serves GET /cluster/catalog on the coordinator.
 func (n *Node) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		clusterError(w, http.StatusMethodNotAllowed, fmt.Errorf("cluster: %s not allowed", r.Method))
+		transport.Error(w, http.StatusMethodNotAllowed, fmt.Errorf("cluster: %s not allowed", r.Method))
 		return
 	}
 	cs := n.cat.snapshot()
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, cs)
+	transport.WriteJSON(w, cs)
 }
 
 // handleMembers serves GET /cluster/members: the coordinator's live
 // view, or (on a member) the member's own identity row.
 func (n *Node) handleMembers(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		clusterError(w, http.StatusMethodNotAllowed, fmt.Errorf("cluster: %s not allowed", r.Method))
+		transport.Error(w, http.StatusMethodNotAllowed, fmt.Errorf("cluster: %s not allowed", r.Method))
 		return
 	}
 	var members []Member
@@ -257,7 +243,7 @@ func (n *Node) handleMembers(w http.ResponseWriter, r *http.Request) {
 		members = []Member{{ID: n.opts.ID, Addr: n.Addr(), Status: StatusAlive, CatalogVersion: n.appliedCatalogVersion()}}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, members)
+	transport.WriteJSON(w, members)
 }
 
 // Members snapshots the coordinator's membership view, sorted by node
@@ -485,7 +471,7 @@ func (n *Node) ensureCatalog(ctx context.Context, version uint64) error {
 // partitioning.
 func (n *Node) handleClusterExtract(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		clusterError(w, http.StatusMethodNotAllowed, fmt.Errorf("cluster: %s not allowed", r.Method))
+		transport.Error(w, http.StatusMethodNotAllowed, fmt.Errorf("cluster: %s not allowed", r.Method))
 		return
 	}
 	var req extractRequest
@@ -493,7 +479,7 @@ func (n *Node) handleClusterExtract(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" || len(req.Sources) == 0 {
-		clusterError(w, http.StatusBadRequest, fmt.Errorf("cluster: extract request needs a query and sources"))
+		transport.Error(w, http.StatusBadRequest, fmt.Errorf("cluster: extract request needs a query and sources"))
 		return
 	}
 	// Join the coordinator's trace when the sub-request carries one, so a
@@ -503,23 +489,23 @@ func (n *Node) handleClusterExtract(w http.ResponseWriter, r *http.Request) {
 	ctx, root := transport.BeginRequest(n.mw, w, r, "cluster_extract")
 	if err := n.ensureCatalog(ctx, req.CatalogVersion); err != nil {
 		transport.EndRequest(root, err)
-		clusterError(w, http.StatusServiceUnavailable, err)
+		transport.Error(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	plan, _, err := n.mw.PlanMergeFree(ctx, req.Query)
 	if err != nil {
 		transport.EndRequest(root, err)
-		clusterError(w, http.StatusBadRequest, err)
+		transport.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	rs, err := n.mw.ExtractPlanSources(ctx, plan, req.Sources)
 	transport.EndRequest(root, err)
 	if err != nil {
-		clusterError(w, http.StatusInternalServerError, err)
+		transport.Error(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, toWire(rs))
+	transport.WriteJSON(w, toWire(rs))
 }
 
 // handleClusterQuery serves /cluster/query on the coordinator: the
@@ -535,7 +521,7 @@ func (n *Node) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 	res, info, err := n.QueryCluster(ctx, req.Query)
 	if err != nil {
 		transport.EndRequest(root, err)
-		clusterError(w, http.StatusBadRequest, err)
+		transport.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	resp, ok := transport.FinishQuery(ctx, w, root, n.mw.Generator(), res, format)
@@ -543,5 +529,5 @@ func (n *Node) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, QueryResponse{QueryResponse: resp, Cluster: *info})
+	transport.WriteJSON(w, QueryResponse{QueryResponse: resp, Cluster: *info})
 }

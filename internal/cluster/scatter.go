@@ -49,9 +49,11 @@ type ownerGroup struct {
 
 // scatterExtract partitions the sources of the query's unrewritten
 // schema by ring ownership and extracts each group on its owning nodes,
-// merging the results into one canonical result set.
+// merging the results into one canonical result set. It is the
+// coordinator's extract stage: the sub-requests' spans nest under it.
 func (n *Node) scatterExtract(ctx context.Context, query string, schema *extract.Schema, info *Info) (*extract.ResultSet, error) {
-	schemaStart := n.opts.Now()
+	ctx, _, done := obs.StartStage(ctx, "extract")
+	defer done()
 	members := n.Members()
 	statusOf := make(map[string]string, len(members))
 	addrOf := make(map[string]string, len(members))
@@ -87,9 +89,7 @@ func (n *Node) scatterExtract(ctx context.Context, query string, schema *extract
 	info.Subqueries = len(groups)
 
 	merged := &extract.ResultSet{Missing: schema.Missing}
-	merged.Stats.SchemaDuration = n.opts.Now().Sub(schemaStart)
 	version := n.cat.version()
-	extractStart := n.opts.Now()
 
 	var (
 		mu sync.Mutex
@@ -111,7 +111,6 @@ func (n *Node) scatterExtract(ctx context.Context, query string, schema *extract
 		}(g)
 	}
 	wg.Wait()
-	merged.Stats.ExtractDuration = n.opts.Now().Sub(extractStart)
 
 	// Failover marking needs the global fragment view, so it runs once
 	// over the merged set — against the coordinator's full schema plans,

@@ -10,7 +10,6 @@ package cluster
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/extract"
 	"repro/internal/mapping"
@@ -77,20 +76,11 @@ type wireSourceError struct {
 	Permanent bool   `json:"permanent,omitempty"`
 }
 
-// wireStats is extract.Stats in wire form.
-type wireStats struct {
-	SourcesContacted int   `json:"sourcesContacted"`
-	ValuesExtracted  int   `json:"valuesExtracted"`
-	SchemaNS         int64 `json:"schemaNs"`
-	ExtractNS        int64 `json:"extractNs"`
-	Retries          int   `json:"retries"`
-}
-
 // extractResponse is one node's answer to a restricted extraction.
 type extractResponse struct {
 	Fragments []wireFragment    `json:"fragments"`
 	Errors    []wireSourceError `json:"errors,omitempty"`
-	Stats     wireStats         `json:"stats"`
+	Stats     extract.Stats     `json:"stats"`
 }
 
 // Info annotates a cluster query answer with how the fleet served it.
@@ -125,13 +115,7 @@ type QueryResponse struct {
 func toWire(rs *extract.ResultSet) extractResponse {
 	out := extractResponse{
 		Fragments: make([]wireFragment, 0, len(rs.Fragments)),
-		Stats: wireStats{
-			SourcesContacted: rs.Stats.SourcesContacted,
-			ValuesExtracted:  rs.Stats.ValuesExtracted,
-			SchemaNS:         int64(rs.Stats.SchemaDuration),
-			ExtractNS:        int64(rs.Stats.ExtractDuration),
-			Retries:          rs.Stats.Retries,
-		},
+		Stats:     rs.Stats,
 	}
 	for _, f := range rs.Fragments {
 		out.Fragments = append(out.Fragments, wireFragment{
@@ -159,13 +143,7 @@ func toWire(rs *extract.ResultSet) extractResponse {
 func fromWire(resp extractResponse) *extract.ResultSet {
 	rs := &extract.ResultSet{
 		Fragments: make([]extract.Fragment, 0, len(resp.Fragments)),
-		Stats: extract.Stats{
-			SourcesContacted: resp.Stats.SourcesContacted,
-			ValuesExtracted:  resp.Stats.ValuesExtracted,
-			SchemaDuration:   time.Duration(resp.Stats.SchemaNS),
-			ExtractDuration:  time.Duration(resp.Stats.ExtractNS),
-			Retries:          resp.Stats.Retries,
-		},
+		Stats:     resp.Stats,
 	}
 	for _, f := range resp.Fragments {
 		rs.Fragments = append(rs.Fragments, extract.Fragment{

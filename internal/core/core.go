@@ -7,13 +7,11 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/datasource"
@@ -51,10 +49,10 @@ type Middleware struct {
 
 	tracer  *obs.Tracer
 	metrics *obs.Registry
-	stats   statsCounters
 }
 
-// Stats aggregates middleware activity.
+// Stats aggregates middleware activity. It is read from the metrics
+// registry (see Middleware.Stats), the one record of it.
 type Stats struct {
 	// Queries is the number of Query calls served (failures included).
 	Queries int
@@ -68,17 +66,6 @@ type Stats struct {
 	PlanTime time.Duration
 	// GenerateTime accumulates instance-generation time across queries.
 	GenerateTime time.Duration
-}
-
-// statsCounters is the race-safe accumulator behind Stats: plain atomics
-// so concurrent Query calls and Stats snapshots never contend on a lock.
-type statsCounters struct {
-	queries      atomic.Int64
-	instances    atomic.Int64
-	sourceErrors atomic.Int64
-	planNS       atomic.Int64
-	extractNS    atomic.Int64
-	generateNS   atomic.Int64
 }
 
 // New builds a middleware from a configuration.
@@ -176,19 +163,17 @@ func (m *Middleware) beginQuery(ctx context.Context, query string) (context.Cont
 	root.SetAttr("query", query)
 	start := time.Now()
 	return ctx, func(res *instance.Result, err error) {
-		outcome := "ok"
+		outcome := obs.OutcomeOK
 		if err != nil {
-			outcome = "error"
+			outcome = obs.OutcomeError
 			root.SetAttr("error", err.Error())
 		}
 		root.SetAttr("outcome", outcome)
 		m.metrics.Counter(obs.MetricQueryTotal, obs.Labels{"outcome": outcome}).Inc()
 		m.metrics.Histogram(obs.MetricQueryDuration, nil).Observe(time.Since(start).Seconds())
-		m.stats.queries.Add(1)
 		if res != nil {
 			m.metrics.Counter(obs.MetricInstances, nil).Add(uint64(len(res.Matched)))
-			m.stats.instances.Add(int64(len(res.Matched)))
-			m.stats.sourceErrors.Add(int64(len(res.Errors)))
+			m.metrics.Counter(obs.MetricAnswerErrors, nil).Add(uint64(len(res.Errors)))
 			root.SetAttr("matched", strconv.Itoa(len(res.Matched)))
 			root.SetAttr("source_errors", strconv.Itoa(len(res.Errors)))
 		}
@@ -201,7 +186,6 @@ func (m *Middleware) beginQuery(ctx context.Context, query string) (context.Cont
 // "extraction_schema" span nests under parse_plan) and the merge-free
 // verdict, both cached with the plan.
 func (m *Middleware) planQuery(ctx context.Context, query string) (*prepared, error) {
-	planStart := time.Now()
 	pctx, pspan, pdone := obs.StartStage(ctx, "parse_plan")
 	p, gen := m.plans.get(query)
 	if p != nil {
@@ -211,13 +195,11 @@ func (m *Middleware) planQuery(ctx context.Context, query string) (*prepared, er
 		plan, err := s2sql.ParseAndPlan(query, m.ont)
 		if err != nil {
 			pdone()
-			m.stats.planNS.Add(int64(time.Since(planStart)))
 			return nil, err
 		}
 		p = m.plans.put(query, gen, m.prepare(pctx, plan))
 	}
 	pdone()
-	m.stats.planNS.Add(int64(time.Since(planStart)))
 	pspan.SetAttr("attributes", strconv.Itoa(len(p.plan.AttributeIDs())))
 	pspan.SetAttr("merge_free", strconv.FormatBool(p.mergeFree))
 	return p, nil
@@ -242,7 +224,7 @@ func (m *Middleware) prepare(ctx context.Context, plan *s2sql.Plan) *prepared {
 // run is the one query pipeline every entry point goes through: open the
 // trace root, parse and plan (query handler), run body — one of the two
 // execution strategies, materialized or eager, plus any serialization —
-// and stamp the outcome, metrics and stats on the way out.
+// and stamp the outcome and metrics on the way out.
 func (m *Middleware) run(ctx context.Context, query string, body func(ctx context.Context, p *prepared) (*instance.Result, error)) (*instance.Result, error) {
 	ctx, finish := m.beginQuery(ctx, query)
 	var res *instance.Result
@@ -265,11 +247,7 @@ func (m *Middleware) materialize(ctx context.Context, p *prepared, extractFn fun
 	if err != nil {
 		return nil, err
 	}
-	m.stats.extractNS.Add(int64(rs.Stats.SchemaDuration + rs.Stats.ExtractDuration))
-	genStart := time.Now()
-	res, err := m.gen.GenerateContextOpts(ctx, p.plan, rs, instance.GenOptions{MergeFree: p.mergeFree})
-	m.stats.generateNS.Add(int64(time.Since(genStart)))
-	return res, err
+	return m.gen.GenerateContextOpts(ctx, p.plan, rs, instance.GenOptions{MergeFree: p.mergeFree})
 }
 
 // PlanMergeFree parses and plans a query through the plan cache without
@@ -396,33 +374,14 @@ func (m *Middleware) QueryToStream(ctx context.Context, w io.Writer, query strin
 		// Extraction runs inside generation on this path, so the generate
 		// time includes waiting on sources. The extraction run takes the
 		// query's ctx, keeping its span a sibling of generate's.
-		var (
-			rs  *extract.ResultSet
-			res *instance.Result
-			err error
-		)
-		genStart := time.Now()
+		var res *instance.Result
+		var err error
 		res, stats, err = m.gen.GenerateEager(ctx, p.plan, sources, w, format, func(deliver func(string, []extract.Fragment)) (*extract.ResultSet, error) {
-			var err error
-			rs, err = m.manager.ExtractQueryEach(ctx, p.schema, deliver)
-			return rs, err
+			return m.manager.ExtractQueryEach(ctx, p.schema, deliver)
 		})
-		m.stats.generateNS.Add(int64(time.Since(genStart)))
-		if rs != nil {
-			m.stats.extractNS.Add(int64(rs.Stats.SchemaDuration + rs.Stats.ExtractDuration))
-		}
 		return res, err
 	})
 	return res, stats, err
-}
-
-// QueryString answers a query and returns the serialized result.
-func (m *Middleware) QueryString(ctx context.Context, query string, format instance.Format) (string, error) {
-	var buf bytes.Buffer
-	if _, err := m.QueryTo(ctx, &buf, query, format); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
 }
 
 // Generator exposes the instance generator (for custom serialization).
@@ -434,15 +393,27 @@ func (m *Middleware) SourceHealth() []extract.SourceHealth {
 	return m.manager.Health()
 }
 
-// Stats returns a snapshot of cumulative statistics. Safe to call
-// concurrently with Query.
+// Stats returns a snapshot of cumulative statistics, read from the
+// metrics registry: the query outcome counter, the instance and answer
+// error counters, and the sums of the parse_plan, extract and generate
+// stage histograms. The read creates no series, so it leaves GET
+// /metrics unchanged. Safe to call concurrently with Query.
 func (m *Middleware) Stats() Stats {
+	count := func(name string, labels obs.Labels) int {
+		c, _ := m.metrics.Lookup(name, labels)
+		return int(c.Value())
+	}
+	stage := func(name string) time.Duration {
+		_, h := m.metrics.Lookup(obs.MetricStageDuration, obs.Labels{"stage": name})
+		return time.Duration(h.Sum() * float64(time.Second))
+	}
 	return Stats{
-		Queries:      int(m.stats.queries.Load()),
-		Instances:    int(m.stats.instances.Load()),
-		SourceErrors: int(m.stats.sourceErrors.Load()),
-		PlanTime:     time.Duration(m.stats.planNS.Load()),
-		ExtractTime:  time.Duration(m.stats.extractNS.Load()),
-		GenerateTime: time.Duration(m.stats.generateNS.Load()),
+		Queries: count(obs.MetricQueryTotal, obs.Labels{"outcome": obs.OutcomeOK}) +
+			count(obs.MetricQueryTotal, obs.Labels{"outcome": obs.OutcomeError}),
+		Instances:    count(obs.MetricInstances, nil),
+		SourceErrors: count(obs.MetricAnswerErrors, nil),
+		PlanTime:     stage("parse_plan"),
+		ExtractTime:  stage("extract"),
+		GenerateTime: stage("generate"),
 	}
 }

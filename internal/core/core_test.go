@@ -10,6 +10,7 @@ import (
 	"repro/internal/extract"
 	"repro/internal/instance"
 	"repro/internal/mapping"
+	"repro/internal/obs"
 	"repro/internal/owl"
 	"repro/internal/rdf"
 	"repro/internal/workload"
@@ -96,11 +97,11 @@ func TestEndToEndNumericQuery(t *testing.T) {
 
 func TestQueryOWLOutputParses(t *testing.T) {
 	m, _ := testMiddleware(t, workload.Spec{DBSources: 1, RecordsPerSource: 10, Seed: 2})
-	out, err := m.QueryString(context.Background(), "SELECT product", instance.FormatOWL)
-	if err != nil {
+	var out strings.Builder
+	if _, err := m.QueryTo(context.Background(), &out, "SELECT product", instance.FormatOWL); err != nil {
 		t.Fatal(err)
 	}
-	g, err := owl.ParseRDFXML(strings.NewReader(out))
+	g, err := owl.ParseRDFXML(strings.NewReader(out.String()))
 	if err != nil {
 		t.Fatalf("OWL output unparseable: %v", err)
 	}
@@ -116,12 +117,12 @@ func TestQueryAllFormats(t *testing.T) {
 		instance.FormatOWL, instance.FormatTurtle, instance.FormatNTriples,
 		instance.FormatXML, instance.FormatJSON, instance.FormatText,
 	} {
-		out, err := m.QueryString(context.Background(), "SELECT product", f)
-		if err != nil {
+		var out strings.Builder
+		if _, err := m.QueryTo(context.Background(), &out, "SELECT product", f); err != nil {
 			t.Errorf("format %s: %v", f, err)
 			continue
 		}
-		if len(out) == 0 {
+		if out.Len() == 0 {
 			t.Errorf("format %s: empty output", f)
 		}
 	}
@@ -307,5 +308,37 @@ func TestStatsConcurrentQueries(t *testing.T) {
 	}
 	if s.PlanTime <= 0 || s.ExtractTime <= 0 || s.GenerateTime <= 0 {
 		t.Errorf("timings not recorded: %+v", s)
+	}
+}
+
+// TestStatsReadTheMetricsRegistry pins the one-ledger contract: Stats
+// is read from the metrics registry, so with one failing source its
+// SourceErrors equals s2s_answer_errors_total and its Instances equals
+// s2s_instances_generated_total after any number of queries.
+func TestStatsReadTheMetricsRegistry(t *testing.T) {
+	m, _ := testMiddleware(t, workload.Spec{XMLSources: 1, RecordsPerSource: 4, Seed: 14})
+	if err := m.RegisterSource(datasource.Definition{ID: "dead_web", Kind: datasource.KindWeb, URL: "http://dead.example/x"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RegisterMapping(mapping.Entry{
+		AttributeID: "thing.product.brand", SourceID: "dead_web",
+		Rule: mapping.Rule{Code: `var brand = Text(GetURL("http://dead.example/x"))`},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	for i := 0; i < n; i++ {
+		if _, err := m.Query(context.Background(), "SELECT product"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := m.Stats()
+	errs := m.Metrics().Counter(obs.MetricAnswerErrors, nil).Value()
+	instances := m.Metrics().Counter(obs.MetricInstances, nil).Value()
+	if s.SourceErrors != n || uint64(s.SourceErrors) != errs {
+		t.Errorf("SourceErrors = %d, %s = %d, want both %d", s.SourceErrors, obs.MetricAnswerErrors, errs, n)
+	}
+	if s.Instances != n*4 || uint64(s.Instances) != instances {
+		t.Errorf("Instances = %d, %s = %d, want both %d", s.Instances, obs.MetricInstances, instances, n*4)
 	}
 }

@@ -140,16 +140,16 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("batch %q: %v", q, errs[i])
 		}
-		want, err := seq.QueryString(ctx, q, instance.FormatJSON)
+		want, err := queryString(ctx, seq, q, instance.FormatJSON)
 		if err != nil {
 			t.Fatalf("sequential %q: %v", q, err)
 		}
-		got, err := batch.Generator().SerializeString(results[i], instance.FormatJSON)
-		if err != nil {
+		var got strings.Builder
+		if err := batch.Generator().Serialize(&got, results[i], instance.FormatJSON); err != nil {
 			t.Fatalf("serializing batch result %q: %v", q, err)
 		}
-		if got != want {
-			t.Errorf("%q: batch result diverges from sequential\nwant:\n%s\ngot:\n%s", q, clip(want), clip(got))
+		if got.String() != want {
+			t.Errorf("%q: batch result diverges from sequential\nwant:\n%s\ngot:\n%s", q, clip(want), clip(got.String()))
 		}
 	}
 
@@ -263,7 +263,7 @@ func gatedEagerQuery(t *testing.T, blockedPath string) (want string, mw *core.Mi
 		}
 		return mw
 	}
-	want, err := build(nil).QueryString(ctx, "SELECT product", instance.FormatJSON)
+	want, err := queryString(ctx, build(nil), "SELECT product", instance.FormatJSON)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,12 +87,6 @@ type Stats struct {
 	SourcesContacted int
 	// ValuesExtracted counts raw values across all fragments.
 	ValuesExtracted int
-	// SchemaDuration covers this run's share of steps 2-3 (extraction
-	// schema + source definitions): selecting the source plans of a
-	// schema built beforehand (see Schema).
-	SchemaDuration time.Duration
-	// ExtractDuration covers step 4 (rule execution).
-	ExtractDuration time.Duration
 	// Retries counts rule re-executions after transient failures.
 	Retries int
 }
@@ -505,7 +499,6 @@ func (m *Manager) planRun(ctx context.Context, s *Schema, restrict []string, sha
 		edone()
 	}
 
-	start := time.Now()
 	if p := s.Planner; p != nil {
 		espan.SetAttr("sources_pruned", strconv.Itoa(p.SourcesPruned))
 		espan.SetAttr("entries_pruned", strconv.Itoa(p.EntriesPruned))
@@ -535,7 +528,6 @@ func (m *Manager) planRun(ctx context.Context, s *Schema, restrict []string, sha
 		espan.SetAttr("sources_restricted", strconv.Itoa(len(plans)))
 	}
 	r.plans = plans
-	r.rs.Stats.SchemaDuration = time.Since(start)
 
 	// Per-run shared state: the document layer (each source document is
 	// fetched/parsed once per run, shared across rules) and the
@@ -561,7 +553,6 @@ func (r *plannedRun) execute(ctx context.Context, deliver func(sourceID string, 
 	// wave restricted to the key values the first wave produced.
 	wave1, wave2, keyAttrs := m.splitWaves(r.plans, r.restricted, metrics)
 
-	extractStart := time.Now()
 	var (
 		mu      sync.Mutex
 		covered = make(map[string]bool) // attributes some fragment served
@@ -617,7 +608,6 @@ func (r *plannedRun) execute(ctx context.Context, deliver func(sourceID string, 
 		runWave(narrowed, false)
 	}
 
-	rs.Stats.ExtractDuration = time.Since(extractStart)
 	rs.Stats.SourcesContacted = len(r.plans)
 	// Failover marking needs the global fragment view, which a restricted
 	// run lacks; the cluster coordinator marks the merged set instead.

@@ -19,7 +19,7 @@ import (
 func TestChunkedWriterEmptyResult(t *testing.T) {
 	w := newWorld(t)
 	p := plan(t, w.ont, "SELECT product")
-	res, err := w.gen.Generate(p, &extract.ResultSet{})
+	res, err := w.gen.GenerateOpts(p, &extract.ResultSet{}, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestChunkedWriterSingleSmallInstance(t *testing.T) {
 	rs := &extract.ResultSet{Fragments: []extract.Fragment{
 		frag("thing.product.brand", "src", "Seiko"),
 	}}
-	res, err := w.gen.Generate(p, rs)
+	res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestChunkedWriterWindowExceedsThreshold(t *testing.T) {
 	rs := &extract.ResultSet{Fragments: []extract.Fragment{
 		frag("thing.product.brand", "src", strings.Repeat("x", 512)),
 	}}
-	res, err := w.gen.Generate(p, rs)
+	res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

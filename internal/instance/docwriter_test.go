@@ -139,7 +139,7 @@ func checkMatchesReference(t *testing.T, g *Generator, res *Result, name string)
 		FormatXML:  func() (string, error) { return referenceXML(g, res) },
 	}
 	paths := map[string]func(Format) (string, error){
-		"Serialize": func(f Format) (string, error) { return g.SerializeString(res, f) },
+		"Serialize": func(f Format) (string, error) { return serializeString(g, res, f) },
 		"SerializeChunked": func(f Format) (string, error) {
 			var b strings.Builder
 			_, err := g.SerializeChunked(context.Background(), &b, res, f)
@@ -191,7 +191,7 @@ func TestJSONPiecesMatchEncoder(t *testing.T) {
 		Missing: []string{"thing.product.watch.case"},
 	}
 	for name, rs := range map[string]*extract.ResultSet{"full": full, "empty": {}} {
-		res, err := w.gen.Generate(p, rs)
+		res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestJSONPiecesMatchEncoder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := w.gen.SerializeString(res, FormatJSON)
+		got, err := serializeString(w.gen, res, FormatJSON)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func TestMalformedNumericValueErrors(t *testing.T) {
 				frag("thing.product.brand", "s", "Seiko"),
 				frag("thing.product.price", "s", bad),
 			}}
-			res, err := w.gen.Generate(p, rs)
+			res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +59,7 @@ func TestMalformedNumericConstraintErrors(t *testing.T) {
 		frag("thing.product.brand", "s", "Seiko"),
 		frag("thing.product.watch.water_resistance", "s", "100"),
 	}}
-	res, err := w.gen.Generate(p, rs)
+	res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestWellFormedNumericEdgeValues(t *testing.T) {
 				frag("thing.product.brand", "s", "Seiko"),
 				frag("thing.product.price", "s", c.value),
 			}}
-			res, err := w.gen.Generate(p, rs)
+			res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,25 +17,25 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func TestOWLGolden(t *testing.T) {
 	w := newWorld(t)
 	res := paperResult(t, w)
-	got, err := w.gen.SerializeString(res, FormatOWL)
+	got, err := serializeString(w.gen, res, FormatOWL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, "paper_result.owl", got)
 
-	ttl, err := w.gen.SerializeString(res, FormatTurtle)
+	ttl, err := serializeString(w.gen, res, FormatTurtle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, "paper_result.ttl", ttl)
 
-	nt, err := w.gen.SerializeString(res, FormatNTriples)
+	nt, err := serializeString(w.gen, res, FormatNTriples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, "paper_result.nt", nt)
 
-	txt, err := w.gen.SerializeString(res, FormatText)
+	txt, err := serializeString(w.gen, res, FormatText)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,13 +152,8 @@ func (g *Generator) GenerateContextOpts(ctx context.Context, plan *s2sql.Plan, r
 	return res, err
 }
 
-// Generate compiles raw fragments into instances and applies the plan's
-// conditions.
-func (g *Generator) Generate(plan *s2sql.Plan, rs *extract.ResultSet) (*Result, error) {
-	return g.GenerateOpts(plan, rs, GenOptions{})
-}
-
-// GenerateOpts is Generate with generation options.
+// GenerateOpts compiles raw fragments into instances and applies the
+// plan's conditions, under the given generation options.
 func (g *Generator) GenerateOpts(plan *s2sql.Plan, rs *extract.ResultSet, opts GenOptions) (*Result, error) {
 	if plan == nil {
 		return nil, fmt.Errorf("instance: nil plan")

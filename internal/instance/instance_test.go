@@ -13,6 +13,14 @@ import (
 	"repro/internal/s2sql"
 )
 
+// serializeString is Serialize into a string, for the package's tests
+// that compare or parse whole documents.
+func serializeString(g *Generator, res *Result, f Format) (string, error) {
+	var b strings.Builder
+	err := g.Serialize(&b, res, f)
+	return b.String(), err
+}
+
 // world builds generator fixtures around the paper ontology.
 type world struct {
 	ont  *ontology.Ontology
@@ -51,7 +59,7 @@ func TestPaperScenario(t *testing.T) {
 		frag("thing.product.watch.case", "DB_ID_45", "stainless-steel", "resin"),
 		frag("thing.provider.name", "DB_ID_45", "TimeHouse"),
 	}}
-	res, err := w.gen.Generate(p, rs)
+	res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +92,7 @@ func TestPositionalCorrelation(t *testing.T) {
 		frag("thing.product.brand", "src", "A", "B", "C"),
 		frag("thing.product.model", "src", "m1", "m2", "m3"),
 	}}
-	res, err := w.gen.Generate(p, rs)
+	res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +115,7 @@ func TestRaggedRecords(t *testing.T) {
 		frag("thing.product.brand", "src", "A", "B"),
 		frag("thing.product.model", "src", "m1"), // second record lacks model
 	}}
-	res, err := w.gen.Generate(p, rs)
+	res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +142,7 @@ func TestSeparateLineagesSeparateInstances(t *testing.T) {
 		frag("thing.product.brand", "src", "A"),
 		frag("thing.provider.name", "src", "P1"),
 	}}
-	res, err := w.gen.Generate(p, rs)
+	res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +165,7 @@ func TestCrossSourceDistinctWithoutKey(t *testing.T) {
 		frag("thing.product.brand", "s1", "Seiko"),
 		frag("thing.product.brand", "s2", "Seiko"),
 	}}
-	res, err := w.gen.Generate(p, rs)
+	res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +186,7 @@ func TestCrossSourceMergeWithKey(t *testing.T) {
 		frag("thing.product.model", "s2", "F91W"),
 		frag("thing.product.price", "s2", "15.0"),
 	}}
-	res, err := w.gen.Generate(p, rs)
+	res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +225,7 @@ func TestConditionOperators(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := plan(t, w.ont, c.query)
-		res, err := w.gen.Generate(p, rs)
+		res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 		if err != nil {
 			t.Errorf("%s: %v", c.query, err)
 			continue
@@ -234,7 +242,7 @@ func TestConditionOnMissingValueFails(t *testing.T) {
 	rs := &extract.ResultSet{Fragments: []extract.Fragment{
 		frag("thing.product.brand", "s", "Seiko"), // no case value extracted
 	}}
-	res, err := w.gen.Generate(p, rs)
+	res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +258,7 @@ func TestNonNumericValueUnderNumericConditionReportsError(t *testing.T) {
 		frag("thing.product.brand", "s", "Seiko"),
 		frag("thing.product.price", "s", "not-a-price"),
 	}}
-	res, err := w.gen.Generate(p, rs)
+	res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +286,7 @@ func TestBooleanConditions(t *testing.T) {
 	rs := &extract.ResultSet{Fragments: []extract.Fragment{
 		frag("thing.item.active", "s", "true", "false", "1", "no"),
 	}}
-	res, err := gen.Generate(p, rs)
+	res, err := gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +304,7 @@ func TestErrorsAndMissingPropagate(t *testing.T) {
 		Missing:   []string{"thing.product.price"},
 	}
 	// UnreadByte returns a real error; any error value works here.
-	res, err := w.gen.Generate(p, rs)
+	res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +319,7 @@ func TestUnknownAttributeFragment(t *testing.T) {
 	rs := &extract.ResultSet{Fragments: []extract.Fragment{
 		frag("thing.product.nosuch", "s", "x"),
 	}}
-	res, err := w.gen.Generate(p, rs)
+	res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,11 +334,11 @@ func TestDeterministicIDs(t *testing.T) {
 	rs := &extract.ResultSet{Fragments: []extract.Fragment{
 		frag("thing.product.brand", "s", "B", "A"),
 	}}
-	res1, err := w.gen.Generate(p, rs)
+	res1, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := w.gen.Generate(p, rs)
+	res2, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +359,7 @@ func paperResult(t *testing.T, w *world) *Result {
 		frag("thing.product.price", "DB_ID_45", "129.99", "15"),
 		frag("thing.provider.name", "DB_ID_45", "TimeHouse"),
 	}}
-	res, err := w.gen.Generate(p, rs)
+	res, err := w.gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +369,7 @@ func paperResult(t *testing.T, w *world) *Result {
 func TestOWLOutput(t *testing.T) {
 	w := newWorld(t)
 	res := paperResult(t, w)
-	out, err := w.gen.SerializeString(res, FormatOWL)
+	out, err := serializeString(w.gen, res, FormatOWL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,14 +400,14 @@ func TestOWLOutput(t *testing.T) {
 func TestTurtleAndNTriplesOutputs(t *testing.T) {
 	w := newWorld(t)
 	res := paperResult(t, w)
-	ttl, err := w.gen.SerializeString(res, FormatTurtle)
+	ttl, err := serializeString(w.gen, res, FormatTurtle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rdf.ParseTurtle(strings.NewReader(ttl)); err != nil {
 		t.Errorf("turtle output unparseable: %v\n%s", err, ttl)
 	}
-	nt, err := w.gen.SerializeString(res, FormatNTriples)
+	nt, err := serializeString(w.gen, res, FormatNTriples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +424,7 @@ func TestTurtleAndNTriplesOutputs(t *testing.T) {
 func TestXMLJSONTextOutputs(t *testing.T) {
 	w := newWorld(t)
 	res := paperResult(t, w)
-	xmlOut, err := w.gen.SerializeString(res, FormatXML)
+	xmlOut, err := serializeString(w.gen, res, FormatXML)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +433,7 @@ func TestXMLJSONTextOutputs(t *testing.T) {
 			t.Errorf("xml output missing %q:\n%s", want, xmlOut)
 		}
 	}
-	jsonOut, err := w.gen.SerializeString(res, FormatJSON)
+	jsonOut, err := serializeString(w.gen, res, FormatJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +442,7 @@ func TestXMLJSONTextOutputs(t *testing.T) {
 			t.Errorf("json output missing %q:\n%s", want, jsonOut)
 		}
 	}
-	textOut, err := w.gen.SerializeString(res, FormatText)
+	textOut, err := serializeString(w.gen, res, FormatText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +468,7 @@ func TestProvenanceAnnotations(t *testing.T) {
 		t.Errorf("provenance = %v", provs[0])
 	}
 	// Provenance rides through OWL serialization.
-	out, err := w.gen.SerializeString(res, FormatOWL)
+	out, err := serializeString(w.gen, res, FormatOWL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +538,7 @@ func TestOntologyIndependence(t *testing.T) {
 		frag("entity.publication.book.isbn", "lib", "9780441013593", "x"),
 		frag("entity.author.name", "lib", "Frank Herbert"),
 	}}
-	res, err := gen.Generate(p, rs)
+	res, err := gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

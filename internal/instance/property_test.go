@@ -67,7 +67,7 @@ func TestGenerationPermutationInvariance(t *testing.T) {
 		if len(frags) == 0 {
 			return true
 		}
-		base, err := w.gen.Generate(p, &extract.ResultSet{Fragments: frags})
+		base, err := w.gen.GenerateOpts(p, &extract.ResultSet{Fragments: frags}, GenOptions{})
 		if err != nil {
 			return false
 		}
@@ -78,7 +78,7 @@ func TestGenerationPermutationInvariance(t *testing.T) {
 			b := int(s) % len(shuffled)
 			shuffled[a], shuffled[b] = shuffled[b], shuffled[a]
 		}
-		again, err := w.gen.Generate(p, &extract.ResultSet{Fragments: shuffled})
+		again, err := w.gen.GenerateOpts(p, &extract.ResultSet{Fragments: shuffled}, GenOptions{})
 		if err != nil {
 			return false
 		}
@@ -97,11 +97,11 @@ func TestConditionMonotonicity(t *testing.T) {
 	filtered := plan(t, w.ont, "SELECT product WHERE brand = 'brand1'")
 	f := func(seed []uint8) bool {
 		frags := genFragments(seed)
-		rsAll, err := w.gen.Generate(all, &extract.ResultSet{Fragments: frags})
+		rsAll, err := w.gen.GenerateOpts(all, &extract.ResultSet{Fragments: frags}, GenOptions{})
 		if err != nil {
 			return false
 		}
-		rsF, err := w.gen.Generate(filtered, &extract.ResultSet{Fragments: frags})
+		rsF, err := w.gen.GenerateOpts(filtered, &extract.ResultSet{Fragments: frags}, GenOptions{})
 		if err != nil {
 			return false
 		}
@@ -139,11 +139,11 @@ func TestGenerationIdempotence(t *testing.T) {
 	p := plan(t, w.ont, "SELECT product")
 	f := func(seed []uint8) bool {
 		frags := genFragments(seed)
-		a, err := w.gen.Generate(p, &extract.ResultSet{Fragments: frags})
+		a, err := w.gen.GenerateOpts(p, &extract.ResultSet{Fragments: frags}, GenOptions{})
 		if err != nil {
 			return false
 		}
-		b, err := w.gen.Generate(p, &extract.ResultSet{Fragments: frags})
+		b, err := w.gen.GenerateOpts(p, &extract.ResultSet{Fragments: frags}, GenOptions{})
 		if err != nil {
 			return false
 		}
@@ -169,7 +169,7 @@ func TestGraphProjectionCompleteness(t *testing.T) {
 	p := plan(t, w.ont, "SELECT product")
 	f := func(seed []uint8) bool {
 		frags := genFragments(seed)
-		res, err := w.gen.Generate(p, &extract.ResultSet{Fragments: frags})
+		res, err := w.gen.GenerateOpts(p, &extract.ResultSet{Fragments: frags}, GenOptions{})
 		if err != nil {
 			return false
 		}

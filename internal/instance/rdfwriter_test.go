@@ -56,7 +56,7 @@ func checkMatchesGraph(t *testing.T, g *Generator, res *Result, name string) {
 		if err != nil {
 			t.Fatalf("%s/%s: oracle: %v", name, f, err)
 		}
-		got, err := g.SerializeString(res, f)
+		got, err := serializeString(g, res, f)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, f, err)
 		}
@@ -111,7 +111,7 @@ func generatedResult(t *testing.T, world *workload.World, classKey bool, query s
 		t.Fatal(err)
 	}
 	gen := NewGenerator(world.Ontology, repo)
-	res, err := gen.Generate(p, rs)
+	res, err := gen.GenerateOpts(p, rs, GenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestFailedSourceReportedInEveryRDFFormat(t *testing.T) {
 	for f, golden := range map[Format]string{
 		FormatOWL: "paper_failed.owl", FormatTurtle: "paper_failed.ttl", FormatNTriples: "paper_failed.nt",
 	} {
-		out, err := w.gen.SerializeString(res, f)
+		out, err := serializeString(w.gen, res, f)
 		if err != nil {
 			t.Fatal(err)
 		}

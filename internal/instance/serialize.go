@@ -264,15 +264,6 @@ func writeErrorEpilog(w io.Writer, res *Result, c commentSyntax) error {
 	return err
 }
 
-// SerializeString is Serialize into a string.
-func (g *Generator) SerializeString(res *Result, format Format) (string, error) {
-	var b strings.Builder
-	if err := g.Serialize(&b, res, format); err != nil {
-		return "", err
-	}
-	return b.String(), nil
-}
-
 // SourcedFrom is the provenance annotation property: it links an instance
 // to the IDs of the data sources that contributed its values.
 const SourcedFrom rdf.IRI = ontology.S2SNS + "sourcedFrom"

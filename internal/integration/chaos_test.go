@@ -344,13 +344,14 @@ func TestChaosSemiJoinFallbackMatchesPlain(t *testing.T) {
 			plainMW := chaosSemiJoinWorld(t, spec, tc.plan, plainOpts)
 
 			ctx := context.Background()
-			narrowed, nerr := narrowedMW.QueryString(ctx, query, instance.FormatJSON)
-			plain, perr := plainMW.QueryString(ctx, query, instance.FormatJSON)
+			var narrowed, plain strings.Builder
+			_, nerr := narrowedMW.QueryTo(ctx, &narrowed, query, instance.FormatJSON)
+			_, perr := plainMW.QueryTo(ctx, &plain, query, instance.FormatJSON)
 			if (nerr == nil) != (perr == nil) || (nerr != nil && nerr.Error() != perr.Error()) {
 				t.Fatalf("error divergence: narrowed=%v plain=%v", nerr, perr)
 			}
-			if narrowed != plain {
-				t.Errorf("narrowed output diverges from plain under %q:\nnarrowed: %s\nplain:    %s", tc.name, narrowed, plain)
+			if narrowed.String() != plain.String() {
+				t.Errorf("narrowed output diverges from plain under %q:\nnarrowed: %s\nplain:    %s", tc.name, narrowed.String(), plain.String())
 			}
 
 			nres, err := narrowedMW.Query(ctx, query)

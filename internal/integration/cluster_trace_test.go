@@ -69,3 +69,59 @@ func TestClusterExtractFederatedTrace(t *testing.T) {
 		t.Fatal("no member recorded a cluster_extract sub-request trace")
 	}
 }
+
+// TestClusterCoordinatorExtractStage checks that the scatter-gather is
+// the coordinator's extract stage, like a single node's extraction: the
+// coordinator's query span has exactly one extract child, every
+// member's cluster_extract root hangs off it, and the stage's time
+// reaches the coordinator's Stats (read from its metrics registry).
+func TestClusterCoordinatorExtractStage(t *testing.T) {
+	rig := startClusterRig(t, workload.Spec{
+		DBSources: 2, XMLSources: 2, WebSources: 2, TextSources: 2,
+		RecordsPerSource: 5, Seed: 92,
+	}, cluster.Options{}, nil)
+
+	if _, err := rig.queryCluster("SELECT product", "json"); err != nil {
+		t.Fatal(err)
+	}
+	coordMW := rig.mws["n1"]
+	if s := coordMW.Stats(); s.Queries != 1 || s.ExtractTime <= 0 {
+		t.Errorf("coordinator stats = %+v, want 1 query and ExtractTime > 0", s)
+	}
+
+	last := coordMW.Tracer().Last(1)
+	if len(last) == 0 {
+		t.Fatal("coordinator recorded no trace")
+	}
+	var extracts []*obs.Span
+	last[0].Walk(func(s *obs.Span) {
+		if s.Name != "query" {
+			return
+		}
+		for _, c := range s.Children {
+			if c.Name == "extract" {
+				extracts = append(extracts, c)
+			}
+		}
+	})
+	if len(extracts) != 1 {
+		t.Fatalf("coordinator query span has %d extract children, want 1", len(extracts))
+	}
+	stage := extracts[0]
+
+	served := 0
+	for _, id := range []string{"n2", "n3"} {
+		for _, tr := range rig.mws[id].Tracer().Last(16) {
+			if tr.Name != "cluster_extract" || tr.TraceID != last[0].TraceID {
+				continue
+			}
+			served++
+			if tr.ParentID != stage.ID {
+				t.Errorf("member %s cluster_extract parent = %q, want the coordinator's extract span %q", id, tr.ParentID, stage.ID)
+			}
+		}
+	}
+	if served == 0 {
+		t.Fatal("no member served a sub-request of the query")
+	}
+}

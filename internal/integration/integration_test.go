@@ -90,27 +90,21 @@ func TestAllFormatsParseBack(t *testing.T) {
 	}
 	gen := mw.Generator()
 
-	owlOut, err := gen.SerializeString(res, instance.FormatOWL)
-	if err != nil {
-		t.Fatal(err)
+	var owlOut, ttlOut, ntOut strings.Builder
+	for out, f := range map[*strings.Builder]instance.Format{&owlOut: instance.FormatOWL, &ttlOut: instance.FormatTurtle, &ntOut: instance.FormatNTriples} {
+		if err := gen.Serialize(out, res, f); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ttlOut, err := gen.SerializeString(res, instance.FormatTurtle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ntOut, err := gen.SerializeString(res, instance.FormatNTriples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gOWL, err := owl.ParseRDFXML(strings.NewReader(owlOut))
+	gOWL, err := owl.ParseRDFXML(strings.NewReader(owlOut.String()))
 	if err != nil {
 		t.Fatalf("owl: %v", err)
 	}
-	gTTL, err := rdf.ParseTurtle(strings.NewReader(ttlOut))
+	gTTL, err := rdf.ParseTurtle(strings.NewReader(ttlOut.String()))
 	if err != nil {
 		t.Fatalf("turtle: %v", err)
 	}
-	gNT, err := rdf.ParseNTriples(strings.NewReader(ntOut))
+	gNT, err := rdf.ParseNTriples(strings.NewReader(ntOut.String()))
 	if err != nil {
 		t.Fatalf("ntriples: %v", err)
 	}

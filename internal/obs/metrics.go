@@ -33,6 +33,9 @@ const (
 	MetricBreakerTrips = "s2s_breaker_trips_total"
 	// MetricInstances counts generated (matched) ontology instances.
 	MetricInstances = "s2s_instances_generated_total"
+	// MetricAnswerErrors counts the per-source errors reported in query
+	// answers.
+	MetricAnswerErrors = "s2s_answer_errors_total"
 	// MetricPlannerSourcesPruned counts source plans the query planner
 	// dropped entirely before extraction.
 	MetricPlannerSourcesPruned = "s2s_planner_sources_pruned_total"
@@ -176,6 +179,7 @@ var descriptors = []Desc{
 	{MetricSourceRetries, "counter", "Rule re-executions after transient failures, per source.", []string{"source"}},
 	{MetricBreakerTrips, "counter", "Circuit-breaker transitions to open, per source.", []string{"source"}},
 	{MetricInstances, "counter", "Matched ontology instances generated across queries.", nil},
+	{MetricAnswerErrors, "counter", "Per-source errors reported in query answers.", nil},
 	{MetricPlannerSourcesPruned, "counter", "Source plans the query planner pruned before extraction.", nil},
 	{MetricPlannerEntriesPruned, "counter", "Mapping entries the query planner pruned before extraction.", nil},
 	{MetricPlannerPushdownApplied, "counter", "Record-scope groups with predicate pushdown applied.", nil},
@@ -416,25 +420,9 @@ func (r *Registry) Counter(name string, labels Labels) *Counter {
 	if r == nil {
 		return nil
 	}
-	key := labelKey(labels)
-	r.mu.RLock()
-	c := r.counters[name][key]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	series, ok := r.counters[name]
-	if !ok {
-		series = make(map[string]*Counter)
-		r.counters[name] = series
-	}
-	if c = series[key]; c == nil {
-		c = &Counter{labels: copyLabels(labels)}
-		series[key] = c
-	}
-	return c
+	return series(&r.mu, r.counters, name, labels, func() *Counter {
+		return &Counter{labels: copyLabels(labels)}
+	})
 }
 
 // Histogram returns (creating if needed) the histogram series for the
@@ -443,25 +431,48 @@ func (r *Registry) Histogram(name string, labels Labels) *Histogram {
 	if r == nil {
 		return nil
 	}
+	return series(&r.mu, r.histograms, name, labels, func() *Histogram {
+		return newHistogram(DefaultBuckets(), copyLabels(labels))
+	})
+}
+
+// Lookup returns the existing counter and histogram series for the
+// family name and label set, each nil when absent. Unlike Counter and
+// Histogram it never creates a series, so a reader leaves the
+// exposition as it found it; nil reads as zero through Value and Sum.
+func (r *Registry) Lookup(name string, labels Labels) (*Counter, *Histogram) {
+	if r == nil {
+		return nil, nil
+	}
 	key := labelKey(labels)
 	r.mu.RLock()
-	h := r.histograms[name][key]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
+	defer r.mu.RUnlock()
+	return r.counters[name][key], r.histograms[name][key]
+}
+
+// series returns the family's series for the label set, creating it
+// with mk when absent: a read-locked lookup first, then a write-locked
+// recheck.
+func series[T any](mu *sync.RWMutex, families map[string]map[string]*T, name string, labels Labels, mk func() *T) *T {
+	key := labelKey(labels)
+	mu.RLock()
+	s := families[name][key]
+	mu.RUnlock()
+	if s != nil {
+		return s
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	series, ok := r.histograms[name]
+	mu.Lock()
+	defer mu.Unlock()
+	fam, ok := families[name]
 	if !ok {
-		series = make(map[string]*Histogram)
-		r.histograms[name] = series
+		fam = make(map[string]*T)
+		families[name] = fam
 	}
-	if h = series[key]; h == nil {
-		h = newHistogram(DefaultBuckets(), copyLabels(labels))
-		series[key] = h
+	if s = fam[key]; s == nil {
+		s = mk()
+		fam[key] = s
 	}
-	return h
+	return s
 }
 
 // Names returns the family names with at least one series, sorted.

@@ -209,11 +209,37 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
+// TestLookupNeverCreates checks the read-only lookup: an absent series
+// reads as nil (zero through Value and Sum) and stays absent, and an
+// existing one is the series the creating getters return.
+func TestLookupNeverCreates(t *testing.T) {
+	r := NewRegistry()
+	c, h := r.Lookup(MetricQueryTotal, Labels{"outcome": "ok"})
+	if c != nil || h != nil || c.Value() != 0 || h.Sum() != 0 {
+		t.Fatalf("absent series = %v, %v", c, h)
+	}
+	if names := r.Names(); len(names) != 0 {
+		t.Fatalf("lookup created series: %v", names)
+	}
+	r.Counter(MetricQueryTotal, Labels{"outcome": "ok"}).Add(3)
+	r.Histogram(MetricStageDuration, Labels{"stage": "extract"}).Observe(0.5)
+	if c, _ := r.Lookup(MetricQueryTotal, Labels{"outcome": "ok"}); c.Value() != 3 {
+		t.Errorf("counter = %d, want 3", c.Value())
+	}
+	if _, h := r.Lookup(MetricStageDuration, Labels{"stage": "extract"}); h.Sum() != 0.5 {
+		t.Errorf("histogram sum = %g, want 0.5", h.Sum())
+	}
+	var nilReg *Registry
+	if c, h := nilReg.Lookup(MetricQueryTotal, nil); c != nil || h != nil {
+		t.Error("nil registry lookup returned a series")
+	}
+}
+
 func TestDescriptorsCoverConstants(t *testing.T) {
 	want := []string{
 		MetricQueryTotal, MetricQueryDuration, MetricStageDuration,
 		MetricSourceExtractTotal, MetricSourceExtractDuration, MetricSourceRetries,
-		MetricBreakerTrips, MetricInstances,
+		MetricBreakerTrips, MetricInstances, MetricAnswerErrors,
 		MetricPlannerSourcesPruned, MetricPlannerEntriesPruned,
 		MetricPlannerPushdownApplied, MetricPlannerMergeFree,
 		MetricPlannerSemiJoin,

@@ -313,8 +313,8 @@ func TestSemiJoinEquivalence(t *testing.T) {
 			plain := keyedWorld(t, w.world, plainOpts)
 			for _, q := range queries {
 				for _, format := range []instance.Format{instance.FormatText, instance.FormatJSON} {
-					a, errA := narrowed.QueryString(ctx, q, format)
-					b, errB := plain.QueryString(ctx, q, format)
+					a, errA := queryString(ctx, narrowed, q, format)
+					b, errB := queryString(ctx, plain, q, format)
 					if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
 						t.Fatalf("%s: error divergence: semijoin=%v plain=%v", q, errA, errB)
 					}
@@ -344,7 +344,7 @@ func TestSemiJoinEquivalence(t *testing.T) {
 				if sa.String() != sb.String() {
 					t.Errorf("%s: streamed output diverges with semi-join narrowing", q)
 				}
-				mat, err := narrowed.QueryString(ctx, q, instance.FormatJSON)
+				mat, err := queryString(ctx, narrowed, q, instance.FormatJSON)
 				if err != nil {
 					t.Fatal(err)
 				}

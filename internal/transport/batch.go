@@ -55,7 +55,7 @@ const (
 // query must not poison its siblings' results).
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
+		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
 		return
 	}
 	if !s.acquireQuerySlot(w) {
@@ -68,11 +68,11 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("transport: empty batch"))
+		Error(w, http.StatusBadRequest, fmt.Errorf("transport: empty batch"))
 		return
 	}
 	if len(req.Queries) > MaxBatchQueries {
-		httpError(w, http.StatusBadRequest,
+		Error(w, http.StatusBadRequest,
 			fmt.Errorf("transport: batch of %d queries exceeds the limit of %d", len(req.Queries), MaxBatchQueries))
 		return
 	}

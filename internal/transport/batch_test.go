@@ -65,11 +65,11 @@ func TestQueryBatchEndToEnd(t *testing.T) {
 			if results[i].Err != nil {
 				t.Fatalf("%s %q: %v", format, q, results[i].Err)
 			}
-			want, err := mw.QueryString(ctx, q, f)
-			if err != nil {
+			var want strings.Builder
+			if _, err := mw.QueryTo(ctx, &want, q, f); err != nil {
 				t.Fatal(err)
 			}
-			if string(results[i].Body) != want {
+			if string(results[i].Body) != want.String() {
 				t.Errorf("%s %q: batch body diverges from single-query serialization", format, q)
 			}
 			res, err := mw.Query(ctx, q)

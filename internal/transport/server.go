@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -155,19 +154,22 @@ func (s *Server) Health() HealthStatus {
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, s.Health())
+	WriteJSON(w, s.Health())
 }
 
-func httpError(w http.ResponseWriter, code int, err error) {
+// Error answers an HTTP error as the JSON envelope {"error": "..."}
+// with the given status. The cluster's /cluster/* handlers share it.
+func Error(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	writeJSON(w, map[string]string{"error": err.Error()})
+	WriteJSON(w, map[string]string{"error": err.Error()})
 }
 
-// writeJSON encodes v onto the response. Handlers funnel their replies
-// through here so the deliberate discard below is the only one.
-func writeJSON(w http.ResponseWriter, v any) {
-	//lint:ignore errcheck a response-encode failure means the client hung up; the dead connection is the only place to report it
+// WriteJSON encodes v onto the response. Every handler, the cluster's
+// too, funnels its replies through here so the deliberate discard below
+// is the only one.
+func WriteJSON(w http.ResponseWriter, v any) {
+	//lint:ignore errcheck a response-encode failure means the peer hung up; the dead connection is the only place to report it
 	_ = json.NewEncoder(w).Encode(v)
 }
 
@@ -185,7 +187,7 @@ func (s *Server) acquireQuerySlot(w http.ResponseWriter) bool {
 	default:
 		s.mw.Metrics().Counter(obs.MetricQueryTotal, obs.Labels{"outcome": obs.OutcomeShed}).Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(s.shedRetryAfterSecs()))
-		httpError(w, http.StatusServiceUnavailable,
+		Error(w, http.StatusServiceUnavailable,
 			fmt.Errorf("transport: server at concurrent-query capacity, retry later"))
 		return false
 	}
@@ -227,7 +229,7 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if errors.As(err, &tooLarge) {
 		code = http.StatusRequestEntityTooLarge
 	}
-	httpError(w, code, fmt.Errorf("transport: decoding request: %w", err))
+	Error(w, code, fmt.Errorf("transport: decoding request: %w", err))
 	return false
 }
 
@@ -239,7 +241,7 @@ func parseFormat(w http.ResponseWriter, name string) (instance.Format, bool) {
 	}
 	f, err := instance.ParseFormat(name)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		Error(w, http.StatusBadRequest, err)
 	}
 	return f, err == nil
 }
@@ -263,11 +265,11 @@ func DecodeQueryRequest(w http.ResponseWriter, r *http.Request) (QueryRequest, i
 			req.Trace = true
 		}
 	default:
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
+		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
 		return req, 0, false
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("transport: empty query"))
+		Error(w, http.StatusBadRequest, fmt.Errorf("transport: empty query"))
 		return req, 0, false
 	}
 	format, ok := parseFormat(w, req.Format)
@@ -306,11 +308,12 @@ func EndRequest(root *obs.Span, err error) {
 // QueryResponse. On a serialization failure it answers 500 itself and
 // reports false.
 func FinishQuery(ctx context.Context, w http.ResponseWriter, root *obs.Span, gen *instance.Generator, res *instance.Result, format instance.Format) (QueryResponse, bool) {
-	var buf bytes.Buffer
+	// strings.Builder.String hands Body the document without a copy.
+	var buf strings.Builder
 	err := gen.SerializeContext(ctx, &buf, res, format)
 	EndRequest(root, err)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		Error(w, http.StatusInternalServerError, err)
 		return QueryResponse{}, false
 	}
 	resp := QueryResponse{
@@ -340,7 +343,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	res, err := s.mw.Query(ctx, req.Query)
 	if err != nil {
 		EndRequest(root, err)
-		httpError(w, http.StatusBadRequest, err)
+		Error(w, http.StatusBadRequest, err)
 		return
 	}
 	resp, ok := FinishQuery(ctx, w, root, s.mw.Generator(), res, format)
@@ -351,14 +354,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Trace = root
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // handleMetrics exposes the middleware's metrics registry in the
 // Prometheus text exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
+		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -370,14 +373,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // a JSON array, newest first (?n= bounds the count, default 1).
 func (s *Server) handleTraceLast(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
+		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
 		return
 	}
 	n := 1
 	if v := r.URL.Query().Get("n"); v != "" {
 		parsed, err := strconv.Atoi(v)
 		if err != nil || parsed < 1 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("transport: bad n %q", v))
+			Error(w, http.StatusBadRequest, fmt.Errorf("transport: bad n %q", v))
 			return
 		}
 		n = parsed
@@ -387,17 +390,17 @@ func (s *Server) handleTraceLast(w http.ResponseWriter, r *http.Request) {
 		traces = []*obs.Span{}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, traces)
+	WriteJSON(w, traces)
 }
 
 func (s *Server) handleOntology(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
+		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
 		return
 	}
 	w.Header().Set("Content-Type", "application/rdf+xml")
 	if err := s.mw.Ontology().WriteOWL(w); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		Error(w, http.StatusInternalServerError, err)
 	}
 }
 
@@ -410,7 +413,7 @@ func (s *Server) handleSources(w http.ResponseWriter, r *http.Request) {
 			out[i] = FromDefinition(d)
 		}
 		w.Header().Set("Content-Type", "application/json")
-		writeJSON(w, out)
+		WriteJSON(w, out)
 	case http.MethodPost:
 		var ws WireSource
 		if !DecodeBody(w, r, &ws) {
@@ -418,16 +421,16 @@ func (s *Server) handleSources(w http.ResponseWriter, r *http.Request) {
 		}
 		def, err := ws.ToDefinition()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			Error(w, http.StatusBadRequest, err)
 			return
 		}
 		if err := s.mw.RegisterSource(def); err != nil {
-			httpError(w, http.StatusConflict, err)
+			Error(w, http.StatusConflict, err)
 			return
 		}
 		w.WriteHeader(http.StatusCreated)
 	default:
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
+		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
 	}
 }
 
@@ -440,7 +443,7 @@ func (s *Server) handleMappings(w http.ResponseWriter, r *http.Request) {
 			out[i] = FromEntry(e)
 		}
 		w.Header().Set("Content-Type", "application/json")
-		writeJSON(w, out)
+		WriteJSON(w, out)
 	case http.MethodPost:
 		var wm WireMapping
 		if !DecodeBody(w, r, &wm) {
@@ -448,16 +451,16 @@ func (s *Server) handleMappings(w http.ResponseWriter, r *http.Request) {
 		}
 		entry, err := wm.ToEntry()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			Error(w, http.StatusBadRequest, err)
 			return
 		}
 		if err := s.mw.RegisterMapping(entry); err != nil {
-			httpError(w, http.StatusConflict, err)
+			Error(w, http.StatusConflict, err)
 			return
 		}
 		w.WriteHeader(http.StatusCreated)
 	default:
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
+		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
 	}
 }
 
@@ -468,7 +471,7 @@ func (s *Server) handleMappings(w http.ResponseWriter, r *http.Request) {
 // conclusion motivates, offered directly by the endpoint.
 func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
+		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
 		return
 	}
 	var req SPARQLRequest
@@ -476,7 +479,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if strings.TrimSpace(req.SPARQL) == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("transport: empty sparql query"))
+		Error(w, http.StatusBadRequest, fmt.Errorf("transport: empty sparql query"))
 		return
 	}
 	s2sqlQuery := req.S2SQL
@@ -485,24 +488,24 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.mw.Query(r.Context(), s2sqlQuery)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		Error(w, http.StatusBadRequest, err)
 		return
 	}
 	graph, err := s.mw.Generator().ToGraph(res)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		Error(w, http.StatusInternalServerError, err)
 		return
 	}
 	if req.Reason {
 		graph, err = reason.Materialize(s.mw.Ontology().ToGraph(), graph)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			Error(w, http.StatusInternalServerError, err)
 			return
 		}
 	}
 	out, err := sparql.Select(graph, req.SPARQL)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		Error(w, http.StatusBadRequest, err)
 		return
 	}
 	resp := SPARQLResponse{Vars: out.Vars}
@@ -514,14 +517,14 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		resp.Bindings = append(resp.Bindings, row)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // handleSourceHealth reports per-source circuit breaker state, so a B2B
 // operator can see which partners are failing without reading logs.
 func (s *Server) handleSourceHealth(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
+		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
 		return
 	}
 	health := s.mw.SourceHealth()
@@ -539,17 +542,17 @@ func (s *Server) handleSourceHealth(w http.ResponseWriter, r *http.Request) {
 		out = append(out, entry)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
+		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
 		return
 	}
 	stats := s.mw.Stats()
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, map[string]any{
+	WriteJSON(w, map[string]any{
 		"queries":        stats.Queries,
 		"instances":      stats.Instances,
 		"sourceErrors":   stats.SourceErrors,

@@ -133,7 +133,7 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // materialized first (counts in the headers) and leaves in chunks.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
+		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
 		return
 	}
 	if !s.acquireQuerySlot(w) {
@@ -152,7 +152,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	_, mergeFree, err := s.mw.PlanMergeFree(ctx, req.Query)
 	if err != nil {
 		EndRequest(root, err)
-		httpError(w, http.StatusBadRequest, err)
+		Error(w, http.StatusBadRequest, err)
 		return
 	}
 	if s.mw.EagerStream(mergeFree, format) {
@@ -166,7 +166,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	res, err := s.mw.Query(ctx, req.Query)
 	if err != nil {
 		EndRequest(root, err)
-		httpError(w, http.StatusBadRequest, err)
+		Error(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -227,7 +227,7 @@ func (s *Server) streamEager(ctx context.Context, root *obs.Span, w http.Respons
 			w.Header().Del("Trailer")
 			w.Header().Del(StreamModeHeader)
 			w.Header().Del("Content-Type")
-			httpError(w, http.StatusBadRequest, err)
+			Error(w, http.StatusBadRequest, err)
 			return
 		}
 		w.Header().Set(StreamErrorTrailer, err.Error())

@@ -30,8 +30,8 @@ func TestQueryStreamEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := mw.QueryString(ctx, "SELECT product", f)
-		if err != nil {
+		var want strings.Builder
+		if _, err := mw.QueryTo(ctx, &want, "SELECT product", f); err != nil {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
@@ -39,7 +39,7 @@ func TestQueryStreamEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("QueryStream(%s): %v", format, err)
 		}
-		if got.String() != want {
+		if got.String() != want.String() {
 			t.Errorf("%s: streamed body diverges from local serialization", format)
 		}
 		if res.Bytes != int64(got.Len()) {
@@ -76,8 +76,8 @@ func TestQueryStreamEagerMode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := mw.QueryString(ctx, "SELECT product", f)
-		if err != nil {
+		var want strings.Builder
+		if _, err := mw.QueryTo(ctx, &want, "SELECT product", f); err != nil {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
@@ -88,7 +88,7 @@ func TestQueryStreamEagerMode(t *testing.T) {
 		if res.Mode != tc.wantMode {
 			t.Errorf("%s: mode = %q, want %q", tc.format, res.Mode, tc.wantMode)
 		}
-		if got.String() != want {
+		if got.String() != want.String() {
 			t.Errorf("%s: streamed body diverges from local serialization", tc.format)
 		}
 		if res.Matched != len(wantRes.Matched) {

@@ -3,8 +3,10 @@ package transport
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -148,20 +150,70 @@ func TestOntologyEndpoint(t *testing.T) {
 	}
 }
 
+// getBody GETs a path of the server and returns the 200 response's
+// body.
+func getBody(t *testing.T, srv *httptest.Server, path string) []byte {
+	t.Helper()
+	resp, err := http.Get(srv.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s status = %s", path, resp.Status)
+	}
+	return body
+}
+
+// TestStatsEndpoint checks GET /stats's six keys against
+// Middleware.Stats after a query.
 func TestStatsEndpoint(t *testing.T) {
-	srv, _, _ := testServer(t)
+	srv, mw, _ := testServer(t)
 	client := NewClient(srv.URL, nil)
 	ctx := context.Background()
 	if _, err := client.Query(ctx, "SELECT product", "json"); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(srv.URL + "/stats")
-	if err != nil {
+	var got map[string]int64
+	if err := json.Unmarshal(getBody(t, srv, "/stats"), &got); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats status = %s", resp.Status)
+	s := mw.Stats()
+	want := map[string]int64{
+		"queries":        int64(s.Queries),
+		"instances":      int64(s.Instances),
+		"sourceErrors":   int64(s.SourceErrors),
+		"planTimeMs":     s.PlanTime.Milliseconds(),
+		"extractTimeMs":  s.ExtractTime.Milliseconds(),
+		"generateTimeMs": s.GenerateTime.Milliseconds(),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("GET /stats = %v, want %v", got, want)
+	}
+	if s.Queries != 1 || s.Instances == 0 {
+		t.Errorf("Stats = %+v, want one query with instances", s)
+	}
+}
+
+// TestStatsLeavesMetricsUnchanged checks that reading /stats creates no
+// metric series: the /metrics body is byte-identical around it, before
+// any query and after one (which leaves the error outcome unseen).
+func TestStatsLeavesMetricsUnchanged(t *testing.T) {
+	srv, _, _ := testServer(t)
+	client := NewClient(srv.URL, nil)
+	for i := 0; i < 2; i++ {
+		before := getBody(t, srv, "/metrics")
+		getBody(t, srv, "/stats")
+		if after := getBody(t, srv, "/metrics"); string(after) != string(before) {
+			t.Fatalf("GET /stats changed /metrics:\nbefore:\n%s\nafter:\n%s", before, after)
+		}
+		if _, err := client.Query(context.Background(), "SELECT product", "json"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
