@@ -15,9 +15,10 @@
 // With -stream, the answer leaves in chunks (docs/STREAMING.md): in
 // endpoint mode the body arrives via the chunked /query/stream route
 // and is written to stdout as it lands; in local mode the query runs
-// through the same entry point that route uses (QueryToStream), which
-// streams eagerly when the query is merge-free and the format allows
-// it. Output bytes are identical either way.
+// through the same entry point that route uses (Middleware.Answer with
+// a streamed request), which streams eagerly when the query is
+// merge-free and the format allows it. Output bytes are identical
+// either way.
 package main
 
 import (
@@ -50,7 +51,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 30*time.Second, "query timeout")
 		budget   = flag.Duration("budget", 0, "per-query extraction deadline budget for the local world (0 disables)")
 		trace    = flag.Bool("trace", false, "print the query's span tree to stderr")
-		stream   = flag.Bool("stream", false, "stream the answer in chunks (/query/stream in endpoint mode, QueryToStream locally)")
+		stream   = flag.Bool("stream", false, "stream the answer in chunks (/query/stream in endpoint mode, a streamed Middleware.Answer locally)")
 	)
 	flag.Parse()
 
@@ -158,12 +159,7 @@ func run(ctx context.Context, endpoint, query, sparqlQuery, format string, recor
 		return nil
 	}
 
-	var res *instance.Result
-	if stream {
-		res, _, err = mw.QueryToStream(ctx, os.Stdout, query, f)
-	} else {
-		res, err = mw.QueryTo(ctx, os.Stdout, query, f)
-	}
+	res, _, err := mw.Answer(ctx, core.Request{Query: query, Format: f, Stream: stream}, &core.Sink{W: os.Stdout})
 	if err != nil {
 		return err
 	}

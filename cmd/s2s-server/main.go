@@ -9,7 +9,7 @@
 //	           [-max-queries 0] [-budget 0]
 //	           [-cluster node-id] [-join http://coordinator]
 //
-// -max-queries caps concurrent /query work; excess requests are shed
+// -max-queries caps concurrent query work; excess requests are shed
 // with 503 + Retry-After (docs/ROBUSTNESS.md). -budget bounds each
 // query's total extraction time across all sources. How a query is
 // answered is not configurable: /query materializes, and /query/stream
@@ -63,7 +63,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "workload generation seed")
 		pprofOn    = flag.Bool("pprof", false, "serve Go runtime profiles under /debug/pprof/")
 		dumpConfig = flag.String("dump-config", "", "write the generated middleware configuration to this file and continue")
-		maxQueries = flag.Int("max-queries", 0, "concurrent /query cap; beyond it requests are shed with 503 + Retry-After (0 disables)")
+		maxQueries = flag.Int("max-queries", 0, "concurrent query cap; beyond it requests are shed with 503 + Retry-After (0 disables)")
 		budget     = flag.Duration("budget", 0, "per-query deadline budget across all sources (0 disables)")
 		clusterID  = flag.String("cluster", "", "cluster node ID; enables the /cluster/* routes (see docs/CLUSTER.md)")
 		join       = flag.String("join", "", "coordinator base URL to join as a member (requires -cluster); empty makes this node the coordinator")

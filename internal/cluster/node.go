@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/extract"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -510,24 +511,27 @@ func (n *Node) handleClusterExtract(w http.ResponseWriter, r *http.Request) {
 
 // handleClusterQuery serves /cluster/query on the coordinator: the
 // regular query surface (GET ?q=&format= or a POSTed QueryRequest),
-// answered by scatter-gather across the owning nodes and merged
-// through the single-node pipeline, with the dispatch summary attached.
+// answered through the single-node pipeline with the scatter-gather
+// across the owning nodes as its extraction stage, and the dispatch
+// summary attached.
 func (n *Node) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
 	req, format, ok := transport.DecodeQueryRequest(w, r)
 	if !ok {
 		return
 	}
 	ctx, root := transport.BeginRequest(n.mw, w, r, "http_query")
-	res, info, err := n.QueryCluster(ctx, req.Query)
-	if err != nil {
-		transport.EndRequest(root, err)
-		transport.Error(w, http.StatusBadRequest, err)
-		return
-	}
-	resp, ok := transport.FinishQuery(ctx, w, root, n.mw.Generator(), res, format)
+	info := &Info{Coordinator: n.opts.ID}
+	resp, ok := transport.AnswerQuery(ctx, w, root, n.mw, core.Request{
+		Query:  req.Query,
+		Format: format,
+		Extract: func(ctx context.Context, schema *extract.Schema) (*extract.ResultSet, error) {
+			return n.scatterExtract(ctx, req.Query, schema, info)
+		},
+	})
 	if !ok {
 		return
 	}
+	info.Degraded = len(info.LostSources) > 0
 	w.Header().Set("Content-Type", "application/json")
 	transport.WriteJSON(w, QueryResponse{QueryResponse: resp, Cluster: *info})
 }

@@ -17,28 +17,9 @@ import (
 	"time"
 
 	"repro/internal/extract"
-	"repro/internal/instance"
 	"repro/internal/obs"
 	"repro/internal/s2sql"
 )
-
-// QueryCluster answers one query by scatter-gather across the cluster,
-// returning the instance result and the dispatch summary. Only the
-// coordinator can serve it.
-func (n *Node) QueryCluster(ctx context.Context, query string) (*instance.Result, *Info, error) {
-	if !n.coordinator() {
-		return nil, nil, fmt.Errorf("cluster: node %s is not the coordinator", n.opts.ID)
-	}
-	info := &Info{Coordinator: n.opts.ID}
-	res, err := n.mw.QueryWithExtractor(ctx, query, func(ctx context.Context, schema *extract.Schema) (*extract.ResultSet, error) {
-		return n.scatterExtract(ctx, query, schema, info)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	info.Degraded = len(info.LostSources) > 0
-	return res, info, nil
-}
 
 // ownerGroup is one dispatch unit: the sources that share an owner
 // list.

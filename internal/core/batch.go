@@ -25,10 +25,12 @@ import (
 // scatter; each nonetheless runs its own planning (through the shared
 // plan cache), instance generation, and per-query trace and metrics,
 // nested under one "batch" trace root. Each successful result is handed
-// to sink(i, res), when sink is non-nil, as soon as it is generated —
-// the transport hands a sink that frames the serialized bytes onto the
+// to sink(qctx, i, res), when sink is non-nil, as soon as it is
+// generated; qctx is that query's own context, so serializing under it
+// makes serialization a stage of the query's root, as in Answer — the
+// transport hands a sink that frames the serialized bytes onto the
 // batch response. A sink error becomes that query's error.
-func (m *Middleware) QueryBatchTo(ctx context.Context, queries []string, sink func(int, *instance.Result) error) ([]*instance.Result, []error) {
+func (m *Middleware) QueryBatchTo(ctx context.Context, queries []string, sink func(qctx context.Context, i int, res *instance.Result) error) ([]*instance.Result, []error) {
 	n := len(queries)
 	results := make([]*instance.Result, n)
 	errs := make([]error, n)
@@ -71,7 +73,7 @@ func (m *Middleware) QueryBatchTo(ctx context.Context, queries []string, sink fu
 			return sets[i], xerrs[i]
 		})
 		if err == nil && sink != nil {
-			err = sink(i, res)
+			err = sink(qctxs[i], i, res)
 		}
 		if err != nil {
 			errs[i] = err

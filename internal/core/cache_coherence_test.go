@@ -7,14 +7,16 @@ import (
 	"testing"
 
 	"repro/internal/datasource"
+	"repro/internal/instance"
 	"repro/internal/mapping"
 	"repro/internal/workload"
 )
 
 // TestPlanCacheWarmsAndInvalidates exercises the plan-cache lifecycle:
-// repeated queries share one compiled plan, and every catalog mutation —
-// RegisterSource, RegisterMapping, SetClassKey — flushes it, since any
-// of them can change what a plan's extraction schema resolves to.
+// repeated queries share one compiled plan; RegisterSource alone cannot
+// change what a plan's extraction schema resolves to, so the answer
+// stays byte-identical; RegisterMapping and SetClassKey can, so they
+// flush it, and the answer after the mapping sees the new source.
 func TestPlanCacheWarmsAndInvalidates(t *testing.T) {
 	m, world := testMiddleware(t, workload.Spec{XMLSources: 1, RecordsPerSource: 3, Seed: 21})
 	if got := m.PlanCacheLen(); got != 0 {
@@ -45,14 +47,22 @@ func TestPlanCacheWarmsAndInvalidates(t *testing.T) {
 		}
 	}
 
+	answer := func() string {
+		t.Helper()
+		var buf strings.Builder
+		if _, err := m.QueryTo(context.Background(), &buf, "SELECT product", instance.FormatJSON); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	before := answer()
 	world.Catalog.XML.MustAdd("extra.xml", "<catalog><watch><brand>Orient</brand></watch></catalog>")
 	if err := m.RegisterSource(datasource.Definition{ID: "extra_xml", Kind: datasource.KindXML, Path: "extra.xml"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.PlanCacheLen(); got != 0 {
-		t.Errorf("RegisterSource left plan cache len = %d, want 0", got)
+	if got := answer(); got != before {
+		t.Errorf("RegisterSource alone changed the answer:\n--- before ---\n%s\n--- after ---\n%s", before, got)
 	}
-	refill()
 
 	if err := m.RegisterMapping(mapping.Entry{
 		AttributeID: "thing.product.brand", SourceID: "extra_xml",
@@ -63,7 +73,9 @@ func TestPlanCacheWarmsAndInvalidates(t *testing.T) {
 	if got := m.PlanCacheLen(); got != 0 {
 		t.Errorf("RegisterMapping left plan cache len = %d, want 0", got)
 	}
-	refill()
+	if got := answer(); !strings.Contains(got, `"extra_xml"`) {
+		t.Errorf("the answer after RegisterMapping does not see the new source:\n%s", got)
+	}
 
 	if err := m.SetClassKey("product", "thing.product.model"); err != nil {
 		t.Fatal(err)
@@ -84,29 +96,36 @@ func TestPlanCacheWarmsAndInvalidates(t *testing.T) {
 }
 
 // TestCatalogMutationsKeepCompiledRules pins the one-flush contract: a
-// catalog mutation flushes the plan cache and nothing else. Compiled
-// rules are keyed by their text, so a remapped rule compiles under a new
-// key, and RegisterSource, RegisterMapping and SetClassKey each leave
-// the compiled rules in place.
+// mapping mutation flushes the plan cache and nothing else, and a source
+// registration flushes nothing — the answer after it is byte-identical,
+// and the answer after the mapping that uses the source sees it.
+// Compiled rules are keyed by their text, so a remapped rule compiles
+// under a new key, and RegisterSource, RegisterMapping and SetClassKey
+// each leave the compiled rules in place.
 func TestCatalogMutationsKeepCompiledRules(t *testing.T) {
 	m, world := testMiddleware(t, workload.Spec{XMLSources: 1, RecordsPerSource: 3, Seed: 26})
 	world.Catalog.XML.MustAdd("kept.xml", "<catalog><watch><brand>Kept</brand></watch></catalog>")
 	for _, mutation := range []struct {
-		name  string
-		apply func() error
+		name    string
+		apply   func() error
+		flushes bool
+		// check, when non-nil, judges the answer after the mutation
+		// against the one before it.
+		check func(before, after string) bool
 	}{
 		{"RegisterSource", func() error {
 			return m.RegisterSource(datasource.Definition{ID: "kept_xml", Kind: datasource.KindXML, Path: "kept.xml"})
-		}},
+		}, false, func(before, after string) bool { return after == before }},
 		{"RegisterMapping", func() error {
 			return m.RegisterMapping(mapping.Entry{
 				AttributeID: "thing.product.brand", SourceID: "kept_xml",
 				Rule: mapping.Rule{Code: "/catalog/watch/brand"},
 			})
-		}},
-		{"SetClassKey", func() error { return m.SetClassKey("product", "thing.product.model") }},
+		}, true, func(_, after string) bool { return strings.Contains(after, `"kept_xml"`) }},
+		{"SetClassKey", func() error { return m.SetClassKey("product", "thing.product.model") }, true, nil},
 	} {
-		if _, err := m.Query(context.Background(), "SELECT product"); err != nil {
+		var before strings.Builder
+		if _, err := m.QueryTo(context.Background(), &before, "SELECT product", instance.FormatJSON); err != nil {
 			t.Fatal(err)
 		}
 		warm := m.manager.CompiledRuleCount()
@@ -116,11 +135,21 @@ func TestCatalogMutationsKeepCompiledRules(t *testing.T) {
 		if err := mutation.apply(); err != nil {
 			t.Fatalf("%s: %v", mutation.name, err)
 		}
-		if got := m.PlanCacheLen(); got != 0 {
+		if got := m.PlanCacheLen(); mutation.flushes && got != 0 {
 			t.Errorf("%s left plan cache len = %d, want 0", mutation.name, got)
 		}
 		if got := m.manager.CompiledRuleCount(); got != warm {
 			t.Errorf("%s changed the compiled rules: %d, want %d", mutation.name, got, warm)
+		}
+		if mutation.check == nil {
+			continue
+		}
+		var after strings.Builder
+		if _, err := m.QueryTo(context.Background(), &after, "SELECT product", instance.FormatJSON); err != nil {
+			t.Fatal(err)
+		}
+		if !mutation.check(before.String(), after.String()) {
+			t.Errorf("%s: unexpected answer after it:\n--- before ---\n%s\n--- after ---\n%s", mutation.name, before.String(), after.String())
 		}
 	}
 }

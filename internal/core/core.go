@@ -112,41 +112,37 @@ func (m *Middleware) Tracer() *obs.Tracer { return m.tracer }
 // Metrics returns the middleware's metrics registry (behind GET /metrics).
 func (m *Middleware) Metrics() *obs.Registry { return m.metrics }
 
-// RegisterSource adds a data source definition (paper §2.3.2).
+// RegisterSource adds a data source definition (paper §2.3.2). It
+// leaves the plan cache warm: source IDs are unique and a mapping can
+// only name a registered source, so no cached schema can mention a
+// source registered after it was built. The RegisterMapping that puts
+// the source to use flushes.
 func (m *Middleware) RegisterSource(def datasource.Definition) error {
-	if err := m.sources.Register(def); err != nil {
-		return err
-	}
-	m.invalidateCaches()
-	return nil
+	return m.sources.Register(def)
 }
 
-// RegisterMapping adds an attribute mapping (paper §2.3.1).
+// RegisterMapping adds an attribute mapping (paper §2.3.1). It flushes
+// the plan cache, the only cache derived from the mappings, so a query
+// can never run a schema or a merge-free verdict derived under the old
+// mapping. (Compiled rules are keyed by their text, so a remapped rule
+// compiles afresh without any flush.)
 func (m *Middleware) RegisterMapping(e mapping.Entry) error {
 	if err := m.repo.Register(e); err != nil {
 		return err
 	}
-	m.invalidateCaches()
+	m.plans.invalidate()
 	return nil
 }
 
 // SetClassKey declares the cross-source identity attribute of a class.
+// Like RegisterMapping it flushes the plan cache: a class key changes
+// the merge-free verdict.
 func (m *Middleware) SetClassKey(class, attributeID string) error {
 	if err := m.repo.SetClassKey(class, attributeID); err != nil {
 		return err
 	}
-	m.invalidateCaches()
-	return nil
-}
-
-// invalidateCaches flushes the plan cache, the only cache derived from
-// the catalog. Called after each successful RegisterSource/
-// RegisterMapping/SetClassKey so a query can never run a schema or a
-// merge-free verdict derived under the old mapping. (Compiled rules are
-// keyed by their text, so a remapped rule compiles afresh without any
-// flush.)
-func (m *Middleware) invalidateCaches() {
 	m.plans.invalidate()
+	return nil
 }
 
 // PlanCacheLen reports the number of cached query plans (introspection
@@ -221,19 +217,99 @@ func (m *Middleware) prepare(ctx context.Context, plan *s2sql.Plan) *prepared {
 	return p
 }
 
-// run is the one query pipeline every entry point goes through: open the
-// trace root, parse and plan (query handler), run body — one of the two
-// execution strategies, materialized or eager, plus any serialization —
-// and stamp the outcome and metrics on the way out.
-func (m *Middleware) run(ctx context.Context, query string, body func(ctx context.Context, p *prepared) (*instance.Result, error)) (*instance.Result, error) {
-	ctx, finish := m.beginQuery(ctx, query)
-	var res *instance.Result
-	p, err := m.planQuery(ctx, query)
+// Request is one query for Answer. Its fields carry the choices the
+// Query* wrappers make by their names — what to serialize, whether to
+// stream, who extracts — and none of them tunes the pipeline.
+type Request struct {
+	// Query is the S2SQL query.
+	Query string
+	// Format is the serialization format; read only when Answer has a
+	// sink.
+	Format instance.Format
+	// Stream serializes in bounded chunks (SerializeChunked) instead of
+	// one whole-document write, and emits barrier-free when the planner
+	// proved the query merge-free and the format is instance-incremental
+	// (instance.EagerFormat).
+	Stream bool
+	// Extract, when non-nil, replaces the extraction stage: it receives
+	// the query's extraction schema and must return the complete result
+	// set (canonically sorted, failovers marked). The cluster
+	// coordinator passes its scatter-gather here, so planning,
+	// generation, serialization, tracing and metrics are exactly the
+	// single-node pipeline — which is what keeps clustered answers
+	// byte-identical. Such a request is always materialized.
+	Extract func(context.Context, *extract.Schema) (*extract.ResultSet, error)
+}
+
+// Sink receives an answer's serialized document.
+type Sink struct {
+	// W receives the document's bytes.
+	W io.Writer
+	// Begin, when non-nil, is called at most once, before the first byte
+	// reaches W, and is how the caller learns the emission mode before
+	// committing to it (the transport sets its response headers here).
+	// On the materialized path res is the generated result, so its
+	// counts are known, and Begin runs before serialization starts even
+	// if the document is empty. On the eager path res is nil and Begin
+	// runs on the first write, so a failure before any byte leaves it
+	// uncalled. An error from Begin fails the answer.
+	Begin func(res *instance.Result) error
+}
+
+// Answer is the one query pipeline every entry point goes through: it
+// opens the query's trace root, parses and plans (query handler),
+// extracts (extractor manager), generates (instance generator) and,
+// when sink is non-nil, serializes into it. Every stage is a child of
+// that root, and s2s_query_duration_seconds covers them all.
+//
+// Extraction runs the query's cached schema, which the query planner
+// (internal/planner) rewrote to push the WHERE conditions toward the
+// sources; the instance generator re-applies them regardless. A
+// streamed request whose query the planner proved merge-free, in a
+// format that allows it, is emitted barrier-free: each source's
+// instances stream out as the source finishes (instance.GenerateEager
+// is the extraction run's sink), so the first instance reaches the sink
+// while slower sources are still extracting. Every other request is
+// materialized, then serialized. The bytes are identical either way.
+//
+// The result and chunk statistics are returned alongside any error; a
+// serialization error may surface after part of the document was
+// already written, which is why the transport signals completion in
+// trailers.
+func (m *Middleware) Answer(ctx context.Context, req Request, sink *Sink) (res *instance.Result, stats instance.ChunkStats, err error) {
+	ctx, finish := m.beginQuery(ctx, req.Query)
+	p, err := m.planQuery(ctx, req.Query)
 	if err == nil {
-		res, err = body(ctx, p)
+		res, stats, err = m.answer(ctx, p, req, sink)
 	}
 	finish(res, err)
-	return res, err
+	return res, stats, err
+}
+
+// answer runs a planned request by one of the two execution strategies,
+// chosen here and nowhere else from the cached merge-free verdict and
+// the format.
+func (m *Middleware) answer(ctx context.Context, p *prepared, req Request, sink *Sink) (res *instance.Result, stats instance.ChunkStats, err error) {
+	if sink != nil && req.Stream && req.Extract == nil && p.mergeFree && instance.EagerFormat(req.Format) {
+		return m.eager(ctx, p, req.Format, sink)
+	}
+	extractFn := req.Extract
+	if extractFn == nil {
+		extractFn = m.manager.ExtractQuery
+	}
+	if res, err = m.materialize(ctx, p, extractFn); err != nil || sink == nil {
+		return res, stats, err
+	}
+	if sink.Begin != nil {
+		if err = sink.Begin(res); err != nil {
+			return res, stats, err
+		}
+	}
+	if req.Stream {
+		stats, err = m.gen.SerializeChunked(ctx, sink.W, res, req.Format)
+		return res, stats, err
+	}
+	return res, stats, m.gen.SerializeContext(ctx, sink.W, res, req.Format)
 }
 
 // materialize is the materialized strategy: extract everything
@@ -250,13 +326,45 @@ func (m *Middleware) materialize(ctx context.Context, p *prepared, extractFn fun
 	return m.gen.GenerateContextOpts(ctx, p.plan, rs, instance.GenOptions{MergeFree: p.mergeFree})
 }
 
+// eager is the barrier-free strategy: generation and serialization are
+// the extraction run's per-source sink. Extraction runs inside
+// generation on this path, so the generate time includes waiting on
+// sources. The extraction run takes the query's ctx, keeping its span a
+// sibling of generate's.
+func (m *Middleware) eager(ctx context.Context, p *prepared, format instance.Format, sink *Sink) (*instance.Result, instance.ChunkStats, error) {
+	sources := make([]string, len(p.schema.Plans))
+	for i, sp := range p.schema.Plans {
+		sources[i] = sp.Source.ID
+	}
+	sort.Strings(sources)
+	w := &beginWriter{w: sink.W, begin: sink.Begin}
+	return m.gen.GenerateEager(ctx, p.plan, sources, w, format, func(deliver func(string, []extract.Fragment)) (*extract.ResultSet, error) {
+		return m.manager.ExtractQueryEach(ctx, p.schema, deliver)
+	})
+}
+
+// beginWriter calls the eager path's Sink.Begin, if any, before the
+// first byte reaches w.
+type beginWriter struct {
+	w     io.Writer
+	begin func(*instance.Result) error
+}
+
+func (b *beginWriter) Write(p []byte) (int, error) {
+	if b.begin != nil && len(p) > 0 {
+		begin := b.begin
+		b.begin = nil
+		if err := begin(nil); err != nil {
+			return 0, err
+		}
+	}
+	return b.w.Write(p)
+}
+
 // PlanMergeFree parses and plans a query through the plan cache without
 // running it, and reports the planner's merge-free verdict for the query
 // (cached with the plan). Cluster nodes plan a sub-request's query with
 // it before ExtractPlanSources, which finds the plan's cached schema.
-// The transport's stream endpoint uses the verdict to decide, before
-// the response headers go out, whether the body will be emitted
-// barrier-free.
 func (m *Middleware) PlanMergeFree(ctx context.Context, query string) (*s2sql.Plan, bool, error) {
 	ctx = obs.ContextWithMetrics(ctx, m.metrics)
 	p, err := m.planQuery(ctx, query)
@@ -266,24 +374,12 @@ func (m *Middleware) PlanMergeFree(ctx context.Context, query string) (*s2sql.Pl
 	return p.plan, p.mergeFree, nil
 }
 
-// EagerStream reports whether QueryToStream will emit barrier-free for
-// a query with the given merge-free verdict in the given format: the
-// proof must hold and the format's serialization must be
-// instance-incremental (instance.EagerFormat). It is the only thing
-// that selects between the two execution strategies, and both inputs
-// are observed, not configured. The transport calls it with
-// PlanMergeFree's verdict to choose the stream-mode header before the
-// response commits.
-func (m *Middleware) EagerStream(mergeFree bool, format instance.Format) bool {
-	return mergeFree && instance.EagerFormat(format)
-}
-
 // ExtractPlanSources runs the extraction stage for an already-planned
 // query restricted to the given source IDs (see
 // extract.Manager.ExtractQuerySources). Cluster nodes call it to
 // extract exactly the sources they own; the coordinator merges the
-// per-node result sets and finishes the pipeline via
-// QueryWithExtractor. A plan from PlanMergeFree runs on its cached
+// per-node result sets and finishes the pipeline through Answer's
+// Request.Extract. A plan from PlanMergeFree runs on its cached
 // schema; any other plan — one a catalog mutation flushed since, say —
 // has its schema derived for this call only.
 func (m *Middleware) ExtractPlanSources(ctx context.Context, plan *s2sql.Plan, sources []string) (*extract.ResultSet, error) {
@@ -301,87 +397,23 @@ func (m *Middleware) ExtractPlanSources(ctx context.Context, plan *s2sql.Plan, s
 	return m.manager.ExtractQuerySources(ctx, s, sources)
 }
 
-// QueryWithExtractor answers one S2SQL query like Query, but with the
-// extraction stage supplied by the caller: extractFn receives the
-// query's extraction schema and must return the complete result set
-// (canonically sorted, failovers marked). The cluster coordinator injects its
-// scatter-gather merge here, so planning, instance generation,
-// tracing, and metrics are exactly the single-node pipeline — which is
-// what keeps clustered answers byte-identical.
-func (m *Middleware) QueryWithExtractor(ctx context.Context, query string, extractFn func(context.Context, *extract.Schema) (*extract.ResultSet, error)) (*instance.Result, error) {
-	return m.run(ctx, query, func(ctx context.Context, p *prepared) (*instance.Result, error) {
-		return m.materialize(ctx, p, extractFn)
-	})
-}
-
-// Query answers one S2SQL query: parse and plan (query handler), extract
-// (extractor manager), generate (instance generator). The full pipeline
-// is traced; the completed span tree is retained by Tracer. Extraction
-// runs the query's cached schema, which the query planner
-// (internal/planner) rewrote to push the WHERE conditions toward the
-// sources; the instance generator re-applies them regardless.
+// Query answers one S2SQL query without serializing it.
 func (m *Middleware) Query(ctx context.Context, query string) (*instance.Result, error) {
-	return m.QueryWithExtractor(ctx, query, m.manager.ExtractQuery)
+	res, _, err := m.Answer(ctx, Request{Query: query}, nil)
+	return res, err
 }
 
 // QueryTo answers a query and serializes the result to w in the given
-// format as one whole-document write; serialization is part of the
-// query's trace.
+// format as one whole-document write.
 func (m *Middleware) QueryTo(ctx context.Context, w io.Writer, query string, format instance.Format) (*instance.Result, error) {
-	res, err := m.run(ctx, query, func(ctx context.Context, p *prepared) (*instance.Result, error) {
-		res, err := m.materialize(ctx, p, m.manager.ExtractQuery)
-		if err != nil {
-			return nil, err
-		}
-		return res, m.gen.SerializeContext(ctx, w, res, format)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	res, _, err := m.Answer(ctx, Request{Query: query, Format: format}, &Sink{W: w})
+	return res, err
 }
 
 // QueryToStream answers a query and serializes the result to w in
-// bounded chunks — the transport's /query/stream endpoint hands it an
-// http.Flusher-backed writer so every chunk reaches the wire as a
-// chunked-transfer frame. When the planner proved the query merge-free
-// and the format supports it (EagerStream), the body is emitted
-// barrier-free: each source's instances stream out as the source
-// finishes (instance.GenerateEager is the extraction run's sink), so the
-// first instance reaches w while slower sources are still extracting;
-// otherwise the query is materialized and the document leaves in chunks
-// afterwards. The bytes are identical either way, and
-// identical to QueryTo's. The result and chunk statistics are returned
-// alongside any error; a serialization error may surface after part of
-// the body was already written, which is why the transport signals
-// completion in trailers.
+// bounded chunks, barrier-free when the query allows it (see Answer).
 func (m *Middleware) QueryToStream(ctx context.Context, w io.Writer, query string, format instance.Format) (*instance.Result, instance.ChunkStats, error) {
-	var stats instance.ChunkStats
-	res, err := m.run(ctx, query, func(ctx context.Context, p *prepared) (*instance.Result, error) {
-		if !m.EagerStream(p.mergeFree, format) {
-			res, err := m.materialize(ctx, p, m.manager.ExtractQuery)
-			if err != nil {
-				return nil, err
-			}
-			stats, err = m.gen.SerializeChunked(ctx, w, res, format)
-			return res, err
-		}
-		sources := make([]string, len(p.schema.Plans))
-		for i, sp := range p.schema.Plans {
-			sources[i] = sp.Source.ID
-		}
-		sort.Strings(sources)
-		// Extraction runs inside generation on this path, so the generate
-		// time includes waiting on sources. The extraction run takes the
-		// query's ctx, keeping its span a sibling of generate's.
-		var res *instance.Result
-		var err error
-		res, stats, err = m.gen.GenerateEager(ctx, p.plan, sources, w, format, func(deliver func(string, []extract.Fragment)) (*extract.ResultSet, error) {
-			return m.manager.ExtractQueryEach(ctx, p.schema, deliver)
-		})
-		return res, err
-	})
-	return res, stats, err
+	return m.Answer(ctx, Request{Query: query, Format: format, Stream: true}, &Sink{W: w})
 }
 
 // Generator exposes the instance generator (for custom serialization).

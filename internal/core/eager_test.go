@@ -168,17 +168,20 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 }
 
 // TestQueryBatchToSinksEveryResult checks the serializing variant: the
-// sink sees each successful result exactly once, in query order, and a
-// sink error becomes that query's error.
+// sink sees each successful result exactly once, in query order, under
+// that query's own span, and a sink error becomes that query's error.
 func TestQueryBatchToSinksEveryResult(t *testing.T) {
 	ctx := context.Background()
 	mw := buildEquivalenceWorld(t, extract.Options{})
 	queries := []string{"SELECT product", "SELECT provider", "SELECT watch"}
 	var seen []int
-	_, errs := mw.QueryBatchTo(ctx, queries, func(i int, res *instance.Result) error {
+	_, errs := mw.QueryBatchTo(ctx, queries, func(qctx context.Context, i int, res *instance.Result) error {
 		seen = append(seen, i)
 		if res == nil {
 			t.Errorf("sink %d: nil result", i)
+		}
+		if sp := obs.SpanFromContext(qctx); sp == nil || sp.Name != "query" || sp.Attrs["query"] != queries[i] {
+			t.Errorf("sink %d: context span = %+v, want the query span of %q", i, sp, queries[i])
 		}
 		if i == 1 {
 			return context.Canceled

@@ -28,13 +28,14 @@ type prepared struct {
 }
 
 // planCache is the one cache of what a query string derives: query
-// string → prepared query. The middleware flushes it on every catalog
-// mutation that could affect planning or extraction (RegisterSource,
-// RegisterMapping, SetClassKey) — conservatively: correctness never
-// rides on knowing which mutations matter. A cached verdict and schema
-// therefore never outlive the state they were derived from, which is
-// what keeps every execution path of one catalog state agreeing on the
-// canonical instance order.
+// string → prepared query. The middleware flushes it on every mapping
+// mutation (RegisterMapping, SetClassKey), whichever queries it
+// touches. RegisterSource cannot change a cached entry — source IDs are
+// unique, and only a later RegisterMapping can put a new source into a
+// schema — so it flushes nothing. A cached verdict and schema therefore
+// never outlive the state they were derived from, which is what keeps
+// every execution path of one catalog state agreeing on the canonical
+// instance order.
 //
 // Entries are also indexed by plan pointer, under the same lock, flush
 // and bound, so a caller holding a plan from PlanMergeFree finds its

@@ -145,9 +145,11 @@ type DemuxedResult struct {
 // and reassembles the per-query results, indexed as the queries were
 // submitted. The stream comes off the network, so nothing it declares is
 // trusted: a frame index outside [0, n) is an error, a frame line
-// longer than maxFrameLine is refused, and a chunk's declared size
-// allocates nothing ahead of the bytes that actually arrive.
-func DemuxBatch(r io.Reader, n int) ([]DemuxedResult, error) {
+// longer than maxFrameLine is refused, a chunk that would take one
+// query's body past maxBody bytes is refused before it is read, and a
+// chunk's declared size allocates nothing ahead of the bytes that
+// actually arrive.
+func DemuxBatch(r io.Reader, n int, maxBody int64) ([]DemuxedResult, error) {
 	br := bufio.NewReader(r)
 	var results []DemuxedResult
 	at := func(i int) (*DemuxedResult, error) {
@@ -198,6 +200,9 @@ func DemuxBatch(r io.Reader, n int) ([]DemuxedResult, error) {
 			res, err := at(idx)
 			if err != nil {
 				return results, err
+			}
+			if int64(len(res.Body)) > maxBody-size {
+				return results, fmt.Errorf("instance: query %d's body exceeds %d bytes", idx, maxBody)
 			}
 			body := bytes.NewBuffer(res.Body)
 			_, err = io.CopyN(body, br, size)

@@ -7,6 +7,10 @@ import (
 	"testing"
 )
 
+// testBodyBound is the per-query body bound the tests demultiplex with
+// where the bound is not what they test.
+const testBodyBound = 1 << 20
+
 // TestMuxRoundTrip frames three queries the way the batch endpoint does
 // — bodies in chunk-sized writes, per-query trailers, one failed query
 // with a trailer but no body — and demultiplexes them back.
@@ -46,7 +50,7 @@ func TestMuxRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results, err := DemuxBatch(&wire, 3)
+	results, err := DemuxBatch(&wire, 3, testBodyBound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +105,36 @@ func TestDemuxMalformed(t *testing.T) {
 		"chunk past queries": "=c 4 1\nx",
 	}
 	for name, wire := range cases {
-		if _, err := DemuxBatch(strings.NewReader(wire), 4); err == nil {
+		if _, err := DemuxBatch(strings.NewReader(wire), 4, testBodyBound); err == nil {
 			t.Errorf("%s: demux accepted %q", name, wire)
 		}
+	}
+}
+
+// TestDemuxBoundsQueryBodies: one query's chunks may add up to exactly
+// maxBody bytes, and a chunk that would take them past it is refused —
+// whatever the other queries carry.
+func TestDemuxBoundsQueryBodies(t *testing.T) {
+	frame := func(i int, body string) string {
+		var wire bytes.Buffer
+		if _, err := NewMuxWriter(&wire).Stream(i).Write([]byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		return wire.String()
+	}
+	atBound := frame(0, "abcd") + frame(1, "wxyz") + frame(0, "efgh")
+	got, err := DemuxBatch(strings.NewReader(atBound), 2, 8)
+	if err != nil {
+		t.Fatalf("bodies at the bound were refused: %v", err)
+	}
+	if string(got[0].Body) != "abcdefgh" || string(got[1].Body) != "wxyz" {
+		t.Errorf("bodies = %q, %q", got[0].Body, got[1].Body)
+	}
+	if _, err := DemuxBatch(strings.NewReader(atBound+frame(0, "i")), 2, 8); err == nil {
+		t.Error("a body one byte past the bound was accepted")
+	}
+	if _, err := DemuxBatch(strings.NewReader("=c 0 9223372036854775807\n"), 1, 8); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("a chunk declaring more than the bound: err = %v, want the bound's refusal", err)
 	}
 }
 
@@ -132,7 +163,7 @@ func (r *endlessLine) Read(p []byte) (int, error) {
 // still demultiplexes.
 func TestDemuxBoundsFrameLines(t *testing.T) {
 	r := &endlessLine{t: t, limit: maxFrameLine + 64<<10}
-	if _, err := DemuxBatch(io.MultiReader(strings.NewReader("=t 0 error="), r), 1); err == nil {
+	if _, err := DemuxBatch(io.MultiReader(strings.NewReader("=t 0 error="), r), 1, testBodyBound); err == nil {
 		t.Error("demux accepted an unterminated frame line")
 	}
 
@@ -141,7 +172,7 @@ func TestDemuxBoundsFrameLines(t *testing.T) {
 	if err := NewMuxWriter(&wire).Trailer(0, map[string]string{"error": msg}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DemuxBatch(&wire, 1)
+	got, err := DemuxBatch(&wire, 1, testBodyBound)
 	if err != nil {
 		t.Fatalf("a %d-byte trailer line was refused: %v", wire.Len(), err)
 	}
@@ -159,9 +190,17 @@ func FuzzDemuxBatch(f *testing.F) {
 	f.Add([]byte("=c 0 9223372036854775807\n"), uint8(1), []byte{}, "", uint8(0))
 	f.Add([]byte("=b 2000000000\n"), uint8(0), []byte("\n=c 0 9 9\n"), "err=%zz\n+ &", uint8(1))
 	f.Add([]byte("=t 0 error=%zz\n"), uint8(4), []byte("<x/>"), "parse error: near \"=c 9 9\"\nline 2", uint8(255))
+	f.Add([]byte("=n 1\n=b 0\n=c 0 40\n"+strings.Repeat("x", 40)+"=c 0 30\n"+strings.Repeat("y", 30)), uint8(1), []byte("z"), "", uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, n uint8, body []byte, msg string, split uint8) {
-		if got, err := DemuxBatch(bytes.NewReader(raw), int(n)); err == nil && len(got) > int(n) {
+		const bound = 64
+		got, err := DemuxBatch(bytes.NewReader(raw), int(n), bound)
+		if err == nil && len(got) > int(n) {
 			t.Fatalf("demux returned %d results for %d queries", len(got), n)
+		}
+		for i, r := range got {
+			if len(r.Body) > bound {
+				t.Fatalf("query %d's body holds %d bytes, above the bound %d", i, len(r.Body), bound)
+			}
 		}
 
 		queries := int(n%8) + 1
@@ -186,7 +225,7 @@ func FuzzDemuxBatch(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		got, err := DemuxBatch(&wire, queries)
+		got, err = DemuxBatch(&wire, queries, int64(len(body)))
 		if err != nil {
 			t.Fatalf("demux of a MuxWriter stream: %v", err)
 		}

@@ -87,7 +87,8 @@ func TestDocCoversEveryOutcomeValue(t *testing.T) {
 }
 
 // TestDocCoversSpanTaxonomy pins the span names the pipeline emits to
-// the documented taxonomy.
+// the documented taxonomy: every stage, and every root a route or entry
+// point opens.
 func TestDocCoversSpanTaxonomy(t *testing.T) {
 	raw, err := os.ReadFile(docPath)
 	if err != nil {
@@ -97,6 +98,7 @@ func TestDocCoversSpanTaxonomy(t *testing.T) {
 	for _, name := range []string{
 		"`query`", "`http_query`", "`parse_plan`", "`extract`",
 		"`extraction_schema`", "`source:<id>`", "`generate`", "`serialize`",
+		"`http_query_stream`", "`http_query_batch`", "`cluster_extract`", "`batch`", "`http_sparql`",
 	} {
 		if !strings.Contains(doc, name) {
 			t.Errorf("span %s missing from %s", name, docPath)

@@ -92,11 +92,13 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	_, errs := s.mw.QueryBatchTo(ctx, req.Queries, func(i int, res *instance.Result) error {
+	// Each answer serializes under its own query's context, so the
+	// serialize stage is a child of that query's span.
+	_, errs := s.mw.QueryBatchTo(ctx, req.Queries, func(qctx context.Context, i int, res *instance.Result) error {
 		if err := mux.Begin(i); err != nil {
 			return err
 		}
-		if _, err := s.mw.Generator().SerializeChunked(ctx, mux.Stream(i), res, format); err != nil {
+		if _, err := s.mw.Generator().SerializeChunked(qctx, mux.Stream(i), res, format); err != nil {
 			return err
 		}
 		return mux.Trailer(i, map[string]string{
@@ -168,7 +170,8 @@ func (c *Client) QueryBatch(ctx context.Context, queries []string, format string
 		return nil, fmt.Errorf("transport: unexpected batch content type %q", ct)
 	}
 
-	parts, err := instance.DemuxBatch(resp.Body, len(queries))
+	// Each query's body is bounded as a single /query reply is.
+	parts, err := instance.DemuxBatch(resp.Body, len(queries), maxResponseBody)
 	if err != nil {
 		return nil, fmt.Errorf("transport: demultiplexing batch response: %w", err)
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -107,6 +108,37 @@ func TestQueryBatchPartialFailure(t *testing.T) {
 	}
 	if len(results[1].Body) != 0 {
 		t.Errorf("failed query has %d body bytes, want 0", len(results[1].Body))
+	}
+}
+
+// TestQueryBatchBoundsQueryBodies points the client at an endpoint that
+// frames 17 MiB of body for one query: QueryBatch must refuse it, as a
+// single /query reply above maxResponseBody is refused, instead of
+// reading it all into memory.
+func TestQueryBatchBoundsQueryBodies(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", BatchContentType)
+		w.Header().Set("Trailer", StreamCompleteTrailer)
+		mux := instance.NewMuxWriter(w)
+		if mux.Header(1) != nil || mux.Begin(0) != nil {
+			return
+		}
+		chunk := bytes.Repeat([]byte("x"), instance.DefaultChunkSize)
+		for sent := 0; sent < 17<<20; sent += len(chunk) {
+			if _, err := mux.Stream(0).Write(chunk); err != nil {
+				return // the client hung up
+			}
+		}
+		if mux.Trailer(0, map[string]string{batchKeyMatched: "1"}) != nil {
+			return
+		}
+		w.Header().Set(StreamCompleteTrailer, "true")
+	}))
+	defer srv.Close()
+
+	results, err := NewClient(srv.URL, nil).QueryBatch(context.Background(), []string{"SELECT product"}, "json")
+	if err == nil {
+		t.Fatalf("a %d-byte query body above the %d-byte bound was read (%d bytes returned)", 17<<20, maxResponseBody, len(results[0].Body))
 	}
 }
 

@@ -163,7 +163,8 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 }
 
 // maxResponseBody bounds every reply body the client reads: a JSON
-// answer or error, and the ontology document. The largest reply the
+// answer or error, the ontology document, and each query's body within
+// a batch response. The largest reply the
 // transport and integration tests and the examples produce is a 46.8 KB
 // query answer; 16 MiB is over 300 times that, leaves room for the
 // thousand-instance answers of a bulk query, and still refuses a

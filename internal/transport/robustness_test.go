@@ -158,6 +158,44 @@ func TestServerShedsAboveConcurrencyCap(t *testing.T) {
 	}
 }
 
+// TestSPARQLShedsAboveConcurrencyCap: /sparql runs a full S2SQL query,
+// so it takes a concurrent-query slot like /query. With the only slot
+// held by a slow /query, a POST /sparql is shed with 503 + Retry-After
+// instead of running beside it.
+func TestSPARQLShedsAboveConcurrencyCap(t *testing.T) {
+	world := workload.MustGenerate(workload.Spec{
+		DBSources: 1, XMLSources: 1, RecordsPerSource: 10, Seed: 23,
+	})
+	mw := slowDBMiddleware(t, world, 300*time.Millisecond)
+	srv := httptest.NewServer(NewServer(mw, WithMaxConcurrentQueries(1)))
+	defer srv.Close()
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		resp, err := http.Get(srv.URL + "/query?q=SELECT+product&format=json")
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	time.Sleep(50 * time.Millisecond) // let the slow query occupy the slot
+
+	resp, err := http.Post(srv.URL+"/sparql", "application/json",
+		strings.NewReader(`{"sparql": "PREFIX ont: <http://s2s.uma.pt/watch#> SELECT ?x WHERE { ?x a ont:product . }"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	wg.Wait()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503 (shed)", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("shed response missing Retry-After")
+	}
+}
+
 // TestShedRetryAfterJitterSpreadsRetries holds a capped server's only
 // query slot and sheds a burst of requests: the advertised Retry-After
 // values must spread across [base, base+jitter] rather than
@@ -297,37 +335,38 @@ type fetcherFunc func(url string) (string, error)
 
 func (f fetcherFunc) Fetch(url string) (string, error) { return f(url) }
 
-// TestFinishQueryTracesSerializationFailure pins the envelope handlers'
-// shared epilogue: when serialization fails the client gets a 500 and
-// the recorded root span says outcome=error, not ok. The result is built
-// by hand with a value for an attribute outside the ontology, which
-// ToGraph refuses.
-func TestFinishQueryTracesSerializationFailure(t *testing.T) {
+// TestAnswerQueryTracesSerializationFailure pins the envelope routes'
+// shared helper: when serialization fails the client gets a 500 and
+// both the recorded root span and the query span under it say
+// outcome=error, not ok; a failure before serialization starts is a
+// 400. A format no serializer knows fails after the answer is
+// generated, as any serialization failure does.
+func TestAnswerQueryTracesSerializationFailure(t *testing.T) {
 	_, mw, _ := testServer(t)
-	plan, _, err := mw.PlanMergeFree(context.Background(), "SELECT product")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := &instance.Result{Plan: plan, Matched: []*instance.Instance{{
-		ID:     "product_1",
-		Class:  plan.Class,
-		Values: map[string][]string{"thing.product.no_such_attribute": {"x"}},
-	}}}
-
-	rec := httptest.NewRecorder()
-	ctx, root := BeginRequest(mw, rec, httptest.NewRequest(http.MethodGet, "/query?q=x", nil), "http_query")
-	if _, ok := FinishQuery(ctx, rec, root, mw.Generator(), res, instance.FormatOWL); ok {
-		t.Fatal("FinishQuery reported success for an unserializable result")
-	}
-	if rec.Code != http.StatusInternalServerError {
-		t.Errorf("status = %d, want 500", rec.Code)
-	}
-	last := mw.Tracer().Last(1)
-	if len(last) != 1 || last[0].Name != "http_query" {
-		t.Fatalf("recorded traces = %v, want the http_query root", last)
-	}
-	if got := last[0].Attrs["outcome"]; got != "error" {
-		t.Errorf("root span outcome = %q, want %q", got, "error")
+	for _, tc := range []struct {
+		req  core.Request
+		code int
+	}{
+		{core.Request{Query: "SELECT product", Format: instance.Format(0)}, http.StatusInternalServerError},
+		{core.Request{Query: "SELECT no_such_class", Format: instance.FormatOWL}, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		ctx, root := BeginRequest(mw, rec, httptest.NewRequest(http.MethodGet, "/query?q=x", nil), "http_query")
+		if _, ok := AnswerQuery(ctx, rec, root, mw, tc.req); ok {
+			t.Fatalf("%q as %v: AnswerQuery reported success", tc.req.Query, tc.req.Format)
+		}
+		if rec.Code != tc.code {
+			t.Errorf("%q as %v: status = %d, want %d", tc.req.Query, tc.req.Format, rec.Code, tc.code)
+		}
+		last := mw.Tracer().Last(1)
+		if len(last) != 1 || last[0].Name != "http_query" {
+			t.Fatalf("recorded traces = %v, want the http_query root", last)
+		}
+		last[0].Walk(func(s *obs.Span) {
+			if (s.Name == "http_query" || s.Name == "query") && s.Attrs["outcome"] != "error" {
+				t.Errorf("%q as %v: %s span outcome = %q, want %q", tc.req.Query, tc.req.Format, s.Name, s.Attrs["outcome"], "error")
+			}
+		})
 	}
 }
 

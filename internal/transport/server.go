@@ -50,10 +50,11 @@ type Server struct {
 	mw  *core.Middleware
 	mux *http.ServeMux
 
-	// querySem, when non-nil, caps concurrent /query work; requests over
-	// the cap are shed with 503 + Retry-After instead of queuing without
-	// bound (a saturated integration endpoint that answers some callers
-	// fast beats one that answers every caller too late).
+	// querySem, when non-nil, caps concurrent query work (/query,
+	// /query/stream, /query/batch, /sparql); requests over the cap are
+	// shed with 503 + Retry-After instead of queuing without bound (a
+	// saturated integration endpoint that answers some callers fast
+	// beats one that answers every caller too late).
 	querySem       chan struct{}
 	shedRetryAfter time.Duration
 	// shedJitterSecs widens the advertised Retry-After by a random 0..N
@@ -70,7 +71,7 @@ type Server struct {
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
-// WithMaxConcurrentQueries caps concurrent /query requests at n;
+// WithMaxConcurrentQueries caps concurrent query requests at n;
 // requests beyond the cap get 503 with a Retry-After header. n <= 0
 // leaves shedding off.
 func WithMaxConcurrentQueries(n int) ServerOption {
@@ -302,23 +303,32 @@ func EndRequest(root *obs.Span, err error) {
 	root.End()
 }
 
-// FinishQuery is the epilogue of the JSON-envelope query handlers: it
-// serializes res, ends the root span with the outcome — only after
+// AnswerQuery answers a JSON-envelope query route (/query, and the
+// cluster's /cluster/query): it runs req through Middleware.Answer into
+// one whole-document buffer, ends root with the outcome — after
 // serialization, so a failed one is traced as an error — and builds the
-// QueryResponse. On a serialization failure it answers 500 itself and
-// reports false.
-func FinishQuery(ctx context.Context, w http.ResponseWriter, root *obs.Span, gen *instance.Generator, res *instance.Result, format instance.Format) (QueryResponse, bool) {
+// QueryResponse. A failure before serialization starts answers 400, one
+// during it 500; either way it reports false.
+func AnswerQuery(ctx context.Context, w http.ResponseWriter, root *obs.Span, mw *core.Middleware, req core.Request) (QueryResponse, bool) {
 	// strings.Builder.String hands Body the document without a copy.
 	var buf strings.Builder
-	err := gen.SerializeContext(ctx, &buf, res, format)
+	serializing := false
+	res, _, err := mw.Answer(ctx, req, &core.Sink{W: &buf, Begin: func(*instance.Result) error {
+		serializing = true
+		return nil
+	}})
 	EndRequest(root, err)
 	if err != nil {
-		Error(w, http.StatusInternalServerError, err)
+		code := http.StatusBadRequest
+		if serializing {
+			code = http.StatusInternalServerError
+		}
+		Error(w, code, err)
 		return QueryResponse{}, false
 	}
 	resp := QueryResponse{
 		Query:   res.Plan.Query.String(),
-		Format:  format.String(),
+		Format:  req.Format.String(),
 		Matched: len(res.Matched),
 		Related: len(res.Related),
 		Missing: res.Missing,
@@ -340,13 +350,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, root := BeginRequest(s.mw, w, r, "http_query")
-	res, err := s.mw.Query(ctx, req.Query)
-	if err != nil {
-		EndRequest(root, err)
-		Error(w, http.StatusBadRequest, err)
-		return
-	}
-	resp, ok := FinishQuery(ctx, w, root, s.mw.Generator(), res, format)
+	resp, ok := AnswerQuery(ctx, w, root, s.mw, core.Request{Query: req.Query, Format: format})
 	if !ok {
 		return
 	}
@@ -468,12 +472,18 @@ func (s *Server) handleMappings(w http.ResponseWriter, r *http.Request) {
 // query to assemble ontology instances, optionally materializes the
 // ontology's RDFS entailments over the result graph, and evaluates a SPARQL
 // query against it — the downstream knowledge-processing path the paper's
-// conclusion motivates, offered directly by the endpoint.
+// conclusion motivates, offered directly by the endpoint. It holds a
+// concurrent-query slot like the other query routes, and its query joins
+// the caller's trace under an http_sparql root.
 func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
 		return
 	}
+	if !s.acquireQuerySlot(w) {
+		return
+	}
+	defer s.releaseQuerySlot()
 	var req SPARQLRequest
 	if !DecodeBody(w, r, &req) {
 		return
@@ -482,31 +492,41 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		Error(w, http.StatusBadRequest, fmt.Errorf("transport: empty sparql query"))
 		return
 	}
+	ctx, root := BeginRequest(s.mw, w, r, "http_sparql")
+	resp, code, err := s.answerSPARQL(ctx, req)
+	EndRequest(root, err)
+	if err != nil {
+		Error(w, code, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	WriteJSON(w, resp)
+}
+
+// answerSPARQL computes handleSPARQL's answer, or the error and the status
+// that reports it.
+func (s *Server) answerSPARQL(ctx context.Context, req SPARQLRequest) (SPARQLResponse, int, error) {
 	s2sqlQuery := req.S2SQL
 	if strings.TrimSpace(s2sqlQuery) == "" {
 		s2sqlQuery = "SELECT " + s.mw.Ontology().Root().Name
 	}
-	res, err := s.mw.Query(r.Context(), s2sqlQuery)
+	res, err := s.mw.Query(ctx, s2sqlQuery)
 	if err != nil {
-		Error(w, http.StatusBadRequest, err)
-		return
+		return SPARQLResponse{}, http.StatusBadRequest, err
 	}
 	graph, err := s.mw.Generator().ToGraph(res)
 	if err != nil {
-		Error(w, http.StatusInternalServerError, err)
-		return
+		return SPARQLResponse{}, http.StatusInternalServerError, err
 	}
 	if req.Reason {
 		graph, err = reason.Materialize(s.mw.Ontology().ToGraph(), graph)
 		if err != nil {
-			Error(w, http.StatusInternalServerError, err)
-			return
+			return SPARQLResponse{}, http.StatusInternalServerError, err
 		}
 	}
 	out, err := sparql.Select(graph, req.SPARQL)
 	if err != nil {
-		Error(w, http.StatusBadRequest, err)
-		return
+		return SPARQLResponse{}, http.StatusBadRequest, err
 	}
 	resp := SPARQLResponse{Vars: out.Vars}
 	for _, b := range out.Bindings {
@@ -516,8 +536,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Bindings = append(resp.Bindings, row)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	WriteJSON(w, resp)
+	return resp, 0, nil
 }
 
 // handleSourceHealth reports per-source circuit breaker state, so a B2B

@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/instance"
 	"repro/internal/obs"
 )
@@ -112,25 +113,13 @@ func (fw *flushWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// countingWriter tracks whether any body byte reached the response, so
-// an error raised before the first write can still use a regular error
-// status (the response is uncommitted until then).
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
 // handleQueryStream answers GET /query/stream?q=...&format=...: the
 // serialized document goes out as a chunked body with completion
-// signaled in trailers. A merge-free query in an instance-incremental
-// format streams eagerly (counts in the trailers); every other query is
-// materialized first (counts in the headers) and leaves in chunks.
+// signaled in trailers. Middleware.Answer chooses the emission mode and
+// reports it through the sink's Begin callback, before the first body
+// byte: a merge-free query in an instance-incremental format streams
+// eagerly (counts in the trailers); every other query is materialized
+// first (counts in the headers) and leaves in chunks.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
@@ -146,97 +135,58 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, root := BeginRequest(s.mw, w, r, "http_query_stream")
 
-	// Plan first (through the plan cache — the query run below replans
-	// for free) to learn the merge-free verdict: it decides, before the
-	// response commits, whether the body can stream barrier-free.
-	_, mergeFree, err := s.mw.PlanMergeFree(ctx, req.Query)
-	if err != nil {
-		EndRequest(root, err)
-		Error(w, http.StatusBadRequest, err)
-		return
-	}
-	if s.mw.EagerStream(mergeFree, format) {
-		s.streamEager(ctx, root, w, req.Query, format)
-		return
-	}
-
-	// Barrier mode: the query is materialized before serialization
-	// starts, so the instance counts go out as headers and a failure
-	// here is still pre-body.
-	res, err := s.mw.Query(ctx, req.Query)
-	if err != nil {
-		EndRequest(root, err)
-		Error(w, http.StatusBadRequest, err)
-		return
-	}
-
-	w.Header().Set("Content-Type", contentTypeFor(format))
-	w.Header().Set(StreamModeHeader, StreamModeBarrier)
-	w.Header().Set(StreamMatchedHeader, strconv.Itoa(len(res.Matched)))
-	w.Header().Set(StreamRelatedHeader, strconv.Itoa(len(res.Related)))
-	// Announce the trailers before the first body byte; their values are
-	// set after the body, which is the point: they report how it ended.
-	w.Header().Set("Trailer", StreamCompleteTrailer+", "+StreamErrorsTrailer+", "+StreamErrorTrailer)
-
 	fw := newFlushWriter(w)
-	if fw.f != nil {
-		// Commit the header block and the chunked framing before
-		// serialization. A zero-instance result can serialize to zero
-		// bytes (NTriples has no envelope); an uncommitted zero-byte
-		// response would go out with Content-Length: 0, and net/http
-		// silently drops announced trailers from such a response — the
-		// client would then read a completed stream as truncated.
-		fw.f.Flush()
+	begun, eager := false, false
+	begin := func(res *instance.Result) error {
+		begun, eager = true, res == nil
+		h := w.Header()
+		h.Set("Content-Type", contentTypeFor(format))
+		trailers := []string{StreamCompleteTrailer, StreamErrorsTrailer, StreamErrorTrailer}
+		if eager {
+			// The body starts before generation finishes, so the counts
+			// ride in the trailers.
+			h.Set(StreamModeHeader, StreamModeEager)
+			trailers = append(trailers, StreamMatchedHeader, StreamRelatedHeader)
+		} else {
+			h.Set(StreamModeHeader, StreamModeBarrier)
+			h.Set(StreamMatchedHeader, strconv.Itoa(len(res.Matched)))
+			h.Set(StreamRelatedHeader, strconv.Itoa(len(res.Related)))
+		}
+		// Announce the trailers before the first body byte; their values
+		// are set after the body, which is the point: they report how it
+		// ended.
+		h.Set("Trailer", strings.Join(trailers, ", "))
+		if fw.f != nil {
+			// Commit the header block and the chunked framing before
+			// serialization. A zero-instance result can serialize to zero
+			// bytes (NTriples has no envelope); an uncommitted zero-byte
+			// response would go out with Content-Length: 0, and net/http
+			// silently drops announced trailers from such a response — the
+			// client would then read a completed stream as truncated.
+			fw.f.Flush()
+		}
+		return nil
 	}
-	_, err = s.mw.Generator().SerializeChunked(ctx, fw, res, format)
+	res, _, err := s.mw.Answer(ctx, core.Request{Query: req.Query, Format: format, Stream: true}, &core.Sink{W: fw, Begin: begin})
 	EndRequest(root, err)
-	if err != nil {
+	switch {
+	case err != nil && !begun:
+		// Pre-body failure: the response is still uncommitted, so it
+		// fails with a regular status.
+		Error(w, http.StatusBadRequest, err)
+	case err != nil:
 		// Mid-stream failure: part of the body is on the wire. Terminate
 		// the chunked response with the error in a trailer instead of
 		// leaving a silently truncated document.
 		w.Header().Set(StreamErrorTrailer, err.Error())
-		return
-	}
-	w.Header().Set(StreamCompleteTrailer, "true")
-	w.Header().Set(StreamErrorsTrailer, strconv.Itoa(len(res.Errors)))
-}
-
-// streamEager serves /query/stream barrier-free: the body starts as the
-// canonically first source finishes extracting, so the instance counts are not known
-// until the body ends — they ride in the trailers alongside the
-// completion signal. QueryToStream re-checks the verdict internally and
-// materializes if the catalog mutated since the header decision; the
-// bytes are identical either way, and the counts are written from the
-// returned result regardless.
-func (s *Server) streamEager(ctx context.Context, root *obs.Span, w http.ResponseWriter, query string, format instance.Format) {
-	w.Header().Set("Content-Type", contentTypeFor(format))
-	w.Header().Set(StreamModeHeader, StreamModeEager)
-	w.Header().Set("Trailer", strings.Join([]string{
-		StreamCompleteTrailer, StreamErrorsTrailer, StreamErrorTrailer,
-		StreamMatchedHeader, StreamRelatedHeader,
-	}, ", "))
-
-	cw := &countingWriter{w: newFlushWriter(w)}
-	res, _, err := s.mw.QueryToStream(ctx, cw, query, format)
-	EndRequest(root, err)
-	if err != nil {
-		if cw.n == 0 {
-			// Pre-body failure (extraction refused): the response is
-			// still uncommitted, so undo the streaming headers and fail
-			// with a regular status.
-			w.Header().Del("Trailer")
-			w.Header().Del(StreamModeHeader)
-			w.Header().Del("Content-Type")
-			Error(w, http.StatusBadRequest, err)
-			return
+	default:
+		w.Header().Set(StreamCompleteTrailer, "true")
+		w.Header().Set(StreamErrorsTrailer, strconv.Itoa(len(res.Errors)))
+		if eager {
+			w.Header().Set(StreamMatchedHeader, strconv.Itoa(len(res.Matched)))
+			w.Header().Set(StreamRelatedHeader, strconv.Itoa(len(res.Related)))
 		}
-		w.Header().Set(StreamErrorTrailer, err.Error())
-		return
 	}
-	w.Header().Set(StreamCompleteTrailer, "true")
-	w.Header().Set(StreamErrorsTrailer, strconv.Itoa(len(res.Errors)))
-	w.Header().Set(StreamMatchedHeader, strconv.Itoa(len(res.Matched)))
-	w.Header().Set(StreamRelatedHeader, strconv.Itoa(len(res.Related)))
 }
 
 // QueryStream runs an S2SQL query against the endpoint's streaming

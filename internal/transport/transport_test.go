@@ -295,7 +295,7 @@ func TestSourceHealthEndpoint(t *testing.T) {
 }
 
 func TestSPARQLEndpoint(t *testing.T) {
-	srv, _, world := testServer(t)
+	srv, mw, world := testServer(t)
 	client := NewClient(srv.URL, nil)
 	ctx := context.Background()
 
@@ -330,6 +330,11 @@ func TestSPARQLEndpoint(t *testing.T) {
 	want := world.CountMatching(func(r workload.Record) bool { return r.Brand == "Seiko" })
 	if len(scoped.Bindings) != want {
 		t.Fatalf("scoped bindings = %d, want %d", len(scoped.Bindings), want)
+	}
+	// The S2SQL query runs under the route's own root span.
+	if last := mw.Tracer().Last(1); len(last) != 1 || last[0].Name != "http_sparql" ||
+		len(last[0].Children) != 1 || last[0].Children[0].Name != "query" || last[0].Attrs["outcome"] != "ok" {
+		t.Errorf("recorded trace = %+v, want an http_sparql root (outcome ok) over one query span", last)
 	}
 
 	// Errors surface.

@@ -150,7 +150,7 @@ func TestStreamingDocCoversBarrierFree(t *testing.T) {
 		transport.StreamModeHeader,
 		transport.StreamModeEager,
 		transport.StreamModeBarrier,
-		"`QueryTo`", "`QueryToStream`", "`Middleware.EagerStream`",
+		"`QueryTo`", "`QueryToStream`", "`Middleware.Answer`",
 		obs.MetricPlannerMergeFree,
 		"/query/batch",
 		transport.BatchContentType,
