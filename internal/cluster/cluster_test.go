@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/datasource"
 	"repro/internal/extract"
+	"repro/internal/faultinject"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -321,5 +323,65 @@ func TestOversizedClusterResponsesRefused(t *testing.T) {
 	}
 	if err := member.syncCatalog(ctx); err == nil {
 		t.Error("a catalog above the bound was decoded and applied")
+	}
+}
+
+// TestClusterQueryShedsAboveConcurrencyCap: /cluster/query runs a whole
+// query (a scatter to every owner), so it holds one of the wrapped
+// server's concurrent-query slots like /query; with the only slot held
+// by a slow /query it is shed with 503 + Retry-After.
+func TestClusterQueryShedsAboveConcurrencyCap(t *testing.T) {
+	world := workload.MustGenerate(workload.Spec{DBSources: 1, XMLSources: 1, RecordsPerSource: 10, Seed: 38})
+	plan := faultinject.Plan{}
+	for _, def := range world.Definitions {
+		if def.Kind == datasource.KindDatabase {
+			plan[faultinject.Key(def)] = faultinject.Fault{AddLatency: 300 * time.Millisecond}
+		}
+	}
+	mw, err := core.New(core.Config{
+		Ontology: world.Ontology,
+		Backends: faultinject.New(1, plan).WrapBackends(extract.FromCatalog(world.Catalog)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := world.Apply(mw); err != nil {
+		t.Fatal(err)
+	}
+	ts := transport.NewServer(mw, transport.WithMaxConcurrentQueries(1))
+	node, err := NewNode(ts, Options{ID: "n1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(node)
+	defer srv.Close()
+	node.SetAddr(srv.URL)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, err := http.Get(srv.URL + "/query?q=SELECT+product&format=json")
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	defer func() { <-done }()
+	for polls := 0; ts.Health().ShedInFlight == 0; polls++ {
+		if polls == 5000 {
+			t.Fatal("the slow /query never took the slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	resp, err := http.Get(srv.URL + "/cluster/query?q=SELECT+product&format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503 (shed)", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("shed response missing Retry-After")
 	}
 }

@@ -510,28 +510,27 @@ func (n *Node) handleClusterExtract(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleClusterQuery serves /cluster/query on the coordinator: the
-// regular query surface (GET ?q=&format= or a POSTed QueryRequest),
-// answered through the single-node pipeline with the scatter-gather
-// across the owning nodes as its extraction stage, and the dispatch
-// summary attached.
+// regular query surface (GET ?q=&format=&trace= or a POSTed
+// QueryRequest), answered through the single-node pipeline with the
+// scatter-gather across the owning nodes as its extraction stage, and
+// the dispatch summary attached after the span tree. It holds one of
+// the wrapped server's concurrent-query slots, as /query does.
 func (n *Node) handleClusterQuery(w http.ResponseWriter, r *http.Request) {
+	if !n.srv.AcquireQuerySlot(w) {
+		return
+	}
+	defer n.srv.ReleaseQuerySlot()
 	req, format, ok := transport.DecodeQueryRequest(w, r)
 	if !ok {
 		return
 	}
 	ctx, root := transport.BeginRequest(n.mw, w, r, "http_query")
 	info := &Info{Coordinator: n.opts.ID}
-	resp, ok := transport.AnswerQuery(ctx, w, root, n.mw, core.Request{
+	transport.AnswerQuery(ctx, w, root, n.mw, core.Request{
 		Query:  req.Query,
 		Format: format,
 		Extract: func(ctx context.Context, schema *extract.Schema) (*extract.ResultSet, error) {
 			return n.scatterExtract(ctx, req.Query, schema, info)
 		},
-	})
-	if !ok {
-		return
-	}
-	info.Degraded = len(info.LostSources) > 0
-	w.Header().Set("Content-Type", "application/json")
-	transport.WriteJSON(w, QueryResponse{QueryResponse: resp, Cluster: *info})
+	}, req.Trace, transport.Field{Name: "cluster", Value: info})
 }

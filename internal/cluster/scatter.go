@@ -210,6 +210,7 @@ func (n *Node) groupLost(g *ownerGroup, lastErr error, info *Info, infoMu *sync.
 	}
 	infoMu.Lock()
 	info.LostSources = append(info.LostSources, g.sources...)
+	info.Degraded = true
 	infoMu.Unlock()
 	rs := &extract.ResultSet{}
 	for _, src := range g.sources {

@@ -1,6 +1,8 @@
 package integration
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/cluster"
@@ -123,5 +125,43 @@ func TestClusterCoordinatorExtractStage(t *testing.T) {
 	}
 	if served == 0 {
 		t.Fatal("no member served a sub-request of the query")
+	}
+}
+
+// TestClusterQueryReturnsTrace: /cluster/query honours the request's
+// trace flag as /query does — the envelope carries the coordinator's
+// span tree, rooted at http_query with the query span under it, written
+// before the cluster dispatch summary.
+func TestClusterQueryReturnsTrace(t *testing.T) {
+	rig := startClusterRig(t, workload.Spec{
+		DBSources: 2, XMLSources: 2, WebSources: 2, TextSources: 2,
+		RecordsPerSource: 5, Seed: 97,
+	}, cluster.Options{}, nil)
+
+	raw := getRaw(t, rig.servers["n1"].URL+"/cluster/query?q=SELECT+product&format=json&trace=1")
+	var got struct {
+		Trace   *obs.Span    `json:"trace"`
+		Cluster cluster.Info `json:"cluster"`
+	}
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Trace == nil || got.Trace.Name != "http_query" {
+		t.Fatalf("trace = %+v, want a span tree rooted at http_query", got.Trace)
+	}
+	queries := 0
+	for _, c := range got.Trace.Children {
+		if c.Name == "query" {
+			queries++
+		}
+	}
+	if queries != 1 {
+		t.Errorf("http_query root has %d query children, want 1", queries)
+	}
+	if got.Cluster.Nodes != 3 {
+		t.Errorf("cluster summary = %+v, want 3 nodes", got.Cluster)
+	}
+	if ti, ci := bytes.Index(raw, []byte(`"trace":`)), bytes.Index(raw, []byte(`"cluster":`)); ti > ci {
+		t.Errorf("trace at byte %d follows cluster at byte %d; encoding/json writes the embedded envelope's fields first", ti, ci)
 	}
 }

@@ -58,10 +58,10 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
 		return
 	}
-	if !s.acquireQuerySlot(w) {
+	if !s.AcquireQuerySlot(w) {
 		return
 	}
-	defer s.releaseQuerySlot()
+	defer s.ReleaseQuerySlot()
 
 	var req BatchRequest
 	if !DecodeBody(w, r, &req) {

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -336,27 +337,41 @@ type fetcherFunc func(url string) (string, error)
 func (f fetcherFunc) Fetch(url string) (string, error) { return f(url) }
 
 // TestAnswerQueryTracesSerializationFailure pins the envelope routes'
-// shared helper: when serialization fails the client gets a 500 and
-// both the recorded root span and the query span under it say
-// outcome=error, not ok; a failure before serialization starts is a
-// 400. A format no serializer knows fails after the answer is
-// generated, as any serialization failure does.
+// shared helper: when serialization fails the client gets a 500 with
+// the JSON error envelope and both the recorded root span and the query
+// span under it say outcome=error, not ok; a failure before
+// serialization starts is a 400. A format no serializer knows fails
+// after the answer is generated, as any serialization failure does. A
+// peer that hangs up mid-body is traced as an error too, and nothing is
+// written after the failed write.
 func TestAnswerQueryTracesSerializationFailure(t *testing.T) {
 	_, mw, _ := testServer(t)
 	for _, tc := range []struct {
-		req  core.Request
-		code int
+		req    core.Request
+		code   int
+		hangup bool
 	}{
-		{core.Request{Query: "SELECT product", Format: instance.Format(0)}, http.StatusInternalServerError},
-		{core.Request{Query: "SELECT no_such_class", Format: instance.FormatOWL}, http.StatusBadRequest},
+		{core.Request{Query: "SELECT product", Format: instance.Format(0)}, http.StatusInternalServerError, false},
+		{core.Request{Query: "SELECT no_such_class", Format: instance.FormatOWL}, http.StatusBadRequest, false},
+		{core.Request{Query: "SELECT product", Format: instance.FormatOWL}, http.StatusOK, true},
 	} {
-		rec := httptest.NewRecorder()
+		rec := &hangupRecorder{ResponseRecorder: httptest.NewRecorder(), hangup: tc.hangup}
 		ctx, root := BeginRequest(mw, rec, httptest.NewRequest(http.MethodGet, "/query?q=x", nil), "http_query")
-		if _, ok := AnswerQuery(ctx, rec, root, mw, tc.req); ok {
-			t.Fatalf("%q as %v: AnswerQuery reported success", tc.req.Query, tc.req.Format)
-		}
+		AnswerQuery(ctx, rec, root, mw, tc.req, false)
 		if rec.Code != tc.code {
 			t.Errorf("%q as %v: status = %d, want %d", tc.req.Query, tc.req.Format, rec.Code, tc.code)
+		}
+		if tc.hangup {
+			if rec.writes != 1 {
+				t.Errorf("%q as %v: %d writes after the peer hung up, want the 1 that failed", tc.req.Query, tc.req.Format, rec.writes)
+			}
+		} else {
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Errorf("%q as %v: body %q is not the JSON error envelope", tc.req.Query, tc.req.Format, rec.Body)
+			}
 		}
 		last := mw.Tracer().Last(1)
 		if len(last) != 1 || last[0].Name != "http_query" {
@@ -368,6 +383,23 @@ func TestAnswerQueryTracesSerializationFailure(t *testing.T) {
 			}
 		})
 	}
+}
+
+// hangupRecorder is a ResponseRecorder whose peer, when hangup is set,
+// has gone: every write fails. It counts the writes attempted.
+type hangupRecorder struct {
+	*httptest.ResponseRecorder
+	hangup bool
+	writes int
+}
+
+func (h *hangupRecorder) Write(p []byte) (int, error) {
+	h.writes++
+	if h.hangup {
+		h.ResponseRecorder.WriteHeader(http.StatusOK)
+		return 0, errors.New("write: broken pipe")
+	}
+	return h.ResponseRecorder.Write(p)
 }
 
 // TestOversizedBodiesRefused: POST bodies are bounded by MaxRequestBody

@@ -51,10 +51,11 @@ type Server struct {
 	mux *http.ServeMux
 
 	// querySem, when non-nil, caps concurrent query work (/query,
-	// /query/stream, /query/batch, /sparql); requests over the cap are
-	// shed with 503 + Retry-After instead of queuing without bound (a
-	// saturated integration endpoint that answers some callers fast
-	// beats one that answers every caller too late).
+	// /query/stream, /query/batch, /sparql, and a cluster node's
+	// /cluster/query); requests over the cap are shed with 503 +
+	// Retry-After instead of queuing without bound (a saturated
+	// integration endpoint that answers some callers fast beats one
+	// that answers every caller too late).
 	querySem       chan struct{}
 	shedRetryAfter time.Duration
 	// shedJitterSecs widens the advertised Retry-After by a random 0..N
@@ -167,18 +168,19 @@ func Error(w http.ResponseWriter, code int, err error) {
 }
 
 // WriteJSON encodes v onto the response. Every handler, the cluster's
-// too, funnels its replies through here so the deliberate discard below
-// is the only one.
+// too, funnels its replies through here, so the deliberate discard below
+// is the only one besides AnswerQuery's, which writes the query envelope
+// itself (envelope.go).
 func WriteJSON(w http.ResponseWriter, v any) {
 	//lint:ignore errcheck a response-encode failure means the peer hung up; the dead connection is the only place to report it
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// acquireQuerySlot claims a concurrent-query slot, shedding the request
+// AcquireQuerySlot claims a concurrent-query slot, shedding the request
 // with 503 + Retry-After when the server is at capacity. It reports
 // whether the handler may proceed; a true return must be paired with
-// releaseQuerySlot.
-func (s *Server) acquireQuerySlot(w http.ResponseWriter) bool {
+// ReleaseQuerySlot. The cluster's /cluster/query shares the slots.
+func (s *Server) AcquireQuerySlot(w http.ResponseWriter) bool {
 	if s.querySem == nil {
 		return true
 	}
@@ -208,7 +210,8 @@ func (s *Server) shedRetryAfterSecs() int {
 	return secs
 }
 
-func (s *Server) releaseQuerySlot() {
+// ReleaseQuerySlot frees a slot AcquireQuerySlot claimed.
+func (s *Server) ReleaseQuerySlot() {
 	if s.querySem != nil {
 		<-s.querySem
 	}
@@ -304,61 +307,51 @@ func EndRequest(root *obs.Span, err error) {
 }
 
 // AnswerQuery answers a JSON-envelope query route (/query, and the
-// cluster's /cluster/query): it runs req through Middleware.Answer into
-// one whole-document buffer, ends root with the outcome — after
-// serialization, so a failed one is traced as an error — and builds the
-// QueryResponse. A failure before serialization starts answers 400, one
-// during it 500; either way it reports false.
-func AnswerQuery(ctx context.Context, w http.ResponseWriter, root *obs.Span, mw *core.Middleware, req core.Request) (QueryResponse, bool) {
-	// strings.Builder.String hands Body the document without a copy.
-	var buf strings.Builder
-	serializing := false
-	res, _, err := mw.Answer(ctx, req, &core.Sink{W: &buf, Begin: func(*instance.Result) error {
-		serializing = true
-		return nil
+// cluster's /cluster/query): it runs req through Middleware.Answer and
+// writes the QueryResponse envelope — then trace (root, when trace is
+// set) and the tail fields — with the document escaped straight onto w,
+// never copied whole. It ends root with the outcome after serialization,
+// so a failed one is traced as an error. The head goes out with the
+// document's one write, after serialization succeeded, so a failure
+// answers with the JSON error envelope: 400 before serialization starts,
+// 500 during it. A write that fails once body bytes are out means the
+// peer hung up, and nothing more is sent.
+func AnswerQuery(ctx context.Context, w http.ResponseWriter, root *obs.Span, mw *core.Middleware, req core.Request, trace bool, tail ...Field) {
+	env := &envelopeWriter{w: w}
+	defer env.release()
+	_, _, err := mw.Answer(ctx, req, &core.Sink{W: env, Begin: func(res *instance.Result) error {
+		return env.begin(res, req.Format)
 	}})
 	EndRequest(root, err)
-	if err != nil {
-		code := http.StatusBadRequest
-		if serializing {
-			code = http.StatusInternalServerError
-		}
-		Error(w, code, err)
-		return QueryResponse{}, false
+	switch {
+	case err == nil:
+	case env.started:
+		return
+	case env.head != nil:
+		Error(w, http.StatusInternalServerError, err)
+		return
+	default:
+		Error(w, http.StatusBadRequest, err)
+		return
 	}
-	resp := QueryResponse{
-		Query:   res.Plan.Query.String(),
-		Format:  req.Format.String(),
-		Matched: len(res.Matched),
-		Related: len(res.Related),
-		Missing: res.Missing,
-		Body:    buf.String(),
+	if trace {
+		tail = append([]Field{{Name: "trace", Value: root}}, tail...)
 	}
-	for _, e := range res.Errors {
-		resp.Errors = append(resp.Errors, e.Error())
-	}
-	return resp, true
+	//lint:ignore errcheck the answer is complete; a failed tail write means the peer hung up, and the dead connection is the only place to report it
+	_ = env.finish(tail)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if !s.acquireQuerySlot(w) {
+	if !s.AcquireQuerySlot(w) {
 		return
 	}
-	defer s.releaseQuerySlot()
+	defer s.ReleaseQuerySlot()
 	req, format, ok := DecodeQueryRequest(w, r)
 	if !ok {
 		return
 	}
 	ctx, root := BeginRequest(s.mw, w, r, "http_query")
-	resp, ok := AnswerQuery(ctx, w, root, s.mw, core.Request{Query: req.Query, Format: format})
-	if !ok {
-		return
-	}
-	if req.Trace {
-		resp.Trace = root
-	}
-	w.Header().Set("Content-Type", "application/json")
-	WriteJSON(w, resp)
+	AnswerQuery(ctx, w, root, s.mw, core.Request{Query: req.Query, Format: format}, req.Trace)
 }
 
 // handleMetrics exposes the middleware's metrics registry in the
@@ -480,10 +473,10 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
 		return
 	}
-	if !s.acquireQuerySlot(w) {
+	if !s.AcquireQuerySlot(w) {
 		return
 	}
-	defer s.releaseQuerySlot()
+	defer s.ReleaseQuerySlot()
 	var req SPARQLRequest
 	if !DecodeBody(w, r, &req) {
 		return

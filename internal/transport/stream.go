@@ -125,10 +125,10 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		Error(w, http.StatusMethodNotAllowed, fmt.Errorf("transport: %s not allowed", r.Method))
 		return
 	}
-	if !s.acquireQuerySlot(w) {
+	if !s.AcquireQuerySlot(w) {
 		return
 	}
-	defer s.releaseQuerySlot()
+	defer s.ReleaseQuerySlot()
 	req, format, ok := DecodeQueryRequest(w, r)
 	if !ok {
 		return
