@@ -2,12 +2,12 @@ package extract
 
 import (
 	"context"
-	"regexp"
 	"sync"
 
 	"repro/internal/htmldoc"
 	"repro/internal/mapping"
 	"repro/internal/reldb"
+	"repro/internal/rxscan"
 	"repro/internal/selector"
 	"repro/internal/sqllang"
 	"repro/internal/webl"
@@ -29,7 +29,7 @@ type compiledRule struct {
 	xpath    *xmlpath.Path
 	xpathErr error
 
-	regex    *regexp.Regexp
+	regex    *rxscan.Regexp
 	regexErr error
 
 	webl    *webl.Program
@@ -63,7 +63,7 @@ func compileArtifacts(rule mapping.Rule) *compiledRule {
 	case mapping.LangXPath:
 		cr.xpath, cr.xpathErr = xmlpath.Compile(rule.Code)
 	case mapping.LangRegex:
-		cr.regex, cr.regexErr = regexp.Compile(rule.Code)
+		cr.regex, cr.regexErr = rxscan.Compile(rule.Code)
 	case mapping.LangWebL:
 		cr.webl, cr.weblErr = webl.Compile(rule.Code)
 	case mapping.LangSelector:

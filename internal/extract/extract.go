@@ -1090,6 +1090,10 @@ func weblValueToStrings(v webl.Value) ([]string, error) {
 	case []webl.Value:
 		out := make([]string, 0, len(t))
 		for _, e := range t {
+			if s, ok := e.(string); ok {
+				out = append(out, s)
+				continue
+			}
 			sub, err := weblValueToStrings(e)
 			if err != nil {
 				return nil, err

@@ -1,15 +1,20 @@
 // Package textsrc implements the middleware's unstructured plain-text data
 // source substrate (paper §2.1: "unstructured (e.g. Web pages and plain
 // text files)"). Documents are stored by ID and queried with regular
-// expression extraction rules, compiled once by the caller and run with
-// ExtractCompiled.
+// expression extraction rules, compiled once by the caller with
+// rxscan.Compile and run with ExtractCompiled. A rule of the delimited
+// shape every generated text rule has — a literal, a captured class run,
+// an optional literal, as in `price=([0-9.]+)` — runs as a literal scan
+// with no regexp automaton; any other rule runs through package regexp
+// with the same matches.
 package textsrc
 
 import (
 	"fmt"
-	"regexp"
 	"sort"
 	"sync"
+
+	"repro/internal/rxscan"
 )
 
 // Store holds plain-text documents by ID. Store is safe for concurrent use.
@@ -66,16 +71,20 @@ func (s *Store) IDs() []string {
 
 // ExtractCompiled runs a compiled regular expression rule over document
 // content and returns one value per match: the first capture group when
-// the pattern has groups, the whole match otherwise.
-func ExtractCompiled(content string, re *regexp.Regexp) []string {
-	matches := re.FindAllStringSubmatch(content, -1)
-	out := make([]string, 0, len(matches))
-	for _, m := range matches {
-		if len(m) > 1 {
-			out = append(out, m[1])
-		} else {
-			out = append(out, m[0])
-		}
+// the pattern has groups, the whole match otherwise. Each value is a
+// substring of content.
+func ExtractCompiled(content string, re *rxscan.Regexp) []string {
+	g := 0
+	if re.NumSubexp() > 0 {
+		g = 1
 	}
+	out := []string{}
+	re.Each(content, func(loc []int) {
+		if loc[2*g] < 0 {
+			out = append(out, "")
+			return
+		}
+		out = append(out, content[loc[2*g]:loc[2*g+1]])
+	})
 	return out
 }

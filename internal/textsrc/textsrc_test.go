@@ -1,9 +1,10 @@
 package textsrc
 
 import (
-	"regexp"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rxscan"
 )
 
 // extract runs a pattern over one stored document, the way the
@@ -14,7 +15,7 @@ func extract(s *Store, id, pattern string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	re, err := regexp.Compile(pattern)
+	re, err := rxscan.Compile(pattern)
 	if err != nil {
 		return nil, err
 	}
@@ -27,20 +28,26 @@ SKU W-002 brand=Casio case=resin price=15.00
 SKU W-003 brand=Citizen case=titanium price=210.50
 `
 
+// TestExtractWholeMatch runs group-less patterns, one that takes the
+// literal scan and one that falls back to regexp.
 func TestExtractWholeMatch(t *testing.T) {
 	s := New()
 	s.MustAdd("prices.txt", priceList)
-	got, err := extract(s, "prices.txt", `W-[0-9]+`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"W-001", "W-002", "W-003"}
-	if len(got) != len(want) {
-		t.Fatalf("Extract = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("match %d = %q, want %q", i, got[i], want[i])
+	for pattern, want := range map[string][]string{
+		`W-[0-9]+`:       {"W-001", "W-002", "W-003"},
+		`[0-9]+\.[0-9]+`: {"129.99", "15.00", "210.50"},
+	} {
+		got, err := extract(s, "prices.txt", pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("Extract(%q) = %v", pattern, got)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%q: match %d = %q, want %q", pattern, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -91,7 +98,7 @@ func TestGetAndIDs(t *testing.T) {
 }
 
 func TestExtractStringNoMatches(t *testing.T) {
-	got := ExtractCompiled("nothing here", regexp.MustCompile(`zz[0-9]+`))
+	got := ExtractCompiled("nothing here", mustCompile(t, `zz[0-9]+`))
 	if got == nil || len(got) != 0 {
 		t.Fatalf("got = %v", got)
 	}
@@ -99,12 +106,13 @@ func TestExtractStringNoMatches(t *testing.T) {
 
 // Property: each value planted with a key=value scheme is recovered exactly.
 func TestExtractRecoversPlantedValues(t *testing.T) {
+	re := mustCompile(t, `value=([0-9]+)`)
 	f := func(vals []uint16) bool {
 		content := ""
 		for _, v := range vals {
 			content += "item value=" + itoa(int(v)) + " end\n"
 		}
-		got := ExtractCompiled(content, regexp.MustCompile(`value=([0-9]+)`))
+		got := ExtractCompiled(content, re)
 		if len(got) != len(vals) {
 			return false
 		}
@@ -118,6 +126,15 @@ func TestExtractRecoversPlantedValues(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+func mustCompile(t *testing.T, pattern string) *rxscan.Regexp {
+	t.Helper()
+	re, err := rxscan.Compile(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return re
 }
 
 func itoa(n int) string {

@@ -146,13 +146,25 @@ func biStrSearch(in *interp, args []Value) (Value, error) {
 	if err != nil {
 		return nil, fmt.Errorf("invalid regular expression %q: %w", pattern, err)
 	}
-	var out []Value
-	for _, m := range re.FindAllStringSubmatch(text, -1) {
-		groups := make([]Value, len(m))
-		for i, g := range m {
-			groups[i] = g
+	// Every match's groups go into one backing slice; each row is cut
+	// from it with its capacity capped, so no row can grow into the next.
+	width := re.NumSubexp() + 1
+	var cells []Value
+	re.Each(text, func(loc []int) {
+		for i := 0; i < width; i++ {
+			if loc[2*i] < 0 {
+				cells = append(cells, "")
+			} else {
+				cells = append(cells, text[loc[2*i]:loc[2*i+1]])
+			}
 		}
-		out = append(out, Value(groups))
+	})
+	var out []Value
+	if len(cells) > 0 {
+		out = make([]Value, len(cells)/width)
+		for i := range out {
+			out[i] = cells[i*width : (i+1)*width : (i+1)*width]
+		}
 	}
 	return out, nil
 }

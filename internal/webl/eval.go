@@ -3,10 +3,11 @@ package webl
 import (
 	"fmt"
 	"math"
-	"regexp"
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/rxscan"
 )
 
 // Value is any WebL runtime value: string, float64, bool, nil, []Value, or
@@ -587,29 +588,35 @@ func asIndex(v Value, length int, line int) (int, error) {
 	return i, nil
 }
 
-// regexpCache memoizes compiled regular expressions across rule executions;
-// the extractor manager runs different sources' rules concurrently, so
-// access is locked.
+// regexpCache memoizes compiled regular expressions, and with them the
+// literal-scan recognition, across rule executions; the extractor manager
+// runs different sources' rules concurrently, so access is locked.
+// Patterns are rule text, not a fixed set, so the cache flushes wholesale
+// at regexpCacheBound, like the extractor's compiled-rule cache: a stream
+// of new patterns then still finds its later patterns cached.
 var regexpCache = struct {
 	sync.Mutex
-	m map[string]*regexp.Regexp
-}{m: map[string]*regexp.Regexp{}}
+	m map[string]*rxscan.Regexp
+}{m: map[string]*rxscan.Regexp{}}
 
-func compileRegexp(pattern string) (*regexp.Regexp, error) {
+const regexpCacheBound = 4096
+
+func compileRegexp(pattern string) (*rxscan.Regexp, error) {
 	regexpCache.Lock()
 	re, ok := regexpCache.m[pattern]
 	regexpCache.Unlock()
 	if ok {
 		return re, nil
 	}
-	re, err := regexp.Compile(pattern)
+	re, err := rxscan.Compile(pattern)
 	if err != nil {
 		return nil, err
 	}
 	regexpCache.Lock()
-	if len(regexpCache.m) < 4096 {
-		regexpCache.m[pattern] = re
+	if len(regexpCache.m) >= regexpCacheBound {
+		regexpCache.m = make(map[string]*rxscan.Regexp)
 	}
+	regexpCache.m[pattern] = re
 	regexpCache.Unlock()
 	return re, nil
 }

@@ -1,6 +1,9 @@
 package webl
 
 import (
+	"fmt"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -197,6 +200,51 @@ func TestCaptureGroups(t *testing.T) {
 	globals := run(t, "var m = Str_Search(\"id=42 id=77\", `id=([0-9]+)`)\nvar first = m[0][1]\nvar second = m[1][1]\nvar count = Len(m)\n", nil)
 	if globals["first"] != "42" || globals["second"] != "77" || globals["count"] != float64(2) {
 		t.Errorf("captures = %v %v %v", globals["first"], globals["second"], globals["count"])
+	}
+}
+
+// TestStrSearchRows checks Str_Search's rows against regexp for a
+// pattern that takes the literal scan, one with no group, and fallbacks
+// with an unmatched group and with two groups.
+func TestStrSearchRows(t *testing.T) {
+	const text = "<b>Seiko</b> <b></b> <b>Casio</b> id=7 x=1;y"
+	for _, pattern := range []string{`<b>([^<]+)</b>`, `<b>[A-Za-z]+`, `id=([0-9]+)|(y)`, `x=([0-9]);(y)`} {
+		got, err := biStrSearch(nil, []Value{text, pattern})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Value
+		for _, m := range regexp.MustCompile(pattern).FindAllStringSubmatch(text, -1) {
+			row := make([]Value, len(m))
+			for i, g := range m {
+				row[i] = g
+			}
+			want = append(want, row)
+		}
+		if !reflect.DeepEqual(got, Value(want)) {
+			t.Errorf("Str_Search(%q) = %v, want %v", pattern, got, want)
+		}
+	}
+}
+
+// TestRegexpCacheFlushesAtBound fills the pattern cache past its bound
+// and checks that a later pattern is still cached.
+func TestRegexpCacheFlushesAtBound(t *testing.T) {
+	for i := 0; i <= regexpCacheBound; i++ {
+		if _, err := compileRegexp(fmt.Sprintf("p%d=([0-9]+)", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := compileRegexp("later=([0-9]+)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _ := compileRegexp("later=([0-9]+)")
+	regexpCache.Lock()
+	n := len(regexpCache.m)
+	regexpCache.Unlock()
+	if again != first || n > regexpCacheBound {
+		t.Errorf("later pattern cached: %v; cache holds %d, bound %d", again == first, n, regexpCacheBound)
 	}
 }
 
