@@ -949,15 +949,41 @@ func (m *Manager) extractDB(ctx context.Context, def datasource.Definition, entr
 	if len(res.Columns) == 0 {
 		return nil, Permanent(fmt.Errorf("extract: rule %q projected no columns", entry.Rule.Code))
 	}
-	values := make([]string, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		if row[col].Null {
-			values = append(values, "")
+	return columnStrings(res.Rows, col), nil
+}
+
+// columnStrings renders column col of rows as strings: NULL as "" and
+// everything else as Value.String. TEXT cells keep their own string;
+// numbers and booleans format into one buffer that becomes one string,
+// sliced per cell, so a numeric column costs a few allocations per
+// result instead of one per row.
+func columnStrings(rows [][]reldb.Value, col int) []string {
+	values := make([]string, len(rows))
+	var buf []byte
+	var ends []int // ends[i] is where row i's text ends in buf; 0 if it has none
+	for i, row := range rows {
+		v := row[col]
+		if v.Null {
 			continue
 		}
-		values = append(values, row[col].String())
+		if s, ok := v.TextValue(); ok {
+			values[i] = s
+			continue
+		}
+		if ends == nil {
+			ends = make([]int, len(rows))
+			buf = make([]byte, 0, 8*len(rows))
+		}
+		buf = v.AppendTo(buf)
+		ends[i] = len(buf)
 	}
-	return values, nil
+	all, start := string(buf), 0
+	for i, end := range ends {
+		if end > 0 { // every formatted number or boolean is non-empty
+			values[i], start = all[start:end], end
+		}
+	}
+	return values
 }
 
 // extractXML runs the rule's compiled path over the run's shared parsed

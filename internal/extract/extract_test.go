@@ -3,6 +3,8 @@ package extract
 import (
 	"context"
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -414,5 +416,32 @@ func TestSourceErrorFormatting(t *testing.T) {
 	e2 := SourceError{SourceID: "s", Err: fmt.Errorf("boom")}
 	if !strings.Contains(e2.Error(), "boom") {
 		t.Errorf("Error() = %q", e2.Error())
+	}
+}
+
+// TestColumnStringsMatchesValueString checks the one-buffer rendering of
+// a result column against one Value.String per cell, NULL as "", for
+// every column type, negative numbers, -0 and exponent-formatted REALs.
+func TestColumnStringsMatchesValueString(t *testing.T) {
+	columns := [][]reldb.Value{
+		{reldb.Text("Seiko"), reldb.NullValue(), reldb.Text(""), reldb.Text("x y")},
+		{reldb.Int(3), reldb.NullValue(), reldb.Int(-12), reldb.Int(math.MinInt64), reldb.NullValue()},
+		{reldb.NullValue(), reldb.Real(1.5), reldb.Real(math.Copysign(0, -1)), reldb.Real(1e21), reldb.Real(1e-7), reldb.Real(-3.25)},
+		{reldb.Bool(true), reldb.NullValue(), reldb.Bool(false)},
+		{reldb.NullValue(), reldb.NullValue()},
+		{},
+	}
+	for _, column := range columns {
+		rows := make([][]reldb.Value, len(column))
+		want := make([]string, len(column))
+		for i, v := range column {
+			rows[i] = []reldb.Value{reldb.Text("other"), v}
+			if !v.Null {
+				want[i] = v.String()
+			}
+		}
+		if got := columnStrings(rows, 1); !reflect.DeepEqual(got, want) {
+			t.Errorf("columnStrings(%v) = %q, want %q", column, got, want)
+		}
 	}
 }

@@ -17,6 +17,7 @@ func benchDB(b *testing.B, rows int) *DB {
 }
 
 func BenchmarkInsert(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		db := New()
 		db.MustExec("CREATE TABLE w (id INTEGER PRIMARY KEY, v TEXT)")
@@ -27,6 +28,7 @@ func BenchmarkInsert(b *testing.B) {
 }
 
 func BenchmarkSelectIndexed(b *testing.B) {
+	b.ReportAllocs()
 	db := benchDB(b, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -38,6 +40,7 @@ func BenchmarkSelectIndexed(b *testing.B) {
 }
 
 func BenchmarkSelectScanFilter(b *testing.B) {
+	b.ReportAllocs()
 	db := benchDB(b, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -49,11 +52,26 @@ func BenchmarkSelectScanFilter(b *testing.B) {
 }
 
 func BenchmarkGroupByAggregate(b *testing.B) {
+	b.ReportAllocs()
 	db := benchDB(b, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := db.Query("SELECT brand, COUNT(*), AVG(price) FROM w GROUP BY brand")
 		if err != nil || len(res.Rows) != 10 {
+			b.Fatalf("%v %d", err, len(res.Rows))
+		}
+	}
+}
+
+// BenchmarkSelectOrderedColumn is the shape of every generated DB rule:
+// one column of a whole table in primary-key order.
+func BenchmarkSelectOrderedColumn(b *testing.B) {
+	b.ReportAllocs()
+	db := benchDB(b, 1000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := db.Query("SELECT brand FROM w ORDER BY id")
+		if err != nil || len(res.Rows) != 1000 {
 			b.Fatalf("%v %d", err, len(res.Rows))
 		}
 	}

@@ -21,7 +21,8 @@ func New() *DB {
 	return &DB{tables: make(map[string]*table)}
 }
 
-// Result is the outcome of a Query: column names and typed rows.
+// Result is the outcome of a Query: column names and typed rows. The
+// rows are the caller's own; they never alias table storage.
 type Result struct {
 	Columns []string
 	Rows    [][]Value

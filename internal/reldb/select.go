@@ -2,7 +2,7 @@ package reldb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -68,36 +68,46 @@ func (e *env) inSet(x *sqllang.InExpr) *inSet {
 	return s
 }
 
-// lookup resolves a column reference against the environment. Unqualified
-// names must be unambiguous across the joined tables.
+// lookup resolves a column reference against the environment.
 func (e *env) lookup(ref sqllang.ColumnRef) (Value, error) {
+	pos, err := lookupPos(e.tables, ref)
+	if err != nil {
+		return Value{}, err
+	}
+	return e.rows[pos.ti][pos.ci], nil
+}
+
+// lookupPos resolves a column reference the way WHERE and ORDER BY see
+// it: a qualified name picks the first table of that name, and an
+// unqualified one must be unambiguous across the joined tables.
+func lookupPos(tables []*table, ref sqllang.ColumnRef) (colPos, error) {
 	if ref.Table != "" {
-		for ti, t := range e.tables {
+		for ti, t := range tables {
 			if strings.EqualFold(t.name, ref.Table) {
 				ci, err := t.column(ref.Column)
 				if err != nil {
-					return Value{}, err
+					return colPos{}, err
 				}
-				return e.rows[ti][ci], nil
+				return colPos{ti, ci}, nil
 			}
 		}
-		return Value{}, fmt.Errorf("reldb: unknown table %q in column reference", ref.Table)
+		return colPos{}, fmt.Errorf("reldb: unknown table %q in column reference", ref.Table)
 	}
-	found := -1
-	var out Value
-	for ti, t := range e.tables {
+	found := false
+	var pos colPos
+	for ti, t := range tables {
 		if ci, ok := t.colIdx[strings.ToLower(ref.Column)]; ok {
-			if found >= 0 {
-				return Value{}, fmt.Errorf("reldb: column %q is ambiguous across joined tables", ref.Column)
+			if found {
+				return colPos{}, fmt.Errorf("reldb: column %q is ambiguous across joined tables", ref.Column)
 			}
-			found = ti
-			out = e.rows[ti][ci]
+			found = true
+			pos = colPos{ti, ci}
 		}
 	}
-	if found < 0 {
-		return Value{}, fmt.Errorf("reldb: unknown column %q", ref.Column)
+	if !found {
+		return colPos{}, fmt.Errorf("reldb: unknown column %q", ref.Column)
 	}
-	return out, nil
+	return pos, nil
 }
 
 // evalBool evaluates a WHERE expression. SQL three-valued logic is
@@ -257,6 +267,11 @@ func equalFoldRune(a, b rune) bool {
 }
 
 // executeSelect runs a parsed SELECT. Callers hold the read lock.
+//
+// Execution allocates per result, not per row: base rows enter as views
+// of the table's row list, WHERE filters the tuple slice in place, and
+// projection copies the selected cells into one rows×columns slab, so
+// Result rows never alias table storage.
 func (db *DB) executeSelect(sel *sqllang.Select) (*Result, error) {
 	base, err := db.table(sel.Table)
 	if err != nil {
@@ -272,65 +287,61 @@ func (db *DB) executeSelect(sel *sqllang.Select) (*Result, error) {
 	}
 
 	// Assemble joined row tuples with nested hash joins.
-	tuples, err := db.joinTuples(sel, tables)
+	tuples, err := joinTuples(sel, tables)
 	if err != nil {
 		return nil, err
 	}
 
-	// Filter.
-	var filtered [][][]Value
-	e := &env{tables: tables}
-	for _, tuple := range tuples {
-		if sel.Where != nil {
+	// Filter. The tuple slice is this query's own, so it filters in place.
+	if sel.Where != nil {
+		kept := tuples[:0]
+		e := &env{tables: tables}
+		for _, tuple := range tuples {
 			e.rows = tuple
 			ok, err := evalBool(sel.Where, e)
 			if err != nil {
 				return nil, err
 			}
-			if !ok {
-				continue
+			if ok {
+				kept = append(kept, tuple)
 			}
 		}
-		filtered = append(filtered, tuple)
+		tuples = kept
 	}
 
 	// Aggregation takes over projection, ordering, and limiting.
 	if sqllang.HasAggregate(sel.Columns) || len(sel.GroupBy) > 0 {
-		return db.aggregate(sel, tables, filtered)
+		return db.aggregate(sel, tables, tuples)
 	}
 
-	// Order.
-	if sel.Order != nil {
-		ref := sel.Order.Column
+	// Order. The column resolves once; a sort that compares nothing
+	// resolves nothing, so it reports no error either.
+	if sel.Order != nil && len(tuples) > 1 {
+		pos, err := lookupPos(tables, sel.Order.Column)
+		if err != nil {
+			return nil, err
+		}
+		desc := sel.Order.Desc
 		var sortErr error
-		sort.SliceStable(filtered, func(i, j int) bool {
-			ei := &env{tables: tables, rows: filtered[i]}
-			ej := &env{tables: tables, rows: filtered[j]}
-			vi, err := ei.lookup(ref)
+		slices.SortStableFunc(tuples, func(a, b [][]Value) int {
+			va, vb := a[pos.ti][pos.ci], b[pos.ti][pos.ci]
+			switch {
+			case va.Null && vb.Null:
+				return 0
+			case va.Null:
+				return -1 // NULLs first
+			case vb.Null:
+				return 1
+			}
+			c, err := compare(va, vb)
 			if err != nil {
 				sortErr = err
-				return false
+				return 0
 			}
-			vj, err := ej.lookup(ref)
-			if err != nil {
-				sortErr = err
-				return false
+			if desc {
+				return -c
 			}
-			if vi.Null != vj.Null {
-				return vi.Null // NULLs first
-			}
-			if vi.Null {
-				return false
-			}
-			c, err := compare(vi, vj)
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if sel.Order.Desc {
-				return c > 0
-			}
-			return c < 0
+			return c
 		})
 		if sortErr != nil {
 			return nil, sortErr
@@ -338,26 +349,26 @@ func (db *DB) executeSelect(sel *sqllang.Select) (*Result, error) {
 	}
 
 	// Project.
-	result, err := project(sel, tables, filtered)
+	result, err := project(sel, tables, tuples)
 	if err != nil {
 		return nil, err
 	}
 
 	// Distinct.
 	if sel.Distinct {
-		seen := make(map[string]bool, len(result.Rows))
+		seen := make(map[string]struct{}, len(result.Rows))
 		kept := result.Rows[:0]
+		var key []byte
 		for _, row := range result.Rows {
-			var b strings.Builder
+			key = key[:0]
 			for _, v := range row {
-				b.WriteString(v.key())
-				b.WriteByte('\x00')
+				key = append(v.appendKey(key), '\x00')
 			}
-			k := b.String()
-			if !seen[k] {
-				seen[k] = true
-				kept = append(kept, row)
+			if _, dup := seen[string(key)]; dup {
+				continue
 			}
+			seen[string(key)] = struct{}{}
+			kept = append(kept, row)
 		}
 		result.Rows = kept
 	}
@@ -381,13 +392,11 @@ func applyOffsetLimit(rows [][]Value, offset, limit int) [][]Value {
 }
 
 // joinTuples enumerates row tuples across the FROM table and all joins,
-// using a hash map on the join key to avoid quadratic nested loops.
-func (db *DB) joinTuples(sel *sqllang.Select, tables []*table) ([][][]Value, error) {
-	baseRows := db.scanBase(sel, tables[0])
-	tuples := make([][][]Value, 0, len(baseRows))
-	for _, r := range baseRows {
-		tuples = append(tuples, [][]Value{r})
-	}
+// using a hash map on the join key to avoid quadratic nested loops. Each
+// join stage appends its tuples to one slab and cuts them from it, so a
+// stage allocates per result, not per joined row.
+func joinTuples(sel *sqllang.Select, tables []*table) ([][][]Value, error) {
+	tuples := baseTuples(sel, tables[0])
 	for ji, j := range sel.Joins {
 		right := tables[ji+1]
 		// Determine which side of the ON condition refers to the new table.
@@ -399,47 +408,58 @@ func (db *DB) joinTuples(sel *sqllang.Select, tables []*table) ([][][]Value, err
 		if err != nil {
 			return nil, err
 		}
+		if len(tuples) == 0 {
+			continue
+		}
 		// Hash the right table by join key.
 		hash := make(map[string][][]Value, len(right.rows))
 		for _, row := range right.rows {
 			k := row[rightCol].key()
 			hash[k] = append(hash[k], row)
 		}
-		joined := tuples[:0:0]
-		prior := tables[:ji+1]
+		left, err := lookupPos(tables[:ji+1], leftRef)
+		if err != nil {
+			return nil, err
+		}
+		width := ji + 2
+		slab := make([][]Value, 0, len(tuples)*width)
+		var key []byte
 		for _, tuple := range tuples {
-			e := &env{tables: prior, rows: tuple}
-			lv, err := e.lookup(leftRef)
-			if err != nil {
-				return nil, err
-			}
-			for _, rrow := range hash[lv.key()] {
-				next := make([][]Value, len(tuple)+1)
-				copy(next, tuple)
-				next[len(tuple)] = rrow
-				joined = append(joined, next)
+			key = tuple[left.ti][left.ci].appendKey(key[:0])
+			for _, rrow := range hash[string(key)] {
+				slab = append(append(slab, tuple...), rrow)
 			}
 		}
-		tuples = joined
+		tuples = make([][][]Value, len(slab)/width)
+		for i := range tuples {
+			tuples[i] = slab[i*width : (i+1)*width : (i+1)*width]
+		}
 	}
 	return tuples, nil
 }
 
-// scanBase returns the base table rows, using an index when the WHERE
-// clause's top-level conjunction contains an equality on an indexed column.
-func (db *DB) scanBase(sel *sqllang.Select, t *table) [][]Value {
+// baseTuples returns the FROM table's rows as one-table tuples, narrowed
+// by an index when the WHERE clause's top-level conjunction contains an
+// equality on an indexed column. Each tuple is a capacity-capped view of
+// the table's row list, so the scan allocates only the tuple slice; the
+// views are read, never written or appended to.
+func baseTuples(sel *sqllang.Select, t *table) [][][]Value {
 	if sel.Where != nil && len(sel.Joins) == 0 {
 		if col, val, ok := indexableEquality(sel.Where, t); ok {
 			if rowNos, indexed := t.candidateRows(col, val); indexed {
-				rows := make([][]Value, 0, len(rowNos))
-				for _, n := range rowNos {
-					rows = append(rows, t.rows[n])
+				tuples := make([][][]Value, len(rowNos))
+				for i, n := range rowNos {
+					tuples[i] = t.rows[n : n+1 : n+1]
 				}
-				return rows
+				return tuples
 			}
 		}
 	}
-	return t.rows
+	tuples := make([][][]Value, len(t.rows))
+	for i := range t.rows {
+		tuples[i] = t.rows[i : i+1 : i+1]
+	}
+	return tuples
 }
 
 // indexableEquality finds one `col = literal` conjunct whose column has an
@@ -539,13 +559,17 @@ func project(sel *sqllang.Select, tables []*table, tuples [][][]Value) (*Result,
 		}
 	}
 
-	res.Rows = make([][]Value, 0, len(tuples))
-	for _, tuple := range tuples {
-		row := make([]Value, len(positions))
+	// One slab holds every projected cell; each row is a capacity-capped
+	// sub-slice, so appending to one row cannot write into the next.
+	w := len(positions)
+	slab := make([]Value, len(tuples)*w)
+	res.Rows = make([][]Value, len(tuples))
+	for r, tuple := range tuples {
+		row := slab[r*w : (r+1)*w : (r+1)*w]
 		for i, p := range positions {
 			row[i] = tuple[p.ti][p.ci]
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows[r] = row
 	}
 	return res, nil
 }

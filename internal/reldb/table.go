@@ -75,9 +75,10 @@ func (t *table) addIndex(column string) error {
 
 // insert appends a row, enforcing uniqueness and maintaining indexes.
 func (t *table) insert(row []Value) error {
-	for col := range t.indexes {
-		if t.isUniqueCol(col) {
-			if rows := t.indexes[col][row[col].key()]; len(rows) > 0 && !row[col].Null {
+	var key [64]byte
+	for col, idx := range t.indexes {
+		if t.isUniqueCol(col) && !row[col].Null {
+			if len(idx[string(row[col].appendKey(key[:0]))]) > 0 {
 				return fmt.Errorf("reldb: duplicate value %s for unique column %s.%s",
 					row[col], t.name, t.columns[col].Name)
 			}
@@ -117,5 +118,6 @@ func (t *table) candidateRows(col int, v Value) ([]int, bool) {
 	if !ok {
 		return nil, false
 	}
-	return idx[v.key()], true
+	var key [64]byte
+	return idx[string(v.appendKey(key[:0]))], true
 }

@@ -8,6 +8,10 @@
 // DISTINCT, WHERE, INNER JOIN, ORDER BY, LIMIT), UPDATE, and DELETE with
 // typed columns (TEXT, INTEGER, REAL, BOOLEAN), PRIMARY KEY and UNIQUE
 // enforcement, and hash indexes used for equality lookups.
+//
+// A SELECT allocates per result, not per row, and the rows of the Result
+// it returns never alias table storage: every cell is copied out, so a
+// caller may write into a returned row without changing the table.
 package reldb
 
 import (
@@ -85,12 +89,53 @@ func (v Value) BoolValue() (bool, bool) {
 	return v.b, !v.Null && v.Type == sqllang.TypeBoolean
 }
 
-// key returns a canonical string used for index and uniqueness keys.
+// AppendTo appends the value's String form to dst and returns the
+// extended slice. Numbers and booleans format straight into dst, so a
+// caller rendering a column fills one buffer instead of one string per
+// cell.
+func (v Value) AppendTo(dst []byte) []byte {
+	if v.Null {
+		return append(dst, "NULL"...)
+	}
+	switch v.Type {
+	case sqllang.TypeText:
+		return append(dst, v.text...)
+	case sqllang.TypeInteger:
+		return strconv.AppendInt(dst, v.i, 10)
+	case sqllang.TypeReal:
+		return strconv.AppendFloat(dst, v.r, 'g', -1, 64)
+	case sqllang.TypeBoolean:
+		return strconv.AppendBool(dst, v.b)
+	default:
+		return fmt.Appendf(dst, "Value(%d)", int(v.Type))
+	}
+}
+
+// nullKey is the key of every NULL; the leading NUL byte keeps it apart
+// from every typed key, which starts with a digit.
+const nullKey = "\x00NULL"
+
+// key returns a canonical string used for index and uniqueness keys:
+// "<type>:<text>", or nullKey. It costs one exact-size allocation.
 func (v Value) key() string {
 	if v.Null {
-		return "\x00NULL"
+		return nullKey
 	}
-	return fmt.Sprintf("%d:%s", int(v.Type), v.String())
+	if v.Type == sqllang.TypeText {
+		return strconv.Itoa(int(v.Type)) + ":" + v.text
+	}
+	var buf [48]byte // fits any type number, ':' and a formatted number
+	return string(v.appendKey(buf[:0]))
+}
+
+// appendKey appends key's bytes to dst. Map lookups through
+// m[string(appendKey(...))] allocate nothing.
+func (v Value) appendKey(dst []byte) []byte {
+	if v.Null {
+		return append(dst, nullKey...)
+	}
+	dst = strconv.AppendInt(dst, int64(v.Type), 10)
+	return v.AppendTo(append(dst, ':'))
 }
 
 // numeric returns the value as float64 for cross-numeric-type comparison.

@@ -22,6 +22,7 @@ func benchDoc(b *testing.B, records int) *Node {
 }
 
 func BenchmarkSelectChild(b *testing.B) {
+	b.ReportAllocs()
 	root := benchDoc(b, 1000)
 	p := MustCompile("/catalog/watch/brand")
 	b.ResetTimer()
@@ -33,6 +34,7 @@ func BenchmarkSelectChild(b *testing.B) {
 }
 
 func BenchmarkSelectDescendantPredicate(b *testing.B) {
+	b.ReportAllocs()
 	root := benchDoc(b, 1000)
 	p := MustCompile("//watch[brand='b3']/price")
 	b.ResetTimer()
@@ -44,6 +46,7 @@ func BenchmarkSelectDescendantPredicate(b *testing.B) {
 }
 
 func BenchmarkParseDocument(b *testing.B) {
+	b.ReportAllocs()
 	var sb strings.Builder
 	sb.WriteString("<catalog>")
 	for i := 0; i < 1000; i++ {
@@ -56,6 +59,22 @@ func BenchmarkParseDocument(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ParseString(doc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDeepTextLeaf renders the deep text of leaf elements, what an
+// element path like /catalog/watch/brand asks of every match.
+func BenchmarkDeepTextLeaf(b *testing.B) {
+	b.ReportAllocs()
+	root := benchDoc(b, 1000)
+	leaves := MustCompile("/catalog/watch/brand").SelectNodes(root)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, n := range leaves {
+			if n.DeepText() == "" {
+				b.Fatal("empty text")
+			}
 		}
 	}
 }

@@ -36,18 +36,22 @@ type Node struct {
 func (n *Node) Text() string { return strings.TrimSpace(n.text.String()) }
 
 // DeepText returns the concatenated text of the element and all of its
-// descendants in document order, trimmed.
+// descendants in document order, trimmed. A leaf's text is its own, so
+// it needs no builder.
 func (n *Node) DeepText() string {
-	var b strings.Builder
-	var walk func(*Node)
-	walk = func(cur *Node) {
-		b.WriteString(cur.text.String())
-		for _, c := range cur.Children {
-			walk(c)
-		}
+	if len(n.Children) == 0 {
+		return n.Text()
 	}
-	walk(n)
+	var b strings.Builder
+	n.writeDeepText(&b)
 	return strings.TrimSpace(b.String())
+}
+
+func (n *Node) writeDeepText(b *strings.Builder) {
+	b.WriteString(n.text.String())
+	for _, c := range n.Children {
+		c.writeDeepText(b)
+	}
 }
 
 // Attr returns the attribute value and whether it is present.

@@ -290,56 +290,79 @@ func (p *Path) String() string { return p.expr }
 // SelectNodes evaluates the path's element steps from root and returns the
 // matching nodes in document order. Final @attr / text() parts are ignored;
 // use SelectStrings for values.
+//
+// Evaluation allocates per step, not per parent. A step without
+// predicates appends its matches straight into the step's output; a step
+// with predicates filters each sibling group in one scratch slice reused
+// for the whole call. Only a descendant step from more than one context
+// node can reach a node twice (one context node may be an ancestor of
+// another), so only such a step is deduplicated: the children of
+// distinct parents are distinct, and one node's descendants are visited
+// once each.
 func (p *Path) SelectNodes(root *Node) []*Node {
 	cur := []*Node{root}
+	var scratch []*Node
 	for _, st := range p.steps {
 		var next []*Node
 		for _, n := range cur {
 			if st.descendant {
-				collectDescendants(n, st, &next)
+				collectDescendants(n, st, &next, &scratch)
 			} else {
-				var siblings []*Node
-				for _, c := range n.Children {
-					if st.name == "*" || c.Name == st.name {
-						siblings = append(siblings, c)
-					}
-				}
-				next = append(next, applyPredicates(siblings, st.preds)...)
+				next = appendMatches(next, n, st, &scratch)
 			}
 		}
-		cur = dedupeNodes(next)
+		if st.descendant && len(cur) > 1 {
+			next = dedupeNodes(next)
+		}
+		cur = next
 	}
 	return cur
 }
 
-// collectDescendants gathers descendant-or-self matches of st under n. The
-// name test applies to every descendant element; predicates filter each
-// matching sibling group independently, per XPath semantics for //.
-func collectDescendants(n *Node, st step, out *[]*Node) {
-	var siblings []*Node
+// appendMatches appends the children of n that pass st's name test and
+// predicates to out. Predicates filter the sibling group as a whole (a
+// positional predicate counts within it), in *scratch.
+func appendMatches(out []*Node, n *Node, st step, scratch *[]*Node) []*Node {
+	if len(st.preds) == 0 {
+		for _, c := range n.Children {
+			if st.name == "*" || c.Name == st.name {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	siblings := (*scratch)[:0]
 	for _, c := range n.Children {
 		if st.name == "*" || c.Name == st.name {
 			siblings = append(siblings, c)
 		}
 	}
-	*out = append(*out, applyPredicates(siblings, st.preds)...)
+	*scratch = siblings
+	return append(out, applyPredicates(siblings, st.preds)...)
+}
+
+// collectDescendants gathers descendant-or-self matches of st under n. The
+// name test applies to every descendant element; predicates filter each
+// matching sibling group independently, per XPath semantics for //.
+func collectDescendants(n *Node, st step, out, scratch *[]*Node) {
+	*out = appendMatches(*out, n, st, scratch)
 	for _, c := range n.Children {
-		collectDescendants(c, st, out)
+		collectDescendants(c, st, out, scratch)
 	}
 }
 
+// applyPredicates filters nodes in place, one predicate after another.
 func applyPredicates(nodes []*Node, preds []predicate) []*Node {
-	cur := nodes
 	for _, pred := range preds {
-		var kept []*Node
-		for i, n := range cur {
+		kept := nodes[:0]
+		for i, n := range nodes {
 			if matchPredicate(n, i, pred) {
 				kept = append(kept, n)
 			}
 		}
-		cur = kept
+		nodes = kept
 	}
-	return cur
+	return nodes
 }
 
 func matchPredicate(n *Node, position int, pred predicate) bool {
@@ -382,6 +405,9 @@ func matchPredicate(n *Node, position int, pred predicate) bool {
 func (p *Path) SelectStrings(root *Node) []string {
 	nodes := p.SelectNodes(root)
 	var out []string
+	if p.finalAttr == "" && len(nodes) > 0 {
+		out = make([]string, 0, len(nodes))
+	}
 	for _, n := range nodes {
 		switch {
 		case p.finalAttr != "":
