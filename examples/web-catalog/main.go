@@ -77,7 +77,7 @@ func run() error {
 	// The middleware fetches over real HTTP.
 	mw, err := core.New(core.Config{
 		Ontology: ontology.Paper(),
-		Backends: extract.Backends{Pages: &transport.HTTPFetcher{}},
+		Backends: extract.Backends{Pages: (&transport.HTTPFetcher{}).Fetch},
 	})
 	if err != nil {
 		return err

@@ -202,19 +202,19 @@ func TestQueryBatchToSinksEveryResult(t *testing.T) {
 // gatedXML holds every read of one XML document until release closes;
 // entered closes when the first such read arrives.
 type gatedXML struct {
-	extract.DocGetter[*xmlpath.Node]
+	extract.Backend[*xmlpath.Node]
 	path    string
 	once    sync.Once
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (g *gatedXML) Get(path string) (*xmlpath.Node, error) {
+func (g *gatedXML) Get(ctx context.Context, path string) (*xmlpath.Node, error) {
 	if path == g.path {
 		g.once.Do(func() { close(g.entered) })
 		<-g.release
 	}
-	return g.DocGetter.Get(path)
+	return g.Backend(ctx, path)
 }
 
 // notifyWriter records what reached the wire and signals every write.
@@ -251,7 +251,7 @@ func gatedEagerQuery(t *testing.T, blockedPath string) (want string, mw *core.Mi
 	t.Helper()
 	ctx := context.Background()
 	spec := workload.Spec{XMLSources: 3, RecordsPerSource: 12, Seed: 21, FlatOntology: true}
-	build := func(xml extract.DocGetter[*xmlpath.Node]) *core.Middleware {
+	build := func(xml extract.Backend[*xmlpath.Node]) *core.Middleware {
 		world := workload.MustGenerate(spec)
 		backends := extract.FromCatalog(world.Catalog)
 		if xml != nil {
@@ -271,12 +271,12 @@ func gatedEagerQuery(t *testing.T, blockedPath string) (want string, mw *core.Mi
 		t.Fatal(err)
 	}
 	gate = &gatedXML{
-		DocGetter: workload.MustGenerate(spec).Catalog.XML,
-		path:      blockedPath,
-		entered:   make(chan struct{}),
-		release:   make(chan struct{}),
+		Backend: extract.FromCatalog(workload.MustGenerate(spec).Catalog).XML,
+		path:    blockedPath,
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
 	}
-	mw = build(gate)
+	mw = build(gate.Get)
 	w = &notifyWriter{wrote: make(chan struct{}, 1)}
 	errs := make(chan error, 1)
 	go func() {

@@ -22,7 +22,7 @@ type countingXML struct {
 	docs  *xmlstore.Store
 }
 
-func (c *countingXML) Get(path string) (*xmlpath.Node, error) {
+func (c *countingXML) Get(_ context.Context, path string) (*xmlpath.Node, error) {
 	c.calls.Add(1)
 	return c.docs.Get(path)
 }
@@ -40,7 +40,7 @@ func countingWorld(t *testing.T) (*Manager, *countingXML) {
 		Rule: mapping.Rule{Code: "/catalog/watch/brand"},
 	})
 	backend := &countingXML{docs: catalog.XML}
-	m := NewManager(repo, Backends{XML: backend}, Options{})
+	m := NewManager(repo, Backends{XML: backend.Get}, Options{})
 	return m, backend
 }
 
@@ -100,7 +100,7 @@ func TestBatchFiltersShareDocument(t *testing.T) {
 		must(t, repo.Register(e))
 	}
 	backend := &countingXML{docs: world.Catalog.XML}
-	m := NewManager(repo, Backends{XML: backend}, Options{})
+	m := NewManager(repo, Backends{XML: backend.Get}, Options{})
 	ctx := context.Background()
 
 	var schemas []*Schema

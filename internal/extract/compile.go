@@ -2,6 +2,7 @@ package extract
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"repro/internal/htmldoc"
@@ -151,40 +152,82 @@ func newRunDocs() *runDocs {
 	}
 }
 
-// docSlot is one document of a run. Its lock serializes the reads of that
-// document: concurrent sources and batch queries that read it wait for
-// the first read instead of racing reads of their own, so a wrapped
+// docSlot is one document of a run. Its token serializes the reads of
+// that document: concurrent sources and batch queries that read it wait
+// for the first read instead of racing reads of their own, so a wrapped
 // backend sees one read per document per run and a fault plan's call
 // counts do not depend on scheduling. A failed read is not shared — the
 // next rule (or retry) to ask reads again, exactly as it would alone.
 type docSlot[T any] struct {
-	mu  sync.Mutex
-	ok  bool
-	doc T
+	token chan struct{} // capacity 1: whoever sent into it holds the slot
+	ok    bool
+	doc   T
 }
 
-// readDoc returns the run's copy of the document at key, reading it
-// through get if no earlier read of this run succeeded. A rule whose
-// context expired while it waited for the slot gives up without reading.
-func readDoc[T any](ctx context.Context, d *runDocs, slots map[string]*docSlot[T], get func(key string) (T, error), key string) (T, error) {
+// takeSlot returns the run's slot for key holding its token, which the
+// caller releases; the wait for a busy slot is bounded by ctx.
+func takeSlot[T any](ctx context.Context, d *runDocs, slots map[string]*docSlot[T], key string) (*docSlot[T], error) {
 	d.mu.Lock()
 	s := slots[key]
 	if s == nil {
-		s = new(docSlot[T])
+		s = &docSlot[T]{token: make(chan struct{}, 1)}
 		slots[key] = s
 	}
 	d.mu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ok {
-		if err := ctx.Err(); err != nil {
-			return s.doc, err
-		}
-		doc, err := get(key)
-		if err != nil {
-			return doc, err
-		}
-		s.doc, s.ok = doc, true
+	select {
+	case s.token <- struct{}{}:
+		return s, nil
+	case <-ctx.Done():
+		return nil, fmt.Errorf("extract: waiting for %s: %w", key, ctx.Err())
 	}
-	return s.doc, nil
+}
+
+func (s *docSlot[T]) release() { <-s.token }
+
+// docRead is what one live backend read returned.
+type docRead[T any] struct {
+	doc T
+	err error
+}
+
+// readDoc returns the run's copy of the document at key, reading it
+// through get if no earlier read of this run succeeded; a rule whose ctx
+// ended while it waited gives up without reading. It is the one place
+// the pipeline calls a backend. The read runs on its own goroutine,
+// which holds the slot until get returns, so a caller whose ctx ends
+// first returns at once, and the read still fills and releases the slot
+// for later readers when the backend returns.
+func readDoc[T any](ctx context.Context, d *runDocs, slots map[string]*docSlot[T], get Backend[T], key string) (T, error) {
+	var zero T
+	if get == nil {
+		return zero, Permanent(fmt.Errorf("extract: no backend configured for %q", key))
+	}
+	s, err := takeSlot(ctx, d, slots, key)
+	if err != nil {
+		return zero, err
+	}
+	if s.ok {
+		doc := s.doc
+		s.release()
+		return doc, nil
+	}
+	if err := ctx.Err(); err != nil {
+		s.release()
+		return zero, err
+	}
+	done := make(chan docRead[T], 1)
+	go func() {
+		doc, err := get(ctx, key)
+		if err == nil {
+			s.doc, s.ok = doc, true
+		}
+		s.release()
+		done <- docRead[T]{doc, err}
+	}()
+	select {
+	case r := <-done:
+		return r.doc, r.err
+	case <-ctx.Done():
+		return zero, fmt.Errorf("extract: reading %s: %w", key, ctx.Err())
+	}
 }

@@ -103,34 +103,35 @@ type ResultSet struct {
 	Stats Stats
 }
 
-// DocGetter resolves a document path to the document itself: a parsed
-// XML root (*xmlstore.Store) or text content (*textsrc.Store). Rules run
-// their compiled XPath or regex over it locally, so one Get is one
-// document read however many rules use the document; wrappers (fault
-// injection, remote stores) interpose here.
-type DocGetter[T any] interface {
-	Get(path string) (T, error)
-}
+// Backend is the one shape of every source backend: it resolves a key —
+// a page URL, a document path, a database DSN — to content under the
+// reading rule's context, which it should honour (readDoc abandons a
+// read that outlives it). One call is one document read, however many
+// rules run over the result.
+type Backend[T any] func(ctx context.Context, key string) (T, error)
 
-// Backends resolves source definitions to live content. In the paper's
-// deployment these reach remote autonomous systems; the datasource.Catalog
-// provides in-process equivalents and the transport package HTTP-backed
-// ones. Every field is an interface (or func) so chaos and proxy layers
-// can wrap any backend uniformly (internal/faultinject does).
+// Backends resolves source definitions to live content: in-process
+// stores (FromCatalog), an HTTP page fetch (transport.HTTPFetcher), or
+// wrappers over either (internal/faultinject).
 type Backends struct {
 	// Pages fetches web page content by URL.
-	Pages webl.Fetcher
-	// XML resolves Definition.Path for XML sources.
-	XML DocGetter[*xmlpath.Node]
+	Pages Backend[string]
+	// XML resolves Definition.Path for XML sources to the parsed root.
+	XML Backend[*xmlpath.Node]
 	// Text resolves Definition.Path for plain-text sources.
-	Text DocGetter[string]
+	Text Backend[string]
 	// DB resolves Definition.DSN for database sources.
-	DB func(dsn string) (*reldb.DB, error)
+	DB Backend[*reldb.DB]
 }
 
 // FromCatalog builds backends over an in-process source catalog.
 func FromCatalog(c *datasource.Catalog) Backends {
-	return Backends{Pages: c, XML: c.XML, Text: c.Text, DB: c.DB}
+	return Backends{Pages: local(c.Fetch), XML: local(c.XML.Get), Text: local(c.Text.Get), DB: local(c.DB)}
+}
+
+// local adapts an in-process read, which never blocks, to Backend.
+func local[T any](get func(key string) (T, error)) Backend[T] {
+	return func(_ context.Context, key string) (T, error) { return get(key) }
 }
 
 // Options tune the manager.
@@ -757,7 +758,7 @@ func (m *Manager) extractSource(ctx context.Context, plan mapping.SourcePlan, do
 		}
 	}
 	// Rules run in entry order on the source's own goroutine (the source
-	// fan-out in execute is the only concurrency), so each result becomes
+	// fan-out in execute is the only fan-out), so each result becomes
 	// a fragment or an error as soon as its rule returns, in entry order.
 	anyFailed := false
 	for i, entry := range plan.Entries {
@@ -841,42 +842,31 @@ func (m *Manager) retryRule(ctx context.Context, def datasource.Definition, entr
 // runRule delegates to the extractor for the source's kind, then applies
 // the rule's value transform, if any. Compiled artifacts come from the
 // manager's compiled-rule cache; source documents from the run's shared
-// document layer, read under the rule's ctx.
+// document layer, read under the rule's ctx. The rule runs inline: a
+// backend read ends at ctx's deadline, CPU-bound work finishes first.
 func (m *Manager) runRule(ctx context.Context, def datasource.Definition, entry mapping.Entry, docs *runDocs) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	cr := m.compiled.get(entry.Rule)
-	type outcome struct {
-		values []string
-		err    error
+	var values []string
+	var err error
+	switch def.Kind {
+	case datasource.KindDatabase:
+		values, err = m.extractDB(ctx, def, entry, cr, docs)
+	case datasource.KindXML:
+		values, err = m.extractXML(ctx, def, cr, docs)
+	case datasource.KindWeb:
+		values, err = m.extractWeb(ctx, def, entry, cr, docs)
+	case datasource.KindText:
+		values, err = m.extractText(ctx, def, cr, docs)
+	default:
+		err = Permanent(fmt.Errorf("extract: no extractor for source kind %d", int(def.Kind)))
 	}
-	ch := make(chan outcome, 1)
-	go func() {
-		var o outcome
-		switch def.Kind {
-		case datasource.KindDatabase:
-			o.values, o.err = m.extractDB(ctx, def, entry, cr, docs)
-		case datasource.KindXML:
-			o.values, o.err = m.extractXML(ctx, def, cr, docs)
-		case datasource.KindWeb:
-			o.values, o.err = m.extractWeb(ctx, def, entry, cr, docs)
-		case datasource.KindText:
-			o.values, o.err = m.extractText(ctx, def, cr, docs)
-		default:
-			o.err = Permanent(fmt.Errorf("extract: no extractor for source kind %d", int(def.Kind)))
-		}
-		if o.err == nil {
-			o.values, o.err = applyTransform(cr, o.values)
-		}
-		ch <- o
-	}()
-	select {
-	case o := <-ch:
-		return o.values, o.err
-	case <-ctx.Done():
-		return nil, fmt.Errorf("extract: source %s: %w", def.ID, ctx.Err())
+	if err != nil {
+		return nil, err
 	}
+	return applyTransform(cr, values)
 }
 
 // applyTransform normalizes each extracted value through the rule's
@@ -911,9 +901,6 @@ func applyTransform(cr *compiledRule, values []string) ([]string, error) {
 // skip the per-call SQL parse; a rule whose statement did not pre-parse
 // falls back to the database's own Query for identical error reporting.
 func (m *Manager) extractDB(ctx context.Context, def datasource.Definition, entry mapping.Entry, cr *compiledRule, docs *runDocs) ([]string, error) {
-	if m.backends.DB == nil {
-		return nil, Permanent(errors.New("extract: no database backend configured"))
-	}
 	db, err := readDoc(ctx, docs, docs.dbs, m.backends.DB, def.DSN)
 	if err != nil {
 		return nil, err
@@ -989,13 +976,10 @@ func columnStrings(rows [][]reldb.Value, col int) []string {
 // extractXML runs the rule's compiled path over the run's shared parsed
 // document, read once per run however many rules select from it.
 func (m *Manager) extractXML(ctx context.Context, def datasource.Definition, cr *compiledRule, docs *runDocs) ([]string, error) {
-	if m.backends.XML == nil {
-		return nil, Permanent(errors.New("extract: no XML backend configured"))
-	}
 	if cr.xpathErr != nil {
 		return nil, Permanent(cr.xpathErr)
 	}
-	root, err := readDoc(ctx, docs, docs.xml, m.backends.XML.Get, def.Path)
+	root, err := readDoc(ctx, docs, docs.xml, m.backends.XML, def.Path)
 	if err != nil {
 		return nil, err
 	}
@@ -1005,76 +989,62 @@ func (m *Manager) extractXML(ctx context.Context, def datasource.Definition, cr 
 // extractText runs the rule's compiled regex over the run's shared
 // document content, read once per run like extractXML's.
 func (m *Manager) extractText(ctx context.Context, def datasource.Definition, cr *compiledRule, docs *runDocs) ([]string, error) {
-	if m.backends.Text == nil {
-		return nil, Permanent(errors.New("extract: no text backend configured"))
-	}
 	if cr.regexErr != nil {
 		return nil, Permanent(cr.regexErr)
 	}
-	content, err := readDoc(ctx, docs, docs.text, m.backends.Text.Get, def.Path)
+	content, err := readDoc(ctx, docs, docs.text, m.backends.Text, def.Path)
 	if err != nil {
 		return nil, err
 	}
 	return textsrc.ExtractCompiled(content, cr.regex), nil
 }
 
-// ContextFetcher is an optional upgrade of webl.Fetcher: a page backend
-// that accepts the request context, so trace identifiers propagate to
-// remote web sources (transport.HTTPFetcher implements it by forwarding
-// the trace/span ID headers).
-type ContextFetcher interface {
-	FetchContext(ctx context.Context, url string) (string, error)
-}
-
 // ruleFetcher is one rule's view of the run's pages: every page it asks
 // for — a WebL GetURL call or a selector rule's document — comes from
 // the run's page slot, read under the rule's context. This is the
-// sanctioned exception to the no-ctx-in-structs rule: webl.Fetcher's
-// signature cannot carry a context, and the adapter lives only for the
-// one rule execution that made it.
+// sanctioned exception to the no-ctx-in-structs rule: it carries the
+// rule's context through the interpreter's context-free webl.Fetcher,
+// and lives only for the one rule execution that made it.
 type ruleFetcher struct {
-	//lint:ignore ctxfield single-rule adapter bridging the context-free webl.Fetcher interface; scoped to one extraction and never stored
+	//lint:ignore ctxfield single-rule adapter carrying the rule's context through the interpreter's context-free webl.Fetcher to the page backend; scoped to one extraction and never stored
 	ctx  context.Context
 	docs *runDocs
-	next webl.Fetcher
+	next Backend[string]
 }
 
 // Fetch returns the run's copy of the page at url.
 func (f ruleFetcher) Fetch(url string) (string, error) {
-	return readDoc(f.ctx, f.docs, f.docs.pages, f.fetch, url)
+	return readDoc(f.ctx, f.docs, f.docs.pages, f.next, url)
 }
 
-// fetch is one live page read; backends that take a context get the
-// rule's.
-func (f ruleFetcher) fetch(url string) (string, error) {
-	if cf, ok := f.next.(ContextFetcher); ok {
-		return cf.FetchContext(f.ctx, url)
-	}
-	return f.next.Fetch(url)
-}
-
-// parse parses the run's copy of the page at url.
+// parse returns the run's DOM of the page at url, parsed once per run on
+// the rule's goroutine; only the page read under it calls a backend.
 func (f ruleFetcher) parse(url string) (*htmldoc.Node, error) {
-	src, err := f.Fetch(url)
+	s, err := takeSlot(f.ctx, f.docs, f.docs.html, url)
 	if err != nil {
 		return nil, err
 	}
-	return htmldoc.Parse(src), nil
+	defer s.release()
+	if !s.ok {
+		src, err := f.Fetch(url)
+		if err != nil {
+			return nil, err
+		}
+		s.doc, s.ok = htmldoc.Parse(src), true
+	}
+	return s.doc, nil
 }
 
 // extractWeb delegates by rule language: WebL programs run in the
 // interpreter (their GetURL calls read the run's shared pages); CSS
 // selector rules extract from the run's shared parsed DOM.
 func (m *Manager) extractWeb(ctx context.Context, def datasource.Definition, entry mapping.Entry, cr *compiledRule, docs *runDocs) ([]string, error) {
-	if m.backends.Pages == nil {
-		return nil, Permanent(errors.New("extract: no web backend configured"))
-	}
 	pages := ruleFetcher{ctx: ctx, docs: docs, next: m.backends.Pages}
 	if entry.Rule.Language == mapping.LangSelector {
 		if cr.selectorErr != nil {
 			return nil, Permanent(cr.selectorErr)
 		}
-		root, err := readDoc(ctx, docs, docs.html, pages.parse, def.URL)
+		root, err := pages.parse(def.URL)
 		if err != nil {
 			return nil, err
 		}
@@ -1128,11 +1098,7 @@ func weblValueToStrings(v webl.Value) ([]string, error) {
 		}
 		return out, nil
 	case float64, bool:
-		sub, err := weblValueToStrings(fmt.Sprintf("%v", t))
-		if err != nil {
-			return nil, err
-		}
-		return sub, nil
+		return []string{fmt.Sprintf("%v", t)}, nil
 	case *webl.Page:
 		return nil, fmt.Errorf("extract: webl rule produced a page, not a value")
 	default:

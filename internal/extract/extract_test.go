@@ -229,12 +229,12 @@ func TestExtractRetries(t *testing.T) {
 	fails := 2
 	backends := FromCatalog(w.catalog)
 	inner := backends.Pages
-	backends.Pages = fetcherFunc(func(url string) (string, error) {
+	backends.Pages = fetcherFunc(func(ctx context.Context, url string) (string, error) {
 		if fails > 0 {
 			fails--
 			return "", fmt.Errorf("transient network failure")
 		}
-		return inner.Fetch(url)
+		return inner(ctx, url)
 	})
 	w.repo.MustRegister(mapping.Entry{
 		AttributeID: "thing.product.brand", SourceID: "wpage_81",
@@ -250,9 +250,8 @@ func TestExtractRetries(t *testing.T) {
 	}
 }
 
-type fetcherFunc func(url string) (string, error)
-
-func (f fetcherFunc) Fetch(url string) (string, error) { return f(url) }
+// fetcherFunc is a page backend written inline.
+type fetcherFunc = Backend[string]
 
 func TestExtractTimeout(t *testing.T) {
 	w := newWorld(t)
@@ -264,9 +263,9 @@ func TestExtractTimeout(t *testing.T) {
 	backends := FromCatalog(w.catalog)
 	inner := backends.Pages
 	// The rule blocks in its page fetch well past the source timeout.
-	backends.Pages = fetcherFunc(func(url string) (string, error) {
+	backends.Pages = fetcherFunc(func(ctx context.Context, url string) (string, error) {
 		time.Sleep(10 * timeout)
-		return inner.Fetch(url)
+		return inner(ctx, url)
 	})
 	m := NewManager(w.repo, backends, Options{Timeout: timeout})
 	done := make(chan struct{})

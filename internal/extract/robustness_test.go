@@ -18,14 +18,14 @@ import (
 type countingFetcher struct {
 	mu    sync.Mutex
 	calls int
-	fn    func(url string) (string, error)
+	fn    func(ctx context.Context, url string) (string, error)
 }
 
-func (f *countingFetcher) Fetch(url string) (string, error) {
+func (f *countingFetcher) Fetch(ctx context.Context, url string) (string, error) {
 	f.mu.Lock()
 	f.calls++
 	f.mu.Unlock()
-	return f.fn(url)
+	return f.fn(ctx, url)
 }
 
 func (f *countingFetcher) count() int {
@@ -37,10 +37,10 @@ func (f *countingFetcher) count() int {
 func TestPermanentErrorNotRetried(t *testing.T) {
 	w := newWorld(t)
 	backends := FromCatalog(w.catalog)
-	fetcher := &countingFetcher{fn: func(url string) (string, error) {
+	fetcher := &countingFetcher{fn: func(ctx context.Context, url string) (string, error) {
 		return "", Permanent(fmt.Errorf("credentials rejected"))
 	}}
-	backends.Pages = fetcher
+	backends.Pages = fetcher.Fetch
 	w.repo.MustRegister(mapping.Entry{
 		AttributeID: "thing.product.brand", SourceID: "wpage_81",
 		Rule: mapping.Rule{Code: paperWebLRule}, Scenario: mapping.SingleRecord,
@@ -85,10 +85,10 @@ func TestRuleMisconfigurationIsPermanent(t *testing.T) {
 func TestTransientErrorIsRetried(t *testing.T) {
 	w := newWorld(t)
 	backends := FromCatalog(w.catalog)
-	fetcher := &countingFetcher{fn: func(url string) (string, error) {
+	fetcher := &countingFetcher{fn: func(ctx context.Context, url string) (string, error) {
 		return "", fmt.Errorf("transient network failure")
 	}}
-	backends.Pages = fetcher
+	backends.Pages = fetcher.Fetch
 	w.repo.MustRegister(mapping.Entry{
 		AttributeID: "thing.product.brand", SourceID: "wpage_81",
 		Rule: mapping.Rule{Code: paperWebLRule},
@@ -116,16 +116,16 @@ func TestFailedPageReadIsNotShared(t *testing.T) {
 	backends := FromCatalog(w.catalog)
 	inner := backends.Pages
 	first := true
-	fetcher := &countingFetcher{fn: func(url string) (string, error) {
+	fetcher := &countingFetcher{fn: func(ctx context.Context, url string) (string, error) {
 		if first {
 			first = false
 			// Hold the slot long enough for the other source to queue on it.
 			time.Sleep(20 * time.Millisecond)
 			return "", fmt.Errorf("transient network failure")
 		}
-		return inner.Fetch(url)
+		return inner(ctx, url)
 	}}
-	backends.Pages = fetcher
+	backends.Pages = fetcher.Fetch
 	must(t, w.repo.Sources().Register(datasource.Definition{
 		ID: "wpage_82", Kind: datasource.KindWeb, URL: "http://www.eshop.com/products/watches.html",
 	}))
@@ -153,7 +153,7 @@ func TestFailedPageReadIsNotShared(t *testing.T) {
 func TestRetryExhaustedOutcomeMetric(t *testing.T) {
 	w := newWorld(t)
 	backends := FromCatalog(w.catalog)
-	backends.Pages = fetcherFunc(func(url string) (string, error) {
+	backends.Pages = fetcherFunc(func(ctx context.Context, url string) (string, error) {
 		return "", fmt.Errorf("still down")
 	})
 	w.repo.MustRegister(mapping.Entry{
@@ -216,7 +216,7 @@ func TestBackoffDelaysJitterWithinRange(t *testing.T) {
 func TestBackoffSleepsBetweenRetries(t *testing.T) {
 	w := newWorld(t)
 	backends := FromCatalog(w.catalog)
-	backends.Pages = fetcherFunc(func(url string) (string, error) {
+	backends.Pages = fetcherFunc(func(ctx context.Context, url string) (string, error) {
 		return "", fmt.Errorf("down")
 	})
 	w.repo.MustRegister(mapping.Entry{
@@ -253,7 +253,7 @@ func TestBackoffSleepsBetweenRetries(t *testing.T) {
 func TestFailoverMarking(t *testing.T) {
 	w := newWorld(t)
 	backends := FromCatalog(w.catalog)
-	backends.Pages = fetcherFunc(func(url string) (string, error) {
+	backends.Pages = fetcherFunc(func(ctx context.Context, url string) (string, error) {
 		return "", fmt.Errorf("web replica down")
 	})
 	// Two sources map brand; only the web one fails, so its loss is a
@@ -295,7 +295,7 @@ func TestFailoverMarking(t *testing.T) {
 func TestFailoverNotMarkedWhenAttributeLost(t *testing.T) {
 	w := newWorld(t)
 	backends := FromCatalog(w.catalog)
-	backends.Pages = fetcherFunc(func(url string) (string, error) {
+	backends.Pages = fetcherFunc(func(ctx context.Context, url string) (string, error) {
 		return "", fmt.Errorf("down")
 	})
 	// Only one source maps brand: its loss loses the attribute.
@@ -316,7 +316,7 @@ func TestFailoverNotMarkedWhenAttributeLost(t *testing.T) {
 func TestQueryBudgetBoundsExtraction(t *testing.T) {
 	w := newWorld(t)
 	backends := FromCatalog(w.catalog)
-	backends.Pages = fetcherFunc(func(url string) (string, error) {
+	backends.Pages = fetcherFunc(func(ctx context.Context, url string) (string, error) {
 		time.Sleep(2 * time.Second)
 		return "", fmt.Errorf("too slow to matter")
 	})
@@ -355,5 +355,64 @@ func TestIsCircuitOpenWrappedChains(t *testing.T) {
 		if IsCircuitOpen(err) {
 			t.Errorf("negative case %d: IsCircuitOpen(%v) = true, want false", i, err)
 		}
+	}
+}
+
+// TestSlotWaitEndsAtDeadline hangs the one read of a document on a
+// backend that ignores its context. The rule that started the read
+// abandons it at its deadline; a second rule that waits on the
+// document's slot behind the hung read returns at its own deadline too,
+// with an error wrapping context.DeadlineExceeded. Once the backend
+// answers, the abandoned read fills and releases the slot, and a later
+// reader gets the document without a second backend call.
+func TestSlotWaitEndsAtDeadline(t *testing.T) {
+	docs := newRunDocs()
+	release := make(chan struct{})
+	var mu sync.Mutex
+	calls := 0
+	hung := func(ctx context.Context, path string) (string, error) {
+		mu.Lock()
+		calls++
+		mu.Unlock()
+		<-release
+		return "brand=Seiko", nil
+	}
+	read := func(ctx context.Context) (string, error) {
+		return readDoc(ctx, docs, docs.text, hung, "prices.txt")
+	}
+	// within fails the test instead of hanging it when read does not
+	// return at its deadline.
+	within := func(ctx context.Context, name string) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			_, err := read(ctx)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: read did not return at its deadline", name)
+			return nil
+		}
+	}
+	for _, name := range []string{"reader", "waiter"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		err := within(ctx, name)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want one wrapping context.DeadlineExceeded", name, err)
+		}
+	}
+	close(release)
+	doc, err := read(context.Background())
+	if err != nil || doc != "brand=Seiko" {
+		t.Fatalf("later reader: %q, %v; want the document the abandoned read fetched", doc, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if calls != 1 {
+		t.Errorf("backend calls = %d, want 1 (the abandoned read fills the slot)", calls)
 	}
 }

@@ -7,10 +7,11 @@
 //
 // An Injector holds per-target fault Plans keyed by the backend address a
 // source resolves to (URL for web pages, Path for XML/text documents, DSN
-// for databases — see Key). It wraps extract.Backends, webl.Fetcher, or
-// an http.RoundTripper; every operation against a planned target first
-// consults the plan, which may add latency, fail the call, hang until the
-// context expires, or corrupt the payload. An operation is one backend
+// for databases — see Key). It wraps extract.Backends, whose four kinds
+// share one context-taking shape, or an http.RoundTripper; every
+// operation against a planned target first consults the plan under the
+// operation's context, which may add latency, fail the call, hang until
+// the context ends, or corrupt the payload. An operation is one backend
 // read: a page fetch, a document read, a database open, or an HTTP round
 // trip — never one rule, because the extraction layer reads each source
 // document once per run and evaluates every rule over that copy.
@@ -34,14 +35,12 @@ import (
 
 	"repro/internal/datasource"
 	"repro/internal/extract"
-	"repro/internal/reldb"
-	"repro/internal/webl"
 	"repro/internal/xmlpath"
 )
 
-// maxHang bounds Hang faults when the wrapped call path carries no
-// context (the context-free webl.Fetcher and extract.DocGetter interfaces);
-// without it a hung call would leak its goroutine forever.
+// maxHang bounds a Hang fault whose caller's context has no deadline
+// and is never canceled; without it such a hung call would hold its
+// goroutine forever. Every other hang ends with its caller's context.
 const maxHang = 30 * time.Second
 
 // Fault is the failure plan for one target. Zero value injects nothing.
@@ -69,8 +68,8 @@ type Fault struct {
 	// extract.Permanent, so the extractor must fail fast instead of
 	// burning retries.
 	Permanent bool
-	// Hang blocks the operation until its context is canceled (or maxHang
-	// for context-free call paths), simulating a source that accepts the
+	// Hang blocks the operation until its context ends (or maxHang when
+	// the context never does), simulating a source that accepts the
 	// connection and never answers.
 	Hang bool
 	// Corrupt lets the operation through but mangles the payload: fetched
@@ -245,87 +244,37 @@ func (in *Injector) apply(ctx context.Context, target string) (corrupt bool, err
 }
 
 // WrapBackends returns b with every non-nil backend routed through the
-// injector. The wrapped Pages fetcher always implements
-// extract.ContextFetcher so per-rule contexts cancel injected hangs and
-// latency even when the inner fetcher is context-free.
+// injector, keyed by the address each kind resolves (see Key). The plan
+// is applied under the reading rule's context, so a Hang or latency
+// fault ends with the rule's deadline on every kind.
 func (in *Injector) WrapBackends(b extract.Backends) extract.Backends {
-	out := b
-	if b.Pages != nil {
-		out.Pages = in.WrapFetcher(b.Pages)
+	return extract.Backends{
+		Pages: wrap(in, b.Pages, CorruptPage),
+		XML:   wrap(in, b.XML, corruptXML),
+		Text:  wrap(in, b.Text, CorruptPage),
+		DB:    wrap(in, b.DB, nil),
 	}
-	if b.XML != nil {
-		out.XML = &docGetter[*xmlpath.Node]{in: in, next: b.XML, corrupt: corruptXML}
+}
+
+// wrap routes one backend through the injector. corrupt mangles a read
+// a Corrupt fault lets through; nil lets it through unchanged (a
+// database handle has no payload to mangle).
+func wrap[T any](in *Injector, next extract.Backend[T], corrupt func(T) T) extract.Backend[T] {
+	if next == nil {
+		return nil
 	}
-	if b.Text != nil {
-		out.Text = &docGetter[string]{in: in, next: b.Text, corrupt: CorruptPage}
-	}
-	if b.DB != nil {
-		next := b.DB
-		out.DB = func(dsn string) (*reldb.DB, error) {
-			if _, err := in.apply(context.Background(), dsn); err != nil {
-				return nil, err
-			}
-			return next(dsn)
+	return func(ctx context.Context, key string) (T, error) {
+		mangle, err := in.apply(ctx, key)
+		if err != nil {
+			var zero T
+			return zero, err
 		}
+		doc, err := next(ctx, key)
+		if err != nil || !mangle || corrupt == nil {
+			return doc, err
+		}
+		return corrupt(doc), nil
 	}
-	return out
-}
-
-// WrapFetcher routes a page fetcher through the injector, keyed by URL.
-func (in *Injector) WrapFetcher(next webl.Fetcher) webl.Fetcher {
-	return &fetcher{in: in, next: next}
-}
-
-// fetcher wraps a webl.Fetcher. It implements extract.ContextFetcher so
-// the extract layer hands it the per-rule context.
-type fetcher struct {
-	in   *Injector
-	next webl.Fetcher
-}
-
-func (f *fetcher) Fetch(url string) (string, error) {
-	return f.FetchContext(context.Background(), url)
-}
-
-func (f *fetcher) FetchContext(ctx context.Context, url string) (string, error) {
-	corrupt, err := f.in.apply(ctx, url)
-	if err != nil {
-		return "", err
-	}
-	var html string
-	if cf, ok := f.next.(extract.ContextFetcher); ok {
-		html, err = cf.FetchContext(ctx, url)
-	} else {
-		html, err = f.next.Fetch(url)
-	}
-	if err != nil {
-		return "", err
-	}
-	if corrupt {
-		return CorruptPage(html), nil
-	}
-	return html, nil
-}
-
-// docGetter wraps an XML or text document getter, keyed by document
-// path; corrupt mangles a document a Corrupt fault lets through.
-type docGetter[T any] struct {
-	in      *Injector
-	next    extract.DocGetter[T]
-	corrupt func(T) T
-}
-
-func (g *docGetter[T]) Get(path string) (T, error) {
-	corrupt, err := g.in.apply(context.Background(), path)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	doc, err := g.next.Get(path)
-	if err != nil || !corrupt {
-		return doc, err
-	}
-	return g.corrupt(doc), nil
 }
 
 // corruptXML serves a corrupted XML read as the document <corrupted/>:

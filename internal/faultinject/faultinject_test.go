@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,10 +12,9 @@ import (
 
 	"repro/internal/datasource"
 	"repro/internal/extract"
-	"repro/internal/textsrc"
+	"repro/internal/reldb"
 	"repro/internal/webl"
 	"repro/internal/xmlpath"
-	"repro/internal/xmlstore"
 )
 
 func TestKeySelectsBackendAddress(t *testing.T) {
@@ -156,29 +156,39 @@ func TestAddLatencyDelays(t *testing.T) {
 	}
 }
 
-func TestWrapFetcherImplementsContextFetcher(t *testing.T) {
-	inner := webl.MapFetcher{"http://a/p": "<html>ok</html>"}
+// ctxKey marks a caller's context, so a test can see that a wrapped
+// backend hands the inner one that same context.
+type ctxKey struct{}
+
+func TestWrapBackendsPagesFailThenRecover(t *testing.T) {
+	var seen []any
+	inner := extract.Backends{Pages: func(ctx context.Context, url string) (string, error) {
+		seen = append(seen, ctx.Value(ctxKey{}))
+		return webl.MapFetcher{"http://a/p": "<html>ok</html>"}.Fetch(url)
+	}}
 	in := New(1, Plan{"http://a/p": {FailFirst: 1}})
-	wrapped := in.WrapFetcher(inner)
-	if _, ok := wrapped.(extract.ContextFetcher); !ok {
-		t.Fatal("wrapped fetcher must implement extract.ContextFetcher")
-	}
-	if _, err := wrapped.Fetch("http://a/p"); err == nil {
+	wrapped := in.WrapBackends(inner).Pages
+	ctx := context.WithValue(context.Background(), ctxKey{}, "rule")
+	if _, err := wrapped(ctx, "http://a/p"); err == nil {
 		t.Fatal("first fetch should fail")
 	}
-	html, err := wrapped.Fetch("http://a/p")
+	html, err := wrapped(ctx, "http://a/p")
 	if err != nil {
 		t.Fatalf("second fetch: %v", err)
 	}
 	if html != "<html>ok</html>" {
 		t.Fatalf("unexpected page %q", html)
 	}
+	if len(seen) != 1 || seen[0] != "rule" {
+		t.Fatalf("inner backend saw contexts %v, want the caller's one", seen)
+	}
 }
 
-func TestWrapFetcherCorruptsPages(t *testing.T) {
-	inner := webl.MapFetcher{"http://a/p": "<html><body>hello</body></html>"}
+func TestWrapBackendsCorruptsPages(t *testing.T) {
+	c := datasource.NewCatalog()
+	c.AddPage("http://a/p", "<html><body>hello</body></html>")
 	in := New(1, Plan{"http://a/p": {Corrupt: true}})
-	html, err := in.WrapFetcher(inner).Fetch("http://a/p")
+	html, err := in.WrapBackends(extract.FromCatalog(c)).Pages(context.Background(), "http://a/p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,22 +202,23 @@ func TestWrapFetcherCorruptsPages(t *testing.T) {
 
 func TestWrapBackendsDocCorruption(t *testing.T) {
 	const page = "<catalog><watch><brand>Seiko</brand></watch></catalog>"
-	xml, text := xmlstore.New(), textsrc.New()
-	xml.MustAdd("cat.xml", page)
-	xml.MustAdd("other.xml", page)
-	text.MustAdd("prices.txt", "brand=Seiko price=129.99")
+	c := datasource.NewCatalog()
+	c.XML.MustAdd("cat.xml", page)
+	c.XML.MustAdd("other.xml", page)
+	c.Text.MustAdd("prices.txt", "brand=Seiko price=129.99")
 	in := New(1, Plan{"cat.xml": {Corrupt: true}, "prices.txt": {Corrupt: true}})
-	b := in.WrapBackends(extract.Backends{XML: xml, Text: text})
+	b := in.WrapBackends(extract.FromCatalog(c))
 	brand := xmlpath.MustCompile("//brand")
+	ctx := context.Background()
 
-	root, err := b.XML.Get("cat.xml")
+	root, err := b.XML(ctx, "cat.xml")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := brand.SelectStrings(root); len(got) != 0 {
 		t.Fatalf("corrupted XML document still yields records: %v", got)
 	}
-	content, err := b.Text.Get("prices.txt")
+	content, err := b.Text(ctx, "prices.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +226,7 @@ func TestWrapBackendsDocCorruption(t *testing.T) {
 		t.Fatalf("text document not truncated: %q", content)
 	}
 	// Unplanned path passes through untouched.
-	root, err = b.XML.Get("other.xml")
+	root, err = b.XML(ctx, "other.xml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +235,49 @@ func TestWrapBackendsDocCorruption(t *testing.T) {
 	}
 	if in.Calls("cat.xml") != 1 || in.Calls("prices.txt") != 1 {
 		t.Errorf("calls = %d, %d; want one operation per document read", in.Calls("cat.xml"), in.Calls("prices.txt"))
+	}
+}
+
+// TestWrapBackendsFaultsEndWithCallerContext plans a Hang and an
+// AddLatency fault on an XML, a text and a DB target and reads each
+// under a context that has already passed its deadline. The sleep seam
+// returns the context's error if it has one and reports a sleep under a
+// live context, so a wrapper that applied its plan under any context
+// but the caller's would be caught without waiting out the fault.
+func TestWrapBackendsFaultsEndWithCallerContext(t *testing.T) {
+	c := datasource.NewCatalog()
+	c.XML.MustAdd("cat.xml", "<catalog/>")
+	c.Text.MustAdd("prices.txt", "price=1")
+	c.AddDB("mem://db", reldb.New())
+	for _, fc := range []struct {
+		name  string
+		fault Fault
+	}{{"hang", Fault{Hang: true}}, {"latency", Fault{AddLatency: time.Hour}}} {
+		fault := fc.fault
+		in := New(1, Plan{"cat.xml": fault, "prices.txt": fault, "mem://db": fault})
+		in.sleep = func(ctx context.Context, d time.Duration) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			t.Errorf("%s: slept %v under a context that had not ended", fc.name, d)
+			return nil
+		}
+		b := in.WrapBackends(extract.FromCatalog(c))
+		ctx, cancel := context.WithTimeout(context.Background(), 0)
+		reads := []struct {
+			kind string
+			read func() error
+		}{
+			{"xml", func() error { _, err := b.XML(ctx, "cat.xml"); return err }},
+			{"text", func() error { _, err := b.Text(ctx, "prices.txt"); return err }},
+			{"db", func() error { _, err := b.DB(ctx, "mem://db"); return err }},
+		}
+		for _, r := range reads {
+			if err := r.read(); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s on %s: err = %v, want one wrapping context.DeadlineExceeded", fc.name, r.kind, err)
+			}
+		}
+		cancel()
 	}
 }
 

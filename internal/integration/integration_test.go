@@ -124,7 +124,7 @@ type flakyFetcher struct {
 	failEach int // every n-th fetch fails
 }
 
-func (f *flakyFetcher) Fetch(url string) (string, error) {
+func (f *flakyFetcher) Fetch(_ context.Context, url string) (string, error) {
 	f.mu.Lock()
 	f.n++
 	n := f.n
@@ -145,7 +145,7 @@ func TestFailureInjectionIsolation(t *testing.T) {
 	})
 	backends := extract.FromCatalog(world.Catalog)
 	// Every web fetch fails.
-	backends.Pages = &flakyFetcher{inner: world.Catalog, failEach: 1}
+	backends.Pages = (&flakyFetcher{inner: world.Catalog, failEach: 1}).Fetch
 	mw, err := core.New(core.Config{Ontology: world.Ontology, Backends: backends})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestFailureInjectionIsolation(t *testing.T) {
 func TestRetriesMaskTransientFailures(t *testing.T) {
 	world := workload.MustGenerate(workload.Spec{WebSources: 3, RecordsPerSource: 5, Seed: 64})
 	backends := extract.FromCatalog(world.Catalog)
-	backends.Pages = &flakyFetcher{inner: world.Catalog, failEach: 3}
+	backends.Pages = (&flakyFetcher{inner: world.Catalog, failEach: 3}).Fetch
 	mw, err := core.New(core.Config{
 		Ontology: world.Ontology,
 		Backends: backends,

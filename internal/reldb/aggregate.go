@@ -63,15 +63,17 @@ func (db *DB) aggregate(sel *sqllang.Select, tables []*table, tuples [][][]Value
 	}
 	groups := map[string]*group{}
 	var order []string
+	// Each row's key is built in one reused buffer and looked up without
+	// a copy; only a new group's key becomes a string.
+	var kb []byte
 	for _, tuple := range tuples {
-		var kb strings.Builder
+		kb = kb[:0]
 		for _, pos := range groupPos {
-			kb.WriteString(tuple[pos.ti][pos.ci].key())
-			kb.WriteByte('\x00')
+			kb = append(tuple[pos.ti][pos.ci].appendKey(kb), '\x00')
 		}
-		key := kb.String()
-		g, ok := groups[key]
+		g, ok := groups[string(kb)]
 		if !ok {
+			key := string(kb)
 			g = &group{key: key, sample: tuple}
 			groups[key] = g
 			order = append(order, key)

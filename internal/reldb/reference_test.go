@@ -107,7 +107,7 @@ func (db *DB) refExecuteSelect(sel *sqllang.Select) (*Result, error) {
 	}
 
 	if sqllang.HasAggregate(sel.Columns) || len(sel.GroupBy) > 0 {
-		return db.aggregate(sel, tables, filtered)
+		return refAggregate(sel, tables, filtered)
 	}
 
 	if sel.Order != nil {
@@ -262,5 +262,136 @@ func refProject(sel *sqllang.Select, tables []*table, tuples [][][]Value) (*Resu
 		}
 		res.Rows = append(res.Rows, row)
 	}
+	return res, nil
+}
+
+// refAggregate is DB.aggregate before it built group keys in one reused
+// buffer: one strings.Builder and one key string per GROUP BY column per
+// row.
+func refAggregate(sel *sqllang.Select, tables []*table, tuples [][][]Value) (*Result, error) {
+	// Resolve GROUP BY columns.
+	groupPos := make([]colPos, len(sel.GroupBy))
+	groupKeySet := make(map[string]bool, len(sel.GroupBy))
+	for i, ref := range sel.GroupBy {
+		pos, err := resolveRef(tables, ref)
+		if err != nil {
+			return nil, err
+		}
+		groupPos[i] = pos
+		groupKeySet[strings.ToLower(ref.Column)] = true
+		if ref.Table != "" {
+			groupKeySet[strings.ToLower(ref.String())] = true
+		}
+	}
+
+	// Validate and resolve the select list.
+	if len(sel.Columns) == 0 {
+		return nil, fmt.Errorf("reldb: SELECT * cannot be combined with GROUP BY or aggregates")
+	}
+	type itemPlan struct {
+		item sqllang.SelectItem
+		pos  colPos // unused for COUNT(*)
+	}
+	plans := make([]itemPlan, 0, len(sel.Columns))
+	res := &Result{}
+	for _, item := range sel.Columns {
+		ip := itemPlan{item: item}
+		if !item.Star {
+			pos, err := resolveRef(tables, item.Col)
+			if err != nil {
+				return nil, err
+			}
+			ip.pos = pos
+		}
+		if item.Agg == sqllang.AggNone {
+			if !groupKeySet[strings.ToLower(item.Col.Column)] && !groupKeySet[strings.ToLower(item.Col.String())] {
+				return nil, fmt.Errorf("reldb: column %q must appear in GROUP BY or an aggregate", item.Col.String())
+			}
+		}
+		plans = append(plans, ip)
+		res.Columns = append(res.Columns, item.String())
+	}
+
+	// Partition tuples into groups.
+	type group struct {
+		key    string
+		sample [][]Value // representative tuple for group-by values
+		rows   [][][]Value
+	}
+	groups := map[string]*group{}
+	var order []string
+	for _, tuple := range tuples {
+		var kb strings.Builder
+		for _, pos := range groupPos {
+			kb.WriteString(tuple[pos.ti][pos.ci].key())
+			kb.WriteByte('\x00')
+		}
+		key := kb.String()
+		g, ok := groups[key]
+		if !ok {
+			g = &group{key: key, sample: tuple}
+			groups[key] = g
+			order = append(order, key)
+		}
+		g.rows = append(g.rows, tuple)
+	}
+	sort.Strings(order)
+	// With no GROUP BY and no input rows, aggregates still produce one row
+	// (COUNT(*) = 0).
+	if len(sel.GroupBy) == 0 && len(order) == 0 {
+		groups[""] = &group{}
+		order = append(order, "")
+	}
+
+	for _, key := range order {
+		g := groups[key]
+		row := make([]Value, len(plans))
+		for i, ip := range plans {
+			v, err := computeAggregate(ip.item, ip.pos, g.sample, g.rows)
+			if err != nil {
+				return nil, err
+			}
+			row[i] = v
+		}
+		res.Rows = append(res.Rows, row)
+	}
+
+	// ORDER BY matches an output column by its printed name (e.g. ORDER BY
+	// brand after GROUP BY brand) — aggregates order by group key otherwise.
+	if sel.Order != nil {
+		target := -1
+		for i, name := range res.Columns {
+			if strings.EqualFold(name, sel.Order.Column.String()) {
+				target = i
+				break
+			}
+		}
+		if target < 0 {
+			return nil, fmt.Errorf("reldb: ORDER BY %s does not match an output column", sel.Order.Column.String())
+		}
+		var sortErr error
+		sort.SliceStable(res.Rows, func(i, j int) bool {
+			a, b := res.Rows[i][target], res.Rows[j][target]
+			if a.Null != b.Null {
+				return a.Null
+			}
+			if a.Null {
+				return false
+			}
+			c, err := compare(a, b)
+			if err != nil {
+				sortErr = err
+				return false
+			}
+			if sel.Order.Desc {
+				return c > 0
+			}
+			return c < 0
+		})
+		if sortErr != nil {
+			return nil, sortErr
+		}
+	}
+	res.Rows = applyOffsetLimit(res.Rows, sel.Offset, sel.Limit)
 	return res, nil
 }

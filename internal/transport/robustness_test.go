@@ -270,11 +270,11 @@ func TestHealthReportsDegradedState(t *testing.T) {
 	backends := extract.FromCatalog(world.Catalog)
 	var dead atomic.Bool
 	inner := backends.Pages
-	backends.Pages = fetcherFunc(func(url string) (string, error) {
+	backends.Pages = fetcherFunc(func(ctx context.Context, url string) (string, error) {
 		if dead.Load() {
 			return "", fmt.Errorf("partner offline")
 		}
-		return inner.Fetch(url)
+		return inner(ctx, url)
 	})
 	mw, err := core.New(core.Config{
 		Ontology: world.Ontology,
@@ -332,9 +332,8 @@ func TestHealthReportsDegradedState(t *testing.T) {
 	}
 }
 
-type fetcherFunc func(url string) (string, error)
-
-func (f fetcherFunc) Fetch(url string) (string, error) { return f(url) }
+// fetcherFunc is a page backend written inline.
+type fetcherFunc = extract.Backend[string]
 
 // TestAnswerQueryTracesSerializationFailure pins the envelope routes'
 // shared helper: when serialization fails the client gets a 500 with

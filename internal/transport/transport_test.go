@@ -363,7 +363,7 @@ func TestHTTPFetcherAgainstRemoteSource(t *testing.T) {
 	ont := ontology.Paper()
 	mw, err := core.New(core.Config{
 		Ontology: ont,
-		Backends: extract.Backends{Pages: &HTTPFetcher{}},
+		Backends: extract.Backends{Pages: (&HTTPFetcher{}).Fetch},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -402,10 +402,10 @@ func TestHTTPFetcherErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 	f := &HTTPFetcher{}
-	if _, err := f.Fetch(srv.URL); err == nil {
+	if _, err := f.Fetch(context.Background(), srv.URL); err == nil {
 		t.Error("non-200 fetched")
 	}
-	if _, err := f.Fetch("http://127.0.0.1:1/nothing"); err == nil {
+	if _, err := f.Fetch(context.Background(), "http://127.0.0.1:1/nothing"); err == nil {
 		t.Error("unreachable host fetched")
 	}
 }

@@ -14,10 +14,8 @@ import (
 	"time"
 
 	"repro/internal/datasource"
-	"repro/internal/extract"
 	"repro/internal/mapping"
 	"repro/internal/obs"
-	"repro/internal/webl"
 )
 
 // WireSource is the JSON form of a data source definition.
@@ -165,8 +163,9 @@ type SPARQLResponse struct {
 	Bindings []map[string]string `json:"bindings"`
 }
 
-// HTTPFetcher is a webl.Fetcher that fetches pages over real HTTP,
-// connecting the WebL GetURL builtin to remote web data sources.
+// HTTPFetcher fetches pages over real HTTP: as the page backend
+// (extract.Backends.Pages: HTTPFetcher.Fetch) it connects the WebL
+// GetURL builtin and selector rules to remote web data sources.
 type HTTPFetcher struct {
 	// Client is the HTTP client; nil uses a client with DefaultFetchTimeout.
 	Client *http.Client
@@ -180,15 +179,11 @@ const (
 	DefaultMaxFetchBytes = 8 << 20
 )
 
-// Fetch implements webl.Fetcher.
-func (f *HTTPFetcher) Fetch(url string) (string, error) {
-	return f.FetchContext(context.Background(), url)
-}
-
-// FetchContext implements extract.ContextFetcher: the fetch is bound to
-// ctx and, when ctx carries an active span, the trace/span ID headers
-// are forwarded so remote web sources join the query's trace.
-func (f *HTTPFetcher) FetchContext(ctx context.Context, url string) (string, error) {
+// Fetch fetches the page at url under ctx; a method value of it is an
+// extract.Backend for web pages. When ctx carries an active span, the
+// trace/span ID headers are forwarded so remote web sources join the
+// query's trace.
+func (f *HTTPFetcher) Fetch(ctx context.Context, url string) (string, error) {
 	client := f.Client
 	if client == nil {
 		client = &http.Client{Timeout: DefaultFetchTimeout}
@@ -219,8 +214,3 @@ func (f *HTTPFetcher) FetchContext(ctx context.Context, url string) (string, err
 	}
 	return string(body), nil
 }
-
-var (
-	_ webl.Fetcher           = (*HTTPFetcher)(nil)
-	_ extract.ContextFetcher = (*HTTPFetcher)(nil)
-)
