@@ -919,7 +919,7 @@ func BenchmarkE22Batch(b *testing.B) {
 		mw := newMW(b)
 		ctx := context.Background()
 		run := func() {
-			results, errs := mw.QueryBatchTo(ctx, queries, nil)
+			results, errs := mw.QueryBatchTo(ctx, queries, instance.FormatOWL, nil, nil)
 			for i := range queries {
 				if errs[i] != nil {
 					b.Fatal(errs[i])

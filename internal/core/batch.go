@@ -5,9 +5,10 @@ package core
 // layer, the extraction parallelism bound, and one deadline budget
 // across the batch (extract.Manager.ExtractQueryBatch), while every
 // query keeps its own plan-cache entry, trace root, metrics, and
-// canonically sorted result — so each per-query answer is byte-identical
-// to what the single-query path would return, and only the duplicated
-// document work and sequential wall-clock are saved.
+// canonically sorted result, and is answered through answer as a
+// single query is — so each per-query answer is byte-identical to what
+// the single-query path would return, and only the duplicated document
+// work and sequential wall-clock are saved.
 
 import (
 	"context"
@@ -24,13 +25,14 @@ import (
 // separate Query calls would behave. All queries share one extraction
 // scatter; each nonetheless runs its own planning (through the shared
 // plan cache), instance generation, and per-query trace and metrics,
-// nested under one "batch" trace root. Each successful result is handed
-// to sink(qctx, i, res), when sink is non-nil, as soon as it is
-// generated; qctx is that query's own context, so serializing under it
-// makes serialization a stage of the query's root, as in Answer — the
-// transport hands a sink that frames the serialized bytes onto the
-// batch response. A sink error becomes that query's error.
-func (m *Middleware) QueryBatchTo(ctx context.Context, queries []string, sink func(qctx context.Context, i int, res *instance.Result) error) ([]*instance.Result, []error) {
+// nested under one "batch" trace root. Each member is then answered as
+// a streamed Request whose extraction returns its slice of the scatter:
+// when sink is non-nil, member i is serialized into sink(i) under its
+// own query span, and a Sink error becomes its error. done, when
+// non-nil, runs for every member, failed ones included, in query order
+// before the next member starts; the transport writes each member's
+// trailer frame there, so its frames stay contiguous on the wire.
+func (m *Middleware) QueryBatchTo(ctx context.Context, queries []string, format instance.Format, sink func(i int) *Sink, done func(i int, res *instance.Result, err error)) ([]*instance.Result, []error) {
 	n := len(queries)
 	results := make([]*instance.Result, n)
 	errs := make([]error, n)
@@ -63,25 +65,26 @@ func (m *Middleware) QueryBatchTo(ctx context.Context, queries []string, sink fu
 	// already have, and they are skipped below.
 	sets, xerrs := m.manager.ExtractQueryBatch(ctx, schemas)
 
-	for i := range queries {
-		if errs[i] != nil {
-			finishes[i](nil, errs[i])
-			continue
+	for i, q := range queries {
+		var res *instance.Result
+		if errs[i] == nil {
+			// The shared scatter already ran this query's extraction stage.
+			req := Request{Query: q, Format: format, Stream: true, Extract: func(context.Context, *extract.Schema) (*extract.ResultSet, error) {
+				return sets[i], xerrs[i]
+			}}
+			var s *Sink
+			if sink != nil {
+				s = sink(i)
+			}
+			res, _, errs[i] = m.answer(qctxs[i], preps[i], req, s)
 		}
-		// The shared scatter already ran this query's extraction stage.
-		res, err := m.materialize(qctxs[i], preps[i], func(context.Context, *extract.Schema) (*extract.ResultSet, error) {
-			return sets[i], xerrs[i]
-		})
-		if err == nil && sink != nil {
-			err = sink(qctxs[i], i, res)
+		if errs[i] == nil {
+			results[i] = res
 		}
-		if err != nil {
-			errs[i] = err
-			finishes[i](res, err)
-			continue
+		finishes[i](res, errs[i])
+		if done != nil {
+			done(i, res, errs[i])
 		}
-		results[i] = res
-		finishes[i](res, nil)
 	}
 	return results, errs
 }

@@ -229,14 +229,16 @@ type Request struct {
 	// Stream serializes in bounded chunks (SerializeChunked) instead of
 	// one whole-document write, and emits barrier-free when the planner
 	// proved the query merge-free and the format is instance-incremental
-	// (instance.EagerFormat).
+	// (instance.EagerFormat). /query/stream and every /query/batch
+	// member (QueryBatchTo) are streamed requests.
 	Stream bool
 	// Extract, when non-nil, replaces the extraction stage: it receives
 	// the query's extraction schema and must return the complete result
 	// set (canonically sorted, failovers marked). The cluster
-	// coordinator passes its scatter-gather here, so planning,
-	// generation, serialization, tracing and metrics are exactly the
-	// single-node pipeline — which is what keeps clustered answers
+	// coordinator passes its scatter-gather here, and QueryBatchTo each
+	// member's slice of the batch scatter, so planning, generation,
+	// serialization, tracing and metrics are exactly the single-node
+	// pipeline — which is what keeps clustered and batched answers
 	// byte-identical. Such a request is always materialized.
 	Extract func(context.Context, *extract.Schema) (*extract.ResultSet, error)
 }
@@ -288,7 +290,9 @@ func (m *Middleware) Answer(ctx context.Context, req Request, sink *Sink) (res *
 
 // answer runs a planned request by one of the two execution strategies,
 // chosen here and nowhere else from the cached merge-free verdict and
-// the format.
+// the format. The instance generator takes no context, so the generate
+// and serialize stages are opened here (materialize, eager, and the
+// serialize stage below).
 func (m *Middleware) answer(ctx context.Context, p *prepared, req Request, sink *Sink) (res *instance.Result, stats instance.ChunkStats, err error) {
 	if sink != nil && req.Stream && req.Extract == nil && p.mergeFree && instance.EagerFormat(req.Format) {
 		return m.eager(ctx, p, req.Format, sink)
@@ -305,11 +309,15 @@ func (m *Middleware) answer(ctx context.Context, p *prepared, req Request, sink 
 			return res, stats, err
 		}
 	}
-	if req.Stream {
-		stats, err = m.gen.SerializeChunked(ctx, sink.W, res, req.Format)
-		return res, stats, err
+	_, span, done := obs.StartStage(ctx, "serialize")
+	defer done()
+	span.SetAttr("format", req.Format.String())
+	if !req.Stream {
+		return res, stats, m.gen.Serialize(sink.W, res, req.Format)
 	}
-	return res, stats, m.gen.SerializeContext(ctx, sink.W, res, req.Format)
+	stats, err = m.gen.SerializeChunked(sink.W, res, req.Format)
+	span.SetAttr("chunks", strconv.Itoa(stats.Chunks))
+	return res, stats, err
 }
 
 // materialize is the materialized strategy: extract everything
@@ -323,11 +331,19 @@ func (m *Middleware) materialize(ctx context.Context, p *prepared, extractFn fun
 	if err != nil {
 		return nil, err
 	}
-	return m.gen.GenerateContextOpts(ctx, p.plan, rs, instance.GenOptions{MergeFree: p.mergeFree})
+	_, span, done := obs.StartStage(ctx, "generate")
+	defer done()
+	res, err := m.gen.GenerateOpts(p.plan, rs, instance.GenOptions{MergeFree: p.mergeFree})
+	if err == nil {
+		span.SetAttr("matched", strconv.Itoa(len(res.Matched)))
+		span.SetAttr("related", strconv.Itoa(len(res.Related)))
+	}
+	return res, err
 }
 
 // eager is the barrier-free strategy: generation and serialization are
-// the extraction run's per-source sink. Extraction runs inside
+// the extraction run's per-source sink, recorded as one generate stage
+// (eager=true) with no separate serialize stage. Extraction runs inside
 // generation on this path, so the generate time includes waiting on
 // sources. The extraction run takes the query's ctx, keeping its span a
 // sibling of generate's.
@@ -337,10 +353,18 @@ func (m *Middleware) eager(ctx context.Context, p *prepared, format instance.For
 		sources[i] = sp.Source.ID
 	}
 	sort.Strings(sources)
+	_, span, done := obs.StartStage(ctx, "generate")
+	defer done()
+	span.SetAttr("eager", "true")
 	w := &beginWriter{w: sink.W, begin: sink.Begin}
-	return m.gen.GenerateEager(ctx, p.plan, sources, w, format, func(deliver func(string, []extract.Fragment)) (*extract.ResultSet, error) {
+	res, stats, err := m.gen.GenerateEager(p.plan, sources, w, format, func(deliver func(string, []extract.Fragment)) (*extract.ResultSet, error) {
 		return m.manager.ExtractQueryEach(ctx, p.schema, deliver)
 	})
+	if err == nil {
+		span.SetAttr("matched", strconv.Itoa(len(res.Matched)))
+		span.SetAttr("chunks", strconv.Itoa(stats.Chunks))
+	}
+	return res, stats, err
 }
 
 // beginWriter calls the eager path's Sink.Begin, if any, before the

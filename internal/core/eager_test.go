@@ -135,7 +135,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 	seq := buildEquivalenceWorld(t, extract.Options{})
 	batch := buildEquivalenceWorld(t, extract.Options{})
 
-	results, errs := batch.QueryBatchTo(ctx, equivalenceQueries, nil)
+	results, errs := batch.QueryBatchTo(ctx, equivalenceQueries, instance.FormatJSON, nil, nil)
 	for i, q := range equivalenceQueries {
 		if errs[i] != nil {
 			t.Fatalf("batch %q: %v", q, errs[i])
@@ -154,7 +154,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 	}
 
 	queries := []string{"SELECT product", "SELECT nonsense FROM", "SELECT provider"}
-	results, errs = batch.QueryBatchTo(ctx, queries, nil)
+	results, errs = batch.QueryBatchTo(ctx, queries, instance.FormatJSON, nil, nil)
 	if errs[0] != nil || errs[2] != nil {
 		t.Fatalf("good queries failed: %v / %v", errs[0], errs[2])
 	}
@@ -167,35 +167,90 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestQueryBatchToSinksEveryResult checks the serializing variant: the
-// sink sees each successful result exactly once, in query order, under
-// that query's own span, and a sink error becomes that query's error.
+// TestQueryBatchToSinksEveryResult checks the serializing variant: each
+// member's sink sees its result exactly once, in query order, and is
+// serialized under that query's own span; an error from a sink becomes
+// that query's error while its siblings still answer; and done runs for
+// every member, in order, right after the member is answered.
 func TestQueryBatchToSinksEveryResult(t *testing.T) {
 	ctx := context.Background()
 	mw := buildEquivalenceWorld(t, extract.Options{})
 	queries := []string{"SELECT product", "SELECT provider", "SELECT watch"}
-	var seen []int
-	_, errs := mw.QueryBatchTo(ctx, queries, func(qctx context.Context, i int, res *instance.Result) error {
-		seen = append(seen, i)
-		if res == nil {
-			t.Errorf("sink %d: nil result", i)
+	var seen, finished []int
+	bodies := make([]bytes.Buffer, len(queries))
+	_, errs := mw.QueryBatchTo(ctx, queries, instance.FormatJSON, func(i int) *core.Sink {
+		return &core.Sink{W: &bodies[i], Begin: func(res *instance.Result) error {
+			seen = append(seen, i)
+			if len(finished) != i {
+				t.Errorf("sink %d began after done ran for %v", i, finished)
+			}
+			if res == nil {
+				t.Errorf("sink %d: nil result", i)
+			}
+			if i == 1 {
+				return context.Canceled
+			}
+			return nil
+		}}
+	}, func(i int, res *instance.Result, err error) {
+		finished = append(finished, i)
+		if len(seen) != i+1 {
+			t.Errorf("done %d ran with sinks %v begun", i, seen)
 		}
-		if sp := obs.SpanFromContext(qctx); sp == nil || sp.Name != "query" || sp.Attrs["query"] != queries[i] {
-			t.Errorf("sink %d: context span = %+v, want the query span of %q", i, sp, queries[i])
-		}
-		if i == 1 {
-			return context.Canceled
-		}
-		return nil
 	})
 	if len(seen) != 3 || seen[0] != 0 || seen[1] != 1 || seen[2] != 2 {
 		t.Errorf("sink order = %v, want [0 1 2]", seen)
+	}
+	if len(finished) != 3 || finished[0] != 0 || finished[1] != 1 || finished[2] != 2 {
+		t.Errorf("done order = %v, want [0 1 2]", finished)
 	}
 	if errs[0] != nil || errs[2] != nil {
 		t.Errorf("unexpected errors: %v / %v", errs[0], errs[2])
 	}
 	if errs[1] == nil || !strings.Contains(errs[1].Error(), "canceled") {
 		t.Errorf("sink error not propagated: %v", errs[1])
+	}
+
+	// The sink gets no context, so read the parentage from the batch's
+	// trace: each answered member's serialize span hangs off its own
+	// query span.
+	batch := mw.Tracer().Last(1)[0]
+	if batch.Name != "batch" {
+		t.Fatalf("last trace is %q, want the batch", batch.Name)
+	}
+	querySpan := map[string]string{} // query span ID -> query text
+	serializeParents := map[string]int{}
+	batch.Walk(func(s *obs.Span) {
+		switch s.Name {
+		case "query":
+			querySpan[s.ID] = s.Attrs["query"]
+		case "serialize":
+			serializeParents[s.ParentID]++
+		}
+	})
+	for id, q := range querySpan {
+		want := 1
+		if q == queries[1] {
+			want = 0 // its sink failed before serialization began
+		}
+		if serializeParents[id] != want {
+			t.Errorf("%q: %d serialize spans under its query span, want %d", q, serializeParents[id], want)
+		}
+	}
+	if len(querySpan) != len(queries) {
+		t.Errorf("batch trace has %d query spans, want %d", len(querySpan), len(queries))
+	}
+	for _, i := range []int{0, 2} {
+		want, err := queryString(ctx, mw, queries[i], instance.FormatJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bodies[i].String() != want {
+			t.Errorf("%q: sink body diverges from QueryTo", queries[i])
+		}
+	}
+	if bodies[1].Len() != 0 {
+		t.Errorf("failed sink received %d bytes", bodies[1].Len())
 	}
 }
 

@@ -11,11 +11,7 @@ package instance
 
 import (
 	"bytes"
-	"context"
 	"io"
-	"strconv"
-
-	"repro/internal/obs"
 )
 
 // DefaultChunkSize is the flush threshold of a ChunkedWriter built with
@@ -131,18 +127,12 @@ func (c *ChunkedWriter) Stats() ChunkStats { return c.stats }
 // SerializeChunked writes the result in the requested format through a
 // bounded chunk buffer: w receives DefaultChunkSize-sized writes as the
 // document forms instead of one whole-document write. Output bytes are
-// identical to Serialize. It runs under a "serialize" span (annotated
-// with the chunk count) and the context's stage-latency metrics, like
-// SerializeContext.
-func (g *Generator) SerializeChunked(ctx context.Context, w io.Writer, res *Result, format Format) (ChunkStats, error) {
-	_, span, done := obs.StartStage(ctx, "serialize")
-	defer done()
-	span.SetAttr("format", format.String())
+// identical to Serialize.
+func (g *Generator) SerializeChunked(w io.Writer, res *Result, format Format) (ChunkStats, error) {
 	cw := NewChunkedWriter(w, 0)
 	err := g.serializeTo(cw, res, format)
 	if err == nil {
 		err = cw.Flush()
 	}
-	span.SetAttr("chunks", strconv.Itoa(cw.Stats().Chunks))
 	return cw.Stats(), err
 }

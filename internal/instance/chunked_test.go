@@ -9,7 +9,6 @@ package instance
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 
@@ -30,7 +29,7 @@ func TestChunkedWriterEmptyResult(t *testing.T) {
 	if err := w.gen.Serialize(&want, res, FormatJSON); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := w.gen.SerializeChunked(context.Background(), &got, res, FormatJSON)
+	stats, err := w.gen.SerializeChunked(&got, res, FormatJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func TestChunkedWriterSingleSmallInstance(t *testing.T) {
 		t.Fatalf("matched = %d, want 1", len(res.Matched))
 	}
 	var got bytes.Buffer
-	stats, err := w.gen.SerializeChunked(context.Background(), &got, res, FormatJSON)
+	stats, err := w.gen.SerializeChunked(&got, res, FormatJSON)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ package instance
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"encoding/xml"
 	"errors"
@@ -142,7 +141,7 @@ func checkMatchesReference(t *testing.T, g *Generator, res *Result, name string)
 		"Serialize": func(f Format) (string, error) { return serializeString(g, res, f) },
 		"SerializeChunked": func(f Format) (string, error) {
 			var b strings.Builder
-			_, err := g.SerializeChunked(context.Background(), &b, res, f)
+			_, err := g.SerializeChunked(&b, res, f)
 			return b.String(), err
 		},
 		"chunks of 16 bytes": func(f Format) (string, error) {

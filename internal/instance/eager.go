@@ -25,7 +25,6 @@ package instance
 // middleware takes the materialized path for the rest.
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -33,7 +32,6 @@ import (
 	"sync"
 
 	"repro/internal/extract"
-	"repro/internal/obs"
 	"repro/internal/s2sql"
 )
 
@@ -61,10 +59,9 @@ func EagerFormat(format Format) bool {
 // result). On error, part of the body may already be on the wire — the
 // caller signals completion out of band, as the transport's trailers
 // do. A writer failure stops emission but not extraction: run always
-// completes. It runs under a "generate" span (annotated eager=true);
-// generation and serialization are fused here, so no separate serialize
-// stage is recorded.
-func (g *Generator) GenerateEager(ctx context.Context, plan *s2sql.Plan, sources []string, w io.Writer, format Format, run func(deliver func(sourceID string, frags []extract.Fragment)) (*extract.ResultSet, error)) (*Result, ChunkStats, error) {
+// completes. Generation and serialization are fused here, so the caller
+// records one generate stage for both.
+func (g *Generator) GenerateEager(plan *s2sql.Plan, sources []string, w io.Writer, format Format, run func(deliver func(sourceID string, frags []extract.Fragment)) (*extract.ResultSet, error)) (*Result, ChunkStats, error) {
 	if plan == nil {
 		return nil, ChunkStats{}, fmt.Errorf("instance: nil plan")
 	}
@@ -72,9 +69,6 @@ func (g *Generator) GenerateEager(ctx context.Context, plan *s2sql.Plan, sources
 	if !ok {
 		return nil, ChunkStats{}, fmt.Errorf("instance: format %s cannot stream barrier-free", format)
 	}
-	_, span, done := obs.StartStage(ctx, "generate")
-	defer done()
-	span.SetAttr("eager", "true")
 
 	cw := NewChunkedWriter(w, 0)
 	res := &Result{Plan: plan}
@@ -174,7 +168,5 @@ func (g *Generator) GenerateEager(ctx context.Context, plan *s2sql.Plan, sources
 	if err := cw.Flush(); err != nil {
 		return res, cw.Stats(), err
 	}
-	span.SetAttr("matched", strconv.Itoa(len(res.Matched)))
-	span.SetAttr("chunks", strconv.Itoa(cw.Stats().Chunks))
 	return res, cw.Stats(), nil
 }

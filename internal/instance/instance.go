@@ -26,7 +26,6 @@
 package instance
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -34,7 +33,6 @@ import (
 
 	"repro/internal/extract"
 	"repro/internal/mapping"
-	"repro/internal/obs"
 	"repro/internal/ontology"
 	"repro/internal/s2sql"
 )
@@ -135,21 +133,6 @@ type Generator struct {
 // repository (used for class keys).
 func NewGenerator(ont *ontology.Ontology, repo *mapping.Repository) *Generator {
 	return &Generator{ont: ont, repo: repo}
-}
-
-// GenerateContextOpts is GenerateOpts with tracing: it runs under a
-// "generate" span when ctx carries one and records the stage latency in
-// the context's metrics registry (see internal/obs). It is the entry
-// point the middleware's query path uses.
-func (g *Generator) GenerateContextOpts(ctx context.Context, plan *s2sql.Plan, rs *extract.ResultSet, opts GenOptions) (*Result, error) {
-	_, span, done := obs.StartStage(ctx, "generate")
-	res, err := g.GenerateOpts(plan, rs, opts)
-	if err == nil {
-		span.SetAttr("matched", strconv.Itoa(len(res.Matched)))
-		span.SetAttr("related", strconv.Itoa(len(res.Related)))
-	}
-	done()
-	return res, err
 }
 
 // GenerateOpts compiles raw fragments into instances and applies the

@@ -12,7 +12,9 @@ package instance
 //
 // Frames are tagged with the query index, so the demultiplexer accepts
 // any interleaving; the server writes each query's frames contiguously
-// in query order. Body bytes inside =c frames are the exact bytes the
+// in query order — a failed query's trailer comes before the next
+// query's begin frame. Every query has exactly one trailer frame, and
+// a response missing one is malformed. Body bytes inside =c frames are the exact bytes the
 // single-query endpoint would produce for the same query and format —
 // the batch equivalence suite in internal/core pins that.
 
@@ -30,8 +32,8 @@ import (
 
 // MuxWriter multiplexes the batch response. Frame writes are serialized
 // by a mutex so per-query streams could be fed concurrently; the
-// middleware writes them sequentially, which keeps the wire layout
-// deterministic.
+// middleware answers the queries one after another, each through its
+// own core.Sink, which keeps the wire layout deterministic.
 type MuxWriter struct {
 	mu sync.Mutex
 	w  io.Writer

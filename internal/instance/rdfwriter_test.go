@@ -306,7 +306,7 @@ func TestRDFErrorsBeforeFirstByte(t *testing.T) {
 	} {
 		for _, f := range rdfFormats {
 			var clean bytes.Buffer
-			if _, err := w.gen.SerializeChunked(context.Background(), &clean, build(), f); err != nil {
+			if _, err := w.gen.SerializeChunked(&clean, build(), f); err != nil {
 				t.Fatal(err)
 			}
 			if clean.Len() < 2*DefaultChunkSize || !strings.Contains(clean.String(), "watch_9") {
@@ -315,7 +315,7 @@ func TestRDFErrorsBeforeFirstByte(t *testing.T) {
 			res := build()
 			c.spoil(last(res))
 			var out bytes.Buffer
-			_, err := w.gen.SerializeChunked(context.Background(), &out, res, f)
+			_, err := w.gen.SerializeChunked(&out, res, f)
 			if err == nil || err.Error() != c.want {
 				t.Errorf("%s/%s: err = %v, want %q", c.name, f, err, c.want)
 			}

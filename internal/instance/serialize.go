@@ -2,14 +2,12 @@ package instance
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/ontology"
 	"repro/internal/owl"
 	"repro/internal/rdf"
@@ -159,17 +157,6 @@ func findRelation(c *ontology.Class, name string) *ontology.Relation {
 		}
 	}
 	return nil
-}
-
-// SerializeContext is Serialize with tracing: it runs under a
-// "serialize" span when ctx carries one and records the stage latency in
-// the context's metrics registry (see internal/obs).
-func (g *Generator) SerializeContext(ctx context.Context, w io.Writer, res *Result, format Format) error {
-	_, span, done := obs.StartStage(ctx, "serialize")
-	span.SetAttr("format", format.String())
-	err := g.Serialize(w, res, format)
-	done()
-	return err
 }
 
 // Serialize writes the result in the requested format. The whole

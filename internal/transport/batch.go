@@ -7,8 +7,9 @@ package transport
 // back as one chunked response multiplexed in the instance.MuxWriter
 // line framing — per-query bodies in chunk frames, per-query counts and
 // errors in trailer frames, whole-response completion in an HTTP
-// trailer. Each query's body bytes are identical to what the
-// single-query endpoints produce.
+// trailer. The middleware serializes each query into the core.Sink the
+// transport hands it; the transport only frames. Each query's body
+// bytes are identical to what the single-query endpoints produce.
 
 import (
 	"bytes"
@@ -20,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/instance"
 	"repro/internal/obs"
 )
@@ -92,34 +94,32 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Each answer serializes under its own query's context, so the
-	// serialize stage is a child of that query's span.
-	_, errs := s.mw.QueryBatchTo(ctx, req.Queries, func(qctx context.Context, i int, res *instance.Result) error {
-		if err := mux.Begin(i); err != nil {
-			return err
-		}
-		if _, err := s.mw.Generator().SerializeChunked(qctx, mux.Stream(i), res, format); err != nil {
-			return err
-		}
-		return mux.Trailer(i, map[string]string{
-			batchKeyMatched: strconv.Itoa(len(res.Matched)),
-			batchKeyRelated: strconv.Itoa(len(res.Related)),
-			batchKeyErrors:  strconv.Itoa(len(res.Errors)),
-		})
-	})
-
+	// Every member answers through the middleware's answer path into its
+	// own mux stream; its trailer frame follows its body at once, so each
+	// member's frames are contiguous on the wire.
 	outcome := "ok"
-	for i, err := range errs {
-		if err == nil {
-			continue
+	var werr error
+	s.mw.QueryBatchTo(ctx, req.Queries, format, func(i int) *core.Sink {
+		return &core.Sink{W: mux.Stream(i), Begin: func(*instance.Result) error { return mux.Begin(i) }}
+	}, func(i int, res *instance.Result, err error) {
+		trailer := map[string]string{}
+		if err != nil {
+			outcome = "partial"
+			trailer[batchKeyError] = err.Error()
+		} else {
+			trailer[batchKeyMatched] = strconv.Itoa(len(res.Matched))
+			trailer[batchKeyRelated] = strconv.Itoa(len(res.Related))
+			trailer[batchKeyErrors] = strconv.Itoa(len(res.Errors))
 		}
-		outcome = "partial"
-		if terr := mux.Trailer(i, map[string]string{batchKeyError: err.Error()}); terr != nil {
-			// The connection itself failed: nothing more can be framed,
-			// and the missing completion trailer tells the client.
-			EndRequest(root, terr)
-			return
+		if werr == nil {
+			werr = mux.Trailer(i, trailer)
 		}
+	})
+	if werr != nil {
+		// The connection itself failed: nothing more can be framed, and
+		// the missing completion trailer tells the client.
+		EndRequest(root, werr)
+		return
 	}
 	w.Header().Set(StreamCompleteTrailer, "true")
 	root.SetAttr("outcome", outcome)
@@ -184,13 +184,27 @@ func (c *Client) QueryBatch(ctx context.Context, queries []string, format string
 	out := make([]BatchResult, len(parts))
 	for i, p := range parts {
 		out[i] = BatchResult{Body: p.Body}
+		if p.Trailer == nil {
+			return nil, fmt.Errorf("transport: batch response has no trailer for query %d", i)
+		}
 		if msg, ok := p.Trailer[batchKeyError]; ok {
 			out[i].Err = errors.New(msg)
 			continue
 		}
-		out[i].Matched, _ = strconv.Atoi(p.Trailer[batchKeyMatched])
-		out[i].Related, _ = strconv.Atoi(p.Trailer[batchKeyRelated])
-		out[i].SourceErrors, _ = strconv.Atoi(p.Trailer[batchKeyErrors])
+		// The trailer came off the network: a count that is not a
+		// non-negative integer is an error, not a zero.
+		var err error
+		count := func(key string) int {
+			v, cerr := strconv.Atoi(p.Trailer[key])
+			if (cerr != nil || v < 0) && err == nil {
+				err = fmt.Errorf("transport: batch trailer of query %d has %s=%q, want a non-negative count", i, key, p.Trailer[key])
+			}
+			return v
+		}
+		out[i].Matched, out[i].Related, out[i].SourceErrors = count(batchKeyMatched), count(batchKeyRelated), count(batchKeyErrors)
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -1,10 +1,15 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -108,6 +113,96 @@ func TestQueryBatchPartialFailure(t *testing.T) {
 	}
 	if len(results[1].Body) != 0 {
 		t.Errorf("failed query has %d body bytes, want 0", len(results[1].Body))
+	}
+}
+
+// TestQueryBatchFramesContiguous reads the raw frames of a batch with a
+// malformed query between two good ones: each query's frames must be
+// contiguous and in query order, so the failed query's trailer comes
+// before the next query begins.
+func TestQueryBatchFramesContiguous(t *testing.T) {
+	srv, _, _ := testServer(t)
+	body, err := json.Marshal(BatchRequest{Queries: []string{"SELECT product", "SELEC nonsense", "SELECT provider"}, Format: "json"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/query/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+
+	// Each frame reads as its tag and index; a run of chunk frames for
+	// one query reads as one.
+	var frames []string
+	br := bufio.NewReader(resp.Body)
+	for {
+		line, err := br.ReadString('\n')
+		if err == io.EOF && line == "" {
+			break
+		}
+		if err != nil {
+			t.Fatalf("reading frame: %v", err)
+		}
+		f := strings.Fields(line)
+		if len(f) < 2 {
+			t.Fatalf("malformed frame %q", line)
+		}
+		if f[0] == "=c" {
+			size, err := strconv.Atoi(f[2])
+			if err != nil {
+				t.Fatalf("malformed chunk frame %q", line)
+			}
+			if _, err := io.CopyN(io.Discard, br, int64(size)); err != nil {
+				t.Fatalf("reading chunk: %v", err)
+			}
+		}
+		frame := f[0] + " " + f[1]
+		if f[0] == "=c" && len(frames) > 0 && frames[len(frames)-1] == frame {
+			continue
+		}
+		frames = append(frames, frame)
+	}
+	want := []string{"=n 3", "=b 0", "=c 0", "=t 0", "=t 1", "=b 2", "=c 2", "=t 2"}
+	if fmt.Sprint(frames) != fmt.Sprint(want) {
+		t.Errorf("frames = %q, want %q", frames, want)
+	}
+}
+
+// TestQueryBatchRejectsBadTrailers points the client at endpoints whose
+// batch response frames a query's body but no usable trailer: a missing
+// trailer frame, or a count that is not a non-negative integer, must be
+// an error rather than a success with zero counts.
+func TestQueryBatchRejectsBadTrailers(t *testing.T) {
+	for name, trailer := range map[string]map[string]string{
+		"no trailer":     nil,
+		"negative count": {batchKeyMatched: "-1", batchKeyRelated: "0", batchKeyErrors: "0"},
+		"non-integer":    {batchKeyMatched: "1", batchKeyRelated: "x", batchKeyErrors: "0"},
+		"missing count":  {batchKeyMatched: "1", batchKeyRelated: "0"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", BatchContentType)
+				w.Header().Set("Trailer", StreamCompleteTrailer)
+				mux := instance.NewMuxWriter(w)
+				if mux.Header(1) != nil || mux.Begin(0) != nil {
+					return
+				}
+				if _, err := mux.Stream(0).Write([]byte("{}")); err != nil {
+					return
+				}
+				if trailer != nil && mux.Trailer(0, trailer) != nil {
+					return
+				}
+				w.Header().Set(StreamCompleteTrailer, "true")
+			}))
+			defer srv.Close()
+
+			results, err := NewClient(srv.URL, nil).QueryBatch(context.Background(), []string{"SELECT product"}, "json")
+			if err == nil {
+				t.Fatalf("accepted as %+v", results[0])
+			}
+		})
 	}
 }
 
