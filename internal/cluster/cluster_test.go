@@ -16,6 +16,7 @@ import (
 	"repro/internal/datasource"
 	"repro/internal/extract"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -384,4 +385,74 @@ func TestClusterQueryShedsAboveConcurrencyCap(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("shed response missing Retry-After")
 	}
+}
+
+// TestClusterQueryWaitsForLosingAttempts: the coordinator's own
+// extraction stalls for a second, so every group it is primary for is
+// hedged to the member, which wins. The losing in-process attempt winds
+// down only after the winner has answered; /cluster/query must still
+// return only after it has — every span of the returned trace ended,
+// and the loser counted as a canceled sub-query, which it is only if
+// it was cancelled rather than waited out.
+func TestClusterQueryWaitsForLosingAttempts(t *testing.T) {
+	world := workload.MustGenerate(workload.Spec{DBSources: 2, XMLSources: 2, TextSources: 2, RecordsPerSource: 4, Seed: 44})
+	stall := faultinject.Plan{}
+	for _, def := range world.Definitions {
+		stall[faultinject.Key(def)] = faultinject.Fault{AddLatency: time.Second}
+	}
+	coordMW, err := core.New(core.Config{
+		Ontology: world.Ontology,
+		Backends: faultinject.New(1, stall).WrapBackends(extract.FromCatalog(world.Catalog)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := world.Apply(coordMW); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewNode(transport.NewServer(coordMW), Options{ID: "n1", HedgeDelay: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordSrv := httptest.NewServer(coord)
+	defer coordSrv.Close()
+	coord.SetAddr(coordSrv.URL)
+	member, err := NewNode(transport.NewServer(newTestMiddleware(t, world, false)), Options{ID: "n2", CoordinatorURL: coordSrv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	memberSrv := httptest.NewServer(member)
+	defer memberSrv.Close()
+	member.SetAddr(memberSrv.URL)
+	if err := member.Join(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(coordSrv.URL + "/cluster/query?q=SELECT+product&format=json&trace=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var cr QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+		t.Fatal(err)
+	}
+	canceled := coordMW.Metrics().Counter(obs.MetricClusterSubqueries, obs.Labels{"node": "n1", "outcome": obs.OutcomeCanceled}).Value()
+
+	if cr.Cluster.HedgeWins == 0 || cr.Trace == nil {
+		t.Fatalf("fixture: no hedge won or no trace returned: %+v", cr.Cluster)
+	}
+	if canceled == 0 {
+		t.Error("the losing in-process attempt was not counted as a canceled sub-query when the answer arrived")
+	}
+	var walk func(s *obs.Span)
+	walk = func(s *obs.Span) {
+		if s.Duration == 0 {
+			t.Errorf("span %s had not ended when the answer was encoded", s.Name)
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(cr.Trace)
 }

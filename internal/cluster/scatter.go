@@ -115,10 +115,20 @@ type attemptResult struct {
 // when an attempt errors. The first success wins and the losers are
 // cancelled. When every owner fails the group degrades to synthetic
 // per-source errors instead of failing the query.
+//
+// It returns only after every attempt it launched has returned: an
+// in-process loser's source spans belong to the query's trace, which
+// the caller encodes into the answer, and its sub-query outcome is
+// counted before the answer leaves. The losers are cancelled first, so
+// the wait is bounded by how fast they notice.
 func (n *Node) dispatchGroup(ctx context.Context, query string, version uint64, g *ownerGroup, statusOf, addrOf map[string]string, info *Info, infoMu *sync.Mutex) *extract.ResultSet {
 	candidates := orderByLiveness(g.owners, statusOf)
 	ctx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
+	var attempts sync.WaitGroup
+	defer func() {
+		cancelAll()
+		attempts.Wait()
+	}()
 
 	results := make(chan attemptResult, len(candidates))
 	cancels := make([]context.CancelFunc, len(candidates))
@@ -126,7 +136,9 @@ func (n *Node) dispatchGroup(ctx context.Context, query string, version uint64, 
 		actx, cancel := context.WithCancel(ctx)
 		cancels[i] = cancel
 		node := candidates[i]
+		attempts.Add(1)
 		go func() {
+			defer attempts.Done()
 			rs, err := n.extractOn(actx, node, addrOf[node], query, version, g.sources)
 			results <- attemptResult{rs: rs, err: err, node: node, hedge: hedge}
 		}()
@@ -286,13 +298,15 @@ func (n *Node) extractOn(ctx context.Context, node, addr, query string, version 
 			rs = fromWire(resp)
 		}
 	}
+	// A cancelled attempt lost, whatever it returned: an in-process
+	// extraction reports a cancelled source as a source error, not as err.
 	outcome := obs.OutcomeOK
 	switch {
+	case ctx.Err() != nil:
+		outcome = obs.OutcomeCanceled
 	case err == nil:
 		n.mw.Metrics().Histogram(obs.MetricClusterSubqueryDuration, obs.Labels{"node": node}).
 			Observe(n.opts.Now().Sub(start).Seconds())
-	case ctx.Err() != nil:
-		outcome = obs.OutcomeCanceled
 	default:
 		outcome = obs.OutcomeError
 	}

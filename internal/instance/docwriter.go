@@ -9,8 +9,9 @@ package instance
 //
 // The JSON pieces reproduce, byte for byte, what json.Encoder with
 // SetIndent("", "  ") writes for the envelope {query, matched,
-// related?, errors?, missing?} — HTML escaping, sorted map keys, field
-// order, omitempty and the trailing newline included.
+// related?, errors?, missing?} — HTML escaping, sorted map keys (the
+// order of Attrs and Links), field order, omitempty and the trailing
+// newline included.
 // TestJSONPiecesMatchEncoder and FuzzDocWritersMatchReference pin it
 // against encoding/json.
 
@@ -54,19 +55,6 @@ var docWriters = map[Format]docWriter{
 // every call regrew the dropped buffer.
 const pieceRoom = 4 << 10
 
-// keysArray sizes the stack array an instance's map keys are sorted in;
-// an instance with more keys than this spills to the heap.
-const keysArray = 16
-
-// sortedKeys appends the keys of m to dst in sorted order.
-func sortedKeys[V any](dst []string, m map[string]V) []string {
-	for k := range m {
-		dst = append(dst, k)
-	}
-	slices.Sort(dst)
-	return dst
-}
-
 // writeJSONHead opens the envelope through the "matched" field
 // separator; only the query string is needed, so an eager emitter can
 // write it before extraction delivers anything.
@@ -96,37 +84,34 @@ func (g *Generator) writeJSONInstance(w stringWriter, in *Instance, first bool) 
 
 // appendJSONInstance appends the object json.MarshalIndent writes, with
 // prefix "    " and indent "  ", for the instance's projection {id,
-// class, values, links?, sources?}. values is null for a nil map and
-// holds null for a nil slice; links keeps only relation names with a
-// target and is omitted when none has one.
+// class, values, links?, sources?}, where values and links are objects
+// keyed by attribute ID and relation name. values is null for nil Attrs
+// and holds null for a nil value list; links keeps only relations with
+// a target and is omitted when none has one.
 func appendJSONInstance(b []byte, in *Instance) []byte {
 	b = append(b, "{\n      \"id\": "...)
 	b = appendJSONString(b, in.ID)
 	b = append(b, ",\n      \"class\": "...)
 	b = appendJSONString(b, in.Class.Path())
 	b = append(b, ",\n      \"values\": "...)
-	if in.Values == nil {
+	if in.Attrs == nil {
 		b = append(b, "null"...)
 	} else {
-		var arr [keysArray]string
-		b = appendJSONObject(b, sortedKeys(arr[:0], in.Values), func(b []byte, k string) []byte {
-			return appendJSONArray(b, in.Values[k], "        ", appendJSONString)
+		b = appendJSONObject(b, in.Attrs, func(b []byte, a Attr) ([]byte, bool) {
+			b = append(appendJSONString(b, a.ID), ": "...)
+			return appendJSONArray(b, a.Values, "        ", appendJSONString), true
 		})
 	}
-	var arr [keysArray]string
-	names := arr[:0]
-	for name, targets := range in.Links {
-		if len(targets) > 0 {
-			names = append(names, name)
-		}
-	}
-	if len(names) > 0 {
-		slices.Sort(names)
+	if slices.ContainsFunc(in.Links, func(l Link) bool { return len(l.Targets) > 0 }) {
 		b = append(b, ",\n      \"links\": "...)
-		b = appendJSONObject(b, names, func(b []byte, k string) []byte {
-			return appendJSONArray(b, in.Links[k], "        ", func(b []byte, t *Instance) []byte {
+		b = appendJSONObject(b, in.Links, func(b []byte, l Link) ([]byte, bool) {
+			if len(l.Targets) == 0 {
+				return b, false
+			}
+			b = append(appendJSONString(b, l.Name), ": "...)
+			return appendJSONArray(b, l.Targets, "        ", func(b []byte, t *Instance) []byte {
 				return appendJSONString(b, t.ID)
-			})
+			}), true
 		})
 	}
 	if len(in.Sources) > 0 {
@@ -136,21 +121,19 @@ func appendJSONInstance(b []byte, in *Instance) []byte {
 	return append(b, "\n    }"...)
 }
 
-// appendJSONObject appends an object at the instance's field depth: the
-// sorted keys, each followed by the value elem appends.
-func appendJSONObject(b []byte, keys []string, elem func([]byte, string) []byte) []byte {
-	if len(keys) == 0 {
-		return append(b, "{}"...)
-	}
+// appendJSONObject appends an object at the instance's field depth,
+// one member per entry in order: member appends the entry's key and
+// value, or reports false to leave the entry out.
+func appendJSONObject[E any](b []byte, es []E, member func([]byte, E) ([]byte, bool)) []byte {
 	b = append(b, '{')
-	for i, k := range keys {
-		if i > 0 {
-			b = append(b, ',')
+	sep := "\n        "
+	for _, e := range es {
+		if m, ok := member(append(b, sep...), e); ok {
+			b, sep = m, ",\n        "
 		}
-		b = append(b, "\n        "...)
-		b = appendJSONString(b, k)
-		b = append(b, ": "...)
-		b = elem(b, k)
+	}
+	if sep[0] != ',' {
+		return append(b, '}')
 	}
 	return append(b, "\n      }"...)
 }
@@ -285,13 +268,12 @@ func (g *Generator) writeXMLInstance(w stringWriter, in *Instance, _ bool) error
 	b = append(b, " class="...)
 	b = appendGoQuoted(b, in.Class.Path())
 	b = append(b, ">\n"...)
-	var arr [keysArray]string
-	for _, id := range sortedKeys(arr[:0], in.Values) {
-		attr, ok := g.ont.Attribute(id)
+	for _, a := range in.Attrs {
+		attr, ok := g.ont.Attribute(a.ID)
 		if !ok {
-			return fmt.Errorf("instance: unknown attribute %q", id)
+			return fmt.Errorf("instance: unknown attribute %q", a.ID)
 		}
-		for _, v := range in.Values[id] {
+		for _, v := range a.Values {
 			b = append(b, "    <attribute id="...)
 			b = appendGoQuoted(b, attr.ID())
 			b = append(b, " name="...)
@@ -301,10 +283,10 @@ func (g *Generator) writeXMLInstance(w stringWriter, in *Instance, _ bool) error
 			b = append(b, "</attribute>\n"...)
 		}
 	}
-	for _, name := range sortedKeys(arr[:0], in.Links) {
-		for _, t := range in.Links[name] {
+	for _, l := range in.Links {
+		for _, t := range l.Targets {
 			b = append(b, "    <relation name="...)
-			b = appendGoQuoted(b, name)
+			b = appendGoQuoted(b, l.Name)
 			b = append(b, " target="...)
 			b = appendGoQuoted(b, t.ID)
 			b = append(b, "/>\n"...)

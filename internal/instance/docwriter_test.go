@@ -38,12 +38,12 @@ func jsonInstanceOf(in *Instance) jsonInstance {
 	ji := jsonInstance{
 		ID:      in.ID,
 		Class:   in.Class.Path(),
-		Values:  in.Values,
+		Values:  valueMap(in),
 		Sources: in.Sources,
 	}
 	if len(in.Links) > 0 {
 		ji.Links = map[string][]string{}
-		for name, targets := range in.Links {
+		for name, targets := range linkMap(in) {
 			for _, t := range targets {
 				ji.Links[name] = append(ji.Links[name], t.ID)
 			}
@@ -94,11 +94,13 @@ func referenceXML(g *Generator, res *Result) (string, error) {
 }
 
 // referenceXMLInstance is the fmt-based <instance> writer the direct
-// appender replaced.
+// appender replaced. It sorts attribute IDs and relation names itself,
+// over map projections, so it also checks the order of Attrs and Links.
 func referenceXMLInstance(g *Generator, b *bytes.Buffer, in *Instance) error {
 	fmt.Fprintf(b, "  <instance id=%q class=%q>\n", in.ID, in.Class.Path())
-	ids := make([]string, 0, len(in.Values))
-	for id := range in.Values {
+	values, links := valueMap(in), linkMap(in)
+	ids := make([]string, 0, len(values))
+	for id := range values {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
@@ -107,7 +109,7 @@ func referenceXMLInstance(g *Generator, b *bytes.Buffer, in *Instance) error {
 		if !ok {
 			return fmt.Errorf("instance: unknown attribute %q", id)
 		}
-		for _, v := range in.Values[id] {
+		for _, v := range values[id] {
 			fmt.Fprintf(b, "    <attribute id=%q name=%q>", attr.ID(), attr.Name)
 			if err := xml.EscapeText(b, []byte(strings.TrimSpace(v))); err != nil {
 				return err
@@ -115,13 +117,13 @@ func referenceXMLInstance(g *Generator, b *bytes.Buffer, in *Instance) error {
 			b.WriteString("</attribute>\n")
 		}
 	}
-	relNames := make([]string, 0, len(in.Links))
-	for name := range in.Links {
+	relNames := make([]string, 0, len(links))
+	for name := range links {
 		relNames = append(relNames, name)
 	}
 	sort.Strings(relNames)
 	for _, name := range relNames {
-		for _, t := range in.Links[name] {
+		for _, t := range links[name] {
 			fmt.Fprintf(b, "    <relation name=%q target=%q/>\n", name, t.ID)
 		}
 	}
@@ -229,7 +231,7 @@ func TestJSONDropsLinkNamesWithoutTargets(t *testing.T) {
 		{map[string][]*Instance{"hasProvider": {prov}, "madeBy": nil},
 			",\n      \"links\": {\n        \"hasProvider\": [\n          \"provider_1\"\n        ]\n      }"},
 	} {
-		in := &Instance{ID: "watch_1", Class: watch, Values: map[string][]string{}, Links: c.links}
+		in := &Instance{ID: "watch_1", Class: watch, Attrs: []Attr{}, Links: linksOf(c.links)}
 		want := "{\n      \"id\": \"watch_1\",\n      \"class\": \"thing.product.watch\",\n      \"values\": {}" + c.want + "\n    }"
 		if got := string(appendJSONInstance(nil, in)); got != want {
 			t.Errorf("links %v:\ngot:\n%s\nwant:\n%s", c.links, got, want)
@@ -304,7 +306,7 @@ func FuzzDocWritersMatchReference(f *testing.F) {
 		fields := strings.Split(values, "|")
 		last := fields[len(fields)-1]
 		prov := &Instance{ID: "provider_1", Class: provider, Sources: fields[:1],
-			Values: map[string][]string{"thing.provider.name": fields[:1]}}
+			Attrs: []Attr{{ID: "thing.provider.name", Values: fields[:1]}}}
 		if n&0x20 != 0 {
 			prov.ID = last
 		}
@@ -314,32 +316,39 @@ func FuzzDocWritersMatchReference(f *testing.F) {
 			Errors:  []extract.SourceError{{SourceID: "web_1", AttributeID: attrs[0], Err: errors.New(last)}},
 			Missing: fields[len(fields)/2:],
 		}
+		var valueMaps []map[string][]string
+		var linkMaps []map[string][]*Instance
 		for i := 0; i < int(n%8)+1; i++ {
-			in := &Instance{ID: fmt.Sprintf("watch_%d", i+1), Class: watch, Values: map[string][]string{},
-				Links: map[string][]*Instance{"hasProvider": {prov}}}
+			in := &Instance{ID: fmt.Sprintf("watch_%d", i+1), Class: watch}
 			if i%2 == 1 {
 				in.Sources = fields
 			}
+			vs := map[string][]string{}
 			for j := 0; j < len(fields); j++ {
 				attr := attrs[(i+j)%len(attrs)]
-				in.Values[attr] = append(in.Values[attr], fields[(i+j)%len(fields)])
+				vs[attr] = append(vs[attr], fields[(i+j)%len(fields)])
 			}
+			valueMaps = append(valueMaps, vs)
+			linkMaps = append(linkMaps, map[string][]*Instance{"hasProvider": {prov}})
 			res.Matched = append(res.Matched, in)
 		}
-		first, final := res.Matched[0], res.Matched[len(res.Matched)-1]
+		first, final := 0, len(res.Matched)-1
 		if n&0x02 != 0 {
-			first.Values["thing.product.watch.water_resistance"] = nil
-			first.Values["thing.product.watch.movement"] = []string{}
+			valueMaps[first]["thing.product.watch.water_resistance"] = nil
+			valueMaps[first]["thing.product.watch.movement"] = []string{}
 		}
 		if n&0x04 != 0 {
-			final.Values = nil
+			valueMaps[final] = nil
 		}
 		if n&0x08 != 0 {
-			first.Links["madeBy"] = nil
-			final.Links = map[string][]*Instance{"hasProvider": {}}
+			linkMaps[first]["madeBy"] = nil
+			linkMaps[final] = map[string][]*Instance{"hasProvider": {}}
 		}
 		if n&0x10 != 0 {
-			final.Values = map[string][]string{"thing.product.nosuch": fields}
+			valueMaps[final] = map[string][]string{"thing.product.nosuch": fields}
+		}
+		for i, in := range res.Matched {
+			in.Attrs, in.Links = attrsOf(valueMaps[i]), linksOf(linkMaps[i])
 		}
 		w.gen.Provenance = n&1 == 1
 		checkMatchesReference(t, w.gen, res, "fuzz")

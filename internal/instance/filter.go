@@ -8,7 +8,8 @@ import (
 )
 
 // conditionKeys precomputes each condition's lower-cased attribute ID —
-// the Values map key — once per query, not once per instance.
+// the ID an instance's Attrs are sorted by — once per query, not once
+// per instance.
 func conditionKeys(conds []s2sql.PlannedCondition) []string {
 	keys := make([]string, len(conds))
 	for i := range conds {
@@ -46,7 +47,7 @@ func conditionError(in *Instance, err error) extract.SourceError {
 }
 
 func satisfies(in *Instance, c s2sql.PlannedCondition, key string) (bool, error) {
-	values := in.Values[key]
+	values := in.values(key)
 	if len(values) == 0 {
 		return false, nil
 	}

@@ -27,6 +27,7 @@ package instance
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,27 +44,53 @@ type Instance struct {
 	ID string
 	// Class is the instance's (most specific) ontology class.
 	Class *ontology.Class
-	// Values maps attribute IDs to extracted values in record order.
-	Values map[string][]string
-	// Links maps relation names to linked instances.
-	Links map[string][]*Instance
+	// Attrs holds one entry per attribute, sorted by lower-cased
+	// attribute ID; the writers walk it in this order. Entries are cut
+	// from one slab per lineage group and their value lists alias the
+	// extraction fragments, so neither is ever appended to in place.
+	Attrs []Attr
+	// Links holds one entry per relation name, sorted by name.
+	// Instances with identical link sets share one slice.
+	Links []Link
 	// Sources lists the data source IDs that contributed values.
 	Sources []string
 
 	// orderMemo caches the deterministic ordering key. Valid because
-	// Values and Sources are immutable once cross-source merging is done,
+	// Attrs and Sources are immutable once cross-source merging is done,
 	// and every sort happens after that; an instance may be sorted
 	// several times per query (relation linking plus final ordering).
 	orderMemo string
 }
 
+// Attr is one attribute of an instance: its lower-cased ID and its
+// extracted values in record order.
+type Attr struct {
+	ID     string
+	Values []string
+}
+
+// Link is one relation of an instance: its name and the linked
+// instances.
+type Link struct {
+	Name    string
+	Targets []*Instance
+}
+
 // Value returns the first value of an attribute, or "".
 func (in *Instance) Value(attributeID string) string {
-	vs := in.Values[strings.ToLower(attributeID)]
-	if len(vs) == 0 {
-		return ""
+	if vs := in.values(strings.ToLower(attributeID)); len(vs) > 0 {
+		return vs[0]
 	}
-	return vs[0]
+	return ""
+}
+
+// values returns the values of the attribute whose lower-cased ID is id.
+func (in *Instance) values(id string) []string {
+	i, ok := slices.BinarySearchFunc(in.Attrs, id, func(a Attr, id string) int { return strings.Compare(a.ID, id) })
+	if !ok {
+		return nil
+	}
+	return in.Attrs[i].Values
 }
 
 // addSource records a contributing source once.
@@ -185,8 +212,8 @@ func (g *Generator) finish(res *Result, all []*Instance, opts GenOptions) {
 	reachable := map[*Instance]bool{}
 	var walk func(in *Instance)
 	walk = func(in *Instance) {
-		for _, targets := range in.Links {
-			for _, t := range targets {
+		for _, l := range in.Links {
+			for _, t := range l.Targets {
 				if !reachable[t] {
 					reachable[t] = true
 					walk(t)
@@ -317,56 +344,44 @@ func (g *Generator) partition(sourceID string, frags []extract.Fragment) ([]*lin
 // instances expands a lineage group into per-record instances using
 // positional correlation.
 func (grp *lineageGroup) instances(sourceID string) []*Instance {
+	// Attribute IDs lower-case and sort once per group, stably, so a
+	// repeated attribute keeps fragment order.
 	records := 0
-	for _, f := range grp.frags {
-		if len(f.Values) > records {
-			records = len(f.Values)
-		}
-	}
-	// Attribute keys lower-case once per group, not once per value; Links
-	// maps allocate lazily in link() since most instances have none.
-	// Groups almost always carry distinct attributes, in which case the
-	// per-value existence lookup below is skipped entirely.
-	keys := make([]string, len(grp.frags))
-	unique := true
+	cols := make([]Attr, len(grp.frags))
 	for j, f := range grp.frags {
-		keys[j] = strings.ToLower(f.AttributeID)
-		for k := 0; k < j; k++ {
-			if keys[k] == keys[j] {
-				unique = false
-			}
-		}
+		records = max(records, len(f.Values))
+		cols[j] = Attr{ID: strings.ToLower(f.AttributeID), Values: f.Values}
 	}
-	// One arena allocation for the whole record batch, and one shared
-	// Sources slice: it is immutable here (cap == len, so addSource's
-	// append during cross-source merging copies before writing).
+	slices.SortStableFunc(cols, func(a, b Attr) int { return strings.Compare(a.ID, b.ID) })
+	// One arena for the record batch, one slab every record's Attrs is
+	// cut from, and one shared Sources slice: it is immutable here (cap
+	// == len, so addSource's append during merging copies first).
 	sources := []string{sourceID}
 	arena := make([]Instance, records)
-	out := make([]*Instance, 0, records)
-	for i := 0; i < records; i++ {
-		in := &arena[i]
-		in.Class = grp.class
-		in.Values = make(map[string][]string, len(grp.frags))
-		in.Sources = sources
-		for j, f := range grp.frags {
-			if i >= len(f.Values) {
+	slab := make([]Attr, 0, records*len(cols))
+	out := make([]*Instance, records)
+	for i := range arena {
+		start := len(slab)
+		for _, c := range cols {
+			if i >= len(c.Values) {
+				continue
+			}
+			if n := len(slab); n > start && slab[n-1].ID == c.ID {
+				// A repeated attribute: the capped alias makes this copy.
+				slab[n-1].Values = append(slab[n-1].Values, c.Values[i])
 				continue
 			}
 			// Alias a capacity-capped subslice of the fragment instead of
 			// allocating a one-element slice per value; the cap keeps any
 			// later append from writing into the fragment (or the rule
 			// cache behind it).
-			if unique {
-				in.Values[keys[j]] = f.Values[i : i+1 : i+1]
-				continue
-			}
-			if vs, ok := in.Values[keys[j]]; ok {
-				in.Values[keys[j]] = append(vs, f.Values[i])
-			} else {
-				in.Values[keys[j]] = f.Values[i : i+1 : i+1]
-			}
+			slab = append(slab, Attr{ID: c.ID, Values: c.Values[i : i+1 : i+1]})
 		}
-		out = append(out, in)
+		in := &arena[i]
+		in.Class = grp.class
+		in.Attrs = slab[start:len(slab):len(slab)]
+		in.Sources = sources
+		out[i] = in
 	}
 	return out
 }
@@ -403,11 +418,7 @@ func (g *Generator) mergeByKey(all []*Instance) []*Instance {
 		}
 		mapKey := strings.ToLower(in.Class.Name) + "\x00" + keyVal
 		if existing, ok := byKey[mapKey]; ok {
-			for attr, vs := range in.Values {
-				if len(existing.Values[attr]) == 0 {
-					existing.Values[attr] = vs
-				}
-			}
+			existing.Attrs = mergeAttrs(existing.Attrs, in.Attrs)
 			for _, s := range in.Sources {
 				existing.addSource(s)
 			}
@@ -417,6 +428,29 @@ func (g *Generator) mergeByKey(all []*Instance) []*Instance {
 		out = append(out, in)
 	}
 	return out
+}
+
+// mergeAttrs returns the sorted union of two Attrs lists as a fresh
+// slice, since either may be cut from a slab. On an attribute both
+// carry, a's values win unless a has none.
+func mergeAttrs(a, b []Attr) []Attr {
+	out := make([]Attr, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch c := strings.Compare(a[0].ID, b[0].ID); {
+		case c < 0:
+			out, a = append(out, a[0]), a[1:]
+		case c > 0:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			if len(a[0].Values) == 0 {
+				out = append(out, b[0])
+			} else {
+				out = append(out, a[0])
+			}
+			a, b = a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // link attaches relation targets: same-source instances first, then a
@@ -445,7 +479,9 @@ func (g *Generator) link(all []*Instance) {
 	}
 
 	// Relations visible on a class (own + inherited) are the same for
-	// every instance of that class; resolve once per class.
+	// every instance of that class; resolve once per class, in name
+	// order. The sort is stable, so a name repeated up the hierarchy
+	// keeps own-before-inherited order and the last non-empty one wins.
 	relsCache := map[*ontology.Class][]*ontology.Relation{}
 	relsOf := func(c *ontology.Class) []*ontology.Relation {
 		if got, ok := relsCache[c]; ok {
@@ -455,6 +491,7 @@ func (g *Generator) link(all []*Instance) {
 		for p := c; p != nil; p = p.Parent {
 			rels = append(rels, p.Relations...)
 		}
+		slices.SortStableFunc(rels, func(a, b *ontology.Relation) int { return strings.Compare(a.Name, b.Name) })
 		relsCache[c] = rels
 		return rels
 	}
@@ -479,14 +516,13 @@ func (g *Generator) link(all []*Instance) {
 
 	// Single-source instances of one class compute identical link sets
 	// unless the instance is itself among the candidate targets; those
-	// identical sets share one Links map — safe because Links are
-	// read-only once link returns. The per-instance map allocation was
-	// the single largest line in the generation allocation profile.
+	// identical sets share one Links slice — safe because Links are
+	// read-only once link returns.
 	type classSource struct {
 		class  *ontology.Class
 		source string
 	}
-	linksShared := map[classSource]map[string][]*Instance{}
+	linksShared := map[classSource][]Link{}
 	var chosenScratch [][]*Instance
 
 	for _, in := range all {
@@ -506,14 +542,7 @@ func (g *Generator) link(all []*Instance) {
 					// target order; when the instance is not among them the
 					// slice is shared as-is, allocation-free.
 					cand := targetsBySource(r.To)[in.Sources[0]]
-					self := -1
-					for i, t := range cand {
-						if t == in {
-							self = i
-							break
-						}
-					}
-					switch {
+					switch self := slices.Index(cand, in); {
 					case self < 0:
 						chosen = cand
 					case len(cand) > 1:
@@ -560,81 +589,70 @@ func (g *Generator) link(all []*Instance) {
 			continue
 		}
 		if shareable {
-			if m, ok := linksShared[classSource{in.Class, in.Sources[0]}]; ok {
-				in.Links = m
+			if links, ok := linksShared[classSource{in.Class, in.Sources[0]}]; ok {
+				in.Links = links
 				continue
 			}
 		}
-		m := make(map[string][]*Instance, nonEmpty)
+		links := make([]Link, 0, nonEmpty)
 		for i, r := range rels {
-			if len(chosenByRel[i]) > 0 {
-				m[r.Name] = chosenByRel[i]
+			switch n := len(links); {
+			case len(chosenByRel[i]) == 0:
+			case n > 0 && links[n-1].Name == r.Name:
+				links[n-1].Targets = chosenByRel[i]
+			default:
+				links = append(links, Link{Name: r.Name, Targets: chosenByRel[i]})
 			}
 		}
-		in.Links = m
+		in.Links = links
 		if shareable {
-			linksShared[classSource{in.Class, in.Sources[0]}] = m
+			linksShared[classSource{in.Class, in.Sources[0]}] = links
 		}
 	}
 }
 
 func shareSource(a, b *Instance) bool {
-	for _, sa := range a.Sources {
-		for _, sb := range b.Sources {
-			if sa == sb {
-				return true
-			}
-		}
-	}
-	return false
+	return slices.ContainsFunc(a.Sources, func(s string) bool { return slices.Contains(b.Sources, s) })
 }
 
-// sortInstances orders deterministically: by class path, then value
-// fingerprint, then source list. Keys are precomputed; rebuilding them per
+// sortInstances orders deterministically by ordering key: class path,
+// then value fingerprint, then source list. Each instance's key is built
+// once (see orderMemo) through one scratch buffer; rebuilding keys per
 // comparison made large-result sorting the pipeline's hot spot.
 func sortInstances(ins []*Instance) {
-	s := &instanceSort{ins: ins, keys: make([]string, len(ins))}
-	for i, in := range ins {
-		s.keys[i] = in.orderKey()
+	var buf []byte
+	for _, in := range ins {
+		if in.orderMemo == "" {
+			buf = in.orderKey(buf[:0])
+			in.orderMemo = string(buf)
+		}
 	}
-	sort.Stable(s)
+	slices.SortStableFunc(ins, func(a, b *Instance) int { return strings.Compare(a.orderMemo, b.orderMemo) })
 }
 
-// orderKey returns the instance's full ordering key, computed once (see
-// orderMemo).
-func (in *Instance) orderKey() string {
-	if in.orderMemo == "" {
-		in.orderMemo = in.Class.Path() + "\x00" + in.sortKey() + "\x00" + strings.Join(in.Sources, ",")
+// orderKey appends the instance's ordering key to b: the class path,
+// then every attribute as "id=v1|v2;" in Attrs order, then the sources
+// joined by ",", the three parts separated by NUL bytes.
+func (in *Instance) orderKey(b []byte) []byte {
+	b = append(append(b, in.Class.Path()...), 0)
+	for _, a := range in.Attrs {
+		b = append(append(b, a.ID...), '=')
+		for i, v := range a.Values {
+			if i > 0 {
+				b = append(b, '|')
+			}
+			b = append(b, v...)
+		}
+		b = append(b, ';')
 	}
-	return in.orderMemo
-}
-
-type instanceSort struct {
-	ins  []*Instance
-	keys []string
-}
-
-func (s *instanceSort) Len() int           { return len(s.ins) }
-func (s *instanceSort) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *instanceSort) Swap(i, j int) {
-	s.ins[i], s.ins[j] = s.ins[j], s.ins[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
-func (in *Instance) sortKey() string {
-	ids := make([]string, 0, len(in.Values))
-	for id := range in.Values {
-		ids = append(ids, id)
+	b = append(b, 0)
+	for i, src := range in.Sources {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, src...)
 	}
-	sort.Strings(ids)
-	var b strings.Builder
-	for _, id := range ids {
-		b.WriteString(id)
-		b.WriteByte('=')
-		b.WriteString(strings.Join(in.Values[id], "|"))
-		b.WriteByte(';')
-	}
-	return b.String()
+	return b
 }
 
 // number assigns deterministic instance IDs after ordering.

@@ -1,6 +1,7 @@
 package instance
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,6 +45,55 @@ func plan(t *testing.T, ont *ontology.Ontology, q string) *s2sql.Plan {
 	return p
 }
 
+// attrsOf builds an Instance.Attrs list from a map of attribute values:
+// sorted by ID, nil for a nil map.
+func attrsOf(m map[string][]string) []Attr {
+	if m == nil {
+		return nil
+	}
+	out := make([]Attr, 0, len(m))
+	for id, vs := range m {
+		out = append(out, Attr{ID: id, Values: vs})
+	}
+	slices.SortFunc(out, func(a, b Attr) int { return strings.Compare(a.ID, b.ID) })
+	return out
+}
+
+// linksOf builds an Instance.Links list from a map of relation targets:
+// sorted by name, nil for a nil map.
+func linksOf(m map[string][]*Instance) []Link {
+	if m == nil {
+		return nil
+	}
+	out := make([]Link, 0, len(m))
+	for name, ts := range m {
+		out = append(out, Link{Name: name, Targets: ts})
+	}
+	slices.SortFunc(out, func(a, b Link) int { return strings.Compare(a.Name, b.Name) })
+	return out
+}
+
+// valueMap projects an instance's Attrs onto a map: nil for nil Attrs.
+func valueMap(in *Instance) map[string][]string {
+	if in.Attrs == nil {
+		return nil
+	}
+	m := make(map[string][]string, len(in.Attrs))
+	for _, a := range in.Attrs {
+		m[a.ID] = a.Values
+	}
+	return m
+}
+
+// linkMap projects an instance's Links onto a map.
+func linkMap(in *Instance) map[string][]*Instance {
+	m := make(map[string][]*Instance, len(in.Links))
+	for _, l := range in.Links {
+		m[l.Name] = l.Targets
+	}
+	return m
+}
+
 func frag(attr, source string, values ...string) extract.Fragment {
 	return extract.Fragment{AttributeID: attr, SourceID: source, Scenario: mapping.MultiRecord, Values: values}
 }
@@ -71,10 +121,10 @@ func TestPaperScenario(t *testing.T) {
 		t.Errorf("matched class = %s, want watch (most specific)", m.Class.Name)
 	}
 	if m.Value("thing.product.brand") != "Seiko" || m.Value("thing.product.watch.case") != "stainless-steel" {
-		t.Errorf("matched values = %+v", m.Values)
+		t.Errorf("matched values = %+v", m.Attrs)
 	}
 	// Provider is attached through the relation and listed as related.
-	if len(m.Links["hasProvider"]) != 1 {
+	if len(linkMap(m)["hasProvider"]) != 1 {
 		t.Fatalf("links = %+v", m.Links)
 	}
 	if len(res.Related) != 1 || res.Related[0].Class.Name != "provider" {
@@ -150,7 +200,7 @@ func TestSeparateLineagesSeparateInstances(t *testing.T) {
 	if len(res.Matched) != 1 || res.Matched[0].Class.Name != "product" {
 		t.Fatalf("matched = %+v", res.Matched)
 	}
-	if _, has := res.Matched[0].Values["thing.provider.name"]; has {
+	if _, has := valueMap(res.Matched[0])["thing.provider.name"]; has {
 		t.Error("provider value leaked into product instance")
 	}
 	if len(res.Related) != 1 || res.Related[0].Class.Name != "provider" {
@@ -195,7 +245,7 @@ func TestCrossSourceMergeWithKey(t *testing.T) {
 	}
 	in := res.Matched[0]
 	if in.Value("thing.product.brand") != "Casio" || in.Value("thing.product.price") != "15.0" {
-		t.Errorf("merged values = %+v", in.Values)
+		t.Errorf("merged values = %+v", in.Attrs)
 	}
 	if len(in.Sources) != 2 {
 		t.Errorf("sources = %v", in.Sources)

@@ -17,8 +17,8 @@ func fingerprint(res *Result) string {
 	var sigs []string
 	for _, in := range res.Matched {
 		var parts []string
-		for id, vs := range in.Values {
-			parts = append(parts, id+"="+strings.Join(vs, "|"))
+		for _, a := range in.Attrs {
+			parts = append(parts, a.ID+"="+strings.Join(a.Values, "|"))
 		}
 		sort.Strings(parts)
 		sigs = append(sigs, in.Class.Path()+"{"+strings.Join(parts, ";")+"}")
@@ -179,8 +179,8 @@ func TestGraphProjectionCompleteness(t *testing.T) {
 		}
 		valueCount := 0
 		for _, in := range res.Instances() {
-			for _, vs := range in.Values {
-				valueCount += len(vs)
+			for _, a := range in.Attrs {
+				valueCount += len(a.Values)
 			}
 		}
 		literalTriples := 0

@@ -219,49 +219,40 @@ func (g *Generator) newRDFDoc(res *Result, qnames bool) (*rdfDoc, error) {
 }
 
 // resolve adds an instance's class, attributes and relations to the
-// tables. Like ToGraph it names the instance's smallest unknown
-// attribute ID, else its smallest unknown relation name.
+// tables. Like ToGraph it names the instance's first unknown attribute
+// ID, else its first unknown relation name.
 func (d *rdfDoc) resolve(in *Instance) error {
 	if _, ok := d.classes[in.Class]; !ok {
 		d.classes[in.Class] = d.newTerm(d.ont.ClassIRI(in.Class))
 	}
-	var unknown []string
-	for id := range in.Values {
-		if _, ok := d.attrs[id]; ok {
+	for _, a := range in.Attrs {
+		if _, ok := d.attrs[a.ID]; ok {
 			continue
 		}
-		attr, ok := d.ont.Attribute(id)
+		attr, ok := d.ont.Attribute(a.ID)
 		if !ok {
-			unknown = append(unknown, id)
-			continue
+			return fmt.Errorf("instance: %s has value for unknown attribute %q", in.ID, a.ID)
 		}
 		p, err := d.newPred(d.ont.AttributeIRI(attr), attr.Datatype)
 		if err != nil {
 			return err
 		}
-		d.attrs[id] = p
+		d.attrs[a.ID] = p
 	}
-	if len(unknown) > 0 {
-		return fmt.Errorf("instance: %s has value for unknown attribute %q", in.ID, slices.Min(unknown))
-	}
-	for name := range in.Links {
-		k := relKey{in.Class, name}
+	for _, l := range in.Links {
+		k := relKey{in.Class, l.Name}
 		if _, ok := d.rels[k]; ok {
 			continue
 		}
-		rel := findRelation(in.Class, name)
+		rel := findRelation(in.Class, l.Name)
 		if rel == nil {
-			unknown = append(unknown, name)
-			continue
+			return fmt.Errorf("instance: %s links through unknown relation %q", in.ID, l.Name)
 		}
 		p, err := d.newPred(d.ont.RelationIRI(rel), "")
 		if err != nil {
 			return err
 		}
 		d.rels[k] = p
-	}
-	if len(unknown) > 0 {
-		return fmt.Errorf("instance: %s links through unknown relation %q", in.ID, slices.Min(unknown))
 	}
 	return nil
 }
@@ -323,15 +314,15 @@ func (d *rdfDoc) next() (id string, ok bool) {
 				st = append(st, literal(d.sourcedFrom, src))
 			}
 		}
-		for attr, vs := range in.Values {
-			p := d.attrs[attr]
-			for _, v := range vs {
+		for _, a := range in.Attrs {
+			p := d.attrs[a.ID]
+			for _, v := range a.Values {
 				st = append(st, literal(p, strings.TrimSpace(v)))
 			}
 		}
-		for name, targets := range in.Links {
-			p := d.rels[relKey{in.Class, name}]
-			for _, t := range targets {
+		for _, l := range in.Links {
+			p := d.rels[relKey{in.Class, l.Name}]
+			for _, t := range l.Targets {
 				st = append(st, rdfStmt{pred: p, kind: objInstance, ns: d.base, id: t.ID})
 			}
 		}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/ontology"
 	"repro/internal/owl"
 	"repro/internal/rdf"
+	"repro/internal/s2sql"
 	"repro/internal/workload"
 )
 
@@ -83,6 +84,19 @@ func firstDiff(a, b string) int {
 // generatedResult extracts and generates one query over a world.
 func generatedResult(t *testing.T, world *workload.World, classKey bool, query string) (*Generator, *Result) {
 	t.Helper()
+	gen, p, rs := extracted(t, world, classKey, query)
+	res, err := gen.GenerateOpts(p, rs, GenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen, res
+}
+
+// extracted runs query's extraction over world, with product keyed by
+// model when classKey is set, and returns the generator, the plan and
+// the fragments the generator would assemble.
+func extracted(t *testing.T, world *workload.World, classKey bool, query string) (*Generator, *s2sql.Plan, *extract.ResultSet) {
+	t.Helper()
 	reg := datasource.NewRegistry()
 	for _, def := range world.Definitions {
 		if err := reg.Register(def); err != nil {
@@ -110,12 +124,7 @@ func generatedResult(t *testing.T, world *workload.World, classKey bool, query s
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := NewGenerator(world.Ontology, repo)
-	res, err := gen.GenerateOpts(p, rs, GenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gen, res
+	return NewGenerator(world.Ontology, repo), p, rs
 }
 
 // TestRDFWritersMatchGraph runs the oracle over 12 generated worlds (the
@@ -191,16 +200,16 @@ func adversarialResult(t *testing.T, w *world) *Result {
 	}
 	watch, product, provider := class("watch"), class("product"), class("provider")
 	prov1 := &Instance{ID: "provider_1", Class: provider, Sources: []string{"db_001"},
-		Values: map[string][]string{"thing.provider.name": {"Zürich Uhren AG", "日本時計"}, "thing.provider.rating": {"4.5", " 4.5 "}}}
+		Attrs: attrsOf(map[string][]string{"thing.provider.name": {"Zürich Uhren AG", "日本時計"}, "thing.provider.rating": {"4.5", " 4.5 "}})}
 	prov2 := &Instance{ID: "provider_2", Class: provider, Sources: []string{"web_001", "xml_001"},
-		Values: map[string][]string{"thing.provider.name": {`back\slash "quoted" <tag> & amp`}}}
+		Attrs: []Attr{{ID: "thing.provider.name", Values: []string{`back\slash "quoted" <tag> & amp`}}}}
 	// An ID no syntax writes verbatim: the writers' slow paths.
 	odd := &Instance{ID: "provider odd/ü\"{x}.", Class: provider, Sources: []string{"s"},
-		Values: map[string][]string{"thing.provider.country": {"PT"}}}
+		Attrs: []Attr{{ID: "thing.provider.country", Values: []string{"PT"}}}}
 	orphan := &Instance{Class: provider}
 	links := func(ts ...*Instance) map[string][]*Instance { return map[string][]*Instance{"hasProvider": ts} }
 	mk := func(id string, c *ontology.Class, values map[string][]string, ls map[string][]*Instance) *Instance {
-		return &Instance{ID: id, Class: c, Values: values, Links: ls, Sources: []string{"db_001", "txt_001"}}
+		return &Instance{ID: id, Class: c, Attrs: attrsOf(values), Links: linksOf(ls), Sources: []string{"db_001", "txt_001"}}
 	}
 	return &Result{
 		Plan: plan(t, w.ont, "SELECT product"),
@@ -238,9 +247,9 @@ func overlappingNamespaceResult(t *testing.T) (*Generator, *Result) {
 	if _, err := ont.AddRelation("item", "next", "item"); err != nil {
 		t.Fatal(err)
 	}
-	second := &Instance{ID: "item_2", Class: item, Sources: []string{"s1"}, Values: map[string][]string{"thing.item.name": {"two"}}}
-	first := &Instance{ID: "item_1", Class: item, Sources: []string{"s1", "s2"}, Values: map[string][]string{"thing.item.name": {"one"}},
-		Links: map[string][]*Instance{"next": {second}}}
+	second := &Instance{ID: "item_2", Class: item, Sources: []string{"s1"}, Attrs: []Attr{{ID: "thing.item.name", Values: []string{"two"}}}}
+	first := &Instance{ID: "item_1", Class: item, Sources: []string{"s1", "s2"}, Attrs: []Attr{{ID: "thing.item.name", Values: []string{"one"}}},
+		Links: []Link{{Name: "next", Targets: []*Instance{second}}}}
 	return NewGenerator(ont, nil), &Result{Plan: plan(t, ont, "SELECT item"), Matched: []*Instance{first, second}}
 }
 
@@ -262,15 +271,16 @@ func FuzzRDFWritersMatchGraph(f *testing.F) {
 		provider, _ := w.ont.Class("provider")
 		fields := strings.Split(values, "|")
 		prov := &Instance{ID: "provider_1", Class: provider, Sources: []string{fields[0]},
-			Values: map[string][]string{"thing.provider.name": fields[:1]}}
+			Attrs: []Attr{{ID: "thing.provider.name", Values: fields[:1]}}}
 		res := &Result{Plan: plan(t, w.ont, "SELECT product"), Related: []*Instance{prov}}
 		for i := 0; i < int(n%24)+1; i++ {
-			in := &Instance{ID: fmt.Sprintf("watch_%d", i+1), Class: watch, Values: map[string][]string{},
-				Sources: []string{"s"}, Links: map[string][]*Instance{"hasProvider": {prov}}}
+			vs := map[string][]string{}
 			for j := 0; j < len(fields); j++ {
 				attr := attrs[(i+j)%len(attrs)]
-				in.Values[attr] = append(in.Values[attr], fields[(i+j)%len(fields)])
+				vs[attr] = append(vs[attr], fields[(i+j)%len(fields)])
 			}
+			in := &Instance{ID: fmt.Sprintf("watch_%d", i+1), Class: watch, Attrs: attrsOf(vs),
+				Sources: []string{"s"}, Links: []Link{{Name: "hasProvider", Targets: []*Instance{prov}}}}
 			res.Matched = append(res.Matched, in)
 		}
 		w.gen.Provenance = n&1 == 1
@@ -288,7 +298,7 @@ func TestRDFErrorsBeforeFirstByte(t *testing.T) {
 		res := &Result{Plan: plan(t, w.ont, "SELECT watch")}
 		for i := 1; i <= 600; i++ {
 			res.Matched = append(res.Matched, &Instance{ID: fmt.Sprintf("watch_%d", i), Class: watch,
-				Values: map[string][]string{"thing.product.model": {strings.Repeat("m", 64)}}})
+				Attrs: []Attr{{ID: "thing.product.model", Values: []string{strings.Repeat("m", 64)}}}})
 		}
 		return res
 	}
@@ -300,9 +310,11 @@ func TestRDFErrorsBeforeFirstByte(t *testing.T) {
 		spoil      func(*Instance)
 	}{
 		{"unknown attribute", `instance: watch_9 has value for unknown attribute "thing.product.nosuch"`,
-			func(in *Instance) { in.Values["thing.product.nosuch"] = []string{"x"} }},
+			func(in *Instance) {
+				in.Attrs = append(in.Attrs, Attr{ID: "thing.product.nosuch", Values: []string{"x"}})
+			}},
 		{"unknown relation", `instance: watch_9 links through unknown relation "nosuch"`,
-			func(in *Instance) { in.Links = map[string][]*Instance{"nosuch": nil} }},
+			func(in *Instance) { in.Links = []Link{{Name: "nosuch"}} }},
 	} {
 		for _, f := range rdfFormats {
 			var clean bytes.Buffer

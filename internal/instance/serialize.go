@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 
@@ -106,17 +105,12 @@ func (g *Generator) ToGraph(res *Result) (*rdf.Graph, error) {
 				graph.MustAdd(rdf.T(iri, SourcedFrom, rdf.String(src)))
 			}
 		}
-		ids := make([]string, 0, len(in.Values))
-		for id := range in.Values {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			attr, ok := g.ont.Attribute(id)
+		for _, a := range in.Attrs {
+			attr, ok := g.ont.Attribute(a.ID)
 			if !ok {
-				return fmt.Errorf("instance: %s has value for unknown attribute %q", in.ID, id)
+				return fmt.Errorf("instance: %s has value for unknown attribute %q", in.ID, a.ID)
 			}
-			for _, v := range in.Values[id] {
+			for _, v := range a.Values {
 				lit := rdf.Literal{Value: strings.TrimSpace(v)}
 				if attr.Datatype != "" && attr.Datatype != rdf.XSDString {
 					lit.Datatype = attr.Datatype
@@ -124,17 +118,12 @@ func (g *Generator) ToGraph(res *Result) (*rdf.Graph, error) {
 				graph.MustAdd(rdf.T(iri, g.ont.AttributeIRI(attr), lit))
 			}
 		}
-		relNames := make([]string, 0, len(in.Links))
-		for name := range in.Links {
-			relNames = append(relNames, name)
-		}
-		sort.Strings(relNames)
-		for _, name := range relNames {
-			rel := findRelation(in.Class, name)
+		for _, l := range in.Links {
+			rel := findRelation(in.Class, l.Name)
 			if rel == nil {
-				return fmt.Errorf("instance: %s links through unknown relation %q", in.ID, name)
+				return fmt.Errorf("instance: %s links through unknown relation %q", in.ID, l.Name)
 			}
-			for _, target := range in.Links[name] {
+			for _, target := range l.Targets {
 				graph.MustAdd(rdf.T(iri, g.ont.RelationIRI(rel), iriOf(target)))
 			}
 		}
@@ -271,25 +260,15 @@ func (g *Generator) writeText(b stringWriter, res *Result) error {
 	fmt.Fprintf(b, "matched: %d, related: %d, errors: %d\n", len(res.Matched), len(res.Related), len(res.Errors))
 	dump := func(in *Instance) {
 		fmt.Fprintf(b, "- %s (%s) from %s\n", in.ID, in.Class.Path(), strings.Join(in.Sources, ", "))
-		ids := make([]string, 0, len(in.Values))
-		for id := range in.Values {
-			ids = append(ids, id)
+		for _, a := range in.Attrs {
+			fmt.Fprintf(b, "    %s = %s\n", a.ID, strings.Join(a.Values, " | "))
 		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			fmt.Fprintf(b, "    %s = %s\n", id, strings.Join(in.Values[id], " | "))
-		}
-		relNames := make([]string, 0, len(in.Links))
-		for name := range in.Links {
-			relNames = append(relNames, name)
-		}
-		sort.Strings(relNames)
-		for _, name := range relNames {
+		for _, l := range in.Links {
 			var ids []string
-			for _, t := range in.Links[name] {
+			for _, t := range l.Targets {
 				ids = append(ids, t.ID)
 			}
-			fmt.Fprintf(b, "    %s -> %s\n", name, strings.Join(ids, ", "))
+			fmt.Fprintf(b, "    %s -> %s\n", l.Name, strings.Join(ids, ", "))
 		}
 	}
 	for _, in := range res.Instances() {

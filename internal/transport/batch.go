@@ -191,19 +191,11 @@ func (c *Client) QueryBatch(ctx context.Context, queries []string, format string
 			out[i].Err = errors.New(msg)
 			continue
 		}
-		// The trailer came off the network: a count that is not a
-		// non-negative integer is an error, not a zero.
-		var err error
-		count := func(key string) int {
-			v, cerr := strconv.Atoi(p.Trailer[key])
-			if (cerr != nil || v < 0) && err == nil {
-				err = fmt.Errorf("transport: batch trailer of query %d has %s=%q, want a non-negative count", i, key, p.Trailer[key])
-			}
-			return v
-		}
+		n := counts{where: "batch trailer of query " + strconv.Itoa(i)}
+		count := func(key string) int { return n.read(key, p.Trailer[key]) }
 		out[i].Matched, out[i].Related, out[i].SourceErrors = count(batchKeyMatched), count(batchKeyRelated), count(batchKeyErrors)
-		if err != nil {
-			return nil, err
+		if n.err != nil {
+			return nil, n.err
 		}
 	}
 	return out, nil

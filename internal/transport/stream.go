@@ -223,8 +223,13 @@ func (c *Client) QueryStream(ctx context.Context, query, format string, w io.Wri
 	if out.Mode == "" {
 		out.Mode = StreamModeBarrier
 	}
-	out.Matched, _ = strconv.Atoi(resp.Header.Get(StreamMatchedHeader))
-	out.Related, _ = strconv.Atoi(resp.Header.Get(StreamRelatedHeader))
+	// A bad count is reported once the body is through: a failed copy
+	// or an error trailer says more about the exchange.
+	n := counts{where: "stream"}
+	if out.Mode != StreamModeEager {
+		out.Matched = n.read(StreamMatchedHeader, resp.Header.Get(StreamMatchedHeader))
+		out.Related = n.read(StreamRelatedHeader, resp.Header.Get(StreamRelatedHeader))
+	}
 
 	// Copy the body through as it arrives; trailers are populated only
 	// once the body reaches EOF.
@@ -238,12 +243,32 @@ func (c *Client) QueryStream(ctx context.Context, query, format string, w io.Wri
 	if resp.Trailer.Get(StreamCompleteTrailer) != "true" {
 		return out, fmt.Errorf("transport: stream truncated after %d bytes: no completion trailer", out.Bytes)
 	}
-	out.SourceErrors, _ = strconv.Atoi(resp.Trailer.Get(StreamErrorsTrailer))
+	out.SourceErrors = n.read(StreamErrorsTrailer, resp.Trailer.Get(StreamErrorsTrailer))
 	if out.Mode == StreamModeEager {
 		// Barrier-free bodies start before generation finishes, so the
 		// counts arrive with the trailers.
-		out.Matched, _ = strconv.Atoi(resp.Trailer.Get(StreamMatchedHeader))
-		out.Related, _ = strconv.Atoi(resp.Trailer.Get(StreamRelatedHeader))
+		out.Matched = n.read(StreamMatchedHeader, resp.Trailer.Get(StreamMatchedHeader))
+		out.Related = n.read(StreamRelatedHeader, resp.Trailer.Get(StreamRelatedHeader))
 	}
-	return out, nil
+	return out, n.err
+}
+
+// counts reads instance and error counts that came off the network,
+// keeping the first bad one in err: a count that is missing, not an
+// integer or negative is an error, never a zero.
+type counts struct {
+	where string // what carried the counts, for the error
+	err   error
+}
+
+// read parses s, the value of key.
+func (c *counts) read(key, s string) int {
+	v, err := strconv.Atoi(s)
+	if err != nil || v < 0 {
+		if c.err == nil {
+			c.err = fmt.Errorf("transport: %s has %s=%q, want a non-negative count", c.where, key, s)
+		}
+		return 0
+	}
+	return v
 }

@@ -276,6 +276,68 @@ func TestQueryStreamMidStreamErrorTrailer(t *testing.T) {
 	}
 }
 
+// TestQueryStreamRejectsBadCounts: the counts come off the network, so
+// one that is negative, not an integer or missing fails the exchange
+// instead of reading as a number — in the pre-body headers (barrier
+// mode) and in the trailers (eager mode) alike.
+func TestQueryStreamRejectsBadCounts(t *testing.T) {
+	const (
+		matched = StreamMatchedHeader
+		related = StreamRelatedHeader
+		errs    = StreamErrorsTrailer
+	)
+	for _, tc := range []struct {
+		name             string
+		eager            bool
+		header, trailer  map[string]string
+		want             string // error substring; "" for a clean exchange
+		matchedN, relatN int
+	}{
+		{"barrier clean", false, map[string]string{matched: "3", related: "1"}, map[string]string{errs: "0"}, "", 3, 1},
+		{"eager clean", true, nil, map[string]string{errs: "2", matched: "4", related: "0"}, "", 4, 0},
+		{"negative matched", false, map[string]string{matched: "-7", related: "1"}, map[string]string{errs: "0"}, `X-S2s-Matched="-7"`, 0, 0},
+		{"non-integer related", false, map[string]string{matched: "3", related: "x"}, map[string]string{errs: "0"}, `X-S2s-Related="x"`, 0, 0},
+		{"garbage error count", false, map[string]string{matched: "3", related: "1"}, map[string]string{errs: "garbage"}, `X-S2s-Stream-Errors="garbage"`, 0, 0},
+		{"missing error count", false, map[string]string{matched: "3", related: "1"}, nil, `X-S2s-Stream-Errors=""`, 0, 0},
+		{"missing matched", false, map[string]string{related: "1"}, map[string]string{errs: "0"}, `X-S2s-Matched=""`, 0, 0},
+		{"eager negative matched", true, nil, map[string]string{errs: "0", matched: "-7", related: "0"}, `X-S2s-Matched="-7"`, 0, 0},
+		{"eager missing related", true, nil, map[string]string{errs: "0", matched: "1"}, `X-S2s-Related=""`, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Trailer", strings.Join([]string{StreamCompleteTrailer, errs, matched, related}, ", "))
+				if tc.eager {
+					w.Header().Set(StreamModeHeader, StreamModeEager)
+				}
+				for k, v := range tc.header {
+					w.Header().Set(k, v)
+				}
+				fmt.Fprint(w, "{}")
+				w.Header().Set(StreamCompleteTrailer, "true")
+				for k, v := range tc.trailer {
+					w.Header().Set(k, v)
+				}
+			}))
+			defer srv.Close()
+
+			var got bytes.Buffer
+			res, err := NewClient(srv.URL, nil).QueryStream(context.Background(), "SELECT product", "json", &got)
+			if tc.want == "" {
+				if err != nil || res.Matched != tc.matchedN || res.Related != tc.relatN {
+					t.Fatalf("result = %+v, err = %v; want matched=%d related=%d", res, err, tc.matchedN, tc.relatN)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %s", err, tc.want)
+			}
+			if got.String() != "{}" {
+				t.Errorf("body = %q, want it copied through before the counts are judged", got.String())
+			}
+		})
+	}
+}
+
 // streamChaosServer builds a middleware whose backends run through a
 // fault injector, served over HTTP.
 func streamChaosServer(t *testing.T, spec workload.Spec, plan faultinject.Plan, opts extract.Options) *httptest.Server {
