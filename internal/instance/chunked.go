@@ -5,9 +5,9 @@ package instance
 // whole documents; SerializeChunked flushes the document in
 // threshold-sized chunks as it forms, so peak serialization memory
 // stays flat no matter how large the result is (E18 in bench_test.go
-// asserts exactly that). Output bytes are identical between the two for
-// every format — they share serializeTo and its writers (docwriter.go,
-// rdfwriter.go), which form each piece in the chunk buffer itself.
+// asserts exactly that). Both drive the format's one docWriter through
+// serializeTo, which forms each piece in the chunk buffer itself, so
+// their bytes are identical for every format.
 
 import (
 	"bytes"

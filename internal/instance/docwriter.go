@@ -1,19 +1,16 @@
 package instance
 
-// docwriter.go writes the two formats whose documents form instance by
-// instance, JSON and XML, in pieces: a head that needs only the plan,
-// the matched instances one call each, and a tail that needs the
-// complete result. Each piece is appended straight into the target's
-// spare capacity (AvailableBuffer) and handed back as one Write, the
-// idiom rdfwriter.go uses, so no piece goes through reflection or fmt.
+// docwriter.go holds docWriter, the shape of every format's writer,
+// and the JSON, XML and text writers (rdfwriter.go holds RDF's). Each
+// piece is appended into the target's spare capacity (AvailableBuffer)
+// and handed back as one Write, never through reflection or fmt.
 //
 // The JSON pieces reproduce, byte for byte, what json.Encoder with
 // SetIndent("", "  ") writes for the envelope {query, matched,
 // related?, errors?, missing?} — HTML escaping, sorted map keys (the
 // order of Attrs and Links), field order, omitempty and the trailing
-// newline included.
-// TestJSONPiecesMatchEncoder and FuzzDocWritersMatchReference pin it
-// against encoding/json.
+// newline included. TestJSONPiecesMatchEncoder and
+// FuzzDocWritersMatchReference pin it against encoding/json.
 
 import (
 	"encoding/json"
@@ -23,62 +20,41 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
-
-	"repro/internal/s2sql"
 )
 
-// docWriter writes one format's document piece by piece. JSON
-// (instances precede every tail field of the envelope) and XML (no tail
-// fields at all) have one; text leads with result counts, and the RDF
-// formats (rdfwriter.go) sort matched and related instances together by
-// subject IRI, so they do not. serializeTo drives the pieces in one
-// pass; the eager path (GenerateEager) interleaves them with extraction
-// — same pieces, same bytes. An instance either fails before writing
-// anything or is written whole.
-type docWriter struct {
-	head     func(g *Generator, w stringWriter, plan *s2sql.Plan) error
-	instance func(g *Generator, w stringWriter, in *Instance, first bool) error
-	tail     func(g *Generator, w stringWriter, res *Result) error
+// docWriter writes one answer in one format: head writes what precedes
+// the instances and returns the walk, instance writes one of them, and
+// tail writes the rest. serializeTo and GenerateEager drive the pieces;
+// an instance fails before writing anything or is written whole.
+type docWriter interface {
+	head(w stringWriter, res *Result) ([]*Instance, error)
+	instance(w stringWriter, in *Instance) error
+	tail(w stringWriter, res *Result) error
 }
 
-var docWriters = map[Format]docWriter{
-	FormatJSON: {(*Generator).writeJSONHead, (*Generator).writeJSONInstance, (*Generator).writeJSONTail},
-	FormatXML:  {(*Generator).writeXMLHead, (*Generator).writeXMLInstance, (*Generator).writeXMLTail},
-}
+// jsonDoc counts the elements written into the open instance array.
+type jsonDoc struct{ n int }
 
-// pieceRoom is the capacity a JSON or XML head reserves in its target
-// before the first instance piece: a power of two larger than a piece,
-// so a fresh buffer doubles through powers of two and a document of at
-// most 1 MiB ends in a buffer Serialize can pool (maxPooledBuf). Sized
-// by its first instance piece instead, a buffer doubles from that odd
-// size and can overshoot: E7's 1.04 MB XML answer ended in 1.25 MiB, and
-// every call regrew the dropped buffer.
-const pieceRoom = 4 << 10
-
-// writeJSONHead opens the envelope through the "matched" field
-// separator; only the query string is needed, so an eager emitter can
-// write it before extraction delivers anything.
-func (g *Generator) writeJSONHead(w stringWriter, plan *s2sql.Plan) error {
-	w.Grow(pieceRoom)
+// head opens the envelope through the "matched" field separator; it
+// needs only the query string, so it can precede extraction.
+func (d *jsonDoc) head(w stringWriter, res *Result) ([]*Instance, error) {
 	b := append(w.AvailableBuffer(), "{\n  \"query\": "...)
-	b = appendJSONString(b, plan.Query.String())
+	b = appendJSONString(b, res.Plan.Query.String())
 	b = append(b, ",\n  \"matched\": "...)
 	_, err := w.Write(b)
-	return err
+	return res.Matched, err
 }
 
-// writeJSONInstance writes one element of an instance array. The
-// array's opening bracket rides on the first element (closeJSONInstances
-// writes "[]" if no element was ever written), so an eager emitter needs
-// no lookahead.
-func (g *Generator) writeJSONInstance(w stringWriter, in *Instance, first bool) error {
-	b := w.AvailableBuffer()
-	if first {
-		b = append(b, "[\n    "...)
-	} else {
-		b = append(b, ",\n    "...)
+// instance writes one element of an instance array. The opening bracket
+// rides on the first element (closeArray writes "[]" if there was
+// none), so an eager emitter needs no lookahead.
+func (d *jsonDoc) instance(w stringWriter, in *Instance) error {
+	sep := ",\n    "
+	if d.n == 0 {
+		sep = "[\n    "
 	}
-	_, err := w.Write(appendJSONInstance(b, in))
+	d.n++
+	_, err := w.Write(appendJSONInstance(append(w.AvailableBuffer(), sep...), in))
 	return err
 }
 
@@ -179,12 +155,13 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// closeJSONInstances terminates an instance array of n written elements.
-func closeJSONInstances(w stringWriter, n int) error {
+// closeArray terminates the open instance array.
+func (d *jsonDoc) closeArray(w stringWriter) error {
 	end := "\n  ]"
-	if n == 0 {
+	if d.n == 0 {
 		end = "[]"
 	}
+	d.n = 0
 	_, err := w.WriteString(end)
 	return err
 }
@@ -203,23 +180,23 @@ func writeJSONStrings(w stringWriter, name string, ss []string) error {
 	return err
 }
 
-// writeJSONTail closes the matched array (its elements already written)
-// and emits every remaining envelope field; it needs the complete
-// result, so the eager path writes it after the extraction run returns.
-func (g *Generator) writeJSONTail(w stringWriter, res *Result) error {
-	if err := closeJSONInstances(w, len(res.Matched)); err != nil {
+// tail closes the matched array and emits every remaining envelope
+// field; it needs the complete result, so the eager path writes it
+// after the extraction run returns.
+func (d *jsonDoc) tail(w stringWriter, res *Result) error {
+	if err := d.closeArray(w); err != nil {
 		return err
 	}
 	if len(res.Related) > 0 {
 		if _, err := w.WriteString(",\n  \"related\": "); err != nil {
 			return err
 		}
-		for i, in := range res.Related {
-			if err := g.writeJSONInstance(w, in, i == 0); err != nil {
+		for _, in := range res.Related {
+			if err := d.instance(w, in); err != nil {
 				return err
 			}
 		}
-		if err := closeJSONInstances(w, len(res.Related)); err != nil {
+		if err := d.closeArray(w); err != nil {
 			return err
 		}
 	}
@@ -237,39 +214,29 @@ func (g *Generator) writeJSONTail(w stringWriter, res *Result) error {
 	return err
 }
 
-// writeXMLHead opens the plain XML view of §2.6: attribute IDs
-// transform directly into an element hierarchy ("transforming the unique
+// xmlDoc writes the plain XML view of §2.6: attribute IDs transform
+// directly into an element hierarchy ("transforming the unique
 // identifiers of the ontology attributes in a XML format is done
 // naturally").
-func (g *Generator) writeXMLHead(w stringWriter, _ *s2sql.Plan) error {
-	w.Grow(pieceRoom)
+type xmlDoc struct{ g *Generator }
+
+func (d xmlDoc) head(w stringWriter, res *Result) ([]*Instance, error) {
 	_, err := w.WriteString(xml.Header + "<s2s-result>\n")
-	return err
+	return res.Matched, err
 }
 
-// writeXMLTail writes the related instances and closes the document.
-func (g *Generator) writeXMLTail(w stringWriter, res *Result) error {
-	for _, in := range res.Related {
-		if err := g.writeXMLInstance(w, in, false); err != nil {
-			return err
-		}
-	}
-	_, err := w.WriteString("</s2s-result>\n")
-	return err
-}
-
-// writeXMLInstance writes one <instance> element: its values in
-// attribute-ID order, trimmed, then its links in relation-name order.
-// XML attribute values are Go-quoted; attribute and relation names and
-// instance IDs are plain identifiers, which quoting leaves unchanged.
-func (g *Generator) writeXMLInstance(w stringWriter, in *Instance, _ bool) error {
+// instance writes one <instance> element: its values in attribute-ID
+// order, trimmed, then its links in relation-name order. XML attribute
+// values are Go-quoted; attribute and relation names and instance IDs
+// are plain identifiers, which quoting leaves unchanged.
+func (d xmlDoc) instance(w stringWriter, in *Instance) error {
 	b := append(w.AvailableBuffer(), "  <instance id="...)
 	b = appendGoQuoted(b, in.ID)
 	b = append(b, " class="...)
 	b = appendGoQuoted(b, in.Class.Path())
 	b = append(b, ">\n"...)
 	for _, a := range in.Attrs {
-		attr, ok := g.ont.Attribute(a.ID)
+		attr, ok := d.g.ont.Attribute(a.ID)
 		if !ok {
 			return fmt.Errorf("instance: unknown attribute %q", a.ID)
 		}
@@ -294,6 +261,76 @@ func (g *Generator) writeXMLInstance(w stringWriter, in *Instance, _ bool) error
 	}
 	_, err := w.Write(append(b, "  </instance>\n"...))
 	return err
+}
+
+// tail writes the related instances and closes the document.
+func (d xmlDoc) tail(w stringWriter, res *Result) error {
+	for _, in := range res.Related {
+		if err := d.instance(w, in); err != nil {
+			return err
+		}
+	}
+	_, err := w.WriteString("</s2s-result>\n")
+	return err
+}
+
+// textDoc writes the plain-text view: a head with the query and the
+// counts, one block per instance, then the error and unmapped lines.
+type textDoc struct{}
+
+func (textDoc) head(w stringWriter, res *Result) ([]*Instance, error) {
+	b := appendAll(w.AvailableBuffer(), "query: ", res.Plan.Query.String(), "\nmatched: ")
+	b = strconv.AppendInt(b, int64(len(res.Matched)), 10)
+	b = strconv.AppendInt(append(b, ", related: "...), int64(len(res.Related)), 10)
+	b = strconv.AppendInt(append(b, ", errors: "...), int64(len(res.Errors)), 10)
+	_, err := w.Write(append(b, '\n'))
+	return res.Matched, err
+}
+
+func (textDoc) instance(w stringWriter, in *Instance) error {
+	b := appendAll(w.AvailableBuffer(), "- ", in.ID, " (", in.Class.Path(), ") from ")
+	for i, src := range in.Sources {
+		b = appendSep(b, i, ", ", src)
+	}
+	for _, a := range in.Attrs {
+		b = appendAll(b, "\n    ", a.ID, " = ")
+		for i, v := range a.Values {
+			b = appendSep(b, i, " | ", v)
+		}
+	}
+	for _, l := range in.Links {
+		b = appendAll(b, "\n    ", l.Name, " -> ")
+		for i, t := range l.Targets {
+			b = appendSep(b, i, ", ", t.ID)
+		}
+	}
+	_, err := w.Write(append(b, '\n'))
+	return err
+}
+
+func (d textDoc) tail(w stringWriter, res *Result) error {
+	for _, in := range res.Related {
+		if err := d.instance(w, in); err != nil {
+			return err
+		}
+	}
+	b := w.AvailableBuffer()
+	for _, e := range res.Errors {
+		b = appendAll(b, "! ", e.Error(), "\n")
+	}
+	for _, m := range res.Missing {
+		b = appendAll(b, "? unmapped attribute ", m, "\n")
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// appendSep appends s as element i of a sep-separated list.
+func appendSep(b []byte, i int, sep, s string) []byte {
+	if i > 0 {
+		b = append(b, sep...)
+	}
+	return append(b, s...)
 }
 
 // appendGoQuoted appends s as strconv.Quote writes it, copying it as is

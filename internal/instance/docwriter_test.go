@@ -1,9 +1,9 @@
 package instance
 
-// docwriter_test.go holds the JSON and XML writers to their
+// docwriter_test.go holds the JSON, XML and text writers to their
 // specifications. The reference documents are built the way the writers
 // used to build them: JSON by encoding/json over the jsonInstance
-// projection, XML by fmt and xml.EscapeText. Every document
+// projection, XML by fmt and xml.EscapeText, text by fmt. Every document
 // serializeTo writes — whole (Serialize), in default chunks
 // (SerializeChunked) and in chunks far smaller than one instance — must
 // equal its reference byte for byte, on generated worlds, hand-built
@@ -131,13 +131,42 @@ func referenceXMLInstance(g *Generator, b *bytes.Buffer, in *Instance) error {
 	return nil
 }
 
-// checkMatchesReference compares the JSON and XML documents of res, as
-// every serialization path writes them, with the references.
+// referenceText is the text oracle: the fmt-based writer the appending
+// text writer replaced.
+func referenceText(res *Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "query: %s\n", res.Plan.Query.String())
+	fmt.Fprintf(&b, "matched: %d, related: %d, errors: %d\n", len(res.Matched), len(res.Related), len(res.Errors))
+	for _, in := range res.Instances() {
+		fmt.Fprintf(&b, "- %s (%s) from %s\n", in.ID, in.Class.Path(), strings.Join(in.Sources, ", "))
+		for _, a := range in.Attrs {
+			fmt.Fprintf(&b, "    %s = %s\n", a.ID, strings.Join(a.Values, " | "))
+		}
+		for _, l := range in.Links {
+			var ids []string
+			for _, t := range l.Targets {
+				ids = append(ids, t.ID)
+			}
+			fmt.Fprintf(&b, "    %s -> %s\n", l.Name, strings.Join(ids, ", "))
+		}
+	}
+	for _, e := range res.Errors {
+		fmt.Fprintf(&b, "! %s\n", e.Error())
+	}
+	for _, m := range res.Missing {
+		fmt.Fprintf(&b, "? unmapped attribute %s\n", m)
+	}
+	return b.String()
+}
+
+// checkMatchesReference compares the JSON, XML and text documents of
+// res, as every serialization path writes them, with the references.
 func checkMatchesReference(t *testing.T, g *Generator, res *Result, name string) {
 	t.Helper()
 	refs := map[Format]func() (string, error){
 		FormatJSON: func() (string, error) { return referenceJSON(res) },
 		FormatXML:  func() (string, error) { return referenceXML(g, res) },
+		FormatText: func() (string, error) { return referenceText(res), nil },
 	}
 	paths := map[string]func(Format) (string, error){
 		"Serialize": func(f Format) (string, error) { return serializeString(g, res, f) },
@@ -287,8 +316,8 @@ func TestDocWritersMatchReference(t *testing.T) {
 // instances, their sources, the error report and the unmapped list. The
 // bits of n choose the variants: provenance, nil and empty value
 // slices, a nil value map, relation names without targets, a fuzzed ID,
-// and an unknown attribute (which fails XML). The seed corpus runs in
-// every `go test`.
+// and an unknown attribute (which fails XML, not JSON or text). The seed
+// corpus runs in every `go test`.
 func FuzzDocWritersMatchReference(f *testing.F) {
 	f.Add("Seiko|Casio| Casio |129.99", uint8(0))
 	f.Add(`<5 & "Sports">|'apos'|a&b|a<b|c>d|"q"|back\slash`, uint8(0xff))

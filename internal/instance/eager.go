@@ -21,8 +21,8 @@ package instance
 // assembler and document pieces — the equivalence suite in
 // internal/core pins this.
 //
-// Only the formats with a docWriter stream eagerly (JSON and XML); the
-// middleware takes the materialized path for the rest.
+// Only the formats whose row is eager stream this way (JSON and XML);
+// the middleware takes the materialized path for the rest.
 
 import (
 	"fmt"
@@ -39,8 +39,8 @@ import (
 // its serialization writes instances incrementally with nothing ahead
 // of them that depends on the complete result.
 func EagerFormat(format Format) bool {
-	_, ok := docWriters[format]
-	return ok
+	r := format.row()
+	return r != nil && r.eager
 }
 
 // GenerateEager serializes a query's result to w in bounded chunks
@@ -65,10 +65,10 @@ func (g *Generator) GenerateEager(plan *s2sql.Plan, sources []string, w io.Write
 	if plan == nil {
 		return nil, ChunkStats{}, fmt.Errorf("instance: nil plan")
 	}
-	dw, ok := docWriters[format]
-	if !ok {
+	if !EagerFormat(format) {
 		return nil, ChunkStats{}, fmt.Errorf("instance: format %s cannot stream barrier-free", format)
 	}
+	dw := formats[format].writer(g)
 
 	cw := NewChunkedWriter(w, 0)
 	res := &Result{Plan: plan}
@@ -76,7 +76,8 @@ func (g *Generator) GenerateEager(plan *s2sql.Plan, sources []string, w io.Write
 	counters := map[string]int{}
 	var condErrs []extract.SourceError
 	// werr is the first write error; once set, nothing more is emitted.
-	werr := dw.head(g, cw, plan)
+	cw.Grow(pieceRoom)
+	_, werr := dw.head(cw, res)
 
 	// emit filters, numbers, and serializes one source's instances in
 	// canonical order, then flushes them to the wire. Condition
@@ -101,7 +102,7 @@ func (g *Generator) GenerateEager(plan *s2sql.Plan, sources []string, w io.Write
 			}
 			counters[in.Class.Name]++
 			in.ID = in.Class.Name + "_" + strconv.Itoa(counters[in.Class.Name])
-			if werr = dw.instance(g, cw, in, len(res.Matched) == 0); werr != nil {
+			if werr = dw.instance(cw, in); werr != nil {
 				return
 			}
 			res.Matched = append(res.Matched, in)
@@ -162,7 +163,7 @@ func (g *Generator) GenerateEager(plan *s2sql.Plan, sources []string, w io.Write
 
 	// Merge-free plans cannot link, so Related is empty and the tail only
 	// closes the document.
-	if err := dw.tail(g, cw, res); err != nil {
+	if err := dw.tail(cw, res); err != nil {
 		return res, cw.Stats(), err
 	}
 	if err := cw.Flush(); err != nil {

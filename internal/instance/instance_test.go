@@ -1,6 +1,8 @@
 package instance
 
 import (
+	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -550,9 +552,56 @@ func TestParseFormat(t *testing.T) {
 		t.Error("unknown format parsed")
 	}
 	for _, f := range []Format{FormatOWL, FormatTurtle, FormatNTriples, FormatXML, FormatJSON, FormatText} {
-		if strings.Contains(f.String(), "Format(") {
-			t.Errorf("missing name for format %d", int(f))
+		if got, err := ParseFormat(f.String()); err != nil || got != f {
+			t.Errorf("format %d: ParseFormat(%q) = %v, %v", int(f), f.String(), got, err)
 		}
+	}
+	// Values outside the table print as numbers and do not serialize.
+	w := newWorld(t)
+	res := paperResult(t, w)
+	for _, f := range []Format{0, 7} {
+		if got, want := f.String(), fmt.Sprintf("Format(%d)", int(f)); got != want {
+			t.Errorf("Format(%d).String() = %q, want %q", int(f), got, want)
+		}
+		if _, err := serializeString(w.gen, res, f); err == nil {
+			t.Errorf("Serialize in Format(%d) succeeded", int(f))
+		}
+	}
+}
+
+// TestEagerBitMatchesWriter checks every format's eager declaration
+// against its writer: EagerFormat holds exactly when the head written
+// against the plan alone equals the complete result's head and the head
+// returns res.Matched as the walk. JSON and XML are eager; text's head
+// prints counts and RDF walks its subjects sorted, with related ones.
+func TestEagerBitMatchesWriter(t *testing.T) {
+	w := newWorld(t)
+	res := failedResult(t, w)
+	if len(res.Matched) == 0 || len(res.Related) == 0 || len(res.Errors) == 0 || len(res.Missing) == 0 {
+		t.Fatal("fixture lacks matched or related instances, errors or missing attributes")
+	}
+	head := func(f Format, r *Result) (string, []*Instance) {
+		var b bytes.Buffer
+		walk, err := formats[f].writer(w.gen).head(&b, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.String(), walk
+	}
+	var eager []Format
+	for f := FormatOWL; int(f) < len(formats); f++ {
+		planHead, _ := head(f, &Result{Plan: res.Plan})
+		fullHead, walk := head(f, res)
+		holds := planHead == fullHead && len(walk) == len(res.Matched) && &walk[0] == &res.Matched[0]
+		if EagerFormat(f) != holds {
+			t.Errorf("%s: EagerFormat = %v, but the writer's head and walk say %v", f, EagerFormat(f), holds)
+		}
+		if EagerFormat(f) {
+			eager = append(eager, f)
+		}
+	}
+	if !slices.Equal(eager, []Format{FormatXML, FormatJSON}) {
+		t.Errorf("eager formats = %v, want [xml json]", eager)
 	}
 }
 

@@ -2,6 +2,7 @@ package instance
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -126,6 +127,27 @@ func TestGenerateAllocsPerInstance(t *testing.T) {
 		t.Errorf("GenerateOpts: %.0f allocations for %d instances = %.2f per instance, want at most 4", allocs, n, per)
 	} else {
 		t.Logf("GenerateOpts: %.2f allocations per instance", per)
+	}
+}
+
+// TestSerializeTextAllocs gates the text writer on E7's 2,000-instance
+// answer: at most 16 allocations per document, so every piece is
+// appended in place rather than formatted line by line.
+func TestSerializeTextAllocs(t *testing.T) {
+	world := workload.MustGenerate(workload.Spec{DBSources: 1, XMLSources: 1, RecordsPerSource: 1000, Seed: 4})
+	gen, res := generatedResult(t, world, false, "SELECT product")
+	if len(res.Matched) < 2000 {
+		t.Fatalf("fixture: %d matched instances, want at least 2,000", len(res.Matched))
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := gen.Serialize(io.Discard, res, FormatText); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 16 {
+		t.Errorf("Serialize text: %.0f allocations per document, want at most 16", allocs)
+	} else {
+		t.Logf("Serialize text: %.0f allocations per document", allocs)
 	}
 }
 

@@ -34,31 +34,69 @@ import (
 	"repro/internal/rdf"
 )
 
-// rdfFraming is one RDF syntax: how it writes a document, the comment
-// syntax of its error report, and whether every predicate needs a QName
-// (RDF/XML property elements do).
-type rdfFraming struct {
-	write    func(d *rdfDoc, w stringWriter) error
+// rdfSyntax is one RDF syntax: its opening block, its writer of one
+// subject, its closing string, the comment syntax of its error report,
+// and whether every predicate needs a QName (RDF/XML's do).
+type rdfSyntax struct {
+	open     func(d *rdfDoc, b []byte) []byte
+	subject  func(d *rdfDoc, b []byte, id string) []byte
+	close    string
 	comments commentSyntax
 	qnames   bool
 }
 
-var rdfFramings = map[Format]rdfFraming{
-	FormatOWL:      {(*rdfDoc).writeRDFXML, xmlComments, true},
-	FormatTurtle:   {(*rdfDoc).writeTurtle, hashComments, false},
-	FormatNTriples: {(*rdfDoc).writeNTriples, hashComments, false},
+var (
+	rdfXML   = rdfSyntax{(*rdfDoc).openRDFXML, (*rdfDoc).appendRDFXMLSubject, "</rdf:RDF>\n", xmlComments, true}
+	turtle   = rdfSyntax{(*rdfDoc).openTurtle, (*rdfDoc).appendTurtleSubject, "", hashComments, false}
+	nTriples = rdfSyntax{func(_ *rdfDoc, b []byte) []byte { return b }, (*rdfDoc).appendNTSubject, "", hashComments, false}
+)
+
+func rdfWriter(s *rdfSyntax) func(g *Generator) docWriter {
+	return func(g *Generator) docWriter {
+		return &rdfDoc{g: g, syntax: s, prefixes: g.prefixes(), base: string(g.ont.Base),
+			attrs: map[string]*rdfPred{}, rels: map[relKey]*rdfPred{}, classes: map[*ontology.Class]*rdfTerm{}}
+	}
 }
 
-// writeRDF writes res in one RDF syntax, followed by its error report.
-func (g *Generator) writeRDF(w stringWriter, res *Result, f rdfFraming) error {
-	d, err := g.newRDFDoc(res, f.qnames)
-	if err != nil {
-		return err
+// commentSyntax is how an RDF syntax comments out the error report: an
+// opening line, a prefix per report line, a closing line, and what makes
+// a report line legal inside the comment.
+type commentSyntax struct {
+	open, line, close string
+	safe              func(string) string
+}
+
+var (
+	// xmlComments is one XML comment after the document element; "--"
+	// is forbidden inside it, and one pass turns "---" into "- --".
+	xmlComments = commentSyntax{"<!-- s2s:error-report\n", "  ", "-->\n", func(s string) string {
+		for strings.Contains(s, "--") {
+			s = strings.ReplaceAll(s, "--", "- -")
+		}
+		return s
+	}}
+	// hashComments is a run of '#' line comments, as Turtle and
+	// N-Triples write them; a line break would end the comment.
+	hashComments = commentSyntax{"# s2s:error-report\n", "#   ", "",
+		strings.NewReplacer("\n", " ", "\r", " ").Replace}
+)
+
+// appendErrorReport appends an RDF answer's error report, comments
+// naming every source error and unmapped attribute, so a consumer sees
+// which parts of a still parseable answer are missing (§2.6: the
+// generator "handles the errors ... from the extraction phases").
+func appendErrorReport(b []byte, res *Result, c commentSyntax) []byte {
+	if len(res.Errors) == 0 && len(res.Missing) == 0 {
+		return b
 	}
-	if err := f.write(d, w); err != nil {
-		return err
+	b = append(b, c.open...)
+	for _, e := range res.Errors {
+		b = appendAll(b, c.line, "error: ", c.safe(e.Error()), "\n")
 	}
-	return writeErrorEpilog(w, res, f.comments)
+	for _, m := range res.Missing {
+		b = appendAll(b, c.line, "unmapped: ", c.safe(m), "\n")
+	}
+	return append(b, c.close...)
 }
 
 // rdfTerm is an IRI in every form the writers need, built once per
@@ -156,14 +194,13 @@ type relKey struct {
 	name  string
 }
 
-// rdfDoc is one answer being written as RDF: its resolved predicate and
-// class tables, its subjects in document order, and the statements of
-// the subject being written.
+// rdfDoc writes one answer as RDF: its resolved predicate and class
+// tables, and the statements of the subject being gathered.
 type rdfDoc struct {
-	ont      *ontology.Ontology
+	g        *Generator
+	syntax   *rdfSyntax
 	prefixes rdf.PrefixMap
 	labels   []string // prefix labels, sorted
-	qnames   bool
 
 	base      string
 	basePlain bool // Go quoting leaves base unchanged
@@ -174,24 +211,15 @@ type rdfDoc struct {
 	rels             map[relKey]*rdfPred
 	classes          map[*ontology.Class]*rdfTerm
 
-	subjects []*Instance // sorted by subject key
-	pos      int         // next subject to write
-	stmts    []rdfStmt   // the current subject's statements, in key order
+	id        string    // the subject being gathered
+	stmts     []rdfStmt // its statements
+	buf, subj []byte    // reused per subject
 }
 
-// newRDFDoc resolves every predicate and class of res, failing as
-// ToGraph does, and sorts the subjects.
-func (g *Generator) newRDFDoc(res *Result, qnames bool) (*rdfDoc, error) {
-	d := &rdfDoc{
-		ont:      g.ont,
-		prefixes: g.prefixes(),
-		qnames:   qnames,
-		base:     string(g.ont.Base),
-		attrs:    map[string]*rdfPred{},
-		rels:     map[relKey]*rdfPred{},
-		classes:  map[*ontology.Class]*rdfTerm{},
-		subjects: res.Instances(),
-	}
+// head resolves every predicate and class of res, failing as ToGraph
+// does before anything is written, writes the opening block, and
+// returns the subjects in document order.
+func (d *rdfDoc) head(w stringWriter, res *Result) ([]*Instance, error) {
 	for l := range d.prefixes {
 		d.labels = append(d.labels, l)
 	}
@@ -202,20 +230,23 @@ func (g *Generator) newRDFDoc(res *Result, qnames bool) (*rdfDoc, error) {
 	if d.typ, err = d.newPred(rdf.RDFType, ""); err != nil {
 		return nil, err
 	}
-	if g.Provenance {
+	if d.g.Provenance {
 		if d.sourcedFrom, err = d.newPred(SourcedFrom, ""); err != nil {
 			return nil, err
 		}
 	}
-	for _, in := range d.subjects {
+	subjects := res.Instances()
+	for _, in := range subjects {
 		if err := d.resolve(in); err != nil {
 			return nil, err
 		}
 	}
-	slices.SortFunc(d.subjects, func(a, b *Instance) int {
+	slices.SortFunc(subjects, func(a, b *Instance) int {
 		return cmpSegs([]string{a.ID, ">"}, []string{b.ID, ">"})
 	})
-	return d, nil
+	d.buf = d.syntax.open(d, d.buf)
+	_, err = w.Write(d.buf)
+	return subjects, err
 }
 
 // resolve adds an instance's class, attributes and relations to the
@@ -223,17 +254,17 @@ func (g *Generator) newRDFDoc(res *Result, qnames bool) (*rdfDoc, error) {
 // ID, else its first unknown relation name.
 func (d *rdfDoc) resolve(in *Instance) error {
 	if _, ok := d.classes[in.Class]; !ok {
-		d.classes[in.Class] = d.newTerm(d.ont.ClassIRI(in.Class))
+		d.classes[in.Class] = d.newTerm(d.g.ont.ClassIRI(in.Class))
 	}
 	for _, a := range in.Attrs {
 		if _, ok := d.attrs[a.ID]; ok {
 			continue
 		}
-		attr, ok := d.ont.Attribute(a.ID)
+		attr, ok := d.g.ont.Attribute(a.ID)
 		if !ok {
 			return fmt.Errorf("instance: %s has value for unknown attribute %q", in.ID, a.ID)
 		}
-		p, err := d.newPred(d.ont.AttributeIRI(attr), attr.Datatype)
+		p, err := d.newPred(d.g.ont.AttributeIRI(attr), attr.Datatype)
 		if err != nil {
 			return err
 		}
@@ -248,7 +279,7 @@ func (d *rdfDoc) resolve(in *Instance) error {
 		if rel == nil {
 			return fmt.Errorf("instance: %s links through unknown relation %q", in.ID, l.Name)
 		}
-		p, err := d.newPred(d.ont.RelationIRI(rel), "")
+		p, err := d.newPred(d.g.ont.RelationIRI(rel), "")
 		if err != nil {
 			return err
 		}
@@ -270,7 +301,7 @@ func (d *rdfDoc) newPred(iri rdf.IRI, datatype rdf.IRI) (*rdfPred, error) {
 	p := &rdfPred{rdfTerm: *d.newTerm(iri)}
 	if prefix, local, ok := owl.QName(d.prefixes, iri); ok {
 		p.qname = prefix + ":" + local
-	} else if d.qnames {
+	} else if d.syntax.qnames {
 		return nil, fmt.Errorf("owl: predicate %s has no registered prefix; rdf/xml requires QName properties", iri)
 	}
 	if datatype != "" && datatype != rdf.XSDString {
@@ -295,156 +326,159 @@ func (d *rdfDoc) turtleTerm(iri rdf.IRI) string {
 	return iri.String()
 }
 
-// next fills d.stmts with the next subject's statements — sorted, without
-// duplicates — and returns its instance ID; ok is false after the last.
-// Instances sharing an ID are one subject, as they are in a graph.
-func (d *rdfDoc) next() (id string, ok bool) {
-	if d.pos == len(d.subjects) {
-		return "", false
-	}
-	id = d.subjects[d.pos].ID
-	st := d.stmts[:0]
-	for ; d.pos < len(d.subjects) && d.subjects[d.pos].ID == id; d.pos++ {
-		in := d.subjects[d.pos]
-		st = append(st,
-			rdfStmt{pred: d.typ, kind: objTerm, term: d.classes[in.Class]},
-			rdfStmt{pred: d.typ, kind: objTerm, term: d.named})
-		if d.sourcedFrom != nil {
-			for _, src := range in.Sources {
-				st = append(st, literal(d.sourcedFrom, src))
-			}
-		}
-		for _, a := range in.Attrs {
-			p := d.attrs[a.ID]
-			for _, v := range a.Values {
-				st = append(st, literal(p, strings.TrimSpace(v)))
-			}
-		}
-		for _, l := range in.Links {
-			p := d.rels[relKey{in.Class, l.Name}]
-			for _, t := range l.Targets {
-				st = append(st, rdfStmt{pred: p, kind: objInstance, ns: d.base, id: t.ID})
-			}
+// instance adds an instance's statements to the subject being gathered.
+// Instances sharing an ID are adjacent in the walk and are one subject,
+// as they are in a graph, so a subject is written at the next new ID.
+func (d *rdfDoc) instance(w stringWriter, in *Instance) error {
+	if len(d.stmts) > 0 && in.ID != d.id {
+		if err := d.writeSubject(w); err != nil {
+			return err
 		}
 	}
-	slices.SortFunc(st, cmpStmt)
-	d.stmts = slices.CompactFunc(st, func(a, b rdfStmt) bool { return cmpStmt(a, b) == 0 })
-	return id, true
+	d.id = in.ID
+	st := append(d.stmts,
+		rdfStmt{pred: d.typ, kind: objTerm, term: d.classes[in.Class]},
+		rdfStmt{pred: d.typ, kind: objTerm, term: d.named})
+	if d.sourcedFrom != nil {
+		for _, src := range in.Sources {
+			st = append(st, literal(d.sourcedFrom, src))
+		}
+	}
+	for _, a := range in.Attrs {
+		p := d.attrs[a.ID]
+		for _, v := range a.Values {
+			st = append(st, literal(p, strings.TrimSpace(v)))
+		}
+	}
+	for _, l := range in.Links {
+		p := d.rels[relKey{in.Class, l.Name}]
+		for _, t := range l.Targets {
+			st = append(st, rdfStmt{pred: p, kind: objInstance, ns: d.base, id: t.ID})
+		}
+	}
+	d.stmts = st
+	return nil
+}
+
+// writeSubject writes the gathered subject, its statements sorted and
+// without duplicates, in one Write from the reused buffer.
+func (d *rdfDoc) writeSubject(w stringWriter) error {
+	slices.SortFunc(d.stmts, cmpStmt)
+	d.stmts = slices.CompactFunc(d.stmts, func(a, b rdfStmt) bool { return cmpStmt(a, b) == 0 })
+	d.buf = d.syntax.subject(d, d.buf[:0], d.id)
+	d.stmts = d.stmts[:0]
+	_, err := w.Write(d.buf)
+	return err
+}
+
+// tail writes the last subject, the closing string and the error
+// report.
+func (d *rdfDoc) tail(w stringWriter, res *Result) error {
+	if len(d.stmts) > 0 {
+		if err := d.writeSubject(w); err != nil {
+			return err
+		}
+	}
+	b := append(w.AvailableBuffer(), d.syntax.close...)
+	_, err := w.Write(appendErrorReport(b, res, d.syntax.comments))
+	return err
 }
 
 func literal(p *rdfPred, v string) rdfStmt {
 	return rdfStmt{pred: p, kind: objLiteral, lit: v, esc: ntEscape(v)}
 }
 
-// writeRDFXML writes the owl.WriteRDFXML document. Every subject is an
-// rdf:Description: it always has two types, its class and
-// owl:NamedIndividual, so none is abbreviated to a typed node.
-func (d *rdfDoc) writeRDFXML(w stringWriter) error {
-	b := []byte(xml.Header + "<rdf:RDF")
+// openRDFXML and appendRDFXMLSubject write the owl.WriteRDFXML
+// document. Every subject is an rdf:Description: it always has two
+// types, its class and owl:NamedIndividual, so none is abbreviated to a
+// typed node.
+func (d *rdfDoc) openRDFXML(b []byte) []byte {
+	b = append(b, xml.Header+"<rdf:RDF"...)
 	for _, l := range d.labels {
 		b = appendAll(b, "\n    xmlns:", l, "=")
 		b = strconv.AppendQuote(b, d.prefixes[l])
 	}
-	b = append(b, ">\n"...)
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	for id, ok := d.next(); ok; id, ok = d.next() {
-		b = append(b[:0], "  <rdf:Description rdf:about="...)
-		b = d.appendQuoted(b, id)
-		b = append(b, ">\n"...)
-		for _, s := range d.stmts {
-			b = appendAll(b, "    <", s.pred.qname)
-			switch s.kind {
-			case objTerm:
-				b = appendAll(b, " rdf:resource=", s.term.quoted, "/>\n")
-			case objInstance:
-				b = d.appendQuoted(append(b, " rdf:resource="...), s.id)
-				b = append(b, "/>\n"...)
-			default:
-				b = appendAll(b, s.pred.dtXML, ">")
-				b = appendXMLText(b, s.lit)
-				b = appendAll(b, "</", s.pred.qname, ">\n")
-			}
-		}
-		b = append(b, "  </rdf:Description>\n"...)
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	_, err := w.WriteString("</rdf:RDF>\n")
-	return err
+	return append(b, ">\n"...)
 }
 
-// writeTurtle writes the rdf.WriteTurtle document: a subject's
-// predicates grouped by Turtle term, "a" first, then in term order —
-// with provenance on, ont:… precedes s2s:sourcedFrom though its key
-// sorts after — and each group's objects in key order.
-func (d *rdfDoc) writeTurtle(w stringWriter) error {
-	var b []byte
+func (d *rdfDoc) appendRDFXMLSubject(b []byte, id string) []byte {
+	b = append(b, "  <rdf:Description rdf:about="...)
+	b = d.appendQuoted(b, id)
+	b = append(b, ">\n"...)
+	for _, s := range d.stmts {
+		b = appendAll(b, "    <", s.pred.qname)
+		switch s.kind {
+		case objTerm:
+			b = appendAll(b, " rdf:resource=", s.term.quoted, "/>\n")
+		case objInstance:
+			b = d.appendQuoted(append(b, " rdf:resource="...), s.id)
+			b = append(b, "/>\n"...)
+		default:
+			b = appendAll(b, s.pred.dtXML, ">")
+			b = appendXMLText(b, s.lit)
+			b = appendAll(b, "</", s.pred.qname, ">\n")
+		}
+	}
+	return append(b, "  </rdf:Description>\n"...)
+}
+
+// openTurtle and appendTurtleSubject write the rdf.WriteTurtle
+// document: a subject's predicates grouped by Turtle term, "a" first,
+// then in term order — with provenance on, ont:… precedes
+// s2s:sourcedFrom though its key sorts after — and each group's objects
+// in key order.
+func (d *rdfDoc) openTurtle(b []byte) []byte {
 	for _, l := range d.labels {
 		b = appendAll(b, "@prefix ", l, ": <", d.prefixes[l], "> .\n")
 	}
 	if len(d.labels) > 0 {
 		b = append(b, '\n')
 	}
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	for id, ok := d.next(); ok; id, ok = d.next() {
-		b = d.appendTurtleIRI(b[:0], id)
-		slices.SortStableFunc(d.stmts, cmpTurtlePred)
-		for i, s := range d.stmts {
-			switch {
-			case i == 0:
-				b = appendAll(b, " ", s.pred.ttl, " ")
-			case s.pred.ttl != d.stmts[i-1].pred.ttl:
-				b = appendAll(b, " ;\n    ", s.pred.ttl, " ")
-			default:
-				b = append(b, ", "...)
-			}
-			switch s.kind {
-			case objTerm:
-				b = append(b, s.term.ttl...)
-			case objInstance:
-				b = d.appendTurtleIRI(b, s.id)
-			default:
-				b = appendAll(b, `"`, s.esc, `"`, s.pred.dtTTL)
-			}
-		}
-		b = append(b, " .\n"...)
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b
 }
 
-// writeNTriples writes the rdf.WriteNTriples document: one line per
-// statement, in key order.
-func (d *rdfDoc) writeNTriples(w stringWriter) error {
-	var b, subj []byte
-	for id, ok := d.next(); ok; id, ok = d.next() {
-		subj = d.appendNTIRI(subj[:0], id)
-		b = b[:0]
-		for _, s := range d.stmts {
-			b = append(b, subj...)
-			b = appendAll(b, " ", s.pred.nt, " ")
-			switch s.kind {
-			case objTerm:
-				b = append(b, s.term.nt...)
-			case objInstance:
-				b = d.appendNTIRI(b, s.id)
-			default:
-				b = appendAll(b, `"`, s.esc, `"`, s.pred.dtNT)
-			}
-			b = append(b, " .\n"...)
+func (d *rdfDoc) appendTurtleSubject(b []byte, id string) []byte {
+	b = d.appendTurtleIRI(b, id)
+	slices.SortStableFunc(d.stmts, cmpTurtlePred)
+	for i, s := range d.stmts {
+		switch {
+		case i == 0:
+			b = appendAll(b, " ", s.pred.ttl, " ")
+		case s.pred.ttl != d.stmts[i-1].pred.ttl:
+			b = appendAll(b, " ;\n    ", s.pred.ttl, " ")
+		default:
+			b = append(b, ", "...)
 		}
-		if _, err := w.Write(b); err != nil {
-			return err
+		switch s.kind {
+		case objTerm:
+			b = append(b, s.term.ttl...)
+		case objInstance:
+			b = d.appendTurtleIRI(b, s.id)
+		default:
+			b = appendAll(b, `"`, s.esc, `"`, s.pred.dtTTL)
 		}
 	}
-	return nil
+	return append(b, " .\n"...)
+}
+
+// appendNTSubject writes a subject of the rdf.WriteNTriples document:
+// one line per statement, in key order.
+func (d *rdfDoc) appendNTSubject(b []byte, id string) []byte {
+	d.subj = d.appendNTIRI(d.subj[:0], id)
+	for _, s := range d.stmts {
+		b = append(b, d.subj...)
+		b = appendAll(b, " ", s.pred.nt, " ")
+		switch s.kind {
+		case objTerm:
+			b = append(b, s.term.nt...)
+		case objInstance:
+			b = d.appendNTIRI(b, s.id)
+		default:
+			b = appendAll(b, `"`, s.esc, `"`, s.pred.dtNT)
+		}
+		b = append(b, " .\n"...)
+	}
+	return b
 }
 
 func (d *rdfDoc) appendNTIRI(b []byte, id string) []byte {

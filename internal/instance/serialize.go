@@ -4,34 +4,31 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/ontology"
 	"repro/internal/owl"
 	"repro/internal/rdf"
 )
 
-// bufPool recycles Serialize's staging buffers across queries, so
-// repeated serialization stops allocating (and growing) a fresh buffer
-// per call.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// spareBufs keeps Serialize's staging buffers across queries. It is a
+// leaky free list, not a sync.Pool: a pool hides a buffer in one P's
+// private slot from a query that resumes on another P and drops it
+// after two GCs, so on bulk_owl it missed one query in six. It keeps
+// GOMAXPROCS buffers, as many as can be formed at once.
+var spareBufs = make(chan *bytes.Buffer, runtime.GOMAXPROCS(0))
 
-// maxPooledBuf caps the capacity returned to the pool; one huge result
-// must not pin its buffer forever.
+// maxPooledBuf caps the capacity kept for reuse; one huge result must
+// not pin its buffer forever.
 const maxPooledBuf = 1 << 20
 
-func getBuf() *bytes.Buffer {
-	b := bufPool.Get().(*bytes.Buffer)
-	b.Reset()
-	return b
-}
-
-func putBuf(b *bytes.Buffer) {
-	if b.Cap() <= maxPooledBuf {
-		bufPool.Put(b)
-	}
-}
+// pieceRoom is the capacity reserved before a document's head, a power
+// of two, so a fresh buffer doubles through powers of two and a
+// document of at most 1 MiB ends in a buffer Serialize can keep (E7's
+// 1.04 MB XML answer ended in 1.25 MiB when sized by its first piece).
+const pieceRoom = 4 << 10
 
 // Format is an output serialization format. OWL (RDF/XML) is the paper's
 // primary output; the rest are the adaptable alternatives of §2.6.
@@ -47,43 +44,58 @@ const (
 	FormatText
 )
 
-func (f Format) String() string {
-	switch f {
-	case FormatOWL:
-		return "owl"
-	case FormatTurtle:
-		return "turtle"
-	case FormatNTriples:
-		return "ntriples"
-	case FormatXML:
-		return "xml"
-	case FormatJSON:
-		return "json"
-	case FormatText:
-		return "text"
-	default:
-		return fmt.Sprintf("Format(%d)", int(f))
+// formatRow is one format: its names (the canonical one first), media
+// type and writer, and eager, which declares that the writer's head
+// reads only res.Plan and that its walk is res.Matched.
+type formatRow struct {
+	names     []string
+	mediaType string
+	writer    func(g *Generator) docWriter
+	eager     bool
+}
+
+var formats = [...]formatRow{
+	FormatOWL:      {[]string{"owl", "rdfxml", "rdf/xml", "rdf-xml"}, "application/rdf+xml", rdfWriter(&rdfXML), false},
+	FormatTurtle:   {[]string{"turtle", "ttl"}, "text/turtle; charset=utf-8", rdfWriter(&turtle), false},
+	FormatNTriples: {[]string{"ntriples", "nt", "n-triples"}, "application/n-triples", rdfWriter(&nTriples), false},
+	FormatXML:      {[]string{"xml"}, "application/xml", func(g *Generator) docWriter { return xmlDoc{g} }, true},
+	FormatJSON:     {[]string{"json"}, "application/json", func(*Generator) docWriter { return &jsonDoc{} }, true},
+	FormatText:     {[]string{"text", "txt", "plain"}, "text/plain; charset=utf-8", func(*Generator) docWriter { return textDoc{} }, false},
+}
+
+// row is the format's row, nil for a value outside the table.
+func (f Format) row() *formatRow {
+	if f <= 0 || int(f) >= len(formats) {
+		return nil
 	}
+	return &formats[f]
+}
+
+func (f Format) String() string {
+	if r := f.row(); r != nil {
+		return r.names[0]
+	}
+	return fmt.Sprintf("Format(%d)", int(f))
+}
+
+// MediaType is the format's media type; a value outside the table is
+// served as plain text.
+func (f Format) MediaType() string {
+	if r := f.row(); r != nil {
+		return r.mediaType
+	}
+	return formats[FormatText].mediaType
 }
 
 // ParseFormat resolves a format name.
 func ParseFormat(s string) (Format, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "owl", "rdfxml", "rdf/xml", "rdf-xml":
-		return FormatOWL, nil
-	case "turtle", "ttl":
-		return FormatTurtle, nil
-	case "ntriples", "nt", "n-triples":
-		return FormatNTriples, nil
-	case "xml":
-		return FormatXML, nil
-	case "json":
-		return FormatJSON, nil
-	case "text", "txt", "plain":
-		return FormatText, nil
-	default:
-		return 0, fmt.Errorf("instance: unknown output format %q", s)
+	name := strings.ToLower(strings.TrimSpace(s))
+	for f := range formats {
+		if slices.Contains(formats[f].names, name) {
+			return Format(f), nil
+		}
 	}
+	return 0, fmt.Errorf("instance: unknown output format %q", s)
 }
 
 // ToGraph converts a result into RDF: each instance becomes a named
@@ -149,20 +161,31 @@ func findRelation(c *ontology.Class, name string) *ontology.Relation {
 }
 
 // Serialize writes the result in the requested format. The whole
-// document is staged in a pooled buffer and handed to w as one write;
+// document is staged in a reused buffer and handed to w as one write;
 // SerializeChunked is the incremental alternative.
 func (g *Generator) Serialize(w io.Writer, res *Result, format Format) error {
-	b := getBuf()
-	defer putBuf(b)
-	if err := g.serializeTo(b, res, format); err != nil {
-		return err
+	var b *bytes.Buffer
+	select {
+	case b = <-spareBufs:
+	default:
+		b = new(bytes.Buffer)
 	}
-	_, err := w.Write(b.Bytes())
+	err := g.serializeTo(b, res, format)
+	if err == nil {
+		_, err = w.Write(b.Bytes())
+	}
+	if b.Cap() <= maxPooledBuf {
+		b.Reset()
+		select {
+		case spareBufs <- b:
+		default:
+		}
+	}
 	return err
 }
 
 // stringWriter is the serialization target: bytes.Buffer (Serialize's
-// pooled staging buffer) and ChunkedWriter (SerializeChunked and the
+// staging buffer) and ChunkedWriter (SerializeChunked and the
 // eager path) both satisfy it. A writer appends a piece to
 // AvailableBuffer() and passes the result to Write, so a piece that fits
 // the spare capacity is formed in place; Grow reserves that capacity.
@@ -176,68 +199,22 @@ type stringWriter interface {
 // serializeTo is the one serializer behind Serialize and
 // SerializeChunked: the same bytes reach w whichever writer it is.
 func (g *Generator) serializeTo(w stringWriter, res *Result, format Format) error {
-	if dw, ok := docWriters[format]; ok {
-		if err := dw.head(g, w, res.Plan); err != nil {
+	r := format.row()
+	if r == nil {
+		return fmt.Errorf("instance: unknown format %d", int(format))
+	}
+	dw := r.writer(g)
+	w.Grow(pieceRoom)
+	walk, err := dw.head(w, res)
+	if err != nil {
+		return err
+	}
+	for _, in := range walk {
+		if err := dw.instance(w, in); err != nil {
 			return err
 		}
-		for i, in := range res.Matched {
-			if err := dw.instance(g, w, in, i == 0); err != nil {
-				return err
-			}
-		}
-		return dw.tail(g, w, res)
 	}
-	if f, ok := rdfFramings[format]; ok {
-		return g.writeRDF(w, res, f)
-	}
-	if format == FormatText {
-		return g.writeText(w, res)
-	}
-	return fmt.Errorf("instance: unknown format %d", int(format))
-}
-
-// commentSyntax is how an RDF syntax comments out the error report: an
-// opening line, a prefix per report line, a closing line, and what makes
-// a report line legal inside the comment.
-type commentSyntax struct {
-	open, line, close string
-	safe              func(string) string
-}
-
-var (
-	// xmlComments is one XML comment after the document element; "--"
-	// is forbidden inside it.
-	xmlComments = commentSyntax{"<!-- s2s:error-report\n", "  ", "-->\n",
-		func(s string) string { return strings.ReplaceAll(s, "--", "- -") }}
-	// hashComments is a run of '#' line comments, as Turtle and
-	// N-Triples write them; a line break would end the comment.
-	hashComments = commentSyntax{"# s2s:error-report\n", "#   ", "",
-		strings.NewReplacer("\n", " ", "\r", " ").Replace}
-)
-
-// writeErrorEpilog appends an RDF answer's error report: comments after
-// the document naming every source error and unmapped attribute.
-// Comments keep the output parseable, but a B2B consumer (or an operator
-// reading the file) sees exactly which parts of the answer are missing —
-// the paper's §2.6 requirement that the generator "handles the errors
-// ... from the extraction phases" surfaced in every RDF syntax. It is
-// omitted entirely for clean results.
-func writeErrorEpilog(w io.Writer, res *Result, c commentSyntax) error {
-	if len(res.Errors) == 0 && len(res.Missing) == 0 {
-		return nil
-	}
-	b := getBuf()
-	defer putBuf(b)
-	b.WriteString(c.open)
-	for _, e := range res.Errors {
-		fmt.Fprintf(b, "%serror: %s\n", c.line, c.safe(e.Error()))
-	}
-	for _, m := range res.Missing {
-		fmt.Fprintf(b, "%sunmapped: %s\n", c.line, c.safe(m))
-	}
-	b.WriteString(c.close)
-	_, err := w.Write(b.Bytes())
-	return err
+	return dw.tail(w, res)
 }
 
 // SourcedFrom is the provenance annotation property: it links an instance
@@ -251,34 +228,4 @@ func (g *Generator) prefixes() rdf.PrefixMap {
 		p["s2s"] = ontology.S2SNS
 	}
 	return p
-}
-
-// writeText emits the plain-text view: header, one instance at a time,
-// then the error/missing epilog lines.
-func (g *Generator) writeText(b stringWriter, res *Result) error {
-	fmt.Fprintf(b, "query: %s\n", res.Plan.Query.String())
-	fmt.Fprintf(b, "matched: %d, related: %d, errors: %d\n", len(res.Matched), len(res.Related), len(res.Errors))
-	dump := func(in *Instance) {
-		fmt.Fprintf(b, "- %s (%s) from %s\n", in.ID, in.Class.Path(), strings.Join(in.Sources, ", "))
-		for _, a := range in.Attrs {
-			fmt.Fprintf(b, "    %s = %s\n", a.ID, strings.Join(a.Values, " | "))
-		}
-		for _, l := range in.Links {
-			var ids []string
-			for _, t := range l.Targets {
-				ids = append(ids, t.ID)
-			}
-			fmt.Fprintf(b, "    %s -> %s\n", l.Name, strings.Join(ids, ", "))
-		}
-	}
-	for _, in := range res.Instances() {
-		dump(in)
-	}
-	for _, e := range res.Errors {
-		fmt.Fprintf(b, "! %s\n", e.Error())
-	}
-	for _, m := range res.Missing {
-		fmt.Fprintf(b, "? unmapped attribute %s\n", m)
-	}
-	return nil
 }

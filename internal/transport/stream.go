@@ -72,26 +72,6 @@ type StreamResult struct {
 	Mode string
 }
 
-// contentTypeFor maps a serialization format to its media type; the
-// /query/stream body is the raw serialized document, not a JSON
-// envelope.
-func contentTypeFor(f instance.Format) string {
-	switch f {
-	case instance.FormatOWL:
-		return "application/rdf+xml"
-	case instance.FormatTurtle:
-		return "text/turtle; charset=utf-8"
-	case instance.FormatNTriples:
-		return "application/n-triples"
-	case instance.FormatXML:
-		return "application/xml"
-	case instance.FormatJSON:
-		return "application/json"
-	default:
-		return "text/plain; charset=utf-8"
-	}
-}
-
 // flushWriter forwards every write to the response and flushes it,
 // so each chunk-buffer flush becomes one chunked-transfer frame on the
 // wire instead of sitting in the server's response buffer.
@@ -140,7 +120,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	begin := func(res *instance.Result) error {
 		begun, eager = true, res == nil
 		h := w.Header()
-		h.Set("Content-Type", contentTypeFor(format))
+		h.Set("Content-Type", format.MediaType())
 		trailers := []string{StreamCompleteTrailer, StreamErrorsTrailer, StreamErrorTrailer}
 		if eager {
 			// The body starts before generation finishes, so the counts

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -47,6 +49,33 @@ func TestQueryStreamEndToEnd(t *testing.T) {
 		}
 		if res.Matched == 0 {
 			t.Errorf("%s: matched header reported 0 instances", format)
+		}
+	}
+}
+
+// TestQueryStreamContentType pins the media type /query/stream sends
+// for every format.
+func TestQueryStreamContentType(t *testing.T) {
+	srv, _, _ := testServer(t)
+	for format, want := range map[string]string{
+		"owl":      "application/rdf+xml",
+		"turtle":   "text/turtle; charset=utf-8",
+		"ntriples": "application/n-triples",
+		"xml":      "application/xml",
+		"json":     "application/json",
+		"text":     "text/plain; charset=utf-8",
+	} {
+		resp, err := http.Get(srv.URL + "/query/stream?" + url.Values{"q": {"SELECT product"}, "format": {format}}.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, body error %v", format, resp.StatusCode, err)
+		}
+		if got := resp.Header.Get("Content-Type"); got != want {
+			t.Errorf("%s: Content-Type = %q, want %q", format, got, want)
 		}
 	}
 }
